@@ -34,6 +34,7 @@ from .walk import (
     DiffusionOperator,
     OracleSpec,
     SweepReport,
+    WalkPlan,
     WalkState,
     apply_coin,
     apply_oracle,

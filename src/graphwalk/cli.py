@@ -15,7 +15,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .simulator import SimulationError, verify_circuit_equivalence
 from .walk import (
     CallCapExceededError,
     OracleSpec,
+    WalkPlan,
     guaranteed_search,
     search as run_search,
     sweep as run_sweep,
@@ -141,19 +141,19 @@ def _edge_payload(g: Graph, star: StarifiedGraph | None, k: int) -> dict:
     return payload
 
 
-def _trial(payload) -> dict:
-    g, p, marked, steps, seq, guaranteed, max_calls, star = payload
-    oracle = OracleSpec(marked=marked)
+def _trial(g, p, oracle, plan, star, seq, args) -> dict:
     rng = np.random.default_rng(seq)
-    if guaranteed:
-        edge, calls = guaranteed_search(g, p, oracle, steps, rng, max_calls=max_calls)
+    if args.guaranteed:
+        edge, calls = guaranteed_search(
+            g, p, oracle, args.steps, rng, max_calls=args.max_calls, plan=plan
+        )
         out = _edge_payload(g, star, edge)
         out["calls"] = calls
         out["is_marked"] = True
     else:
-        edge = run_search(g, p, oracle, steps, rng)
+        edge = run_search(g, p, oracle, args.steps, rng, plan=plan)
         out = _edge_payload(g, star, edge)
-        out["is_marked"] = edge in marked
+        out["is_marked"] = edge in oracle.marked
     return out
 
 
@@ -175,16 +175,14 @@ def cmd_search(args) -> int:
         "guaranteed": bool(args.guaranteed),
         "trials": args.trials,
     }
-    seqs = np.random.SeedSequence(args.seed).spawn(args.trials)
-    payloads = [
-        (g, p, marked, args.steps, seq, args.guaranteed, args.max_calls, star)
-        for seq in seqs
+    # Every trial measures the same evolved state, so one plan evolves it
+    # once; each trial draws with its own child seed.
+    oracle = OracleSpec(marked=marked)
+    plan = WalkPlan(g, p, oracle)
+    outcomes = [
+        _trial(g, p, oracle, plan, star, seq, args)
+        for seq in np.random.SeedSequence(args.seed).spawn(args.trials)
     ]
-    if args.jobs > 1 and args.trials > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_trial, payloads))
-    else:
-        outcomes = [_trial(pl) for pl in payloads]
     if args.trials == 1:
         result.update(outcomes[0])
     else:
@@ -307,7 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=1_000_000,
         help="oracle-call cap for --guaranteed (default 1000000)",
     )
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for --trials")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility (must be >= 1); trials share one "
+        "evolution, so no workers are started",
+    )
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_search)
 

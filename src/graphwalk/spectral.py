@@ -171,7 +171,7 @@ def reduced_vs_full(
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
     g = star_graph(m)
     p = polarity if polarity is not None else PolarityMap((0,) * m)
-    oracle = walk.OracleSpec(marked=frozenset({0}))
+    plan = walk.WalkPlan(g, p, walk.OracleSpec(marked=frozenset({0})))
     full = walk.diagonal_state(g)
     reduced = star_initial_state(m)
     worst = 0.0
@@ -183,7 +183,7 @@ def reduced_vs_full(
             float(np.abs(full.psi[1:, 0] - reduced.alpha_plus).max()),
             float(np.abs(full.psi[1:, 1] - reduced.alpha_minus).max()),
         )
-        walk.step(full, g, p, oracle=oracle)
+        plan.step(full)
         reduced = star_reduced_step(reduced)
     return worst
 

@@ -9,7 +9,7 @@ each node diffuses the amplitudes facing it with the degree-d Grover operator
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -32,11 +32,16 @@ class CallCapExceededError(RuntimeError):
 
 
 def _check_unitary(matrix: np.ndarray, what: str, tol: float = 1e-12) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
+    """Return a read-only complex copy of `matrix` after checking unitarity.
+
+    The copy keeps a caller's later writes from changing a checked matrix.
+    """
+    m = np.array(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
     if not np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=tol):
         raise ValueError(f"{what} is not unitary within {tol}")
+    m.setflags(write=False)
     return m
 
 
@@ -44,7 +49,7 @@ def _check_unitary(matrix: np.ndarray, what: str, tol: float = 1e-12) -> np.ndar
 class CoinSpec:
     """A 2x2 unitary applied to the (+, -) amplitude pair of every edge."""
 
-    matrix: np.ndarray = field(default_factory=lambda: PAULI_X.copy())
+    matrix: np.ndarray = field(default_factory=lambda: PAULI_X)
 
     def __post_init__(self):
         m = _check_unitary(self.matrix, "coin")
@@ -68,7 +73,7 @@ class OracleSpec:
     """
 
     marked: frozenset[int] = frozenset()
-    matrix: np.ndarray = field(default_factory=lambda: MINUS_X.copy())
+    matrix: np.ndarray = field(default_factory=lambda: MINUS_X)
 
     def __post_init__(self):
         object.__setattr__(self, "marked", frozenset(int(k) for k in self.marked))
@@ -149,34 +154,135 @@ def apply_coin(state: WalkState, coin: CoinSpec) -> WalkState:
     return state
 
 
-@lru_cache(maxsize=64)
-def _scatter_plan(g: Graph, p: PolarityMap):
-    """Precompute flat gather/scatter indexing for the per-node diffusions.
+class WalkPlan:
+    """One step operator for a graph, polarity, oracle and coin, built once.
 
-    Incident amplitudes are gathered node by node into one flat vector;
-    segment sums then give each node's diffusion via y_i = (2/d) * sum - x_i.
+    A step applies the oracle, then the coin, then every node's diffusion.
+    The plan folds the first two into one 2x2 action per edge: the coin on
+    unmarked edges and coin times oracle on marked ones.  It lays the
+    amplitudes out node by node, each node's facing amplitudes in ascending
+    neighbor order (the order of `Graph.adjacency`), so one gather, one
+    segment sum and one scatter run every diffusion.
+
+    The plan remembers the cumulative edge distribution of its last
+    evolution, so repeated draws at one step count evolve once.
+
+    Attributes:
+        g, p, oracle, coin: What the plan was built for, as passed.
+        n_edges: Edge count of `g`.
     """
-    check_polarity(g, p)
-    edge_idx: list[int] = []
-    comp_idx: list[int] = []
-    seg_starts: list[int] = []
-    degrees: list[int] = []
-    pos = 0
-    for u in range(g.n):
-        if not g.adjacency[u]:
-            continue
-        seg_starts.append(pos)
-        degrees.append(len(g.adjacency[u]))
-        for _, k in g.adjacency[u]:
-            edge_idx.append(k)
-            comp_idx.append(p.component_at(k, u))
-            pos += 1
-    return (
-        np.array(edge_idx, dtype=np.intp),
-        np.array(comp_idx, dtype=np.intp),
-        np.array(seg_starts, dtype=np.intp),
-        np.array(degrees, dtype=np.intp),
-    )
+
+    def __init__(
+        self,
+        g: Graph,
+        p: PolarityMap,
+        oracle: OracleSpec | None = None,
+        coin: CoinSpec | None = None,
+    ):
+        check_polarity(g, p)
+        n_edges = g.n_edges
+        marked = np.array(sorted(oracle.marked) if oracle is not None else [], dtype=np.intp)
+        if marked.size and (marked[0] < 0 or marked[-1] >= n_edges):
+            raise ValueError(f"marked edge index out of range for {n_edges} edges")
+        self.g, self.p, self.oracle, self.coin = g, p, oracle, coin
+        self.n_edges = n_edges
+
+        # Flat amplitude 2k + c faces the + endpoint of edge k when c == 0.
+        ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * n_edges)
+        plus = np.fromiter(p.plus_node, dtype=np.intp, count=n_edges)
+        other = ends[0::2] + ends[1::2] - plus
+        facing = np.stack([plus, other], axis=1).reshape(-1)
+        neighbor = np.stack([other, plus], axis=1).reshape(-1)
+        # (facing, neighbor) pairs are distinct in a simple graph, so any sort
+        # of this key gives the one order of Graph.adjacency.
+        self._dst = np.argsort(facing * g.n + neighbor)
+        by_node = facing[self._dst]
+        self._starts = np.flatnonzero(np.diff(by_node, prepend=-1))
+        self._degrees = np.diff(np.r_[self._starts, 2 * n_edges])
+        self._weights = 2.0 / self._degrees
+
+        coin_m = (coin if coin is not None else CoinSpec()).matrix
+        marked_m = coin_m @ oracle.matrix if oracle is not None else coin_m
+        self._marked, self._coin_m, self._marked_m = marked, coin_m, marked_m
+        self._cdf: tuple[int, np.ndarray] | None = None
+
+    def _check(self, state: WalkState) -> None:
+        if state.n_edges != self.n_edges:
+            raise ValueError(
+                f"state has {state.n_edges} edges, graph has {self.n_edges}"
+            )
+
+    def _diffuse(self, state: WalkState, x: np.ndarray) -> None:
+        """Set the state to every node's diffusion of its gathered amplitudes x."""
+        sums = np.add.reduceat(x, self._starts)
+        out = np.empty_like(x)
+        out[self._dst] = np.repeat(sums * self._weights, self._degrees) - x
+        state.psi = out.reshape(self.n_edges, 2)
+
+    def scatter(self, state: WalkState) -> WalkState:
+        """Diffuse, at every node, the amplitudes facing it.  In place."""
+        self._check(state)
+        self._diffuse(state, state.psi.reshape(-1)[self._dst])
+        return state
+
+    def step(self, state: WalkState) -> WalkState:
+        """Advance one step: oracle, then coin, then scattering.  In place."""
+        self._check(state)
+        y = state.psi @ self._coin_m.T
+        y[self._marked] = state.psi[self._marked] @ self._marked_m.T
+        self._diffuse(state, y.reshape(-1)[self._dst])
+        state.t += 1
+        return state
+
+    def cdf(self, steps: int) -> np.ndarray:
+        """Cumulative edge distribution after `steps` steps from the uniform start.
+
+        The last result is kept (read-only) and returned again for the same
+        step count.
+        """
+        if self._cdf is None or self._cdf[0] != steps:
+            state = evolve(self.g, self.p, self.oracle, steps, self.coin, plan=self)
+            cdf = np.cumsum(edge_probabilities(state))
+            cdf.setflags(write=False)
+            self._cdf = (steps, cdf)
+        return self._cdf[1]
+
+    def matrix(self) -> np.ndarray:
+        """Dense matrix of one step on the 2|E| amplitudes.
+
+        Column 2k + c holds the step's image of amplitude (edge k, pole c):
+        each nonzero v of the edge's 2x2 action, at amplitude i, spreads over
+        the diffusion block of the node that i faces, as v * (2/d) on every
+        row of the block minus v on row i.
+        """
+        dim = 2 * self.n_edges
+        action = np.broadcast_to(self._coin_m, (self.n_edges, 2, 2)).copy()
+        action[self._marked] = self._marked_m
+        k, r, c = np.nonzero(action)
+        vals = action[k, r, c]
+        rows_in, cols = 2 * k + r, 2 * k + c
+        position = np.empty(dim, dtype=np.intp)
+        position[self._dst] = np.arange(dim)
+        node = np.repeat(np.arange(len(self._starts)), self._degrees)[position[rows_in]]
+        size = self._degrees[node]
+        entry = np.repeat(np.arange(len(vals)), size)
+        offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        rows = self._dst[self._starts[node][entry] + offset]
+        mat = np.zeros((dim, dim), dtype=complex)
+        mat[rows, cols[entry]] = (vals * self._weights[node])[entry]
+        mat[rows_in, cols] -= vals
+        return mat
+
+
+def _plan_for(g, p, oracle, coin, plan: WalkPlan | None) -> WalkPlan:
+    """Build a plan, or check that a given one belongs to these arguments."""
+    if plan is None:
+        return WalkPlan(g, p, oracle, coin)
+    if not (plan.g is g and plan.p is p and plan.oracle is oracle and plan.coin is coin):
+        raise ValueError(
+            "plan was built for a different graph, polarity, oracle or coin"
+        )
+    return plan
 
 
 def apply_scattering(state: WalkState, g: Graph, p: PolarityMap) -> WalkState:
@@ -184,16 +290,10 @@ def apply_scattering(state: WalkState, g: Graph, p: PolarityMap) -> WalkState:
 
     Each (edge, pole) amplitude faces exactly one node, so the per-node
     blocks partition the state and the whole pass costs O(sum of degrees).
+    Each call builds a `WalkPlan` first; to scatter repeatedly on one graph,
+    build the plan once and call `WalkPlan.scatter`.
     """
-    if state.n_edges != g.n_edges:
-        raise ValueError(
-            f"state has {state.n_edges} edges, graph has {g.n_edges}"
-        )
-    edge_idx, comp_idx, seg_starts, degrees = _scatter_plan(g, p)
-    x = state.psi[edge_idx, comp_idx]
-    sums = np.add.reduceat(x, seg_starts)
-    state.psi[edge_idx, comp_idx] = np.repeat(sums * (2.0 / degrees), degrees) - x
-    return state
+    return WalkPlan(g, p).scatter(state)
 
 
 def step(
@@ -203,13 +303,12 @@ def step(
     coin: CoinSpec | None = None,
     oracle: OracleSpec | None = None,
 ) -> WalkState:
-    """Advance one step: oracle, then coin, then scattering.  In place."""
-    if oracle is not None:
-        apply_oracle(state, oracle)
-    apply_coin(state, coin if coin is not None else CoinSpec())
-    apply_scattering(state, g, p)
-    state.t += 1
-    return state
+    """Advance one step: oracle, then coin, then scattering.  In place.
+
+    Each call builds a `WalkPlan` first; to take many steps, build the plan
+    once and call `WalkPlan.step`.
+    """
+    return WalkPlan(g, p, oracle, coin).step(state)
 
 
 def edge_probabilities(state: WalkState) -> np.ndarray:
@@ -225,11 +324,15 @@ def edge_probabilities(state: WalkState) -> np.ndarray:
     return probs
 
 
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF sample of an index from a cumulative weight vector."""
+    u = rng.random() * cdf[-1]
+    return int(min(np.searchsorted(cdf, u, side="right"), len(cdf) - 1))
+
+
 def _sample_edge(probs: np.ndarray, rng: np.random.Generator) -> int:
     """Inverse-CDF sample of an edge index from a probability vector."""
-    cdf = np.cumsum(probs)
-    u = rng.random() * cdf[-1]
-    return int(min(np.searchsorted(cdf, u, side="right"), len(probs) - 1))
+    return _draw(np.cumsum(probs), rng)
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -244,13 +347,19 @@ def evolve(
     oracle: OracleSpec | None,
     steps: int,
     coin: CoinSpec | None = None,
+    *,
+    plan: WalkPlan | None = None,
 ) -> WalkState:
-    """Run `steps` steps from the uniform superposition and return the state."""
+    """Run `steps` steps from the uniform superposition and return the state.
+
+    `plan`, when given, must have been built for these g, p, oracle and coin.
+    """
+    plan = _plan_for(g, p, oracle, coin, plan)
     if steps < 0:
         raise ValueError(f"step count must be nonnegative, got {steps}")
     state = diagonal_state(g)
     for _ in range(steps):
-        step(state, g, p, coin=coin, oracle=oracle)
+        plan.step(state)
     return state
 
 
@@ -261,16 +370,22 @@ def search(
     steps: int,
     seed=None,
     coin: CoinSpec | None = None,
+    *,
+    plan: WalkPlan | None = None,
 ) -> int:
     """Run the walk for `steps` steps and measure one edge.
+
+    With a `plan` built for these g, p, oracle and coin, searches at the
+    plan's last step count reuse its distribution instead of evolving again.
+    Without one, each call builds a plan and evolves from the start.
 
     Returns:
         The sampled edge index (not necessarily a marked one).
     """
     if not oracle.marked:
         raise ValueError("search needs at least one marked edge")
-    state = evolve(g, p, oracle, steps, coin=coin)
-    return _sample_edge(edge_probabilities(state), _as_rng(seed))
+    plan = _plan_for(g, p, oracle, coin, plan)
+    return _draw(plan.cdf(steps), _as_rng(seed))
 
 
 def guaranteed_search(
@@ -281,11 +396,14 @@ def guaranteed_search(
     seed=None,
     coin: CoinSpec | None = None,
     max_calls: int = 1_000_000,
+    *,
+    plan: WalkPlan | None = None,
 ) -> tuple[int, int]:
     """Sample repeatedly until a marked edge comes up.
 
-    The final distribution is computed once; each draw models one
-    run-and-measure round followed by an oracle check of the outcome.
+    The final distribution is computed once (or taken from `plan`, as in
+    `search`); each draw models one run-and-measure round followed by an
+    oracle check of the outcome.
 
     Returns:
         (edge, calls): the marked edge found and the number of draws used.
@@ -297,11 +415,10 @@ def guaranteed_search(
         raise ValueError("search needs at least one marked edge")
     if max_calls < 1:
         raise ValueError(f"call cap must be positive, got {max_calls}")
-    state = evolve(g, p, oracle, steps, coin=coin)
-    probs = edge_probabilities(state)
+    cdf = _plan_for(g, p, oracle, coin, plan).cdf(steps)
     rng = _as_rng(seed)
     for calls in range(1, max_calls + 1):
-        edge = _sample_edge(probs, rng)
+        edge = _draw(cdf, rng)
         if edge in oracle.marked:
             return edge, calls
     raise CallCapExceededError(max_calls)
@@ -368,15 +485,17 @@ def sweep(
     The walk starts in the uniform superposition; ties for the maximum go to
     the smallest t.
     """
+    plan = WalkPlan(g, p, oracle, coin)
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
     marked = tuple(sorted(oracle.marked))
     state = diagonal_state(g)
     probs = []
-    for _ in range(t_max + 1):
+    for t in range(t_max + 1):
+        if t:
+            plan.step(state)
         dist = edge_probabilities(state)
         probs.append(float(dist[list(marked)].sum()) if marked else 0.0)
-        step(state, g, p, coin=coin, oracle=oracle)
     t_star = int(np.argmax(probs))
     return SweepReport(
         probs=tuple(probs),
@@ -401,11 +520,4 @@ def step_matrix(
     Basis order: amplitude (edge k, pole c) sits at index 2k + c.  Useful for
     spectra and for checking compiled circuits against the model.
     """
-    dim = 2 * g.n_edges
-    mat = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        state = WalkState(np.zeros((g.n_edges, 2), dtype=complex))
-        state.psi[j // 2, j % 2] = 1.0
-        step(state, g, p, coin=coin, oracle=oracle)
-        mat[:, j] = state.psi.reshape(-1)
-    return mat
+    return WalkPlan(g, p, oracle, coin).matrix()

@@ -8,9 +8,19 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from graphwalk import complete_graph, star_graph, to_edge_list
+from graphwalk import (
+    OracleSpec,
+    complete_graph,
+    greedy_coloring,
+    guaranteed_search,
+    polarity_from_coloring,
+    search,
+    star_graph,
+    to_edge_list,
+)
 from graphwalk.cli import main
 
 
@@ -116,6 +126,27 @@ def test_search_jobs_do_not_change_output(star16, tmp_path):
     assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
     assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+@pytest.mark.parametrize("guaranteed", [False, True])
+def test_search_trials_equal_seeded_library_calls(star16, capsys, guaranteed):
+    # Trials share one evolution, but each draws with its own child seed,
+    # exactly as independent library searches would.
+    argv = ["search", "--graph", star16, "--mark-edge", "0", "1",
+            "--steps", "1", "--trials", "5", "--seed", "11"]
+    assert main(argv + ["--guaranteed"] * guaranteed) == 0
+    results = read_json(capsys)["results"]
+    g = star_graph(16)
+    p = polarity_from_coloring(g, greedy_coloring(g))
+    oracle = OracleSpec(marked=frozenset({0}))
+    seqs = np.random.SeedSequence(11).spawn(5)
+    assert len(results) == len(seqs)
+    for r, seq in zip(results, seqs):
+        rng = np.random.default_rng(seq)
+        if guaranteed:
+            assert (r["edge_index"], r["calls"]) == guaranteed_search(g, p, oracle, 1, rng)
+        else:
+            assert r["edge_index"] == search(g, p, oracle, 1, rng)
 
 
 def test_search_call_cap_exit_code(star16, capsys):

@@ -14,6 +14,7 @@ from graphwalk import (
     Graph,
     OracleSpec,
     PolarityMap,
+    WalkPlan,
     WalkState,
     apply_coin,
     apply_oracle,
@@ -36,9 +37,11 @@ from graphwalk import (
     step_matrix,
     sweep,
 )
+from graphwalk import walk as walk_module
 from helpers import random_walk_state
 
 MARK0 = OracleSpec(marked=frozenset({0}))
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 def coloring_polarity(g):
@@ -80,6 +83,19 @@ def test_coin_spec_rejects_non_unitary():
 def test_oracle_spec_rejects_non_unitary():
     with pytest.raises(ValueError, match="not unitary"):
         OracleSpec(frozenset({0}), np.array([[2, 0], [0, 1]], dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "make", [CoinSpec, lambda m: OracleSpec(frozenset({0}), m)], ids=["coin", "oracle"]
+)
+def test_spec_copies_and_freezes_matrix(make):
+    m = HADAMARD.copy()
+    spec = make(m)
+    assert not np.shares_memory(spec.matrix, m)
+    m[0, 0] = 5.0
+    np.testing.assert_array_equal(spec.matrix, HADAMARD)
+    with pytest.raises(ValueError, match="read-only"):
+        spec.matrix[0, 0] = 1.0
 
 
 def test_apply_oracle_minus_x():
@@ -283,6 +299,101 @@ def test_step_matrix_is_unitary():
     np.testing.assert_allclose(m @ m.conj().T, np.eye(2 * g.n_edges), atol=1e-12)
 
 
+def column_by_column_step_matrix(g, p, coin=None, oracle=None):
+    """Reference step matrix: the step applied to each unit amplitude in turn."""
+    dim = 2 * g.n_edges
+    mat = np.zeros((dim, dim), dtype=complex)
+    for j in range(dim):
+        state = WalkState(np.zeros((g.n_edges, 2), dtype=complex))
+        state.psi[j // 2, j % 2] = 1.0
+        step(state, g, p, coin=coin, oracle=oracle)
+        mat[:, j] = state.psi.reshape(-1)
+    return mat
+
+
+@pytest.mark.parametrize("marked", [{0}, {1, 5}], ids=["one-mark", "two-marks"])
+@pytest.mark.parametrize("seed", range(4))
+def test_step_matrix_equals_column_by_column(seed, marked):
+    g = random_connected_graph(9, extra_edges=7, seed=seed)
+    p = coloring_polarity(g)
+    oracle = OracleSpec(marked=frozenset(marked))
+    assert np.array_equal(
+        step_matrix(g, p, oracle=oracle), column_by_column_step_matrix(g, p, oracle=oracle)
+    )
+    coin = CoinSpec(HADAMARD)
+    np.testing.assert_allclose(
+        step_matrix(g, p, coin=coin, oracle=oracle),
+        column_by_column_step_matrix(g, p, coin=coin, oracle=oracle),
+        rtol=0, atol=1e-12,
+    )
+
+
+def reference_step_matrix(g, p, oracle, coin):
+    """One step as a dense product, independent of the plan's indexing.
+
+    apply_oracle and apply_coin act on each unit column; then every node's
+    dense (2/d)J - I fills the block of rows facing it, found through
+    Graph.adjacency and PolarityMap.component_at.
+    """
+    dim = 2 * g.n_edges
+    local = np.zeros((dim, dim), dtype=complex)
+    for j in range(dim):
+        s = WalkState(np.zeros((g.n_edges, 2), dtype=complex))
+        s.psi[j // 2, j % 2] = 1.0
+        apply_coin(apply_oracle(s, oracle), coin)
+        local[:, j] = s.psi.reshape(-1)
+    scatter = np.zeros((dim, dim))
+    for u in range(g.n):
+        rows = [2 * k + p.component_at(k, u) for _, k in g.adjacency[u]]
+        scatter[np.ix_(rows, rows)] = DiffusionOperator(len(rows)).matrix
+    return scatter @ local
+
+
+def plan_cases():
+    for seed in range(3):
+        g = random_connected_graph(10, extra_edges=9, seed=seed)
+        yield f"random-{seed}", g, coloring_polarity(g), {seed, 7}
+        star = starify(random_connected_graph(6, extra_edges=4, seed=seed))
+        g = star.graph
+        yield f"starified-{seed}", g, coloring_polarity(g), {star.virtual_edge_of(seed)}
+
+
+PLAN_CASES = list(plan_cases())
+
+
+@pytest.mark.parametrize("name,g,p,marked", PLAN_CASES, ids=[c[0] for c in PLAN_CASES])
+def test_plan_matches_reference_with_default_specs(name, g, p, marked):
+    oracle = OracleSpec(marked=frozenset(marked))
+    plan = WalkPlan(g, p, oracle)
+    ref = reference_step_matrix(g, p, oracle, CoinSpec())
+    # Each column has one nonzero of modulus 1, so no rounding separates them.
+    assert np.array_equal(plan.matrix(), ref)
+    s = random_walk_state(g.n_edges, np.random.default_rng(len(name)))
+    want = ref @ s.psi.reshape(-1)
+    np.testing.assert_allclose(plan.step(s).psi.reshape(-1), want, rtol=0, atol=1e-12)
+
+
+PHASE = np.diag([1j, 1.0])
+ROTATION = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "coin,action",
+    [(HADAMARD, None), (None, ROTATION), (None, PHASE), (HADAMARD, ROTATION)],
+    ids=["hadamard-coin", "rotation-oracle", "phase-oracle", "both"],
+)
+@pytest.mark.parametrize("name,g,p,marked", PLAN_CASES[:2], ids=[c[0] for c in PLAN_CASES[:2]])
+def test_plan_matches_reference_with_other_specs(name, g, p, marked, coin, action):
+    coin = CoinSpec() if coin is None else CoinSpec(coin)
+    oracle = OracleSpec(frozenset(marked)) if action is None else OracleSpec(frozenset(marked), action)
+    plan = WalkPlan(g, p, oracle, coin)
+    ref = reference_step_matrix(g, p, oracle, coin)
+    np.testing.assert_allclose(plan.matrix(), ref, rtol=0, atol=1e-12)
+    s = random_walk_state(g.n_edges, np.random.default_rng(3))
+    want = ref @ s.psi.reshape(-1)
+    np.testing.assert_allclose(plan.step(s).psi.reshape(-1), want, rtol=0, atol=1e-12)
+
+
 def test_search_t0_samples_uniformly():
     g = star_graph(5)
     p = coloring_polarity(g)
@@ -339,6 +450,54 @@ def test_guaranteed_search_mean_calls():
     rng = np.random.default_rng(99)
     calls = [guaranteed_search(g, p, MARK0, 4, rng)[1] for _ in range(3000)]
     assert np.mean(calls) == pytest.approx(1 / 0.9780737236142154, rel=0.10)
+
+
+@pytest.mark.parametrize("mark", [8, -1])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda g, p, o: sweep(g, p, o, 3),
+        lambda g, p, o: evolve(g, p, o, 0),
+        lambda g, p, o: search(g, p, o, 0, 0),
+        lambda g, p, o: guaranteed_search(g, p, o, 0, 0, max_calls=200_000),
+    ],
+    ids=["sweep", "evolve", "search", "guaranteed_search"],
+)
+def test_bad_mark_rejected_before_any_work(run, mark):
+    g = star_graph(8)
+    with pytest.raises(ValueError, match="out of range for 8 edges"):
+        run(g, coloring_polarity(g), OracleSpec(marked=frozenset({mark})))
+
+
+def test_plan_shares_one_evolution(monkeypatch):
+    g = star_graph(16)
+    p = coloring_polarity(g)
+    expected = [search(g, p, MARK0, 3, s) for s in range(5)]
+    expected_calls = [guaranteed_search(g, p, MARK0, 3, s) for s in range(5)]
+    evolved = []
+    real_evolve = walk_module.evolve
+
+    def counting_evolve(*args, **kwargs):
+        evolved.append(args[3])
+        return real_evolve(*args, **kwargs)
+
+    monkeypatch.setattr(walk_module, "evolve", counting_evolve)
+    plan = WalkPlan(g, p, MARK0)
+    assert [search(g, p, MARK0, 3, s, plan=plan) for s in range(5)] == expected
+    assert [guaranteed_search(g, p, MARK0, 3, s, plan=plan) for s in range(5)] == expected_calls
+    assert evolved == [3]
+
+
+def test_plan_must_belong_to_the_arguments():
+    g = star_graph(4)
+    p = coloring_polarity(g)
+    plan = WalkPlan(g, p, MARK0)
+    with pytest.raises(ValueError, match="plan was built"):
+        search(g, p, OracleSpec(marked=frozenset({0})), 1, 0, plan=plan)
+    with pytest.raises(ValueError, match="plan was built"):
+        guaranteed_search(g, p, MARK0, 1, 0, coin=CoinSpec(), plan=plan)
+    with pytest.raises(ValueError, match="plan was built"):
+        evolve(star_graph(4), p, MARK0, 1, plan=plan)
 
 
 def test_guaranteed_search_call_cap():

@@ -278,8 +278,9 @@ def cmd_verify(args) -> int:
     _dump_json(report.to_json_dict(), args.out)
     if not report.ok:
         log.warning(
-            "circuit deviates from the model: deviation %.3e, leakage %.3e",
-            report.max_deviation, report.max_leakage,
+            "circuit deviates from the model: deviation %.3e, leakage %.3e, "
+            "worst at edge %d pole %d",
+            report.max_deviation, report.max_leakage, *report.worst_column,
         )
         return EXIT_EQUIVALENCE
     return EXIT_OK

@@ -383,12 +383,63 @@ def compile_step(
     return Circuit(layout, tuple(instructions), tuple(phases))
 
 
+def _check_layout(layout: QubitLayout) -> None:
+    """Check a loaded layout against itself.
+
+    Raises:
+        CircuitError: Naming the field and index, unless every layout qubit
+            is in [0, qubits), edge pairs and register qubits are pairwise
+            disjoint, `facing`, `local_edges` and `node_registers` have one
+            entry per node, every local edge is in range, and every facing
+            qubit is one of the two qubits of the edge listed with it.
+    """
+    n = layout.n_qubits
+    owner: dict[int, str] = {}
+
+    def claim(q: int, field: str) -> None:
+        if not 0 <= q < n:
+            raise CircuitError(f"{field}: qubit {q} outside [0, {n})")
+        if q in owner:
+            raise CircuitError(f"{field}: qubit {q} already used by {owner[q]}")
+        owner[q] = field
+
+    for k, pair in enumerate(layout.edge_qubits):
+        for q in pair:
+            claim(q, f"layout.edge_qubits[{k}]")
+    for u, reg in enumerate(layout.node_registers):
+        for q in reg.binary + (reg.flag,):
+            claim(q, f"layout.node_registers[{u}]")
+    sizes = (len(layout.facing), len(layout.local_edges), len(layout.node_registers))
+    if len(set(sizes)) != 1:
+        raise CircuitError(
+            "layout: facing, local_edges and node_registers have "
+            f"{sizes[0]}, {sizes[1]} and {sizes[2]} entries"
+        )
+    for u, (facing_u, edges_u) in enumerate(zip(layout.facing, layout.local_edges)):
+        if len(facing_u) != len(edges_u):
+            raise CircuitError(
+                f"layout.facing[{u}]: {len(facing_u)} qubits for "
+                f"{len(edges_u)} local edges"
+            )
+        for s, (q, k) in enumerate(zip(facing_u, edges_u)):
+            if not 0 <= k < layout.n_edges:
+                raise CircuitError(
+                    f"layout.local_edges[{u}][{s}]: edge {k} outside "
+                    f"[0, {layout.n_edges})"
+                )
+            if q not in layout.edge_qubits[k]:
+                raise CircuitError(
+                    f"layout.facing[{u}][{s}]: qubit {q} is not a qubit of edge {k}"
+                )
+
+
 def circuit_from_json(text: str) -> Circuit:
     """Parse a circuit document, validating structure and gate unitarity.
 
     Raises:
-        CircuitError: On schema violations or a ctrl-unitary matrix that is
-            not unitary within 1e-10.
+        CircuitError: On schema violations, a layout that is inconsistent
+            with itself (see `_check_layout`), or a ctrl-unitary matrix that
+            is not unitary within 1e-10.
     """
     try:
         doc = json.loads(text)
@@ -413,6 +464,7 @@ def circuit_from_json(text: str) -> Circuit:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CircuitError(f"malformed layout: {exc}") from None
+    _check_layout(layout)
     instructions: list[Instruction] = []
     for pos, ins in enumerate(doc["instructions"]):
         try:

@@ -3,8 +3,18 @@
 Walk circuits act on a single excitation shared by the edge qubits, so of the
 2^n basis states only O(edges) ever carry amplitude.  States are dicts from
 basis index to amplitude; qubit 0 is the leftmost bit of the basis label.
-Projecting back onto the walk's edge amplitudes checks that nothing leaked
-out of the one-excitation subspace and that every register returned to zero.
+
+Every node acts only on its own neighbourhood, so a compiled step is a
+sequence of small local blocks.  The monomial gates (x, z, cnot, swap, mcx)
+each map a basis state to one basis state up to a sign; `run` applies a run
+of them that shares a locus as one block, working its action out once per
+distinct local bit pattern and moving every amplitude by table lookup.  A
+ctrl-unitary touches only the amplitudes whose controls are set.  Key bits
+above the register label independent columns that no gate touches, so
+`step_circuit_matrix` evolves all 2|E| unit columns in one run, with every
+norm check held per column.  Projecting back onto the walk's edge amplitudes
+checks that nothing leaked out of the one-excitation subspace and that every
+register returned to zero.
 """
 
 from __future__ import annotations
@@ -49,6 +59,9 @@ class SparseState:
         amps: Map from basis index to complex amplitude.
         n_qubits: Width of the register; qubit q is bit (n_qubits - 1 - q)
             of the key, so basis labels read left to right as qubit 0, 1, ...
+            Key bits at or above n_qubits label independent columns: gates
+            never touch them, and the simulator's norm checks hold for each
+            column (the amplitudes sharing key >> n_qubits) on its own.
     """
 
     amps: dict[int, complex]
@@ -87,95 +100,215 @@ def init_walk_superposition(layout: QubitLayout) -> SparseState:
     return SparseState(amps, n)
 
 
-def apply_instruction(state: SparseState, ins: Instruction) -> SparseState:
-    """Apply one gate, returning a new pruned state.
-
-    Raises:
-        SimulationError: If the squared norm drifts by more than 1e-13.
-    """
-    n = state.n_qubits
-    before = state.norm_sq()
-    tmask = [state.mask(q) for q in ins.targets]
+def _masks(state: SparseState, ins: Instruction) -> tuple[int, tuple[int, ...]]:
+    """Key masks of an instruction: all controls ORed, then each target."""
     cmask = 0
     for q in ins.controls:
         cmask |= state.mask(q)
+    return cmask, tuple(state.mask(q) for q in ins.targets)
+
+
+def _act(gate: Gate, cmask: int, tmasks: tuple[int, ...], keys, flips):
+    """One monomial gate on parallel lists of basis keys and sign flips.
+
+    x, cnot and mcx flip their target when every control is set (x has
+    none), z flips the sign of keys whose target is set, and swap exchanges
+    its two target bits.  Returns the new (keys, flips).
+    """
+    if gate is Gate.Z:
+        (m,) = tmasks
+        return keys, [f != bool(k & m) for k, f in zip(keys, flips)]
+    if gate is Gate.SWAP:
+        a, b = tmasks
+        both = a | b
+        return [k ^ both if bool(k & a) != bool(k & b) else k for k in keys], flips
+    (m,) = tmasks
+    return [k ^ m if k & cmask == cmask else k for k in keys], flips
+
+
+def _apply_block(
+    amps: dict[int, complex], block: list[Instruction], state: SparseState
+) -> dict[int, complex]:
+    """Apply a run of monomial gates as one signed permutation of the keys.
+
+    The block's local mask is the union of the qubits its gates touch.  Each
+    distinct local bit pattern in the state goes through the gates once;
+    every amplitude is then moved by table lookup.
+
+    Raises:
+        SimulationError: If two amplitudes land on one key.
+    """
+    ops = [(ins.gate, *_masks(state, ins)) for ins in block]
+    local = 0
+    for _, cmask, tmasks in ops:
+        local |= cmask
+        for m in tmasks:
+            local |= m
+    parts = list({k & local for k in amps})
+    images, flips = parts, [False] * len(parts)
+    for gate, cmask, tmasks in ops:
+        images, flips = _act(gate, cmask, tmasks, images, flips)
+    table = dict(zip(parts, zip(images, flips)))
     out: dict[int, complex] = {}
-    if ins.gate is Gate.X:
-        m = tmask[0]
-        out = {k ^ m: a for k, a in state.amps.items()}
-    elif ins.gate is Gate.Z:
-        m = tmask[0]
-        out = {k: (-a if k & m else a) for k, a in state.amps.items()}
-    elif ins.gate is Gate.CNOT:
-        m = tmask[0]
-        out = {(k ^ m if k & cmask else k): a for k, a in state.amps.items()}
-    elif ins.gate is Gate.SWAP:
-        ma, mb = tmask
-        both = ma | mb
-        out = {
-            (k ^ both if bool(k & ma) != bool(k & mb) else k): a
-            for k, a in state.amps.items()
-        }
-    elif ins.gate is Gate.MCX:
-        m = tmask[0]
-        out = {
-            (k ^ m if k & cmask == cmask else k): a for k, a in state.amps.items()
-        }
-    elif ins.gate is Gate.CTRL_UNITARY:
-        all_t = 0
-        for m in tmask:
-            all_t |= m
-        u = ins.matrix
-        for k, a in state.amps.items():
-            if k & cmask != cmask:
-                out[k] = out.get(k, 0j) + a
-                continue
-            val = 0
-            for i, m in enumerate(tmask):
-                if k & m:
-                    val |= 1 << i
-            base = k & ~all_t
-            col = u[:, val]
-            for new_val in np.nonzero(np.abs(col) > PRUNE_EPS)[0]:
-                nk = base
-                for i, m in enumerate(tmask):
-                    if new_val >> i & 1:
-                        nk |= m
-                out[nk] = out.get(nk, 0j) + col[new_val] * a
-    else:
-        raise SimulationError(f"unknown gate {ins.gate!r}")
-    out = {k: a for k, a in out.items() if abs(a) > PRUNE_EPS}
-    result = SparseState(out, n)
-    after = result.norm_sq()
-    if abs(after - before) > GATE_NORM_TOL * max(1.0, before):
+    for k, a in amps.items():
+        part = k & local
+        image, flip = table[part]
+        out[k ^ part ^ image] = -a if flip else a
+    if len(out) != len(amps):
         raise SimulationError(
-            f"gate {ins.gate.value} changed the squared norm by {after - before:.3e}"
+            f"gates {', '.join(ins.gate.value for ins in block)} mapped "
+            f"{len(amps)} amplitudes onto {len(out)} keys"
         )
-    return result
+    return out
+
+
+def _apply_ctrl_unitary(
+    amps: dict[int, complex], ins: Instruction, state: SparseState
+) -> dict[int, complex]:
+    """Apply the payload to the amplitudes whose controls are all set.
+
+    The squared norm of those amplitudes is checked column by column (key
+    bits above the register), pruning what the payload sends below 1e-15.
+
+    Raises:
+        SimulationError: If a column's squared norm drifts by more than 1e-13.
+    """
+    n = state.n_qubits
+    cmask, tmasks = _masks(state, ins)
+    # spread[v]: the key bits that spell target value v (target i is bit i).
+    spread = [0]
+    for m in tmasks:
+        spread += [bits | m for bits in spread]
+    clear = ~spread[-1]
+    u = ins.matrix
+    rows: dict[int, list] = {}
+    out: dict[int, complex] = {}
+    touched: set[int] = set()
+    before: dict[int, float] = {}
+    for k, a in amps.items():
+        if k & cmask != cmask:
+            out[k] = a
+            continue
+        col = k >> n
+        before[col] = before.get(col, 0.0) + abs(a) ** 2
+        val = 0
+        for i, m in enumerate(tmasks):
+            if k & m:
+                val |= 1 << i
+        row = rows.get(val)
+        if row is None:
+            entries = u[:, val]
+            row = rows[val] = [
+                (spread[v], entries[v])
+                for v in np.nonzero(np.abs(entries) > PRUNE_EPS)[0]
+            ]
+        base = k & clear
+        for bits, entry in row:
+            nk = base | bits
+            out[nk] = out.get(nk, 0j) + entry * a
+            touched.add(nk)
+    after: dict[int, float] = {}
+    for nk in touched:
+        mod = abs(out[nk])
+        if mod > PRUNE_EPS:
+            col = nk >> n
+            after[col] = after.get(col, 0.0) + mod**2
+        else:
+            del out[nk]
+    for col, norm in before.items():
+        drift = after.get(col, 0.0) - norm
+        if abs(drift) > GATE_NORM_TOL * max(1.0, norm):
+            raise SimulationError(
+                f"gate {ins.gate.value} changed the squared norm by {drift:.3e}"
+            )
+    return out
+
+
+def _apply(
+    amps: dict[int, complex], block: list[Instruction], state: SparseState
+) -> dict[int, complex]:
+    if block[0].gate is Gate.CTRL_UNITARY:
+        return _apply_ctrl_unitary(amps, block[0], state)
+    return _apply_block(amps, block, state)
+
+
+def _blocks(instructions):
+    """Split instructions into runs of monomial gates sharing a locus; every
+    ctrl-unitary is a block of its own."""
+    block: list[Instruction] = []
+    for ins in instructions:
+        if block and (
+            ins.gate is Gate.CTRL_UNITARY
+            or block[-1].gate is Gate.CTRL_UNITARY
+            or ins.locus != block[-1].locus
+        ):
+            yield block
+            block = []
+        block.append(ins)
+    if block:
+        yield block
+
+
+def _pruned(amps: dict[int, complex]) -> dict[int, complex]:
+    return {k: a for k, a in amps.items() if abs(a) > PRUNE_EPS}
+
+
+def _column_norms(amps: dict[int, complex], n: int) -> dict[int, float]:
+    """Squared norm of each column: amplitudes grouped by key >> n."""
+    norms: dict[int, float] = {}
+    for k, a in amps.items():
+        col = k >> n
+        norms[col] = norms.get(col, 0.0) + abs(a) ** 2
+    return norms
+
+
+def apply_instruction(state: SparseState, ins: Instruction) -> SparseState:
+    """Apply one gate, returning a new pruned state.
+
+    A monomial gate runs as a one-gate block; a ctrl-unitary is applied to
+    the amplitudes whose controls are set.
+
+    Raises:
+        SimulationError: If a monomial gate maps two amplitudes onto one key,
+            or a ctrl-unitary drifts a column's squared norm by more than
+            1e-13.
+    """
+    return SparseState(_apply(_pruned(state.amps), [ins], state), state.n_qubits)
 
 
 def run(circuit: Circuit, state: SparseState | None = None) -> SparseState:
     """Run all instructions, starting from the walk superposition by default.
 
+    Prunes the input once, then applies the circuit block by block: each run
+    of monomial gates that shares a locus is worked out once per distinct
+    local bit pattern and applied to every amplitude by table lookup, and
+    each ctrl-unitary touches only the amplitudes whose controls are set.
+    Key bits at or above `n_qubits` label independent columns, and every
+    norm check holds per column.
+
     Raises:
-        SimulationError: If the squared norm drifts by more than 1e-12 over
-            the whole circuit, or any single gate breaks unitarity.
+        SimulationError: If a column's squared norm drifts by more than 1e-12
+            over the whole circuit, a ctrl-unitary breaks unitarity, or a
+            monomial block maps two amplitudes onto one key.
     """
     if state is None:
         state = init_walk_superposition(circuit.layout)
-    if state.n_qubits != circuit.n_qubits:
+    n = state.n_qubits
+    if n != circuit.n_qubits:
         raise SimulationError(
-            f"state has {state.n_qubits} qubits, circuit expects {circuit.n_qubits}"
+            f"state has {n} qubits, circuit expects {circuit.n_qubits}"
         )
-    before = state.norm_sq()
-    for ins in circuit.instructions:
-        state = apply_instruction(state, ins)
-    after = state.norm_sq()
-    if abs(after - before) > CIRCUIT_NORM_TOL * max(1.0, before):
-        raise SimulationError(
-            f"circuit changed the squared norm by {after - before:.3e}"
-        )
-    return state
+    amps = _pruned(state.amps)
+    before = _column_norms(amps, n)
+    for block in _blocks(circuit.instructions):
+        amps = _apply(amps, block, state)
+    after = _column_norms(amps, n)
+    for col in before.keys() | after.keys():
+        norm = before.get(col, 0.0)
+        drift = after.get(col, 0.0) - norm
+        if abs(drift) > CIRCUIT_NORM_TOL * max(1.0, norm):
+            raise SimulationError(f"circuit changed the squared norm by {drift:.3e}")
+    return SparseState(amps, n)
 
 
 def _project(state: SparseState, layout: QubitLayout) -> tuple[np.ndarray, float]:
@@ -222,30 +355,50 @@ def measure_edge(state: SparseState, layout: QubitLayout, seed=None) -> int:
     return walk._sample_edge(probs, walk._as_rng(seed))
 
 
+def _circuit_columns(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    """The circuit's matrix on the walk amplitudes and each column's leakage.
+
+    Column j = 2e + c (edge e, pole c) starts as the key
+    (j << n_qubits) | onehot(edge_qubits[e][c]); gates never touch the bits
+    at or above n_qubits, so one run evolves all 2|E| columns side by side.
+    """
+    layout = circuit.layout
+    n = circuit.n_qubits
+    dim = 2 * layout.n_edges
+    rows = {
+        1 << (n - 1 - q): 2 * e + c
+        for e, pair in enumerate(layout.edge_qubits)
+        for c, q in enumerate(pair)
+    }
+    start = {(j << n) | key: 1.0 + 0j for key, j in rows.items()}
+    final = run(circuit, SparseState(start, n))
+    mat = np.zeros((dim, dim), dtype=complex)
+    leak = np.zeros(dim)
+    low = (1 << n) - 1
+    for k, a in final.amps.items():
+        j = k >> n
+        row = rows.get(k & low)
+        if row is None:
+            leak[j] += abs(a) ** 2
+        else:
+            mat[row, j] = a
+    return mat, leak
+
+
 def step_circuit_matrix(circuit: Circuit) -> tuple[np.ndarray, float]:
     """Dense action of the circuit on the 2|E| walk amplitudes.
 
-    Runs the circuit on each single-excitation basis state and projects the
-    result; basis order matches walk.step_matrix (edge k's poles at rows
-    2k and 2k+1).
+    Runs the circuit once on a state holding every single-excitation basis
+    state as its own column (key bits above the register) and projects each
+    column; basis order matches walk.step_matrix (edge k's poles at rows 2k
+    and 2k+1).  Every norm check of `run` holds column by column.
 
     Returns:
         (matrix, max_leakage): the matrix and the worst per-column weight
         that left the walk subspace.
     """
-    layout = circuit.layout
-    n = circuit.n_qubits
-    dim = 2 * layout.n_edges
-    mat = np.zeros((dim, dim), dtype=complex)
-    worst = 0.0
-    for j in range(dim):
-        e, c = divmod(j, 2)
-        key = 1 << (n - 1 - layout.edge_qubits[e][c])
-        final = run(circuit, SparseState({key: 1.0 + 0j}, n))
-        psi, leaked = _project(final, layout)
-        worst = max(worst, leaked)
-        mat[:, j] = psi.reshape(-1)
-    return mat, worst
+    mat, leak = _circuit_columns(circuit)
+    return mat, float(leak.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -258,24 +411,29 @@ class EquivalenceReport:
         max_leakage: Worst per-column weight off the walk subspace.
         tolerance: Threshold both numbers are held to.
         n_qubits: Circuit width.
+        worst_column: (edge, pole) of the first column with the largest
+            deviation or leakage.
     """
 
     max_deviation: float
     max_leakage: float
     tolerance: float
     n_qubits: int
+    worst_column: tuple[int, int]
 
     @property
     def ok(self) -> bool:
         return self.max_deviation <= self.tolerance and self.max_leakage <= self.tolerance
 
     def to_json_dict(self) -> dict:
+        edge, pole = self.worst_column
         return {
             "ok": self.ok,
             "max_deviation": self.max_deviation,
             "max_leakage": self.max_leakage,
             "tolerance": self.tolerance,
             "qubits": self.n_qubits,
+            "worst_column": {"edge": edge, "pole": pole},
         }
 
 
@@ -297,11 +455,13 @@ def verify_circuit_equivalence(
     model = walk.step_matrix(
         g, p, oracle=walk.OracleSpec(marked=frozenset(marked))
     )
-    actual, leakage = step_circuit_matrix(circuit)
-    deviation = float(np.abs(actual - model).max())
+    actual, leakage = _circuit_columns(circuit)
+    gap = np.abs(actual - model)
+    worst = int(np.argmax(np.maximum(gap.max(axis=0), leakage)))
     return EquivalenceReport(
-        max_deviation=deviation,
-        max_leakage=leakage,
+        max_deviation=float(gap.max()),
+        max_leakage=float(leakage.max(initial=0.0)),
         tolerance=tolerance,
         n_qubits=circuit.n_qubits,
+        worst_column=divmod(worst, 2),
     )

@@ -1,15 +1,20 @@
-"""Shared test utilities: dense gate oracles and random-state builders.
+"""Shared test utilities: dense gate oracles, random-state builders, and the
+gate-by-gate reference simulator.
 
 The dense builders reconstruct each gate's full 2^n matrix from first
 principles (basis-by-basis bit arithmetic), independent of the sparse
-simulator's dictionary transforms, so the two can be compared.
+simulator's dictionary transforms, so the two can be compared.  The
+reference simulator applies one gate at a time to the whole state and runs
+the circuit once per column, the plain form that the block simulator and
+the batched circuit matrix must reproduce.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from graphwalk import Gate, Instruction, SparseState, WalkState
+from graphwalk import Circuit, Gate, Instruction, SimulationError, SparseState, WalkState
+from graphwalk.simulator import CIRCUIT_NORM_TOL, GATE_NORM_TOL, PRUNE_EPS
 
 
 def bit_of(key: int, qubit: int, n: int) -> int:
@@ -86,3 +91,108 @@ def random_walk_state(n_edges: int, rng: np.random.Generator) -> WalkState:
     psi = rng.normal(size=(n_edges, 2)) + 1j * rng.normal(size=(n_edges, 2))
     psi /= np.linalg.norm(psi)
     return WalkState(psi)
+
+
+def reference_apply_instruction(state: SparseState, ins: Instruction) -> SparseState:
+    """Gate-by-gate sparse transform over the whole state, with the squared
+    norm summed before and after every gate: the simulator's original
+    one-instruction semantics, kept as the reference for block simulation."""
+    n = state.n_qubits
+    before = state.norm_sq()
+    tmask = [state.mask(q) for q in ins.targets]
+    cmask = 0
+    for q in ins.controls:
+        cmask |= state.mask(q)
+    out: dict[int, complex] = {}
+    if ins.gate is Gate.X:
+        m = tmask[0]
+        out = {k ^ m: a for k, a in state.amps.items()}
+    elif ins.gate is Gate.Z:
+        m = tmask[0]
+        out = {k: (-a if k & m else a) for k, a in state.amps.items()}
+    elif ins.gate is Gate.CNOT:
+        m = tmask[0]
+        out = {(k ^ m if k & cmask else k): a for k, a in state.amps.items()}
+    elif ins.gate is Gate.SWAP:
+        ma, mb = tmask
+        both = ma | mb
+        out = {
+            (k ^ both if bool(k & ma) != bool(k & mb) else k): a
+            for k, a in state.amps.items()
+        }
+    elif ins.gate is Gate.MCX:
+        m = tmask[0]
+        out = {
+            (k ^ m if k & cmask == cmask else k): a for k, a in state.amps.items()
+        }
+    elif ins.gate is Gate.CTRL_UNITARY:
+        all_t = 0
+        for m in tmask:
+            all_t |= m
+        u = ins.matrix
+        for k, a in state.amps.items():
+            if k & cmask != cmask:
+                out[k] = out.get(k, 0j) + a
+                continue
+            val = 0
+            for i, m in enumerate(tmask):
+                if k & m:
+                    val |= 1 << i
+            base = k & ~all_t
+            col = u[:, val]
+            for new_val in np.nonzero(np.abs(col) > PRUNE_EPS)[0]:
+                nk = base
+                for i, m in enumerate(tmask):
+                    if new_val >> i & 1:
+                        nk |= m
+                out[nk] = out.get(nk, 0j) + col[new_val] * a
+    else:
+        raise AssertionError(f"unhandled gate {ins.gate}")
+    out = {k: a for k, a in out.items() if abs(a) > PRUNE_EPS}
+    result = SparseState(out, n)
+    after = result.norm_sq()
+    if abs(after - before) > GATE_NORM_TOL * max(1.0, before):
+        raise SimulationError(
+            f"gate {ins.gate.value} changed the squared norm by {after - before:.3e}"
+        )
+    return result
+
+
+def reference_run(circuit: Circuit, state: SparseState) -> SparseState:
+    """Every instruction through `reference_apply_instruction`, with the
+    whole-circuit norm check."""
+    before = state.norm_sq()
+    for ins in circuit.instructions:
+        state = reference_apply_instruction(state, ins)
+    after = state.norm_sq()
+    if abs(after - before) > CIRCUIT_NORM_TOL * max(1.0, before):
+        raise SimulationError(f"circuit changed the squared norm by {after - before:.3e}")
+    return state
+
+
+def reference_step_circuit_matrix(circuit: Circuit) -> tuple[np.ndarray, list[float]]:
+    """Column-by-column, gate-by-gate circuit matrix: one `reference_run`
+    per single-excitation basis state.  Returns the matrix and each
+    column's leaked weight."""
+    layout = circuit.layout
+    n = circuit.n_qubits
+    dim = 2 * layout.n_edges
+    onehot = {
+        1 << (n - 1 - q): 2 * e + c
+        for e, pair in enumerate(layout.edge_qubits)
+        for c, q in enumerate(pair)
+    }
+    mat = np.zeros((dim, dim), dtype=complex)
+    leaks = []
+    for j in range(dim):
+        e, c = divmod(j, 2)
+        key = 1 << (n - 1 - layout.edge_qubits[e][c])
+        final = reference_run(circuit, SparseState({key: 1.0 + 0j}, n))
+        leaked = 0.0
+        for k, a in final.amps.items():
+            if k in onehot:
+                mat[onehot[k], j] = a
+            else:
+                leaked += abs(a) ** 2
+        leaks.append(leaked)
+    return mat, leaks

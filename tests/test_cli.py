@@ -305,6 +305,29 @@ def test_verify_tampered_circuit_exits_4(path3, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
+def test_verify_warning_names_worst_column(path3, tmp_path, capsys, caplog):
+    circ_file = tmp_path / "circuit.json"
+    assert main(
+        ["compile", "--graph", path3, "--mark-edge", "0", "1",
+         "--out", str(circ_file)]
+    ) == 0
+    doc = json.loads(circ_file.read_text())
+    doc["instructions"].append(
+        {"gate": "z", "controls": [], "targets": [doc["layout"]["edge_qubits"][1][1]],
+         "locus": {"kind": "edge", "id": 1}}
+    )
+    circ_file.write_text(json.dumps(doc))
+    with caplog.at_level("WARNING", logger="graphwalk"):
+        code = main(
+            ["verify", "--graph", path3, "--mark-edge", "0", "1",
+             "--circuit", str(circ_file)]
+        )
+    assert code == 4
+    worst = json.loads(capsys.readouterr().out)["worst_column"]
+    assert f"worst at edge {worst['edge']} pole {worst['pole']}" in caplog.text
+    assert worst != {"edge": 0, "pole": 0}
+
+
 def test_verify_non_unitary_circuit_exits_1(path3, tmp_path, capsys):
     circ_file = tmp_path / "circuit.json"
     assert main(

@@ -411,6 +411,64 @@ def test_circuit_from_json_rejects_out_of_range_qubit():
         circuit_from_json(tampered_doc(mutate))
 
 
+def _set(path, value):
+    """Mutation that sets doc["layout"][path...] to value(doc)."""
+
+    def mutate(doc):
+        node = doc["layout"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value(doc)
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, match",
+    [
+        (_set(("edge_qubits", 2, 1), lambda doc: doc["qubits"]),
+         r"layout\.edge_qubits\[2\]: qubit 12 outside \[0, 12\)"),
+        (_set(("node_registers", 1, "flag"), lambda doc: -1),
+         r"layout\.node_registers\[1\]: qubit -1 outside"),
+        (_set(("edge_qubits", 1), lambda doc: [0, 1]),
+         r"layout\.edge_qubits\[1\]: qubit 0 already used by layout\.edge_qubits\[0\]"),
+        (_set(("node_registers", 0, "binary", 0), lambda doc: 3),
+         r"layout\.node_registers\[0\]: qubit 3 already used by layout\.edge_qubits\[1\]"),
+        (_set(("facing",), lambda doc: doc["layout"]["facing"][:-1]),
+         "facing, local_edges and node_registers have 3, 4 and 4 entries"),
+        (_set(("local_edges",), lambda doc: doc["layout"]["local_edges"] + [[]]),
+         "facing, local_edges and node_registers have 4, 5 and 4 entries"),
+        (_set(("local_edges", 1, 0), lambda doc: 3),
+         r"layout\.local_edges\[1\]\[0\]: edge 3 outside \[0, 3\)"),
+        (_set(("facing", 0), lambda doc: doc["layout"]["facing"][0][:2]),
+         r"layout\.facing\[0\]: 2 qubits for 3 local edges"),
+        (_set(("facing", 1, 0), lambda doc: 2),
+         r"layout\.facing\[1\]\[0\]: qubit 2 is not a qubit of edge 0"),
+    ],
+    ids=[
+        "edge-qubit-beyond-register",
+        "negative-register-qubit",
+        "edges-share-a-pair",
+        "register-on-edge-qubit",
+        "facing-short",
+        "local-edges-long",
+        "local-edge-out-of-range",
+        "facing-fewer-than-local-edges",
+        "facing-not-on-its-edge",
+    ],
+)
+def test_circuit_from_json_rejects_inconsistent_layout(mutate, match):
+    g = star_graph(3)
+    doc = compile_step(g, hub_polarity(3), [0]).to_json_dict()
+    assert doc["qubits"] == 12
+    assert doc["layout"]["edge_qubits"] == [[0, 1], [2, 3], [4, 5]]
+    assert doc["layout"]["local_edges"][1] == [0]
+    circuit_from_json(json.dumps(doc))
+    mutate(doc)
+    with pytest.raises(CircuitError, match=match):
+        circuit_from_json(json.dumps(doc))
+
+
 def test_instruction_validation():
     locus = Locus("edge", 0)
     with pytest.raises(CircuitError, match="reuses"):

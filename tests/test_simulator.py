@@ -25,12 +25,18 @@ from graphwalk import (
     greedy_coloring,
     init_walk_superposition,
     measure_edge,
+    QubitLayout,
+    invert_instructions,
     path_graph,
     polarity_from_coloring,
     project_to_walk_state,
+    random_connected_graph,
     run,
     star_graph,
+    starify,
     step,
+    step_circuit_matrix,
+    step_matrix,
     sweep,
     verify_circuit_equivalence,
 )
@@ -39,6 +45,8 @@ from helpers import (
     dense_instruction_matrix,
     dense_to_sparse,
     random_sparse_state,
+    reference_run,
+    reference_step_circuit_matrix,
     sparse_to_dense,
 )
 
@@ -313,6 +321,171 @@ def test_equivalence_report_json():
     g = star_graph(2)
     report = verify_circuit_equivalence(g, hub_polarity(2), [0])
     doc = report.to_json_dict()
-    assert set(doc) == {"ok", "max_deviation", "max_leakage", "tolerance", "qubits"}
+    assert list(doc) == [
+        "ok", "max_deviation", "max_leakage", "tolerance", "qubits", "worst_column"
+    ]
     assert doc["ok"] is True
+    assert doc["worst_column"] == {"edge": 0, "pole": 0}
     assert doc["tolerance"] == 1e-10
+
+
+def random_marks(g, count, seed):
+    rng = np.random.default_rng(seed)
+    return [int(k) for k in rng.choice(g.n_edges, size=count, replace=False)]
+
+
+def walk_circuit_cases():
+    cases = []
+    for seed in range(4):
+        g = random_connected_graph(9, extra_edges=6, seed=seed)
+        enum_seed = None if seed % 2 else 7 + seed
+        for count in (1, 2):
+            cases.append(pytest.param(
+                g, random_marks(g, count, seed), enum_seed,
+                id=f"random{seed}-marks{count}-enum{enum_seed}",
+            ))
+    node_graph = starify(random_connected_graph(6, extra_edges=4, seed=2)).graph
+    cases.append(pytest.param(node_graph, [node_graph.n_edges - 1], None, id="starified"))
+    cases.append(pytest.param(star_graph(40), [0], None, id="star40"))
+    cases.append(pytest.param(star_graph(5), [0, 3], 11, id="star5-enum11"))
+    return cases
+
+
+@pytest.mark.parametrize("g, marked, enum_seed", walk_circuit_cases())
+def test_batched_matrix_bitwise_equals_per_column_reference(g, marked, enum_seed):
+    circ = compile_step(g, coloring_polarity(g), marked, enumeration_seed=enum_seed)
+    mat, leakage = step_circuit_matrix(circ)
+    ref, ref_leaks = reference_step_circuit_matrix(circ)
+    assert np.array_equal(mat, ref)
+    assert leakage == max(ref_leaks)
+    model = step_matrix(g, coloring_polarity(g), oracle=OracleSpec(marked=frozenset(marked)))
+    assert float(np.abs(mat - model).max()) < 1e-12
+
+
+def test_batched_matrix_matches_reference_with_random_payload():
+    g = star_graph(3)
+    layout = build_layout(g, hub_polarity(3))
+    binary, flag = layout.node_registers[0]
+    payload = random_unitary(1 << len(binary), np.random.default_rng(5))
+    hub = Locus("node", 0)
+    transfer = compile_transfer(layout, 0)
+    instrs = (
+        transfer
+        + (Instruction(Gate.CTRL_UNITARY, (flag,), binary, hub, payload),)
+        + invert_instructions(transfer)
+    )
+    circ = Circuit(layout, instrs)
+    mat, leakage = step_circuit_matrix(circ)
+    ref, ref_leaks = reference_step_circuit_matrix(circ)
+    np.testing.assert_allclose(mat, ref, rtol=0, atol=1e-12)
+    assert leakage == pytest.approx(max(ref_leaks), abs=1e-12)
+    assert np.abs(mat).max() > 0.1
+
+
+def mixed_circuit(n, rng):
+    """Every gate kind, with loci that switch mid-run and repeat."""
+    edge, node = Locus("edge", 0), Locus("node", 0)
+    instrs = [
+        Instruction(Gate.X, (), (2,), edge),
+        Instruction(Gate.Z, (), (0,), edge),
+        Instruction(Gate.CNOT, (3,), (1,), node),
+        Instruction(Gate.SWAP, (), (0, 4), node),
+        Instruction(Gate.CTRL_UNITARY, (1,), (3, 0), node, random_unitary(4, rng)),
+        Instruction(Gate.MCX, (0, 2, 4), (1,), node),
+        Instruction(Gate.Z, (), (3,), node),
+        Instruction(Gate.SWAP, (), (1, 2), edge),
+        Instruction(Gate.CTRL_UNITARY, (4,), (2,), edge, random_unitary(2, rng)),
+        Instruction(Gate.CTRL_UNITARY, (0, 1), (3,), edge, random_unitary(2, rng)),
+        Instruction(Gate.X, (), (4,), edge),
+        Instruction(Gate.MCX, (4,), (0,), node),
+        Instruction(Gate.CNOT, (2,), (3,), edge),
+    ]
+    layout = QubitLayout(((0, 1),), (), (), (), n)
+    return Circuit(layout, tuple(instrs))
+
+
+def test_run_matches_gate_by_gate_on_random_states():
+    n = 5
+    rng = np.random.default_rng(17)
+    circ = mixed_circuit(n, rng)
+    for _ in range(5):
+        state = random_sparse_state(n, rng, support=20)
+        gate_by_gate = state
+        for ins in circ.instructions:
+            gate_by_gate = apply_instruction(gate_by_gate, ins)
+        out = run(circ, state)
+        np.testing.assert_allclose(
+            sparse_to_dense(out), sparse_to_dense(gate_by_gate), rtol=0, atol=1e-13
+        )
+        np.testing.assert_allclose(
+            sparse_to_dense(out), sparse_to_dense(reference_run(circ, state)),
+            rtol=0, atol=1e-13,
+        )
+
+
+def test_non_unitary_payload_caught_per_column():
+    # diag(sqrt 1.5, sqrt 0.5) on qubit 0 once the flag (qubit 2) is raised:
+    # the two unit columns go to squared norms 0.5 and 1.5, total unchanged.
+    layout = QubitLayout(((0, 1),), (), (), (), 3)
+    squeeze = np.diag([np.sqrt(1.5), np.sqrt(0.5)]).astype(complex)
+    edge = Locus("edge", 0)
+    circ = Circuit(
+        layout,
+        (
+            Instruction(Gate.X, (), (2,), edge),
+            Instruction(Gate.CTRL_UNITARY, (2,), (0,), edge, squeeze),
+        ),
+    )
+    with pytest.raises(SimulationError, match="gate ctrl-unitary changed the squared norm"):
+        step_circuit_matrix(circ)
+    with pytest.raises(SimulationError, match="gate ctrl-unitary changed the squared norm"):
+        reference_step_circuit_matrix(circ)
+    # The same two amplitudes in one column keep that column's norm.
+    amp = 1 / np.sqrt(2)
+    one_column = SparseState({0b100: amp + 0j, 0b010: amp + 0j}, 3)
+    assert run(circ, one_column).norm_sq() == pytest.approx(1.0, abs=1e-13)
+
+
+def test_circuit_drift_caught_per_column():
+    # Each gate moves 5e-14 of squared norm between the two unit columns,
+    # under the per-gate bound; 40 gates move 2e-12, over the circuit bound.
+    layout = QubitLayout(((0, 1),), (), (), (), 3)
+    leak = np.diag([np.sqrt(1 + 5e-14), np.sqrt(1 - 5e-14)]).astype(complex)
+    edge = Locus("edge", 0)
+    flag = Instruction(Gate.X, (), (2,), edge)
+    nudge = Instruction(Gate.CTRL_UNITARY, (2,), (0,), edge, leak)
+    circ = Circuit(layout, (flag,) + (nudge,) * 40)
+    with pytest.raises(SimulationError, match="circuit changed the squared norm"):
+        step_circuit_matrix(circ)
+    with pytest.raises(SimulationError, match="circuit changed the squared norm"):
+        reference_step_circuit_matrix(circ)
+
+
+def test_halfway_circuit_reports_one_column_leakage():
+    g = star_graph(3)
+    layout = build_layout(g, hub_polarity(3))
+    halfway = Circuit(layout, compile_transfer(layout, 0))
+    mat, leakage = step_circuit_matrix(halfway)
+    _, ref_leaks = reference_step_circuit_matrix(halfway)
+    assert sorted(ref_leaks) == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+    assert leakage == 1.0
+    assert np.abs(mat).sum(axis=0).tolist() == [1.0 - x for x in ref_leaks]
+
+
+def test_report_names_worst_column():
+    g = path_graph(4)
+    p = coloring_polarity(g)
+    circ = compile_step(g, p, [0])
+    e, c = 2, 1
+    stray = Instruction(Gate.Z, (), (circ.layout.edge_qubits[e][c],), Locus("edge", e))
+    report = verify_circuit_equivalence(
+        g, p, [0], circuit=Circuit(circ.layout, circ.instructions + (stray,))
+    )
+    model = step_matrix(g, p, oracle=OracleSpec(marked=frozenset({0})))
+    (source,) = np.flatnonzero(model[2 * e + c])
+    assert source != 0
+    assert report.max_deviation == pytest.approx(2.0)
+    assert report.worst_column == divmod(int(source), 2)
+    assert report.to_json_dict()["worst_column"] == {
+        "edge": int(source) // 2, "pole": int(source) % 2
+    }

@@ -433,6 +433,24 @@ def _check_layout(layout: QubitLayout) -> None:
                 )
 
 
+def _typed(value, kind: type, field: str):
+    """Return `value` if it is a JSON array (kind list) or object (kind dict)."""
+    if not isinstance(value, kind):
+        name = "array" if kind is list else "object"
+        raise CircuitError(f"{field} must be a JSON {name}")
+    return value
+
+
+def _ints(value, field: str) -> tuple[int, ...]:
+    return tuple(int(q) for q in _typed(value, list, field))
+
+
+def _int_rows(lay: dict, key: str) -> tuple[tuple[int, ...], ...]:
+    """`layout.<key>` as integer tuples, the field and each entry a JSON array."""
+    rows = _typed(lay[key], list, f"layout.{key}")
+    return tuple(_ints(row, f"layout.{key}[{i}]") for i, row in enumerate(rows))
+
+
 def circuit_from_json(text: str) -> Circuit:
     """Parse a circuit document, validating structure and gate unitarity.
 
@@ -450,30 +468,39 @@ def circuit_from_json(text: str) -> Circuit:
     for key in ("qubits", "layout", "instructions"):
         if key not in doc:
             raise CircuitError(f"circuit document missing {key!r}")
-    lay = doc["layout"]
+    lay = _typed(doc["layout"], dict, "layout")
     try:
+        edge_qubits = tuple((a, b) for a, b in _int_rows(lay, "edge_qubits"))
+        registers = []
+        for u, reg in enumerate(_typed(lay["node_registers"], list, "layout.node_registers")):
+            field = f"layout.node_registers[{u}]"
+            _typed(reg, dict, field)
+            registers.append(
+                NodeRegister(_ints(reg["binary"], f"{field}.binary"), int(reg["flag"]))
+            )
         layout = QubitLayout(
-            edge_qubits=tuple((int(a), int(b)) for a, b in lay["edge_qubits"]),
-            node_registers=tuple(
-                NodeRegister(tuple(int(q) for q in reg["binary"]), int(reg["flag"]))
-                for reg in lay["node_registers"]
-            ),
-            facing=tuple(tuple(int(q) for q in f) for f in lay["facing"]),
-            local_edges=tuple(tuple(int(k) for k in e) for e in lay["local_edges"]),
+            edge_qubits=edge_qubits,
+            node_registers=tuple(registers),
+            facing=_int_rows(lay, "facing"),
+            local_edges=_int_rows(lay, "local_edges"),
             n_qubits=int(doc["qubits"]),
         )
+    except CircuitError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CircuitError(f"malformed layout: {exc}") from None
     _check_layout(layout)
     instructions: list[Instruction] = []
-    for pos, ins in enumerate(doc["instructions"]):
+    for pos, ins in enumerate(_typed(doc["instructions"], list, "instructions")):
+        _typed(ins, dict, f"instruction {pos}")
         try:
             gate = Gate(ins["gate"])
             locus = Locus(str(ins["locus"]["kind"]), int(ins["locus"]["id"]))
             matrix = None
             if "matrix" in ins:
                 flat = np.array(
-                    [complex(re, im) for re, im in ins["matrix"]], dtype=complex
+                    [complex(re, im) for re, im in _typed(ins["matrix"], list, "matrix")],
+                    dtype=complex,
                 )
                 dim = math.isqrt(flat.size)
                 if dim * dim != flat.size:
@@ -482,8 +509,8 @@ def circuit_from_json(text: str) -> Circuit:
             instructions.append(
                 Instruction(
                     gate,
-                    tuple(int(q) for q in ins["controls"]),
-                    tuple(int(q) for q in ins["targets"]),
+                    _typed(ins["controls"], list, "controls"),
+                    _typed(ins["targets"], list, "targets"),
                     locus,
                     matrix,
                 )

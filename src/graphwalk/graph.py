@@ -9,12 +9,24 @@ shared by the engine, the analyzer, and the compiler.
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 
 class GraphError(ValueError):
-    """Raised for structurally invalid graphs or polarities."""
+    """Raised for structurally invalid graphs or polarities.
+
+    Attributes:
+        edge: Index of the edge at fault, when the fault is one edge's.
+        first: Index of the earlier copy, when that edge is a duplicate.
+    """
+
+    def __init__(self, message: str, edge: int | None = None, first: int | None = None):
+        super().__init__(message)
+        self.edge = edge
+        self.first = first
 
 
 class GraphParseError(GraphError):
@@ -55,45 +67,41 @@ class Graph:
     )
 
     def __post_init__(self):
-        if self.n < 1:
-            raise GraphError(f"graph needs at least one node, got n={self.n}")
-        normalized = []
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"edge ({u}, {v}) has an endpoint outside 0..{self.n - 1}")
+        n = self.n
+        if n < 1:
+            raise GraphError(f"graph needs at least one node, got n={n}")
+        first_index: dict[tuple[int, int], int] = {}
+        for k, (u, v) in enumerate(self.edges):
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}", k)
             if u == v:
-                raise GraphError(f"self-loop at node {u}")
-            normalized.append((u, v) if u < v else (v, u))
-        if len(set(normalized)) != len(normalized):
-            seen = set()
-            for e in normalized:
-                if e in seen:
-                    raise GraphError(f"duplicate edge {e}")
-                seen.add(e)
-        object.__setattr__(self, "edges", tuple(normalized))
+                raise GraphError(f"self-loop at node {u}", k)
+            e = (u, v) if u < v else (v, u)
+            first = first_index.setdefault(e, k)
+            if first != k:
+                raise GraphError(f"duplicate edge {e}", k, first)
+        object.__setattr__(self, "edges", tuple(first_index))
+        del first_index  # not held while the per-node lists are built
 
-        neighbors: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        # n nodes need at least n - 1 edges to connect; with fewer, search
+        # from node 0 in a dict, without any per-node list.
+        neighbors = defaultdict(list) if n > len(self.edges) + 1 else [[] for _ in range(n)]
         for k, (u, v) in enumerate(self.edges):
             neighbors[u].append((v, k))
             neighbors[v].append((u, k))
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            for v, _ in neighbors[frontier.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        if len(seen) != n:
+            missing = next(u for u in itertools.count() if u not in seen)
+            raise GraphError(f"graph is not connected: node {missing} unreachable from node 0")
         object.__setattr__(
             self, "adjacency", tuple(tuple(sorted(nbrs)) for nbrs in neighbors)
         )
-
-        if self.n > 1:
-            seen_nodes = {0}
-            frontier = [0]
-            while frontier:
-                u = frontier.pop()
-                for v, _ in self.adjacency[u]:
-                    if v not in seen_nodes:
-                        seen_nodes.add(v)
-                        frontier.append(v)
-            if len(seen_nodes) != self.n:
-                missing = min(set(range(self.n)) - seen_nodes)
-                raise GraphError(
-                    f"graph is not connected: node {missing} unreachable from node 0"
-                )
 
     @property
     def n_edges(self) -> int:
@@ -279,14 +287,17 @@ def parse_graph_document(
     raise GraphParseError(f"unknown graph format {fmt!r} (expected edge-list or json)")
 
 
-def _parse_edge_list(text: str) -> Graph:
-    edges: list[tuple[int, int]] = []
-    seen: dict[tuple[int, int], int] = {}
-    max_node = -1
+def _edge_lines(text: str):
+    """Yield (line number, content) for each line of an edge list that holds an edge."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if line:
+            yield lineno, line
+
+
+def _parse_edge_list(text: str) -> Graph:
+    edges: list[tuple[int, int]] = []
+    for lineno, line in _edge_lines(text):
         parts = line.split()
         if len(parts) != 2:
             raise GraphParseError(
@@ -298,19 +309,25 @@ def _parse_edge_list(text: str) -> Graph:
             raise GraphParseError(f"non-integer node id in {line!r}", lineno) from None
         if u < 0 or v < 0:
             raise GraphParseError(f"negative node id in {line!r}", lineno)
-        if u == v:
-            raise GraphParseError(f"self-loop at node {u}", lineno)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphParseError(
-                f"duplicate edge {key} (first seen on line {seen[key]})", lineno
-            )
-        seen[key] = lineno
-        edges.append(key)
-        max_node = max(max_node, u, v)
+        edges.append((u, v))
     if not edges:
         raise GraphParseError("no edges found")
-    return Graph(max_node + 1, tuple(edges))
+    n = 1 + max(itertools.chain.from_iterable(edges))
+    return _build_graph(
+        n, edges, lambda k: next(itertools.islice(_edge_lines(text), k, None))[0], "on line"
+    )
+
+
+def _build_graph(n: int, edges, position, seen: str) -> Graph:
+    """Graph(n, edges), naming a faulty edge k by `position(k)` in the document."""
+    try:
+        return Graph(n, edges)
+    except GraphError as exc:
+        message = str(exc)
+        if exc.first is not None:
+            message += f" (first seen {seen} {position(exc.first)})"
+        line = None if exc.edge is None else position(exc.edge)
+        raise GraphParseError(message, line) from None
 
 
 def _parse_json(text: str) -> tuple[Graph, tuple[int, ...] | None]:
@@ -328,8 +345,6 @@ def _parse_json(text: str) -> tuple[Graph, tuple[int, ...] | None]:
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):
         raise GraphParseError('"edges" must be a list of [u, v] pairs')
-    edges: list[tuple[int, int]] = []
-    seen: dict[tuple[int, int], int] = {}
     for pos, pair in enumerate(raw_edges, start=1):
         if (
             not isinstance(pair, list)
@@ -337,20 +352,7 @@ def _parse_json(text: str) -> tuple[Graph, tuple[int, ...] | None]:
             or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
         ):
             raise GraphParseError(f"edge must be a [u, v] integer pair, got {pair!r}", pos)
-        u, v = pair
-        if u == v:
-            raise GraphParseError(f"self-loop at node {u}", pos)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphParseError(
-                f"duplicate edge {key} (first seen at edge {seen[key]})", pos
-            )
-        seen[key] = pos
-        edges.append(key)
-    try:
-        g = Graph(n, tuple(edges))
-    except GraphError as exc:
-        raise GraphParseError(str(exc)) from None
+    g = _build_graph(n, raw_edges, lambda k: k + 1, "at edge")
     colors = None
     if "colors" in doc:
         raw = doc["colors"]

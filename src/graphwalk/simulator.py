@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import walk
-from .compiler import Circuit, Gate, Instruction, QubitLayout, compile_step
+from .compiler import Circuit, CircuitError, Gate, Instruction, QubitLayout, compile_step
 from .walk import WalkState
 
 PRUNE_EPS = 1e-15
@@ -449,9 +449,17 @@ def verify_circuit_equivalence(
 
     Compiles the step for (g, p, marked) when no circuit is given.  The walk
     side uses the standard pole-swap coin and sign oracle.
+
+    Raises:
+        CircuitError: If the given circuit's layout has another edge count
+            than g.
     """
     if circuit is None:
         circuit = compile_step(g, p, marked, enumeration_seed=enumeration_seed)
+    elif circuit.layout.n_edges != g.n_edges:
+        raise CircuitError(
+            f"circuit has {circuit.layout.n_edges} edges, graph has {g.n_edges}"
+        )
     model = walk.step_matrix(
         g, p, oracle=walk.OracleSpec(marked=frozenset(marked))
     )

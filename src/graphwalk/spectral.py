@@ -78,7 +78,7 @@ def star_reduced_step(s: StarReducedState) -> StarReducedState:
     Examples:
         >>> s1 = star_reduced_step(star_initial_state(2))
         >>> s1.alpha_plus, s1.alpha_minus, s1.psi_plus, s1.psi_minus
-        ((-0.5+0j), (0.5+0j), (0.5+0j), (-0.5+0j))
+        (-0.5, 0.5, 0.5, -0.5)
     """
     m = s.m
     return StarReducedState(

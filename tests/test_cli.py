@@ -349,6 +349,45 @@ def test_verify_non_unitary_circuit_exits_1(path3, tmp_path, capsys):
     assert "not unitary" in capsys.readouterr().err
 
 
+def test_verify_malformed_circuit_document_exits_1(path3, tmp_path, capsys):
+    circ_file = tmp_path / "circuit.json"
+    assert main(
+        ["compile", "--graph", path3, "--mark-edge", "0", "1",
+         "--out", str(circ_file)]
+    ) == 0
+    doc = json.loads(circ_file.read_text())
+    doc["instructions"] = 5
+    circ_file.write_text(json.dumps(doc))
+    code = main(
+        ["verify", "--graph", path3, "--mark-edge", "0", "1",
+         "--circuit", str(circ_file)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "graphwalk: instructions must be a JSON array\n"
+
+
+def test_verify_circuit_for_another_edge_count_exits_1(tmp_path, capsys):
+    star3 = tmp_path / "star3.txt"
+    star3.write_text(to_edge_list(star_graph(3)))
+    star4 = tmp_path / "star4.txt"
+    star4.write_text(to_edge_list(star_graph(4)))
+    circ_file = tmp_path / "circuit.json"
+    assert main(
+        ["compile", "--graph", str(star4), "--mark-edge", "0", "1",
+         "--out", str(circ_file)]
+    ) == 0
+    capsys.readouterr()
+    code = main(
+        ["verify", "--graph", str(star3), "--mark-edge", "0", "1",
+         "--circuit", str(circ_file)]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "graphwalk: circuit has 4 edges, graph has 3\n"
+
+
 def test_verify_enumeration_seed(path3, capsys):
     code = main(
         ["verify", "--graph", path3, "--mark-edge", "0", "1",

@@ -469,6 +469,84 @@ def test_circuit_from_json_rejects_inconsistent_layout(mutate, match):
         circuit_from_json(json.dumps(doc))
 
 
+def _put(*path, value):
+    """Mutation that sets doc[path...] to value."""
+
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return mutate
+
+
+def _clear_layout(doc):
+    doc["layout"] = {key: {} for key in doc["layout"]}
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_put("instructions", value=5), "instructions must be a JSON array"),
+        (_put("instructions", value=None), "instructions must be a JSON array"),
+        (_put("instructions", value={}), "instructions must be a JSON array"),
+        (_put("instructions", value=""), "instructions must be a JSON array"),
+        (_put("layout", value=[]), "layout must be a JSON object"),
+        (_clear_layout, "layout.edge_qubits must be a JSON array"),
+        (_put("layout", "edge_qubits", value={}), "layout.edge_qubits must be a JSON array"),
+        (_put("layout", "edge_qubits", 1, value="23"),
+         "layout.edge_qubits[1] must be a JSON array"),
+        (_put("layout", "node_registers", value={}),
+         "layout.node_registers must be a JSON array"),
+        (_put("layout", "node_registers", 0, value=[]),
+         "layout.node_registers[0] must be a JSON object"),
+        (_put("layout", "node_registers", 1, "binary", value={}),
+         "layout.node_registers[1].binary must be a JSON array"),
+        (_put("layout", "facing", value={}), "layout.facing must be a JSON array"),
+        (_put("layout", "facing", 2, value={}), "layout.facing[2] must be a JSON array"),
+        (_put("layout", "local_edges", value=""), "layout.local_edges must be a JSON array"),
+        (_put("layout", "local_edges", 3, value="0"),
+         "layout.local_edges[3] must be a JSON array"),
+        (_put("instructions", 1, value=[]), "instruction 1 must be a JSON object"),
+        (_put("instructions", 0, "controls", value={}),
+         "instruction 0: controls must be a JSON array"),
+        (_put("instructions", 0, "targets", value=0),
+         "instruction 0: targets must be a JSON array"),
+        (_put("instructions", 22, "matrix", value={}),
+         "instruction 22: matrix must be a JSON array"),
+    ],
+    ids=[
+        "instructions-number",
+        "instructions-null",
+        "instructions-object",
+        "instructions-string",
+        "layout-array",
+        "layout-all-objects",
+        "edge-qubits-object",
+        "edge-qubit-pair-string",
+        "registers-object",
+        "register-array",
+        "register-binary-object",
+        "facing-object",
+        "facing-entry-object",
+        "local-edges-string",
+        "local-edges-entry-string",
+        "instruction-array",
+        "controls-object",
+        "targets-number",
+        "matrix-object",
+    ],
+)
+def test_circuit_from_json_requires_arrays_and_objects(mutate, message):
+    doc = compile_step(star_graph(3), hub_polarity(3), [0]).to_json_dict()
+    assert doc["instructions"][22]["gate"] == "ctrl-unitary"
+    mutate(doc)
+    with pytest.raises(CircuitError) as info:
+        circuit_from_json(json.dumps(doc))
+    assert str(info.value) == message
+
+
 def test_instruction_validation():
     locus = Locus("edge", 0)
     with pytest.raises(CircuitError, match="reuses"):

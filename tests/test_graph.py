@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from graphwalk import (
@@ -139,6 +141,114 @@ def test_graph_normalizes_edge_order():
 def test_graph_validation(n, edges, what):
     with pytest.raises(GraphError, match=what):
         Graph(n, edges)
+
+
+def _doc(text, fmt="edge-list"):
+    return lambda: parse_graph_document(text, fmt)
+
+
+@pytest.mark.parametrize(
+    "build, message, attrs",
+    [
+        pytest.param(_doc("0 1\n1 2 3"),
+                     "line 2: expected two node ids, got 3 fields: '1 2 3'", {"line": 2},
+                     id="edges-three-fields"),
+        pytest.param(_doc("0 1\nx 2"), "line 2: non-integer node id in 'x 2'", {"line": 2},
+                     id="edges-non-integer"),
+        pytest.param(_doc("0 0"), "line 1: self-loop at node 0", {"line": 1},
+                     id="edges-self-loop"),
+        pytest.param(_doc("5 5"), "line 1: self-loop at node 5", {"line": 1},
+                     id="edges-self-loop-before-node-count"),
+        pytest.param(_doc("0 1\n1 0"),
+                     "line 2: duplicate edge (0, 1) (first seen on line 1)", {"line": 2},
+                     id="edges-duplicate"),
+        pytest.param(_doc("# h\n0 1\n\n1 2  # c\n2 0\n  1 0\n"),
+                     "line 6: duplicate edge (0, 1) (first seen on line 2)", {"line": 6},
+                     id="edges-duplicate-after-comments-and-blanks"),
+        pytest.param(_doc("0 1\n1 2\n3 3\n2 1\n"), "line 3: self-loop at node 3",
+                     {"line": 3}, id="edges-first-of-several-faults"),
+        pytest.param(_doc("0 -1"), "line 1: negative node id in '0 -1'", {"line": 1},
+                     id="edges-negative"),
+        pytest.param(_doc("# nothing here\n"), "no edges found", {"line": None},
+                     id="edges-empty"),
+        pytest.param(_doc("0 1\n2 3"),
+                     "graph is not connected: node 2 unreachable from node 0",
+                     {"line": None}, id="edges-disconnected"),
+        pytest.param(_doc("{", "json"),
+                     "invalid JSON: Expecting property name enclosed in double quotes: "
+                     "line 1 column 2 (char 1)", {"line": None}, id="json-invalid"),
+        pytest.param(_doc("[1, 2]", "json"), "top-level JSON value must be an object",
+                     {"line": None}, id="json-not-object"),
+        pytest.param(_doc('{"edges": []}', "json"),
+                     'JSON graph needs "nodes" and "edges" keys', {"line": None},
+                     id="json-no-nodes"),
+        pytest.param(_doc('{"nodes": "3", "edges": []}', "json"),
+                     '"nodes" must be an integer', {"line": None}, id="json-nodes-string"),
+        pytest.param(_doc('{"nodes": 2, "edges": [[0, 1, 2]]}', "json"),
+                     "line 1: edge must be a [u, v] integer pair, got [0, 1, 2]",
+                     {"line": 1}, id="json-triple"),
+        pytest.param(_doc('{"nodes": 2, "edges": [[0, 0]]}', "json"),
+                     "line 1: self-loop at node 0", {"line": 1}, id="json-self-loop"),
+        pytest.param(_doc('{"nodes": 2, "edges": [[0, 1], [1, 0]]}', "json"),
+                     "line 2: duplicate edge (0, 1) (first seen at edge 1)", {"line": 2},
+                     id="json-duplicate"),
+        pytest.param(_doc('{"nodes": 2, "edges": [[0, 5]]}', "json"),
+                     "line 1: edge (0, 5) has an endpoint outside 0..1", {"line": 1},
+                     id="json-out-of-range"),
+        pytest.param(_doc('{"nodes": 3, "edges": [[1, 2], [5, 0]]}', "json"),
+                     "line 2: edge (5, 0) has an endpoint outside 0..2", {"line": 2},
+                     id="json-out-of-range-as-written"),
+        pytest.param(_doc('{"nodes": 3, "edges": [[0, 0], [0, 1, 2]]}', "json"),
+                     "line 2: edge must be a [u, v] integer pair, got [0, 1, 2]",
+                     {"line": 2}, id="json-malformed-pair-before-graph-faults"),
+        pytest.param(_doc('{"nodes": 2, "edges": [[0, 1]], "colors": [1, 1]}', "json"),
+                     "improper coloring: edge 0 joins nodes 0 and 1 sharing color 1", {},
+                     id="json-colors-improper"),
+        pytest.param(_doc('{"nodes": 2, "edges": [[0, 1]], "colors": [0, -1]}', "json"),
+                     '"colors" must be a list of non-negative integers', {"line": None},
+                     id="json-colors-malformed"),
+        pytest.param(_doc("0 1", "yaml"),
+                     "unknown graph format 'yaml' (expected edge-list or json)",
+                     {"line": None}, id="unknown-format"),
+        pytest.param(lambda: Graph(0, ()), "graph needs at least one node, got n=0",
+                     {"edge": None, "first": None}, id="graph-no-nodes"),
+        pytest.param(lambda: Graph(2, ((0, 2),)),
+                     "edge (0, 2) has an endpoint outside 0..1", {"edge": 0, "first": None},
+                     id="graph-out-of-range"),
+        pytest.param(lambda: Graph(2, ((1, 1),)), "self-loop at node 1",
+                     {"edge": 0, "first": None}, id="graph-self-loop"),
+        pytest.param(lambda: Graph(3, ((0, 1), (1, 0), (1, 2))), "duplicate edge (0, 1)",
+                     {"edge": 1, "first": 0}, id="graph-duplicate"),
+        pytest.param(lambda: Graph(4, ((0, 1), (1, 2), (3, 3), (0, 1))),
+                     "self-loop at node 3", {"edge": 2, "first": None},
+                     id="graph-first-of-several-faults"),
+        pytest.param(lambda: Graph(4, ((0, 1), (2, 3))),
+                     "graph is not connected: node 2 unreachable from node 0",
+                     {"edge": None, "first": None}, id="graph-disconnected"),
+    ],
+)
+def test_graph_error_messages(build, message, attrs):
+    with pytest.raises(GraphError) as info:
+        build()
+    assert str(info.value) == message
+    for name, value in attrs.items():
+        assert getattr(info.value, name) == value
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Graph(10**6, ((0, 1),)), lambda: parse_graph("0 1\n1 1000000")],
+    ids=["graph", "edge-list"],
+)
+def test_too_few_edges_rejected_before_per_node_work(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="node 2 unreachable"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_adjacency_consistency():

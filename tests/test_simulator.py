@@ -9,6 +9,7 @@ import pytest
 
 from graphwalk import (
     Circuit,
+    CircuitError,
     Gate,
     Instruction,
     Locus,
@@ -40,6 +41,7 @@ from graphwalk import (
     sweep,
     verify_circuit_equivalence,
 )
+from graphwalk import simulator
 from graphwalk.simulator import apply_instruction
 from helpers import (
     dense_instruction_matrix,
@@ -489,3 +491,16 @@ def test_report_names_worst_column():
     assert report.to_json_dict()["worst_column"] == {
         "edge": int(source) // 2, "pole": int(source) % 2
     }
+
+
+def test_verify_rejects_circuit_for_another_edge_count(monkeypatch):
+    circuit = compile_step(star_graph(4), hub_polarity(4), [0])
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built a matrix for mismatched edge counts")
+
+    monkeypatch.setattr(simulator.walk, "step_matrix", unreachable)
+    monkeypatch.setattr(simulator, "_circuit_columns", unreachable)
+    with pytest.raises(CircuitError) as info:
+        verify_circuit_equivalence(star_graph(3), hub_polarity(3), [0], circuit=circuit)
+    assert str(info.value) == "circuit has 4 edges, graph has 3"

@@ -163,8 +163,6 @@ def cmd_search(args) -> int:
         raise ConfigError(f"--steps must be nonnegative, got {args.steps}")
     if args.trials < 1:
         raise ConfigError(f"--trials must be positive, got {args.trials}")
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be positive, got {args.jobs}")
     result = {
         "command": "search",
         "graph": {"nodes": g.n, "edges": g.n_edges},
@@ -253,8 +251,8 @@ def cmd_compile(args) -> int:
     )
     for entry in audit.nodes:
         log.debug(
-            "node %d (degree %d): %d cnot/mcx, %d ctrl-unitary",
-            entry.node, entry.degree, entry.cnot_mcx, entry.ctrl_unitary,
+            "node %d (degree %d): %d cnot/mcx, %d diffusion",
+            entry.node, entry.degree, entry.cnot_mcx, entry.diffusion,
         )
     if args.audit_out is not None:
         _dump_json(audit.to_json_dict(), args.audit_out)
@@ -305,13 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1_000_000,
         help="oracle-call cap for --guaranteed (default 1000000)",
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="accepted for compatibility (must be >= 1); trials share one "
-        "evolution, so no workers are started",
     )
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_search)

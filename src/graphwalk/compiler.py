@@ -4,26 +4,29 @@ Each edge owns a qubit pair (one per pole) holding the walk amplitudes as a
 one-hot excitation.  Each node owns a small register: ceil(log2 d) binary
 qubits plus a flag.  A step compiles to a sign oracle and a pole swap on the
 edge pairs, then per node a transfer block that relocates whichever facing
-qubit is excited into the register as a slot number, one controlled diffusion
-on the register, and the inverse transfer.  Nodes of degree at most 2 skip
-the register: their diffusion (2/d)J - I is the identity at degree 1, which
-compiles to nothing, and the pole swap at degree 2, which compiles to one
-swap of the two facing qubits.  Every instruction touches only qubits owned
-by its locus, so nodes act on their own neighborhoods.
+qubit is excited into the register as a slot number, one flag-controlled
+`diffusion` gate on the register, and the inverse transfer.  Nodes of degree
+at most 2 skip the register: their diffusion (2/d)J - I is the identity at
+degree 1, which compiles to nothing, and the pole swap at degree 2, which
+compiles to one swap of the two facing qubits.  Every instruction touches
+only qubits owned by its locus, so nodes act on their own neighborhoods.
+
+Gates carry structure, not dense matrices: a `diffusion` gate names its
+degree d, and every gate is its own inverse.  A circuit document holds the
+layout, the instructions and the phase spans, with every qubit index, edge
+index, locus id and degree a JSON integer.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .graph import Graph, PolarityMap, check_polarity
-from .walk import DiffusionOperator
 
 
 class CircuitError(ValueError):
@@ -36,7 +39,7 @@ class Gate(str, enum.Enum):
     CNOT = "cnot"
     SWAP = "swap"
     MCX = "mcx"
-    CTRL_UNITARY = "ctrl-unitary"
+    DIFFUSION = "diffusion"
 
 
 class Locus(NamedTuple):
@@ -65,15 +68,19 @@ _ARITY = {
 class Instruction:
     """One gate: kind, control qubits, target qubits, and its locus.
 
-    CTRL_UNITARY carries a dense unitary applied to the target qubits when
-    every control is set; all other gates are matrix-free.
+    DIFFUSION carries the degree d.  When every control is set, it reads the
+    targets as a slot value (target i is bit i), maps each value below d to
+    (2/d) times the sum over those values minus itself, and leaves higher
+    values alone.  Every gate is its own inverse.
     """
 
     gate: Gate
     controls: tuple[int, ...]
     targets: tuple[int, ...]
     locus: Locus
-    matrix: np.ndarray | None = None
+    d: int | None = None
+    # Always None, not a field: perfbench/tracer.py still counts payload entries.
+    matrix = None
 
     def __post_init__(self):
         object.__setattr__(self, "controls", tuple(int(q) for q in self.controls))
@@ -93,36 +100,17 @@ class Instruction:
         elif self.gate is Gate.MCX:
             if len(self.controls) < 1 or len(self.targets) != 1:
                 raise CircuitError("mcx needs at least one control and one target")
-        elif self.gate is Gate.CTRL_UNITARY:
+        elif self.gate is Gate.DIFFUSION:
             if len(self.controls) < 1 or len(self.targets) < 1:
-                raise CircuitError("ctrl-unitary needs controls and targets")
-        if self.gate is Gate.CTRL_UNITARY:
-            if self.matrix is None:
-                raise CircuitError("ctrl-unitary needs a matrix")
-            m = np.asarray(self.matrix, dtype=complex)
-            dim = 2 ** len(self.targets)
-            if m.shape != (dim, dim):
+                raise CircuitError("diffusion needs controls and targets")
+            top = 1 << len(self.targets)
+            if self.d is None or not 2 <= self.d <= top:
                 raise CircuitError(
-                    f"ctrl-unitary on {len(self.targets)} targets needs a "
-                    f"{dim}x{dim} matrix, got {m.shape}"
+                    f"diffusion on {len(self.targets)} targets needs "
+                    f"2 <= d <= {top}, got {self.d}"
                 )
-            object.__setattr__(self, "matrix", m)
-        elif self.matrix is not None:
-            raise CircuitError(f"gate {self.gate.value} does not take a matrix")
-
-    def __eq__(self, other):
-        if not isinstance(other, Instruction):
-            return NotImplemented
-        if (self.gate, self.controls, self.targets, self.locus) != (
-            other.gate,
-            other.controls,
-            other.targets,
-            other.locus,
-        ):
-            return False
-        if (self.matrix is None) != (other.matrix is None):
-            return False
-        return self.matrix is None or bool(np.array_equal(self.matrix, other.matrix))
+        if self.d is not None and self.gate is not Gate.DIFFUSION:
+            raise CircuitError(f"gate {self.gate.value} does not take d")
 
     def qubits(self) -> tuple[int, ...]:
         return self.controls + self.targets
@@ -265,36 +253,20 @@ def compile_transfer(layout: QubitLayout, node: int) -> tuple[Instruction, ...]:
 def compile_diffusion(layout: QubitLayout, node: int) -> tuple[Instruction, ...]:
     """Flag-controlled Grover diffusion on the node's slot value.
 
-    The slot register only ever holds values below the degree, so the matrix
-    acts as (2/d)J - I on those and as identity on the unreachable rest.
+    The slot register only ever holds values below the degree d; the gate
+    applies (2/d)J - I to those and the identity to the unreachable rest.
     Degree-1 nodes diffuse trivially and emit nothing.
     """
     d = layout.degree(node)
     if d < 2:
         return ()
     binary, flag = layout.node_registers[node]
-    dim = 2 ** len(binary)
-    m = np.eye(dim, dtype=complex)
-    m[:d, :d] = DiffusionOperator(d).matrix
-    return (
-        Instruction(Gate.CTRL_UNITARY, (flag,), tuple(binary), Locus("node", node), m),
-    )
+    return (Instruction(Gate.DIFFUSION, (flag,), binary, Locus("node", node), d),)
 
 
 def invert_instructions(instrs) -> tuple[Instruction, ...]:
-    """Exact inverse: reversed order, each gate replaced by its inverse."""
-    out: list[Instruction] = []
-    for ins in reversed(tuple(instrs)):
-        if ins.gate is Gate.CTRL_UNITARY:
-            out.append(
-                Instruction(
-                    ins.gate, ins.controls, ins.targets, ins.locus,
-                    ins.matrix.conj().T,
-                )
-            )
-        else:
-            out.append(ins)
-    return tuple(out)
+    """Exact inverse: every gate is its own inverse, so the reversed order."""
+    return tuple(reversed(tuple(instrs)))
 
 
 def compile_scatter(layout: QubitLayout, node: int) -> tuple[Instruction, ...]:
@@ -338,6 +310,7 @@ class Circuit:
                 "local_edges": [list(e) for e in self.layout.local_edges],
             },
             "instructions": [_instruction_to_dict(ins) for ins in self.instructions],
+            "phases": [ph._asdict() for ph in self.phases],
         }
 
     def to_json(self) -> str:
@@ -351,8 +324,8 @@ def _instruction_to_dict(ins: Instruction) -> dict:
         "targets": list(ins.targets),
         "locus": {"kind": ins.locus.kind, "id": ins.locus.id},
     }
-    if ins.matrix is not None:
-        out["matrix"] = [[float(z.real), float(z.imag)] for z in ins.matrix.reshape(-1)]
+    if ins.d is not None:
+        out["d"] = ins.d
     return out
 
 
@@ -441,8 +414,17 @@ def _typed(value, kind: type, field: str):
     return value
 
 
+def _int(value, field: str) -> int:
+    """Return `value` if it is a JSON integer, not a bool, float or string."""
+    if type(value) is not int:
+        raise CircuitError(f"{field} must be a JSON integer")
+    return value
+
+
 def _ints(value, field: str) -> tuple[int, ...]:
-    return tuple(int(q) for q in _typed(value, list, field))
+    """A JSON array of JSON integers, as a tuple."""
+    items = _typed(value, list, field)
+    return tuple(_int(q, f"{field}[{i}]") for i, q in enumerate(items))
 
 
 def _int_rows(lay: dict, key: str) -> tuple[tuple[int, ...], ...]:
@@ -451,13 +433,37 @@ def _int_rows(lay: dict, key: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_ints(row, f"layout.{key}[{i}]") for i, row in enumerate(rows))
 
 
+def _phases(doc: dict, n_instructions: int) -> tuple[Phase, ...]:
+    """The optional `phases` key: spans with 0 <= start <= stop <= n_instructions."""
+    phases = []
+    for i, ph in enumerate(_typed(doc.get("phases", []), list, "phases")):
+        field = f"phases[{i}]"
+        _typed(ph, dict, field)
+        try:
+            node = None if ph["node"] is None else _int(ph["node"], f"{field}.node")
+            phase = Phase(
+                str(ph["kind"]), node,
+                _int(ph["start"], f"{field}.start"), _int(ph["stop"], f"{field}.stop"),
+            )
+        except KeyError as exc:
+            raise CircuitError(f"{field} missing {exc}") from None
+        if not 0 <= phase.start <= phase.stop <= n_instructions:
+            raise CircuitError(
+                f"{field}: span [{phase.start}, {phase.stop}) outside "
+                f"[0, {n_instructions}]"
+            )
+        phases.append(phase)
+    return tuple(phases)
+
+
 def circuit_from_json(text: str) -> Circuit:
-    """Parse a circuit document, validating structure and gate unitarity.
+    """Parse a circuit document, validating its structure.
 
     Raises:
-        CircuitError: On schema violations, a layout that is inconsistent
-            with itself (see `_check_layout`), or a ctrl-unitary matrix that
-            is not unitary within 1e-10.
+        CircuitError: On schema violations (naming the field), a layout that
+            is inconsistent with itself (see `_check_layout`), a gate that
+            does not fit its arity or degree, a qubit beyond the register, or
+            a phase span outside the instruction list.
     """
     try:
         doc = json.loads(text)
@@ -476,14 +482,17 @@ def circuit_from_json(text: str) -> Circuit:
             field = f"layout.node_registers[{u}]"
             _typed(reg, dict, field)
             registers.append(
-                NodeRegister(_ints(reg["binary"], f"{field}.binary"), int(reg["flag"]))
+                NodeRegister(
+                    _ints(reg["binary"], f"{field}.binary"),
+                    _int(reg["flag"], f"{field}.flag"),
+                )
             )
         layout = QubitLayout(
             edge_qubits=edge_qubits,
             node_registers=tuple(registers),
             facing=_int_rows(lay, "facing"),
             local_edges=_int_rows(lay, "local_edges"),
-            n_qubits=int(doc["qubits"]),
+            n_qubits=_int(doc["qubits"], "qubits"),
         )
     except CircuitError:
         raise
@@ -495,38 +504,23 @@ def circuit_from_json(text: str) -> Circuit:
         _typed(ins, dict, f"instruction {pos}")
         try:
             gate = Gate(ins["gate"])
-            locus = Locus(str(ins["locus"]["kind"]), int(ins["locus"]["id"]))
-            matrix = None
-            if "matrix" in ins:
-                flat = np.array(
-                    [complex(re, im) for re, im in _typed(ins["matrix"], list, "matrix")],
-                    dtype=complex,
-                )
-                dim = math.isqrt(flat.size)
-                if dim * dim != flat.size:
-                    raise CircuitError(f"matrix length {flat.size} is not square")
-                matrix = flat.reshape(dim, dim)
+            locus = Locus(str(ins["locus"]["kind"]), _int(ins["locus"]["id"], "locus.id"))
             instructions.append(
                 Instruction(
                     gate,
-                    _typed(ins["controls"], list, "controls"),
-                    _typed(ins["targets"], list, "targets"),
+                    _ints(ins["controls"], "controls"),
+                    _ints(ins["targets"], "targets"),
                     locus,
-                    matrix,
+                    _int(ins["d"], "d") if "d" in ins else None,
                 )
             )
         except CircuitError as exc:
             raise CircuitError(f"instruction {pos}: {exc}") from None
         except (KeyError, TypeError, ValueError) as exc:
             raise CircuitError(f"instruction {pos}: malformed ({exc})") from None
-        last = instructions[-1]
-        if last.matrix is not None:
-            m = last.matrix
-            if not np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=1e-10):
-                raise CircuitError(f"instruction {pos}: matrix not unitary within 1e-10")
-        if any(q >= layout.n_qubits for q in last.qubits()):
+        if any(q >= layout.n_qubits for q in instructions[-1].qubits()):
             raise CircuitError(f"instruction {pos}: qubit index beyond {layout.n_qubits}")
-    return Circuit(layout, tuple(instructions))
+    return Circuit(layout, tuple(instructions), _phases(doc, len(instructions)))
 
 
 @dataclass(frozen=True)
@@ -536,7 +530,7 @@ class NodeAudit:
     node: int
     degree: int
     cnot_mcx: int
-    ctrl_unitary: int
+    diffusion: int
     bound: int
 
     @property
@@ -575,7 +569,7 @@ class AuditReport:
                     "node": n.node,
                     "degree": n.degree,
                     "cnot_mcx": n.cnot_mcx,
-                    "ctrl_unitary": n.ctrl_unitary,
+                    "diffusion": n.diffusion,
                     "bound": n.bound,
                     "within_bound": n.within_bound,
                 }
@@ -592,7 +586,7 @@ def locality_audit(circuit: Circuit) -> AuditReport:
         reg = layout.node_registers[u]
         node_allowed.append(set(reg.binary) | {reg.flag} | set(layout.facing[u]))
     cnot_mcx = [0] * layout.n_nodes
-    ctrl_unitary = [0] * layout.n_nodes
+    diffusion = [0] * layout.n_nodes
     violations: list[str] = []
     for pos, ins in enumerate(circuit.instructions):
         kind, ident = ins.locus
@@ -608,8 +602,8 @@ def locality_audit(circuit: Circuit) -> AuditReport:
             allowed = node_allowed[ident]
             if ins.gate in (Gate.CNOT, Gate.MCX):
                 cnot_mcx[ident] += 1
-            elif ins.gate is Gate.CTRL_UNITARY:
-                ctrl_unitary[ident] += 1
+            elif ins.gate is Gate.DIFFUSION:
+                diffusion[ident] += 1
         else:
             violations.append(f"instruction {pos}: unknown locus kind {kind!r}")
             continue
@@ -628,7 +622,7 @@ def locality_audit(circuit: Circuit) -> AuditReport:
                 node=u,
                 degree=d,
                 cnot_mcx=cnot_mcx[u],
-                ctrl_unitary=ctrl_unitary[u],
+                diffusion=diffusion[u],
                 bound=2 * d * (r + 1),
             )
         )

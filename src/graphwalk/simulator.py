@@ -9,8 +9,9 @@ sequence of small local blocks.  The monomial gates (x, z, cnot, swap, mcx)
 each map a basis state to one basis state up to a sign; `run` applies a run
 of them that shares a locus as one block, working its action out once per
 distinct local bit pattern and moving every amplitude by table lookup.  A
-ctrl-unitary touches only the amplitudes whose controls are set.  Key bits
-above the register label independent columns that no gate touches, so
+diffusion touches only the amplitudes whose controls are set, with one sum
+per group of them that shares every non-target bit.  Key bits above the
+register label independent columns that no gate touches, so
 `step_circuit_matrix` evolves all 2|E| unit columns in one run, with every
 norm check held per column.  Projecting back onto the walk's edge amplitudes
 checks that nothing leaked out of the one-excitation subspace and that every
@@ -162,84 +163,83 @@ def _apply_block(
     return out
 
 
-def _apply_ctrl_unitary(
+def _check_drift(
+    before: dict[int, float], after: dict[int, float], tol: float, what: str
+) -> None:
+    """Compare each column's squared norm before and after.
+
+    Raises:
+        SimulationError: "<what> changed the squared norm by <drift>" if a
+            column's squared norm moved by more than tol * max(1, norm).
+    """
+    for col in before.keys() | after.keys():
+        norm = before.get(col, 0.0)
+        drift = after.get(col, 0.0) - norm
+        if abs(drift) > tol * max(1.0, norm):
+            raise SimulationError(f"{what} changed the squared norm by {drift:.3e}")
+
+
+def _apply_diffusion(
     amps: dict[int, complex], ins: Instruction, state: SparseState
 ) -> dict[int, complex]:
-    """Apply the payload to the amplitudes whose controls are all set.
+    """Diffuse the slot values of the amplitudes whose controls are all set.
 
-    The squared norm of those amplitudes is checked column by column (key
-    bits above the register), pruning what the payload sends below 1e-15.
+    Armed amplitudes sharing every non-target key bit form one group.  Each
+    slot value v below d becomes (2/d) * (the group's sum) - x_v, pruned
+    below 1e-15; higher values stay.  The squared norm of the diffused
+    amplitudes is checked column by column (key bits above the register).
 
     Raises:
         SimulationError: If a column's squared norm drifts by more than 1e-13.
     """
-    n = state.n_qubits
+    n, d = state.n_qubits, ins.d
     cmask, tmasks = _masks(state, ins)
     # spread[v]: the key bits that spell target value v (target i is bit i).
     spread = [0]
     for m in tmasks:
         spread += [bits | m for bits in spread]
-    clear = ~spread[-1]
-    u = ins.matrix
-    rows: dict[int, list] = {}
+    value = {bits: v for v, bits in enumerate(spread)}
+    every = spread[-1]
+    groups: dict[int, dict[int, complex]] = {}
     out: dict[int, complex] = {}
-    touched: set[int] = set()
-    before: dict[int, float] = {}
     for k, a in amps.items():
-        if k & cmask != cmask:
-            out[k] = a
-            continue
-        col = k >> n
-        before[col] = before.get(col, 0.0) + abs(a) ** 2
-        val = 0
-        for i, m in enumerate(tmasks):
-            if k & m:
-                val |= 1 << i
-        row = rows.get(val)
-        if row is None:
-            entries = u[:, val]
-            row = rows[val] = [
-                (spread[v], entries[v])
-                for v in np.nonzero(np.abs(entries) > PRUNE_EPS)[0]
-            ]
-        base = k & clear
-        for bits, entry in row:
-            nk = base | bits
-            out[nk] = out.get(nk, 0j) + entry * a
-            touched.add(nk)
+        if k & cmask == cmask:
+            v = value[k & every]
+            if v < d:
+                groups.setdefault(k & ~every, {})[v] = a
+                continue
+        out[k] = a
+    before: dict[int, float] = {}
     after: dict[int, float] = {}
-    for nk in touched:
-        mod = abs(out[nk])
-        if mod > PRUNE_EPS:
-            col = nk >> n
-            after[col] = after.get(col, 0.0) + mod**2
-        else:
-            del out[nk]
-    for col, norm in before.items():
-        drift = after.get(col, 0.0) - norm
-        if abs(drift) > GATE_NORM_TOL * max(1.0, norm):
-            raise SimulationError(
-                f"gate {ins.gate.value} changed the squared norm by {drift:.3e}"
-            )
+    for base, xs in groups.items():
+        col = base >> n
+        before[col] = before.get(col, 0.0) + sum(abs(a) ** 2 for a in xs.values())
+        twice_mean = (2.0 / d) * sum(xs.values())
+        for v in range(d):
+            y = twice_mean - xs.get(v, 0)
+            if abs(y) > PRUNE_EPS:
+                out[base | spread[v]] = y
+                after[col] = after.get(col, 0.0) + abs(y) ** 2
+    _check_drift(before, after, GATE_NORM_TOL, f"gate {ins.gate.value}")
     return out
 
 
 def _apply(
     amps: dict[int, complex], block: list[Instruction], state: SparseState
 ) -> dict[int, complex]:
-    if block[0].gate is Gate.CTRL_UNITARY:
-        return _apply_ctrl_unitary(amps, block[0], state)
+    if block[0].gate is Gate.DIFFUSION:
+        return _apply_diffusion(amps, block[0], state)
     return _apply_block(amps, block, state)
 
 
 def _blocks(instructions):
     """Split instructions into runs of monomial gates sharing a locus; every
-    ctrl-unitary is a block of its own."""
+    diffusion is a block of its own."""
     block: list[Instruction] = []
     for ins in instructions:
         if block and (
-            ins.gate is Gate.CTRL_UNITARY
-            or block[-1].gate is Gate.CTRL_UNITARY
+            ins.gate is Gate.DIFFUSION
+            or block[-1].gate is Gate.DIFFUSION
             or ins.locus != block[-1].locus
         ):
             yield block
@@ -265,13 +265,12 @@ def _column_norms(amps: dict[int, complex], n: int) -> dict[int, float]:
 def apply_instruction(state: SparseState, ins: Instruction) -> SparseState:
     """Apply one gate, returning a new pruned state.
 
-    A monomial gate runs as a one-gate block; a ctrl-unitary is applied to
-    the amplitudes whose controls are set.
+    A monomial gate runs as a one-gate block; a diffusion is applied to the
+    amplitudes whose controls are set.
 
     Raises:
         SimulationError: If a monomial gate maps two amplitudes onto one key,
-            or a ctrl-unitary drifts a column's squared norm by more than
-            1e-13.
+            or a diffusion drifts a column's squared norm by more than 1e-13.
     """
     return SparseState(_apply(_pruned(state.amps), [ins], state), state.n_qubits)
 
@@ -282,14 +281,14 @@ def run(circuit: Circuit, state: SparseState | None = None) -> SparseState:
     Prunes the input once, then applies the circuit block by block: each run
     of monomial gates that shares a locus is worked out once per distinct
     local bit pattern and applied to every amplitude by table lookup, and
-    each ctrl-unitary touches only the amplitudes whose controls are set.
+    each diffusion touches only the amplitudes whose controls are set.
     Key bits at or above `n_qubits` label independent columns, and every
     norm check holds per column.
 
     Raises:
         SimulationError: If a column's squared norm drifts by more than 1e-12
-            over the whole circuit, a ctrl-unitary breaks unitarity, or a
-            monomial block maps two amplitudes onto one key.
+            over the whole circuit or 1e-13 over one diffusion, or a monomial
+            block maps two amplitudes onto one key.
     """
     if state is None:
         state = init_walk_superposition(circuit.layout)
@@ -302,12 +301,7 @@ def run(circuit: Circuit, state: SparseState | None = None) -> SparseState:
     before = _column_norms(amps, n)
     for block in _blocks(circuit.instructions):
         amps = _apply(amps, block, state)
-    after = _column_norms(amps, n)
-    for col in before.keys() | after.keys():
-        norm = before.get(col, 0.0)
-        drift = after.get(col, 0.0) - norm
-        if abs(drift) > CIRCUIT_NORM_TOL * max(1.0, norm):
-            raise SimulationError(f"circuit changed the squared norm by {drift:.3e}")
+    _check_drift(before, _column_norms(amps, n), CIRCUIT_NORM_TOL, "circuit")
     return SparseState(amps, n)
 
 

@@ -3,17 +3,21 @@ gate-by-gate reference simulator.
 
 The dense builders reconstruct each gate's full 2^n matrix from first
 principles (basis-by-basis bit arithmetic), independent of the sparse
-simulator's dictionary transforms, so the two can be compared.  The
-reference simulator applies one gate at a time to the whole state and runs
-the circuit once per column, the plain form that the block simulator and
-the batched circuit matrix must reproduce.
+simulator's dictionary transforms, so the two can be compared.  A diffusion
+is built as the dense `DiffusionOperator` matrix padded with the identity,
+not by the simulator's segment sums.  The reference simulator applies one
+gate at a time to the whole state and runs the circuit once per column, the
+plain form that the block simulator and the batched circuit matrix must
+reproduce.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from graphwalk import Circuit, Gate, Instruction, SimulationError, SparseState, WalkState
+from graphwalk import (
+    Circuit, DiffusionOperator, Gate, Instruction, SimulationError, SparseState, WalkState,
+)
 from graphwalk.simulator import CIRCUIT_NORM_TOL, GATE_NORM_TOL, PRUNE_EPS
 
 
@@ -24,6 +28,14 @@ def bit_of(key: int, qubit: int, n: int) -> int:
 def with_bit(key: int, qubit: int, n: int, value: int) -> int:
     mask = 1 << (n - 1 - qubit)
     return (key | mask) if value else (key & ~mask)
+
+
+def diffusion_matrix(ins: Instruction) -> np.ndarray:
+    """A diffusion's local matrix on its target value: (2/d)J - I on the
+    values below d, padded with the identity up to 2^len(targets)."""
+    m = np.eye(1 << len(ins.targets), dtype=complex)
+    m[: ins.d, : ins.d] = DiffusionOperator(ins.d).matrix
+    return m
 
 
 def dense_instruction_matrix(ins: Instruction, n: int) -> np.ndarray:
@@ -52,18 +64,19 @@ def dense_instruction_matrix(ins: Instruction, n: int) -> np.ndarray:
                 mat[with_bit(b, t, n, 1 - bit_of(b, t, n)), b] = 1
             else:
                 mat[b, b] = 1
-        elif ins.gate is Gate.CTRL_UNITARY:
+        elif ins.gate is Gate.DIFFUSION:
             if not all(bit_of(b, c, n) for c in ins.controls):
                 mat[b, b] = 1
                 continue
+            local = diffusion_matrix(ins)
             val = 0
             for i, q in enumerate(ins.targets):
                 val |= bit_of(b, q, n) << i
-            for new_val in range(ins.matrix.shape[0]):
+            for new_val in range(local.shape[0]):
                 img = b
                 for i, q in enumerate(ins.targets):
                     img = with_bit(img, q, n, new_val >> i & 1)
-                mat[img, b] = ins.matrix[new_val, val]
+                mat[img, b] = local[new_val, val]
         else:
             raise AssertionError(f"unhandled gate {ins.gate}")
     return mat
@@ -125,11 +138,11 @@ def reference_apply_instruction(state: SparseState, ins: Instruction) -> SparseS
         out = {
             (k ^ m if k & cmask == cmask else k): a for k, a in state.amps.items()
         }
-    elif ins.gate is Gate.CTRL_UNITARY:
+    elif ins.gate is Gate.DIFFUSION:
         all_t = 0
         for m in tmask:
             all_t |= m
-        u = ins.matrix
+        u = diffusion_matrix(ins)
         for k, a in state.amps.items():
             if k & cmask != cmask:
                 out[k] = out.get(k, 0j) + a

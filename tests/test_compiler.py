@@ -38,6 +38,7 @@ from graphwalk import (
     verify_circuit_equivalence,
 )
 from graphwalk.simulator import apply_instruction
+from helpers import diffusion_matrix
 
 
 def coloring_polarity(g):
@@ -237,10 +238,14 @@ def test_transfer_then_inverse_fixes_every_local_state(d):
 def test_diffusion_degree_2_is_pole_swap_matrix():
     layout = path3_layout()
     (ins,) = compile_diffusion(layout, 1)
-    assert ins.gate is Gate.CTRL_UNITARY
-    assert ins.controls == (layout.node_registers[1].flag,)
-    assert ins.targets == layout.node_registers[1].binary
-    np.testing.assert_allclose(ins.matrix, [[0, 1], [1, 0]])
+    assert ins == Instruction(
+        Gate.DIFFUSION,
+        (layout.node_registers[1].flag,),
+        layout.node_registers[1].binary,
+        Locus("node", 1),
+        2,
+    )
+    np.testing.assert_array_equal(diffusion_matrix(ins), [[0, 1], [1, 0]])
 
 
 def test_diffusion_degree_1_empty():
@@ -253,9 +258,22 @@ def test_diffusion_degree_3_pads_identity():
     g = star_graph(3)
     layout = build_layout(g, hub_polarity(3))
     (ins,) = compile_diffusion(layout, 0)
-    expected = np.eye(4, dtype=complex)
+    assert ins.d == 3
+    expected = np.eye(4)
     expected[:3, :3] = DiffusionOperator(3).matrix
-    np.testing.assert_allclose(ins.matrix, expected)
+    binary, flag = layout.node_registers[0]
+    n = layout.n_qubits
+    probe = SparseState({}, n)
+    for v in range(4):
+        key = probe.mask(flag)
+        for i, q in enumerate(binary):
+            if v >> i & 1:
+                key |= probe.mask(q)
+        out = apply_instruction(SparseState({key: 1.0 + 0j}, n), ins)
+        column = np.zeros(4, dtype=complex)
+        for k, a in out.amps.items():
+            column[sum(1 << i for i, q in enumerate(binary) if k & probe.mask(q))] = a
+        np.testing.assert_allclose(column, expected[:, v], rtol=0, atol=1e-15)
 
 
 def test_scatter_low_degree_blocks():
@@ -275,14 +293,15 @@ def test_scatter_low_degree_blocks():
     assert verify_circuit_equivalence(g, p, [0], tolerance=1e-10).ok
 
 
-def test_invert_is_involution_and_conjugates_payloads():
+def test_invert_is_reversal():
+    # Every gate is its own inverse, the diffusion included.
     g = star_graph(3)
     layout = build_layout(g, hub_polarity(3))
+    transfer = compile_transfer(layout, 0)
+    assert invert_instructions(transfer) == tuple(reversed(transfer))
+    assert invert_instructions(invert_instructions(transfer)) == transfer
     block = compile_scatter(layout, 0)
-    assert invert_instructions(invert_instructions(block)) == block
-    (fwd,) = compile_diffusion(layout, 0)
-    (bwd,) = invert_instructions([fwd])
-    np.testing.assert_allclose(bwd.matrix, fwd.matrix.conj().T)
+    assert invert_instructions(block) == block
 
 
 def test_compile_step_phase_structure():
@@ -330,7 +349,8 @@ def test_circuit_json_roundtrip():
     back = circuit_from_json(circ.to_json())
     assert back.layout == circ.layout
     assert back.instructions == circ.instructions
-    assert back.phases == ()  # phase spans are not serialized
+    assert back.phases == circ.phases
+    assert len(back.phases) == 2 + g.n
 
 
 def test_circuit_json_deterministic():
@@ -343,23 +363,25 @@ def test_circuit_json_schema():
     g = path_graph(3)
     circ = compile_step(g, coloring_polarity(g), [0])
     doc = json.loads(circ.to_json())
-    assert set(doc) == {"qubits", "layout", "instructions"}
+    assert set(doc) == {"qubits", "layout", "instructions", "phases"}
     assert set(doc["layout"]) == {"edge_qubits", "node_registers", "facing", "local_edges"}
     assert doc["qubits"] == 8
     first = doc["instructions"][0]
     assert set(first) == {"gate", "controls", "targets", "locus"}
     assert first["gate"] == "z"
+    assert doc["phases"][:2] == [
+        {"kind": "oracle", "node": None, "start": 0, "stop": 3},
+        {"kind": "coin", "node": None, "start": 3, "stop": 5},
+    ]
     # Path-3's middle node has degree 2 and scatters with a plain swap.
-    assert not [ins for ins in doc["instructions"] if "matrix" in ins]
+    assert not [ins for ins in doc["instructions"] if "d" in ins]
     g = star_graph(3)
     doc = json.loads(compile_step(g, hub_polarity(3), [0]).to_json())
-    payloads = [ins for ins in doc["instructions"] if "matrix" in ins]
-    assert payloads, "expected at least one diffusion payload"
-    assert all(
-        len(entry) == 2 and all(isinstance(x, float) for x in entry)
-        for ins in payloads
-        for entry in ins["matrix"]
-    )
+    (diffusion,) = [ins for ins in doc["instructions"] if "d" in ins]
+    assert diffusion == {
+        "gate": "diffusion", "controls": [8], "targets": [6, 7],
+        "locus": {"kind": "node", "id": 0}, "d": 3,
+    }
 
 
 def test_circuit_from_json_rejects_garbage():
@@ -388,19 +410,92 @@ def test_circuit_from_json_rejects_unknown_gate():
 
 
 def test_circuit_from_json_rejects_non_unitary_matrix():
-    def mutate(doc):
-        doc["instructions"].append(
-            {
-                "gate": "ctrl-unitary",
-                "controls": [0],
-                "targets": [1],
-                "locus": {"kind": "edge", "id": 0},
-                "matrix": [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [2.0, 0.0]],
-            }
+    # Dense payloads are gone: a former `ctrl-unitary` instruction fails as
+    # an unknown gate, unitary or not, and its document must be recompiled.
+    for matrix in ([[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [2.0, 0.0]],
+                   [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]):
+        def mutate(doc):
+            doc["instructions"].append(
+                {
+                    "gate": "ctrl-unitary",
+                    "controls": [0],
+                    "targets": [1],
+                    "locus": {"kind": "edge", "id": 0},
+                    "matrix": matrix,
+                }
+            )
+
+        with pytest.raises(CircuitError) as info:
+            circuit_from_json(tampered_doc(mutate))
+        assert str(info.value) == (
+            "instruction 4: malformed ('ctrl-unitary' is not a valid Gate)"
         )
 
-    with pytest.raises(CircuitError, match="not unitary"):
-        circuit_from_json(tampered_doc(mutate))
+
+def _star3_doc():
+    doc = compile_step(star_graph(3), hub_polarity(3), [0]).to_json_dict()
+    assert doc["instructions"][22]["gate"] == "diffusion"
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("qubits",), "12", "qubits must be a JSON integer"),
+        (("qubits",), 12.0, "qubits must be a JSON integer"),
+        (("layout", "edge_qubits", 0, 1), "1", "layout.edge_qubits[0][1] must be a JSON integer"),
+        (("layout", "edge_qubits", 2, 0), 2.9, "layout.edge_qubits[2][0] must be a JSON integer"),
+        (("layout", "node_registers", 0, "binary", 1), False,
+         "layout.node_registers[0].binary[1] must be a JSON integer"),
+        (("layout", "node_registers", 2, "flag"), "10",
+         "layout.node_registers[2].flag must be a JSON integer"),
+        (("layout", "facing", 0, 2), 4.0, "layout.facing[0][2] must be a JSON integer"),
+        (("layout", "local_edges", 3, 0), True, "layout.local_edges[3][0] must be a JSON integer"),
+        (("instructions", 0, "targets", 0), "0", "instruction 0: targets[0] must be a JSON integer"),
+        (("instructions", 6, "controls", 0), 2.9,
+         "instruction 6: controls[0] must be a JSON integer"),
+        (("instructions", 1, "locus", "id"), False, "instruction 1: locus.id must be a JSON integer"),
+        (("instructions", 22, "d"), 3.0, "instruction 22: d must be a JSON integer"),
+        (("instructions", 22, "d"), "3", "instruction 22: d must be a JSON integer"),
+        (("phases", 1, "start"), "2", "phases[1].start must be a JSON integer"),
+        (("phases", 2, "node"), False, "phases[2].node must be a JSON integer"),
+    ],
+    ids=[
+        "qubits-string", "qubits-float", "edge-qubit-string", "edge-qubit-float",
+        "binary-false", "flag-string", "facing-float", "local-edge-true",
+        "target-string", "control-float", "locus-id-false", "d-float", "d-string",
+        "phase-start-string", "phase-node-false",
+    ],
+)
+def test_circuit_from_json_requires_integers(path, value, message):
+    doc = _star3_doc()
+    circuit_from_json(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(CircuitError) as info:
+        circuit_from_json(json.dumps(doc))
+    assert str(info.value) == message
+
+
+def test_circuit_from_json_checks_phase_spans():
+    doc = _star3_doc()
+    n_ins = len(doc["instructions"])
+    del doc["phases"]
+    assert circuit_from_json(json.dumps(doc)).phases == ()
+    for span, message in [
+        ((0, n_ins + 1), f"phases[0]: span [0, {n_ins + 1}) outside [0, {n_ins}]"),
+        ((3, 2), f"phases[0]: span [3, 2) outside [0, {n_ins}]"),
+        ((-1, 0), f"phases[0]: span [-1, 0) outside [0, {n_ins}]"),
+    ]:
+        doc["phases"] = [{"kind": "coin", "node": None, "start": span[0], "stop": span[1]}]
+        with pytest.raises(CircuitError) as info:
+            circuit_from_json(json.dumps(doc))
+        assert str(info.value) == message
+    doc["phases"] = [{"kind": "coin", "node": None, "start": 0}]
+    with pytest.raises(CircuitError, match="phases\\[0\\] missing 'stop'"):
+        circuit_from_json(json.dumps(doc))
 
 
 def test_circuit_from_json_rejects_out_of_range_qubit():
@@ -513,8 +608,8 @@ def _clear_layout(doc):
          "instruction 0: controls must be a JSON array"),
         (_put("instructions", 0, "targets", value=0),
          "instruction 0: targets must be a JSON array"),
-        (_put("instructions", 22, "matrix", value={}),
-         "instruction 22: matrix must be a JSON array"),
+        (_put("phases", value={}), "phases must be a JSON array"),
+        (_put("phases", 0, value=[]), "phases[0] must be a JSON object"),
     ],
     ids=[
         "instructions-number",
@@ -535,12 +630,12 @@ def _clear_layout(doc):
         "instruction-array",
         "controls-object",
         "targets-number",
-        "matrix-object",
+        "phases-object",
+        "phase-array",
     ],
 )
 def test_circuit_from_json_requires_arrays_and_objects(mutate, message):
-    doc = compile_step(star_graph(3), hub_polarity(3), [0]).to_json_dict()
-    assert doc["instructions"][22]["gate"] == "ctrl-unitary"
+    doc = _star3_doc()
     mutate(doc)
     with pytest.raises(CircuitError) as info:
         circuit_from_json(json.dumps(doc))
@@ -557,12 +652,19 @@ def test_instruction_validation():
         Instruction(Gate.X, (0,), (1,), locus)
     with pytest.raises(CircuitError, match="at least one control"):
         Instruction(Gate.MCX, (), (0,), locus)
-    with pytest.raises(CircuitError, match="does not take a matrix"):
-        Instruction(Gate.X, (), (0,), locus, np.eye(2))
-    with pytest.raises(CircuitError, match="needs a matrix"):
-        Instruction(Gate.CTRL_UNITARY, (0,), (1,), locus)
-    with pytest.raises(CircuitError, match="2x2"):
-        Instruction(Gate.CTRL_UNITARY, (0,), (1,), locus, np.eye(4))
+    with pytest.raises(CircuitError, match="gate x does not take d"):
+        Instruction(Gate.X, (), (0,), locus, 2)
+    with pytest.raises(CircuitError, match="diffusion needs controls and targets"):
+        Instruction(Gate.DIFFUSION, (), (1, 2), locus, 3)
+    for targets, d in [((1,), None), ((1,), 1), ((1,), 3), ((1, 2), 5), ((1, 2, 3), 0)]:
+        top = 1 << len(targets)
+        with pytest.raises(CircuitError) as info:
+            Instruction(Gate.DIFFUSION, (0,), targets, locus, d)
+        assert str(info.value) == (
+            f"diffusion on {len(targets)} targets needs 2 <= d <= {top}, got {d}"
+        )
+    for targets, d in [((1,), 2), ((1, 2), 3), ((1, 2), 4), ((1, 2, 3), 8)]:
+        assert Instruction(Gate.DIFFUSION, (0,), targets, locus, d).d == d
 
 
 @pytest.mark.parametrize(
@@ -620,11 +722,11 @@ def test_audit_counts_match_formula(m):
     hub = report.nodes[0]
     assert hub.degree == m
     assert hub.cnot_mcx == controlled_gate_count(m)
-    assert hub.ctrl_unitary == (1 if m >= 3 else 0)
+    assert hub.diffusion == (1 if m >= 3 else 0)
     leaf = report.nodes[1]
     assert leaf.degree == 1
     assert leaf.cnot_mcx == controlled_gate_count(1) == 0
-    assert leaf.ctrl_unitary == 0
+    assert leaf.diffusion == 0
 
 
 def test_audit_counts_within_loose_envelope():
@@ -651,6 +753,6 @@ def test_audit_json_shape():
     assert doc["ok"] is True
     assert [n["node"] for n in doc["nodes"]] == [0, 1, 2]
     assert all(
-        set(n) == {"node", "degree", "cnot_mcx", "ctrl_unitary", "bound", "within_bound"}
+        set(n) == {"node", "degree", "cnot_mcx", "diffusion", "bound", "within_bound"}
         for n in doc["nodes"]
     )

@@ -42,7 +42,7 @@ from graphwalk import (
     verify_circuit_equivalence,
 )
 from graphwalk import simulator
-from graphwalk.simulator import apply_instruction
+from graphwalk.simulator import CIRCUIT_NORM_TOL, GATE_NORM_TOL, apply_instruction
 from helpers import (
     dense_instruction_matrix,
     dense_to_sparse,
@@ -106,40 +106,54 @@ def test_mcx_fires_only_when_all_controls_set():
     assert idle.amps == {0b100: 1.0 + 0j}
 
 
-def test_ctrl_unitary_applies_payload_when_armed():
-    swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    ins = Instruction(Gate.CTRL_UNITARY, (0,), (1,), EDGE0, swap)
-    armed = apply_instruction(SparseState({0b10: 1.0 + 0j}, 2), ins)
-    assert armed.amps == {0b11: 1.0 + 0j}
-    idle = apply_instruction(SparseState({0b01: 1.0 + 0j}, 2), ins)
-    assert idle.amps == {0b01: 1.0 + 0j}
+def test_diffusion_armed_idle_and_above_d():
+    # Flag qubit 0, slot value on qubits (2, 1) read LSB first, d = 3.
+    ins = Instruction(Gate.DIFFUSION, (0,), (2, 1), EDGE0, 3)
+    armed = apply_instruction(SparseState({0b100: 1.0 + 0j}, 3), ins)
+    third = 2.0 / 3
+    assert armed.amps == {0b100: third - 1, 0b101: third + 0j, 0b110: third + 0j}
+    idle = SparseState({0b000: 0.6 + 0j, 0b011: 0.8 + 0j}, 3)
+    assert apply_instruction(idle, ins).amps == idle.amps
+    above = SparseState({0b111: 1.0 + 0j}, 3)  # slot value 3 = d
+    assert apply_instruction(above, ins).amps == above.amps
+    # At d = 2 the gate swaps the slot values; amplitudes that differ in a
+    # non-target bit (qubit 1 here) are diffused in separate groups.
+    swap = Instruction(Gate.DIFFUSION, (0,), (3,), EDGE0, 2)
+    pair = SparseState({0b1000: 0.6 + 0j, 0b1101: 0.8j}, 4)
+    assert apply_instruction(pair, swap).amps == {0b1001: 0.6 + 0j, 0b1100: 0.8j}
 
 
-def random_unitary(dim, rng):
-    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def test_diffusion_is_self_inverse():
+    n = 5
+    ins = Instruction(Gate.DIFFUSION, (1, 4), (3, 0, 2), EDGE0, 6)
+    mat = dense_instruction_matrix(ins, n)
+    np.testing.assert_allclose(mat @ mat, np.eye(1 << n), atol=1e-15)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        state = random_sparse_state(n, rng, support=20)
+        twice = apply_instruction(apply_instruction(state, ins), ins)
+        np.testing.assert_allclose(
+            sparse_to_dense(twice), sparse_to_dense(state), rtol=0, atol=1e-15
+        )
 
 
-@pytest.mark.parametrize(
-    "name, build",
-    [
-        ("x", lambda rng: Instruction(Gate.X, (), (2,), EDGE0)),
-        ("z", lambda rng: Instruction(Gate.Z, (), (0,), EDGE0)),
-        ("cnot", lambda rng: Instruction(Gate.CNOT, (3,), (1,), EDGE0)),
-        ("swap", lambda rng: Instruction(Gate.SWAP, (), (0, 4), EDGE0)),
-        ("mcx", lambda rng: Instruction(Gate.MCX, (0, 2, 4), (1,), EDGE0)),
-        (
-            "ctrl-unitary",
-            lambda rng: Instruction(
-                Gate.CTRL_UNITARY, (1,), (3, 0), EDGE0, random_unitary(4, rng)
-            ),
-        ),
-    ],
-)
+SAMPLE_GATES = {
+    Gate.X: lambda: Instruction(Gate.X, (), (2,), EDGE0),
+    Gate.Z: lambda: Instruction(Gate.Z, (), (0,), EDGE0),
+    Gate.CNOT: lambda: Instruction(Gate.CNOT, (3,), (1,), EDGE0),
+    Gate.SWAP: lambda: Instruction(Gate.SWAP, (), (0, 4), EDGE0),
+    Gate.MCX: lambda: Instruction(Gate.MCX, (0, 2, 4), (1,), EDGE0),
+    Gate.DIFFUSION: lambda: Instruction(Gate.DIFFUSION, (1,), (3, 0), EDGE0, 3),
+}
+
+
+# Every gate kind needs a sample here: a missing one fails collection.
+@pytest.mark.parametrize("name, build", [(g.value, SAMPLE_GATES[g]) for g in Gate])
 def test_sparse_gates_match_dense_construction(name, build):
     n = 5
-    rng = np.random.default_rng(hash(name) % 2**32)
-    ins = build(rng)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    ins = build()
+    assert ins.gate.value == name
     mat = dense_instruction_matrix(ins, n)
     np.testing.assert_allclose(mat @ mat.conj().T, np.eye(1 << n), atol=1e-12)
     for _ in range(3):
@@ -155,16 +169,27 @@ def test_apply_instruction_is_out_of_place():
     assert state.amps == {0b01: 1.0 + 0j}
 
 
-def test_non_unitary_payload_caught_by_norm_check():
-    bad = Instruction(
-        Gate.CTRL_UNITARY,
-        (0,),
-        (1,),
-        EDGE0,
-        np.array([[0.5, 0], [0, 0.5]], dtype=complex),
-    )
-    with pytest.raises(SimulationError, match="norm"):
-        apply_instruction(SparseState({0b11: 1.0 + 0j}, 2), bad)
+def test_diffusion_checks_column_drift(monkeypatch):
+    ins = Instruction(Gate.DIFFUSION, (0,), (1, 2), EDGE0, 3)
+    state = SparseState({0b100: 1.0 + 0j}, 3)
+    apply_instruction(state, ins)
+    monkeypatch.setattr(simulator, "GATE_NORM_TOL", -1.0)
+    with pytest.raises(SimulationError, match="gate diffusion changed the squared norm"):
+        apply_instruction(state, ins)
+    # Amplitudes the gate leaves alone are not held to its check.
+    apply_instruction(SparseState({0b000: 1.0 + 0j}, 3), ins)
+
+
+def test_run_checks_circuit_drift(monkeypatch):
+    g = path_graph(3)
+    circ = compile_step(g, coloring_polarity(g), [0])
+    key = 1 << (circ.n_qubits - 1)
+    run(circ, SparseState({key: 1.0 + 0j}, circ.n_qubits))
+    monkeypatch.setattr(simulator, "CIRCUIT_NORM_TOL", -1.0)
+    with pytest.raises(
+        SimulationError, match=r"^circuit changed the squared norm by 0\.000e\+00$"
+    ):
+        run(circ, SparseState({key: 1.0 + 0j}, circ.n_qubits))
 
 
 def test_gate_beyond_register_rejected():
@@ -364,16 +389,17 @@ def test_batched_matrix_bitwise_equals_per_column_reference(g, marked, enum_seed
     assert float(np.abs(mat - model).max()) < 1e-12
 
 
-def test_batched_matrix_matches_reference_with_random_payload():
+def test_batched_matrix_matches_reference_with_foreign_diffusion():
+    # d = 4 on the 3-leaf hub's register: slot value 3, which no transfer
+    # returns, receives weight and stays in the register as leakage.
     g = star_graph(3)
     layout = build_layout(g, hub_polarity(3))
     binary, flag = layout.node_registers[0]
-    payload = random_unitary(1 << len(binary), np.random.default_rng(5))
     hub = Locus("node", 0)
     transfer = compile_transfer(layout, 0)
     instrs = (
         transfer
-        + (Instruction(Gate.CTRL_UNITARY, (flag,), binary, hub, payload),)
+        + (Instruction(Gate.DIFFUSION, (flag,), binary, hub, 4),)
         + invert_instructions(transfer)
     )
     circ = Circuit(layout, instrs)
@@ -381,10 +407,11 @@ def test_batched_matrix_matches_reference_with_random_payload():
     ref, ref_leaks = reference_step_circuit_matrix(circ)
     np.testing.assert_allclose(mat, ref, rtol=0, atol=1e-12)
     assert leakage == pytest.approx(max(ref_leaks), abs=1e-12)
+    assert leakage == pytest.approx(0.25)
     assert np.abs(mat).max() > 0.1
 
 
-def mixed_circuit(n, rng):
+def mixed_circuit(n):
     """Every gate kind, with loci that switch mid-run and repeat."""
     edge, node = Locus("edge", 0), Locus("node", 0)
     instrs = [
@@ -392,12 +419,12 @@ def mixed_circuit(n, rng):
         Instruction(Gate.Z, (), (0,), edge),
         Instruction(Gate.CNOT, (3,), (1,), node),
         Instruction(Gate.SWAP, (), (0, 4), node),
-        Instruction(Gate.CTRL_UNITARY, (1,), (3, 0), node, random_unitary(4, rng)),
+        Instruction(Gate.DIFFUSION, (1,), (3, 0), node, 3),
         Instruction(Gate.MCX, (0, 2, 4), (1,), node),
         Instruction(Gate.Z, (), (3,), node),
         Instruction(Gate.SWAP, (), (1, 2), edge),
-        Instruction(Gate.CTRL_UNITARY, (4,), (2,), edge, random_unitary(2, rng)),
-        Instruction(Gate.CTRL_UNITARY, (0, 1), (3,), edge, random_unitary(2, rng)),
+        Instruction(Gate.DIFFUSION, (4,), (2, 3), edge, 4),
+        Instruction(Gate.DIFFUSION, (0, 1), (3,), edge, 2),
         Instruction(Gate.X, (), (4,), edge),
         Instruction(Gate.MCX, (4,), (0,), node),
         Instruction(Gate.CNOT, (2,), (3,), edge),
@@ -409,7 +436,8 @@ def mixed_circuit(n, rng):
 def test_run_matches_gate_by_gate_on_random_states():
     n = 5
     rng = np.random.default_rng(17)
-    circ = mixed_circuit(n, rng)
+    circ = mixed_circuit(n)
+    assert {ins.gate for ins in circ.instructions} == set(Gate)
     for _ in range(5):
         state = random_sparse_state(n, rng, support=20)
         gate_by_gate = state
@@ -426,41 +454,27 @@ def test_run_matches_gate_by_gate_on_random_states():
 
 
 def test_non_unitary_payload_caught_per_column():
-    # diag(sqrt 1.5, sqrt 0.5) on qubit 0 once the flag (qubit 2) is raised:
-    # the two unit columns go to squared norms 0.5 and 1.5, total unchanged.
-    layout = QubitLayout(((0, 1),), (), (), (), 3)
-    squeeze = np.diag([np.sqrt(1.5), np.sqrt(0.5)]).astype(complex)
-    edge = Locus("edge", 0)
-    circ = Circuit(
-        layout,
-        (
-            Instruction(Gate.X, (), (2,), edge),
-            Instruction(Gate.CTRL_UNITARY, (2,), (0,), edge, squeeze),
-        ),
-    )
-    with pytest.raises(SimulationError, match="gate ctrl-unitary changed the squared norm"):
-        step_circuit_matrix(circ)
-    with pytest.raises(SimulationError, match="gate ctrl-unitary changed the squared norm"):
-        reference_step_circuit_matrix(circ)
-    # The same two amplitudes in one column keep that column's norm.
-    amp = 1 / np.sqrt(2)
-    one_column = SparseState({0b100: amp + 0j, 0b010: amp + 0j}, 3)
-    assert run(circ, one_column).norm_sq() == pytest.approx(1.0, abs=1e-13)
+    # A non-unitary gate that squeezes two unit columns to squared norms 0.5
+    # and 1.5 leaves the total unchanged, but moves each column by 0.5.
+    with pytest.raises(SimulationError, match="^gate diffusion changed the squared norm"):
+        simulator._check_drift(
+            {0: 1.0, 1: 1.0}, {0: 0.5, 1: 1.5}, GATE_NORM_TOL, "gate diffusion"
+        )
+    # The same weight inside one column keeps that column's norm.
+    simulator._check_drift({0: 2.0}, {0: 0.5 + 1.5}, GATE_NORM_TOL, "gate diffusion")
 
 
 def test_circuit_drift_caught_per_column():
-    # Each gate moves 5e-14 of squared norm between the two unit columns,
-    # under the per-gate bound; 40 gates move 2e-12, over the circuit bound.
-    layout = QubitLayout(((0, 1),), (), (), (), 3)
-    leak = np.diag([np.sqrt(1 + 5e-14), np.sqrt(1 - 5e-14)]).astype(complex)
-    edge = Locus("edge", 0)
-    flag = Instruction(Gate.X, (), (2,), edge)
-    nudge = Instruction(Gate.CTRL_UNITARY, (2,), (0,), edge, leak)
-    circ = Circuit(layout, (flag,) + (nudge,) * 40)
-    with pytest.raises(SimulationError, match="circuit changed the squared norm"):
-        step_circuit_matrix(circ)
-    with pytest.raises(SimulationError, match="circuit changed the squared norm"):
-        reference_step_circuit_matrix(circ)
+    # Each gate moves 5e-14 of squared norm between two unit columns, under
+    # the per-gate bound; 40 gates move 2e-12, over the circuit bound.
+    nudge = {0: 1.0 + 5e-14, 1: 1.0 - 5e-14}
+    simulator._check_drift({0: 1.0, 1: 1.0}, nudge, GATE_NORM_TOL, "gate diffusion")
+    drifted = {0: 1.0 + 2e-12, 1: 1.0 - 2e-12}
+    with pytest.raises(SimulationError, match="^circuit changed the squared norm"):
+        simulator._check_drift({0: 1.0, 1: 1.0}, drifted, CIRCUIT_NORM_TOL, "circuit")
+    # Columns that appear or vanish count as drift as well.
+    with pytest.raises(SimulationError, match="by -1.000e\\+00"):
+        simulator._check_drift({0: 1.0, 1: 1.0}, {0: 1.0}, CIRCUIT_NORM_TOL, "circuit")
 
 
 def test_halfway_circuit_reports_one_column_leakage():

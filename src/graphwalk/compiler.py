@@ -3,13 +3,15 @@
 Each edge owns a qubit pair (one per pole) holding the walk amplitudes as a
 one-hot excitation.  Each node owns a small register: ceil(log2 d) binary
 qubits plus a flag.  A step compiles to a sign oracle and a pole swap on the
-edge pairs, then per node a transfer block that relocates whichever facing
-qubit is excited into the register as a slot number, one flag-controlled
-`diffusion` gate on the register, and the inverse transfer.  Nodes of degree
-at most 2 skip the register: their diffusion (2/d)J - I is the identity at
-degree 1, which compiles to nothing, and the pole swap at degree 2, which
-compiles to one swap of the two facing qubits.  Every instruction touches
-only qubits owned by its locus, so nodes act on their own neighborhoods.
+edge pairs, then per node a transfer block of CNOTs and multi-controlled
+NOTs that relocates whichever facing qubit is excited into the register as
+a slot number (no X gates: the slot order stands in for controls on zero
+bits), one flag-controlled `diffusion` gate on the register, and the
+inverse transfer.  Nodes of degree at most 2 skip the register: their
+diffusion (2/d)J - I is the identity at degree 1, which compiles to
+nothing, and the pole swap at degree 2, which compiles to one swap of the
+two facing qubits.  Every instruction touches only qubits owned by its
+locus, so nodes act on their own neighborhoods.
 
 Gates carry structure, not dense matrices: a `diffusion` gate names its
 degree d, and every gate is its own inverse.  A circuit document holds the
@@ -71,7 +73,8 @@ class Instruction:
     DIFFUSION carries the degree d.  When every control is set, it reads the
     targets as a slot value (target i is bit i), maps each value below d to
     (2/d) times the sum over those values minus itself, and leaves higher
-    values alone.  Every gate is its own inverse.
+    values alone.  Every gate is its own inverse.  Controls and targets are
+    kept as given; the document loader type-checks them.
     """
 
     gate: Gate
@@ -83,8 +86,6 @@ class Instruction:
     matrix = None
 
     def __post_init__(self):
-        object.__setattr__(self, "controls", tuple(int(q) for q in self.controls))
-        object.__setattr__(self, "targets", tuple(int(q) for q in self.targets))
         qubits = self.controls + self.targets
         if len(set(qubits)) != len(qubits):
             raise CircuitError(f"gate {self.gate.value} reuses a qubit: {qubits}")
@@ -217,9 +218,20 @@ def compile_transfer_k(layout: QubitLayout, node: int, k: int) -> tuple[Instruct
 
     Sends |1 on facing qubit k, empty register> to |0, slot value k-1, flag
     set> and leaves the all-zero register state alone: controlled writes of
-    the slot bits and the flag, then an X-conjugated multi-controlled NOT
-    erases the facing qubit exactly when the register spells slot k-1 with
-    the flag raised.  k is 1-based.
+    the one-bits of k-1 and the flag, then a multi-controlled NOT on those
+    one-bits and the flag erases the facing qubit.  k is 1-based.
+
+    The zero bits of k-1 need no controls, because the slot order already
+    rules out every other register value that could fire the NOT:
+
+    - The forward transfer runs slots 1..d.  When slot k's NOT runs, the
+      register holds k-1 or a value j-1 < k-1 written by an earlier slot.
+    - The inverse runs slots d..1.  Values k and above have already gone
+      back to their facing qubits, so the register holds a value <= k-1.
+    - A value v <= k-1 whose set bits include every set bit of k-1 is k-1.
+
+    So the block is exact on the single-excitation sector in slot order,
+    which is all the walk model and `verify` use.
     """
     d = layout.degree(node)
     if not 1 <= k <= d:
@@ -227,27 +239,15 @@ def compile_transfer_k(layout: QubitLayout, node: int, k: int) -> tuple[Instruct
     binary, flag = layout.node_registers[node]
     eta = layout.facing[node][k - 1]
     locus = Locus("node", node)
-    pattern = k - 1
-    out: list[Instruction] = []
-    for i, q in enumerate(binary):
-        if pattern >> i & 1:
-            out.append(Instruction(Gate.CNOT, (eta,), (q,), locus))
-    out.append(Instruction(Gate.CNOT, (eta,), (flag,), locus))
-    zeros = [q for i, q in enumerate(binary) if not pattern >> i & 1]
-    for q in zeros:
-        out.append(Instruction(Gate.X, (), (q,), locus))
-    out.append(Instruction(Gate.MCX, tuple(binary) + (flag,), (eta,), locus))
-    for q in zeros:
-        out.append(Instruction(Gate.X, (), (q,), locus))
-    return tuple(out)
+    writes = tuple(q for i, q in enumerate(binary) if (k - 1) >> i & 1) + (flag,)
+    erase = Instruction(Gate.MCX, writes, (eta,), locus)
+    return tuple(Instruction(Gate.CNOT, (eta,), (q,), locus) for q in writes) + (erase,)
 
 
 def compile_transfer(layout: QubitLayout, node: int) -> tuple[Instruction, ...]:
     """Relocate whichever facing qubit is excited into the node register."""
-    out: list[Instruction] = []
-    for k in range(1, layout.degree(node) + 1):
-        out.extend(compile_transfer_k(layout, node, k))
-    return tuple(out)
+    slots = range(1, layout.degree(node) + 1)
+    return tuple(ins for k in slots for ins in compile_transfer_k(layout, node, k))
 
 
 def compile_diffusion(layout: QubitLayout, node: int) -> tuple[Instruction, ...]:
@@ -337,22 +337,16 @@ def compile_step(
 ) -> Circuit:
     """Compile one full walk step: oracle, coin, then every node's scatter."""
     layout = build_layout(g, p, enumeration_seed=enumeration_seed)
+    blocks = [
+        ("oracle", None, compile_oracle(layout, marked)),
+        ("coin", None, compile_coin(layout)),
+        *(("scatter", u, compile_scatter(layout, u)) for u in range(g.n)),
+    ]
     instructions: list[Instruction] = []
     phases: list[Phase] = []
-
-    start = len(instructions)
-    instructions.extend(compile_oracle(layout, marked))
-    phases.append(Phase("oracle", None, start, len(instructions)))
-
-    start = len(instructions)
-    instructions.extend(compile_coin(layout))
-    phases.append(Phase("coin", None, start, len(instructions)))
-
-    for u in range(g.n):
-        start = len(instructions)
-        instructions.extend(compile_scatter(layout, u))
-        phases.append(Phase("scatter", u, start, len(instructions)))
-
+    for kind, node, block in blocks:
+        phases.append(Phase(kind, node, len(instructions), len(instructions) + len(block)))
+        instructions.extend(block)
     return Circuit(layout, tuple(instructions), tuple(phases))
 
 

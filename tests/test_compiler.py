@@ -178,13 +178,18 @@ def test_transfer_k_degree_4_slot_3_sequence():
     instrs = compile_transfer_k(layout, 0, 3)
     eta = 4  # + pole of edge 2, the third incident edge
     locus = Locus("node", 0)
+    # Slot value 2 sets only bit 1 (qubit 9); its zero bit 8 is no control.
     assert instrs == (
         Instruction(Gate.CNOT, (eta,), (9,), locus),
         Instruction(Gate.CNOT, (eta,), (10,), locus),
-        Instruction(Gate.X, (), (8,), locus),
-        Instruction(Gate.MCX, (8, 9, 10), (eta,), locus),
-        Instruction(Gate.X, (), (8,), locus),
+        Instruction(Gate.MCX, (9, 10), (eta,), locus),
     )
+
+
+def test_step_gate_kinds():
+    g = star_graph(5)
+    kinds = {ins.gate for ins in compile_step(g, hub_polarity(5), [0]).instructions}
+    assert kinds == {Gate.Z, Gate.SWAP, Gate.CNOT, Gate.MCX, Gate.DIFFUSION}
 
 
 def test_transfer_k_rejects_bad_slot():
@@ -233,6 +238,25 @@ def test_transfer_then_inverse_fixes_every_local_state(d):
                 key |= probe.mask(q)
         out = run_instructions(roundtrip, SparseState({key: 1.0 + 0j}, n))
         assert out.amps == {key: 1.0 + 0j}
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+@pytest.mark.parametrize("d", [3, 4, 5, 7, 16])
+def test_inverse_transfer_returns_every_slot_value(d, seed):
+    # The inverse runs slots d..1.  Slot k's MCX would also fire on a value
+    # above k-1 that holds k-1's bits, but such values have left by then.
+    layout = build_layout(star_graph(d), hub_polarity(d), enumeration_seed=seed)
+    inverse = invert_instructions(compile_transfer(layout, 0))
+    binary, flag = layout.node_registers[0]
+    n = layout.n_qubits
+    probe = SparseState({}, n)
+    for v in range(d):
+        key = probe.mask(flag)
+        for i, q in enumerate(binary):
+            if v >> i & 1:
+                key |= probe.mask(q)
+        out = run_instructions(inverse, SparseState({key: 1.0 + 0j}, n))
+        assert out.amps == {probe.mask(layout.facing[0][v]): 1.0 + 0j}
 
 
 def test_diffusion_degree_2_is_pole_swap_matrix():
@@ -433,9 +457,13 @@ def test_circuit_from_json_rejects_non_unitary_matrix():
 
 
 def _star3_doc():
-    doc = compile_step(star_graph(3), hub_polarity(3), [0]).to_json_dict()
-    assert doc["instructions"][22]["gate"] == "diffusion"
-    return doc
+    return compile_step(star_graph(3), hub_polarity(3), [0]).to_json_dict()
+
+
+# The hub's diffusion, the one instruction of `_star3_doc` that carries `d`.
+_HUB_DIFFUSION = next(
+    i for i, ins in enumerate(_star3_doc()["instructions"]) if ins["gate"] == "diffusion"
+)
 
 
 @pytest.mark.parametrize(
@@ -455,8 +483,10 @@ def _star3_doc():
         (("instructions", 6, "controls", 0), 2.9,
          "instruction 6: controls[0] must be a JSON integer"),
         (("instructions", 1, "locus", "id"), False, "instruction 1: locus.id must be a JSON integer"),
-        (("instructions", 22, "d"), 3.0, "instruction 22: d must be a JSON integer"),
-        (("instructions", 22, "d"), "3", "instruction 22: d must be a JSON integer"),
+        (("instructions", _HUB_DIFFUSION, "d"), 3.0,
+         f"instruction {_HUB_DIFFUSION}: d must be a JSON integer"),
+        (("instructions", _HUB_DIFFUSION, "d"), "3",
+         f"instruction {_HUB_DIFFUSION}: d must be a JSON integer"),
         (("phases", 1, "start"), "2", "phases[1].start must be a JSON integer"),
         (("phases", 2, "node"), False, "phases[2].node must be a JSON integer"),
     ],

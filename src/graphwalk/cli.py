@@ -134,7 +134,7 @@ class ConfigError(ValueError):
 
 
 def _edge_payload(g: Graph, star: StarifiedGraph | None, k: int) -> dict:
-    u, v = g.edges[k]
+    u, v = g.edges[k].tolist()
     payload = {"edge_index": k, "edge": [u, v], "node": None}
     if star is not None and star.is_virtual_edge(k):
         payload["node"] = k - star.real_edge_count

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, PolarityMap, check_polarity
+from .graph import Graph, PolarityMap, check_polarity, facing_amplitudes
 
 
 class CircuitError(ValueError):
@@ -166,17 +166,21 @@ def build_layout(
     check_polarity(g, p)
     edge_qubits = tuple((2 * k, 2 * k + 1) for k in range(g.n_edges))
     rng = None if enumeration_seed is None else np.random.default_rng(enumeration_seed)
+    # Edge qubit 2k + c holds edge k's pole c, so a facing qubit is the
+    # facing amplitude's index.
+    entry_edges, entry_facing = g.edge.tolist(), facing_amplitudes(g, p).tolist()
+    start = g.indptr.tolist()
     registers: list[NodeRegister] = []
     facing: list[tuple[int, ...]] = []
     local_edges: list[tuple[int, ...]] = []
     q = 2 * g.n_edges
     for u in range(g.n):
-        d = g.degree(u)
-        slots = list(range(d))
+        d = start[u + 1] - start[u]
+        entries = range(start[u], start[u + 1])
         if rng is not None:
-            slots = [int(s) for s in rng.permutation(d)]
-        edges_u = tuple(g.adjacency[u][s][1] for s in slots)
-        facing_u = tuple(edge_qubits[k][p.component_at(k, u)] for k in edges_u)
+            entries = [start[u] + int(s) for s in rng.permutation(d)]
+        edges_u = tuple(entry_edges[i] for i in entries)
+        facing_u = tuple(entry_facing[i] for i in entries)
         r = (d - 1).bit_length() if d > 1 else 0
         registers.append(NodeRegister(binary=tuple(range(q, q + r)), flag=q + r))
         q += r + 1

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import defaultdict
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -44,150 +45,285 @@ class GraphParseError(GraphError):
         self.line = line
 
 
-@dataclass(frozen=True)
+def _int_array(values) -> np.ndarray:
+    """`values` as an int64 array, or as exact Python ints where some do not fit."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """A simple connected undirected graph with indexed edges.
 
-    Nodes are 0..n-1.  Edges are stored as (u, v) pairs with u < v; their
-    tuple position is the edge index used everywhere else (amplitudes,
-    polarities, qubit wiring).  Construction validates simplicity and
-    connectivity and precomputes the adjacency structure.
+    Nodes are 0..n-1.  Row k of `edges` is edge k, normalized to u < v; that
+    index is used everywhere else (amplitudes, polarities, qubit wiring).
+    Construction validates simplicity and connectivity and stores the
+    adjacency as compressed sparse rows: node u's incident edges are the
+    entries indptr[u]:indptr[u + 1] of `neighbor` and `edge`, in ascending
+    neighbor order.  Every array is read-only.  Graphs are equal when they
+    have the same n and the same edges in the same order; they are not
+    hashable.
 
     Attributes:
         n: Number of nodes.
-        edges: Tuple of (u, v) pairs, normalized to u < v.
-        adjacency: Per node, a tuple of (neighbor, edge_index) pairs in
-            ascending neighbor order.  Derived; excluded from equality.
+        edges: (E, 2) int64 array of (u, v) rows with u < v.
+        indptr: n + 1 offsets into `neighbor` and `edge`.
+        neighbor: The neighbor at each of the 2E entries.
+        edge: The index of the edge at each entry.
+
+    Examples:
+        >>> g = Graph(3, ((2, 1), (1, 0)))
+        >>> g.edges
+        array([[1, 2],
+               [0, 1]])
+        >>> g.indptr, g.neighbor, g.edge
+        (array([0, 1, 3, 4]), array([1, 0, 2, 1]), array([1, 1, 0, 0]))
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(
-        init=False, compare=False, repr=False
-    )
+    edges: np.ndarray
+    indptr: np.ndarray = field(init=False, repr=False)
+    neighbor: np.ndarray = field(init=False, repr=False)
+    edge: np.ndarray = field(init=False, repr=False)
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edges, other.edges)
 
     def __post_init__(self):
         n = self.n
         if n < 1:
             raise GraphError(f"graph needs at least one node, got n={n}")
-        first_index: dict[tuple[int, int], int] = {}
-        for k, (u, v) in enumerate(self.edges):
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}", k)
-            if u == v:
-                raise GraphError(f"self-loop at node {u}", k)
-            e = (u, v) if u < v else (v, u)
-            first = first_index.setdefault(e, k)
-            if first != k:
-                raise GraphError(f"duplicate edge {e}", k, first)
-        object.__setattr__(self, "edges", tuple(first_index))
-        del first_index  # not held while the per-node lists are built
+        written = _int_array(self.edges)
+        if written.size == 0:
+            written = written.reshape(0, 2)
+        if written.ndim != 2 or written.shape[1] != 2:
+            raise GraphError(f"edges must be (u, v) pairs, got shape {written.shape}")
+        lo = np.minimum(written[:, 0], written[:, 1])
+        hi = np.maximum(written[:, 0], written[:, 1])
 
-        # n nodes need at least n - 1 edges to connect; with fewer, search
-        # from node 0 in a dict, without any per-node list.
-        neighbors = defaultdict(list) if n > len(self.edges) + 1 else [[] for _ in range(n)]
-        for k, (u, v) in enumerate(self.edges):
-            neighbors[u].append((v, k))
-            neighbors[v].append((u, k))
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            for v, _ in neighbors[frontier.pop()]:
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        if len(seen) != n:
-            missing = next(u for u in itertools.count() if u not in seen)
+        n_edges = len(lo)
+        # n nodes need at least n - 1 edges to connect.  With fewer, work on
+        # the ids that occur, renumbered 0..m-1, so nothing is sized by n and
+        # the pair keys a·m + b fit int64 however large the ids are.
+        if n > n_edges + 1:
+            ids, ends = np.unique(np.concatenate(([0], lo, hi)), return_inverse=True)
+            m, a, b = len(ids), ends[1 : n_edges + 1], ends[n_edges + 1 :]
+        else:
+            ids, m, a, b = None, n, lo, hi
+        _check_edges(n, written, lo, hi, a * m + b)
+        roots = _component_roots(m, a, b)
+        reached = np.flatnonzero(roots == 0) if ids is None else ids[roots == 0]
+        if len(reached) < n:
+            gaps = np.flatnonzero(reached != np.arange(len(reached)))
+            missing = int(gaps[0]) if gaps.size else len(reached)
             raise GraphError(f"graph is not connected: node {missing} unreachable from node 0")
-        object.__setattr__(
-            self, "adjacency", tuple(tuple(sorted(nbrs)) for nbrs in neighbors)
-        )
+
+        rows, cols = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        order = np.argsort(rows * n + cols)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        object.__setattr__(self, "edges", _read_only(np.stack([lo, hi], axis=1)))
+        object.__setattr__(self, "indptr", _read_only(indptr))
+        object.__setattr__(self, "neighbor", _read_only(cols[order]))
+        edge = np.where(order < n_edges, order, order - n_edges)
+        object.__setattr__(self, "edge", _read_only(edge))
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
 
     def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
+        return int(self.indptr[u + 1] - self.indptr[u])
 
     def edge_index(self, u: int, v: int) -> int:
         """Return the index of edge {u, v}, raising GraphError if absent."""
-        key = (u, v) if u < v else (v, u)
-        for nbr, k in self.adjacency[key[0]]:
-            if nbr == key[1]:
-                return k
+        lo, hi = (u, v) if u < v else (v, u)
+        if 0 <= lo and hi < self.n:
+            start, stop = self.indptr[lo], self.indptr[lo + 1]
+            i = start + np.searchsorted(self.neighbor[start:stop], hi)
+            if i < stop and self.neighbor[i] == hi:
+                return int(self.edge[i])
         raise GraphError(f"no edge between {u} and {v}")
 
 
-@dataclass(frozen=True)
+def _check_edges(
+    n: int, written: np.ndarray, lo: np.ndarray, hi: np.ndarray, keys: np.ndarray
+) -> None:
+    """Raise for the first faulty edge in list order, if any.
+
+    An edge is checked for range, then for a self-loop, then for an earlier
+    copy (equal `keys`, one per edge); the range message shows the edge as
+    written.
+    """
+    outside = (lo < 0) | (hi >= n)
+    loop = lo == hi
+    # The key of an edge outside the range may have wrapped.  A false match
+    # is harmless: it marks the later of its two edges, which is this edge,
+    # itself a range fault, or an edge after it.
+    repeat = np.ones(len(keys), dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    faults = np.flatnonzero(outside | loop | repeat)
+    if not faults.size:
+        return
+    k = int(faults[0])
+    if outside[k]:
+        u, v = (int(x) for x in written[k])
+        raise GraphError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}", k)
+    if loop[k]:
+        raise GraphError(f"self-loop at node {int(lo[k])}", k)
+    first = int(np.flatnonzero(keys[:k] == keys[k])[0])
+    raise GraphError(f"duplicate edge ({int(lo[k])}, {int(hi[k])})", k, first)
+
+
+def _component_roots(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per node, the smallest node of its component (edges lo[i] - hi[i]).
+
+    Min-label hooking: each round points every root that shares an edge
+    with a smaller root at the smallest such root, then jumps pointers until
+    every node points at its root.  Labels only decrease, so no cycle forms.
+    A tree that neither hooks nor is hooked in one round hooks in the next,
+    so the trees of an unfinished component at least halve every two
+    rounds: O(log n) rounds of O(E) work.
+    """
+    label = np.arange(n)
+    while True:
+        a, b = label[lo], label[hi]
+        split = a != b
+        if not split.any():
+            return label
+        a, b = a[split], b[split]
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+
+
+@dataclass(frozen=True, eq=False)
 class PolarityMap:
     """Assignment of the + pole of every edge to one of its endpoints.
 
     plus_node[k] is the endpoint of edge k holding the + pole; the opposite
     endpoint holds the - pole.  A node always scatters the components of its
-    incident edges whose pole faces it.
+    incident edges whose pole faces it.  Polarities are equal when their
+    arrays are; they are not hashable.
 
     Attributes:
-        plus_node: Per edge, the node id of the + endpoint.
+        plus_node: Per edge, the node id of the + endpoint (read-only int64
+            array).
+
+    Examples:
+        >>> p = PolarityMap((1, 1))
+        >>> p.plus_node, p.component_at(0, 1), p.component_at(0, 0)
+        (array([1, 1]), 0, 1)
+        >>> p == PolarityMap([1, 1])
+        True
     """
 
-    plus_node: tuple[int, ...]
+    plus_node: np.ndarray
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if not isinstance(other, PolarityMap):
+            return NotImplemented
+        return np.array_equal(self.plus_node, other.plus_node)
+
+    def __post_init__(self):
+        object.__setattr__(self, "plus_node", _read_only(np.array(self.plus_node, dtype=np.int64)))
 
     def component_at(self, edge_index: int, node: int) -> int:
         """Return 0 if `node` holds the + pole of the edge, else 1."""
         return 0 if self.plus_node[edge_index] == node else 1
 
 
+def facing_amplitudes(g: Graph, p: PolarityMap) -> np.ndarray:
+    """Per CSR entry of `g`, the amplitude 2k + c of edge k that faces the row node.
+
+    c is 0 when the row node holds the + pole of edge k, else 1, so node u's
+    facing amplitudes are entries indptr[u]:indptr[u + 1], in ascending
+    neighbor order.
+    """
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    return 2 * g.edge + (p.plus_node[g.edge] != rows)
+
+
 def check_polarity(g: Graph, p: PolarityMap) -> None:
     """Validate that `p` assigns a + endpoint to every edge of `g`."""
-    if len(p.plus_node) != g.n_edges:
+    plus = p.plus_node
+    if len(plus) != g.n_edges:
+        raise GraphError(f"polarity covers {len(plus)} edges, graph has {g.n_edges}")
+    lo, hi = g.edges.T
+    foreign = np.flatnonzero((plus != lo) & (plus != hi))
+    if foreign.size:
+        k = int(foreign[0])
         raise GraphError(
-            f"polarity covers {len(p.plus_node)} edges, graph has {g.n_edges}"
+            f"polarity of edge {k} points at node {plus[k]}, "
+            f"not an endpoint of ({lo[k]}, {hi[k]})"
         )
-    for k, (u, v) in enumerate(g.edges):
-        if p.plus_node[k] not in (u, v):
-            raise GraphError(
-                f"polarity of edge {k} points at node {p.plus_node[k]}, "
-                f"not an endpoint of ({u}, {v})"
-            )
 
 
-def greedy_coloring(g: Graph) -> tuple[int, ...]:
+def greedy_coloring(g: Graph) -> np.ndarray:
     """Color nodes first-fit in ascending id order.
 
     Each node takes the smallest color unused by its already-colored
-    neighbors, so adjacent nodes always end up with distinct colors.
+    neighbors, so adjacent nodes always end up with distinct colors.  Those
+    neighbors are the ones below it: a prefix of its ascending CSR slice.
 
     Returns:
-        Per-node color tuple.
+        Per-node int64 color array.
 
     Examples:
         >>> greedy_coloring(path_graph(3))
-        (0, 1, 0)
+        array([0, 1, 0])
     """
-    colors: list[int] = [-1] * g.n
-    for u in range(g.n):
-        taken = {colors[v] for v, _ in g.adjacency[u] if colors[v] >= 0}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[u] = c
-    return tuple(colors)
+    neighbor = g.neighbor.tolist()
+    start = g.indptr[:-1]
+    # edge (u, v) with u < v puts u below v
+    stop = start + np.bincount(g.edges[:, 1], minlength=g.n)
+    colors = [0] * g.n
+    for u, (a, b) in enumerate(zip(start.tolist(), stop.tolist())):
+        # One neighbor below (every leaf of a star or a starified graph):
+        # color 0 unless it took 0, without building a set.
+        if b - a == 1:
+            colors[u] = 0 if colors[neighbor[a]] else 1
+        elif b > a:
+            taken = set(map(colors.__getitem__, neighbor[a:b]))
+            c = 0
+            while c in taken:
+                c += 1
+            colors[u] = c
+    return np.array(colors, dtype=np.int64)
 
 
-def check_proper(g: Graph, colors: tuple[int, ...]) -> None:
-    """Validate that `colors` is a proper coloring of `g`."""
+def check_proper(g: Graph, colors) -> None:
+    """Validate that `colors` (one per node) is a proper coloring of `g`."""
     if len(colors) != g.n:
         raise GraphError(f"coloring covers {len(colors)} nodes, graph has {g.n}")
-    for k, (u, v) in enumerate(g.edges):
-        if colors[u] == colors[v]:
-            raise GraphError(
-                f"improper coloring: edge {k} joins nodes {u} and {v} "
-                f"sharing color {colors[u]}"
-            )
+    c = _int_array(colors)
+    lo, hi = g.edges.T
+    clash = np.flatnonzero(c[lo] == c[hi])
+    if clash.size:
+        k = int(clash[0])
+        raise GraphError(
+            f"improper coloring: edge {k} joins nodes {lo[k]} and {hi[k]} "
+            f"sharing color {c[lo[k]]}"
+        )
 
 
-def polarity_from_coloring(g: Graph, colors: tuple[int, ...]) -> PolarityMap:
+def polarity_from_coloring(g: Graph, colors) -> PolarityMap:
     """Derive a polarity from a proper coloring: + pole at the higher color.
 
     Colors of adjacent nodes differ, so every edge gets a well-defined
@@ -199,12 +335,12 @@ def polarity_from_coloring(g: Graph, colors: tuple[int, ...]) -> PolarityMap:
     Examples:
         >>> g = path_graph(3)
         >>> polarity_from_coloring(g, greedy_coloring(g)).plus_node
-        (1, 1)
+        array([1, 1])
     """
-    check_proper(g, colors)
-    return PolarityMap(
-        tuple(u if colors[u] > colors[v] else v for (u, v) in g.edges)
-    )
+    c = _int_array(colors)
+    check_proper(g, c)
+    lo, hi = g.edges.T
+    return PolarityMap(np.where(c[lo] > c[hi], lo, hi))
 
 
 @dataclass(frozen=True)
@@ -247,10 +383,11 @@ def starify(g: Graph) -> StarifiedGraph:
         >>> s.graph.n, s.graph.n_edges
         (6, 6)
         >>> s.graph.edges[s.virtual_edge_of(2)]
-        (2, 5)
+        array([2, 5])
     """
-    edges = list(g.edges) + [(u, g.n + u) for u in range(g.n)]
-    return StarifiedGraph(Graph(2 * g.n, tuple(edges)), g.n, g.n_edges)
+    real = np.arange(g.n)
+    edges = np.concatenate([g.edges, np.stack([real, g.n + real], axis=1)])
+    return StarifiedGraph(Graph(2 * g.n, edges), g.n, g.n_edges)
 
 
 def parse_graph(text: str, fmt: str = "edge-list") -> Graph:
@@ -295,8 +432,42 @@ def _edge_lines(text: str):
             yield lineno, line
 
 
-def _parse_edge_list(text: str) -> Graph:
-    edges: list[tuple[int, int]] = []
+_PLAIN_BYTES = b"0123456789 \t\r\n"
+
+
+def _plain_endpoints(text: str) -> np.ndarray | None:
+    """The endpoints of a plain edge list, read with one split; else None.
+
+    Plain text holds ASCII digits, spaces, tabs and line ends only (so no
+    comment and no sign), and two numbers on every non-blank line.  Any
+    other text, and any number that does not fit int64, is left to the
+    per-line tokenizer.
+    """
+    if not text.isascii():
+        return None
+    raw = text.encode()
+    if raw.translate(None, _PLAIN_BYTES) or not raw.strip():
+        return None
+    chars = np.frombuffer(raw, dtype=np.uint8)
+    digit = chars >= ord("0")
+    begins = np.flatnonzero(digit & ~np.concatenate(([False], digit[:-1])))
+    line_ends = np.flatnonzero((chars == ord("\n")) | (chars == ord("\r")))
+    per_line = np.diff(np.searchsorted(begins, line_ends), prepend=0, append=len(begins))
+    if not np.all((per_line == 0) | (per_line == 2)):
+        return None
+    flat = np.fromstring(text, dtype=np.int64, sep=" ")
+    # fromstring clamps a number that overflows to the int64 maximum
+    return None if flat.max() == np.iinfo(np.int64).max else flat
+
+
+def _line_endpoints(text: str) -> list[int]:
+    """The endpoints u, v, u, v, ... of an edge list, read line by line.
+
+    Raises:
+        GraphParseError: On the first line that is not a pair of
+            non-negative integers.
+    """
+    flat: list[int] = []
     for lineno, line in _edge_lines(text):
         parts = line.split()
         if len(parts) != 2:
@@ -309,12 +480,21 @@ def _parse_edge_list(text: str) -> Graph:
             raise GraphParseError(f"non-integer node id in {line!r}", lineno) from None
         if u < 0 or v < 0:
             raise GraphParseError(f"negative node id in {line!r}", lineno)
-        edges.append((u, v))
-    if not edges:
+        flat += (u, v)
+    return flat
+
+
+def _parse_edge_list(text: str) -> Graph:
+    flat = _plain_endpoints(text)
+    if flat is None:
+        flat = _int_array(_line_endpoints(text))
+    if not flat.size:
         raise GraphParseError("no edges found")
-    n = 1 + max(itertools.chain.from_iterable(edges))
     return _build_graph(
-        n, edges, lambda k: next(itertools.islice(_edge_lines(text), k, None))[0], "on line"
+        1 + int(flat.max()),
+        flat.reshape(-1, 2),
+        lambda k: next(itertools.islice(_edge_lines(text), k, None))[0],
+        "on line",
     )
 
 
@@ -367,12 +547,12 @@ def _parse_json(text: str) -> tuple[Graph, tuple[int, ...] | None]:
 
 def to_edge_list(g: Graph) -> str:
     """Serialize to the edge-list format, one edge per line in index order."""
-    return "".join(f"{u} {v}\n" for u, v in g.edges)
+    return "".join(f"{u} {v}\n" for u, v in g.edges.tolist())
 
 
 def to_json(g: Graph) -> str:
     """Serialize to the JSON format parse_graph accepts."""
-    return json.dumps({"nodes": g.n, "edges": [list(e) for e in g.edges]})
+    return json.dumps({"nodes": g.n, "edges": g.edges.tolist()})
 
 
 def path_graph(n: int) -> Graph:

@@ -9,11 +9,10 @@ each node diffuses the amplitudes facing it with the degree-d Grover operator
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from .graph import Graph, PolarityMap, check_polarity
+from .graph import Graph, PolarityMap, check_polarity, facing_amplitudes
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 MINUS_X = -PAULI_X
@@ -160,9 +159,12 @@ class WalkPlan:
     A step applies the oracle, then the coin, then every node's diffusion.
     The plan folds the first two into one 2x2 action per edge: the coin on
     unmarked edges and coin times oracle on marked ones.  It lays the
-    amplitudes out node by node, each node's facing amplitudes in ascending
-    neighbor order (the order of `Graph.adjacency`), so one gather, one
-    segment sum and one scatter run every diffusion.
+    amplitudes out node by node in the graph's CSR order, each node's facing
+    amplitudes in ascending neighbor order, so one gather, one segment sum
+    and one scatter run every diffusion.  The 2x2 actions are elementwise
+    column arithmetic, not matrix products; with the default specs (the X
+    coin, the -X oracle) they reduce to gathering each pole's partner and
+    negating the marked edges.
 
     The plan remembers the cumulative edge distribution of its last
     evolution, so repeated draws at one step count evolve once.
@@ -170,6 +172,19 @@ class WalkPlan:
     Attributes:
         g, p, oracle, coin: What the plan was built for, as passed.
         n_edges: Edge count of `g`.
+
+    Examples:
+        >>> from graphwalk import greedy_coloring, polarity_from_coloring, star_graph
+        >>> g = star_graph(3)
+        >>> p = polarity_from_coloring(g, greedy_coloring(g))
+        >>> p.plus_node
+        array([1, 2, 3])
+        >>> plan = WalkPlan(g, p, OracleSpec(marked=frozenset({0})))
+        >>> state = diagonal_state(g)
+        >>> for _ in range(2):
+        ...     state = plan.step(state)
+        >>> edge_probabilities(state).round(3)
+        array([0.761, 0.119, 0.119])
     """
 
     def __init__(
@@ -187,23 +202,27 @@ class WalkPlan:
         self.g, self.p, self.oracle, self.coin = g, p, oracle, coin
         self.n_edges = n_edges
 
-        # Flat amplitude 2k + c faces the + endpoint of edge k when c == 0.
-        ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * n_edges)
-        plus = np.fromiter(p.plus_node, dtype=np.intp, count=n_edges)
-        other = ends[0::2] + ends[1::2] - plus
-        facing = np.stack([plus, other], axis=1).reshape(-1)
-        neighbor = np.stack([other, plus], axis=1).reshape(-1)
-        # (facing, neighbor) pairs are distinct in a simple graph, so any sort
-        # of this key gives the one order of Graph.adjacency.
-        self._dst = np.argsort(facing * g.n + neighbor)
-        by_node = facing[self._dst]
-        self._starts = np.flatnonzero(np.diff(by_node, prepend=-1))
-        self._degrees = np.diff(np.r_[self._starts, 2 * n_edges])
+        # Gathered amplitude i is flat amplitude _dst[i] (2k + c is edge k's
+        # pole c); node u's block is i in indptr[u]:indptr[u + 1].
+        self._dst = facing_amplitudes(g, p)
+        degrees = np.diff(g.indptr)
+        self._starts, self._degrees = g.indptr[:-1][degrees > 0], degrees[degrees > 0]
         self._weights = 2.0 / self._degrees
 
         coin_m = (coin if coin is not None else CoinSpec()).matrix
         marked_m = coin_m @ oracle.matrix if oracle is not None else coin_m
         self._marked, self._coin_m, self._marked_m = marked, coin_m, marked_m
+        self._swap = None
+        if np.array_equal(coin_m, PAULI_X) and (
+            oracle is None or np.array_equal(oracle.matrix, MINUS_X)
+        ):
+            # The X coin swaps poles: gather each amplitude's partner 2k + 1 - c.
+            # On marked edges coin times oracle is -I: gather in place, negated.
+            is_marked = np.zeros(n_edges, dtype=bool)
+            is_marked[marked] = True
+            flip = is_marked[self._dst >> 1]
+            self._swap = np.where(flip, self._dst, self._dst ^ 1)
+            self._flip = np.flatnonzero(flip)
         self._cdf: tuple[int, np.ndarray] | None = None
 
     def _check(self, state: WalkState) -> None:
@@ -228,9 +247,14 @@ class WalkPlan:
     def step(self, state: WalkState) -> WalkState:
         """Advance one step: oracle, then coin, then scattering.  In place."""
         self._check(state)
-        y = state.psi @ self._coin_m.T
-        y[self._marked] = state.psi[self._marked] @ self._marked_m.T
-        self._diffuse(state, y.reshape(-1)[self._dst])
+        if self._swap is not None:
+            x = state.psi.reshape(-1)[self._swap]
+            x[self._flip] *= -1
+        else:
+            y = _act(self._coin_m, state.psi)
+            y[self._marked] = _act(self._marked_m, state.psi[self._marked])
+            x = y.reshape(-1)[self._dst]
+        self._diffuse(state, x)
         state.t += 1
         return state
 
@@ -272,6 +296,12 @@ class WalkPlan:
         mat[rows, cols[entry]] = (vals * self._weights[node])[entry]
         mat[rows_in, cols] -= vals
         return mat
+
+
+def _act(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """psi @ m.T for an (E, 2) state, by columns rather than a matrix product."""
+    a, b = psi[:, 0], psi[:, 1]
+    return np.stack([m[0, 0] * a + m[0, 1] * b, m[1, 0] * a + m[1, 1] * b], axis=1)
 
 
 def _plan_for(g, p, oracle, coin, plan: WalkPlan | None) -> WalkPlan:

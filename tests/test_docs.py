@@ -1,4 +1,5 @@
-"""Every docstring example in the graphwalk package runs and prints what it shows."""
+"""Every docstring example in the graphwalk package, and README's Quick start,
+runs and prints what it shows."""
 
 from __future__ import annotations
 
@@ -6,11 +7,13 @@ import doctest
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import graphwalk
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(f"graphwalk.{m.name}" for m in pkgutil.iter_modules(graphwalk.__path__))
 
 
@@ -21,3 +24,9 @@ def test_docstring_examples(name):
     assert result.failed == 0
     # a module whose docstrings show examples must have them run
     assert result.attempted > 0 or ">>>" not in inspect.getsource(module)
+
+
+def test_readme_quick_start(capsys):
+    block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    assert capsys.readouterr().out.splitlines() == ["4 0.978", "0"]

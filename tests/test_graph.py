@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from graphwalk import (
@@ -26,12 +28,13 @@ from graphwalk import (
     to_edge_list,
     to_json,
 )
+from graphwalk.graph import _line_endpoints, _plain_endpoints
 
 
 def test_parse_edge_list_path():
     g = parse_graph("0 1\n1 2")
     assert g.n == 3
-    assert g.edges == ((0, 1), (1, 2))
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
 
 
 def test_parse_edge_list_star():
@@ -49,7 +52,7 @@ def test_parse_edge_list_disconnected():
 
 def test_parse_edge_list_comments_and_blanks():
     g = parse_graph("# header\n0 1  # first edge\n\n  1 2\n")
-    assert g.edges == ((0, 1), (1, 2))
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
 
 
 @pytest.mark.parametrize(
@@ -124,7 +127,7 @@ def test_parse_unknown_format():
 
 def test_graph_normalizes_edge_order():
     g = Graph(3, ((1, 0), (2, 1)))
-    assert g.edges == ((0, 1), (1, 2))
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
     assert g == path_graph(3)
 
 
@@ -251,13 +254,150 @@ def test_too_few_edges_rejected_before_per_node_work(build):
     assert peak < 1 << 20
 
 
+def _write(edges, rng, style):
+    """An edge list in one of several spellings of the same graph."""
+    sep = {"tabs": "\t", "spaces": "  "}.get(style, " ")
+    end = "\r\n" if style == "crlf" else "\n"
+    lines = []
+    for u, v in edges:
+        if style == "zeros":
+            u, v = f"{u:03d}", f"0{v}"
+        elif style == "signed":
+            u = f"+{u}"
+        line = f"{u}{sep}{v}"
+        if style == "comments":
+            line += "  # edge"
+        if style == "blank" and rng.random() < 0.3:
+            lines.append("   ")
+        lines.append(line + (" \t" if style == "spaces" else ""))
+    head = "# a graph" + end if style == "comments" else ""
+    return head + end.join(lines) + (end if style != "no-final-newline" else "")
+
+
+PLAIN = ["plain", "crlf", "tabs", "spaces", "blank", "zeros", "no-final-newline"]
+
+
+@pytest.mark.parametrize("style", PLAIN + ["comments", "signed"])
+def test_tokenizers_agree(style):
+    rng = np.random.default_rng(len(style))
+    graphs = [star_graph(40), path_graph(2)]
+    graphs += [random_connected_graph(5 + 7 * s, extra_edges=3 * s, seed=s) for s in range(8)]
+    for g in graphs:
+        order = rng.permutation(g.n_edges)
+        written = [tuple(e)[:: 1 if rng.random() < 0.5 else -1] for e in g.edges[order].tolist()]
+        text = _write(written, rng, style)
+        fast = _plain_endpoints(text)
+        assert (fast is None) == (style not in PLAIN)
+        slow = _line_endpoints(text)
+        if fast is not None:
+            assert fast.tolist() == slow
+        assert Graph(g.n, np.reshape(slow, (-1, 2))) == parse_graph(text)
+        assert parse_graph(text) == Graph(g.n, g.edges[order])
+
+
+@pytest.mark.parametrize(
+    "text, fmt, message",
+    [
+        ("0 1\n1 12345678901234567890\n", "edge-list",
+         "graph is not connected: node 2 unreachable from node 0"),
+        ("0 1\n1 9223372036854775807\n", "edge-list",
+         "graph is not connected: node 2 unreachable from node 0"),
+        ("0 1\n12345678901234567890 12345678901234567890\n", "edge-list",
+         "line 2: self-loop at node 12345678901234567890"),
+        ("0 1\n1 12345678901234567890\n12345678901234567890 1\n", "edge-list",
+         "line 3: duplicate edge (1, 12345678901234567890) (first seen on line 2)"),
+        ('{"nodes": 2, "edges": [[0, 1180591620717411303424]]}', "json",
+         "line 1: edge (0, 1180591620717411303424) has an endpoint outside 0..1"),
+        ('{"nodes": 2, "edges": [[0, 1], [-1180591620717411303424, 1]]}', "json",
+         "line 2: edge (-1180591620717411303424, 1) has an endpoint outside 0..1"),
+        ('{"nodes": 1180591620717411303425, "edges": [[0, 1]]}', "json",
+         "graph is not connected: node 2 unreachable from node 0"),
+        ('{"nodes": 3, "edges": [[0, 1], [1, 2]], "colors": [0, 9223372036854775808, 0]}',
+         "json", None),
+        ('{"nodes": 3, "edges": [[0, 1], [1, 2]], '
+         '"colors": [9223372036854775808, 9223372036854775809, 9223372036854775809]}',
+         "json",
+         "improper coloring: edge 1 joins nodes 1 and 2 sharing color 9223372036854775809"),
+    ],
+    ids=["edges-20-digits", "edges-int64-max", "edges-big-self-loop", "edges-big-duplicate",
+         "json-over-int64", "json-under-int64", "json-big-nodes", "json-big-colors",
+         "json-big-colors-improper"],
+)
+def test_ids_beyond_int64(text, fmt, message):
+    """Ids and colors past int64 are read exactly, with the same messages."""
+    if message is None:
+        g, colors = parse_graph_document(text, fmt)
+        assert polarity_from_coloring(g, colors).plus_node.tolist() == [1, 1]
+        return
+    with pytest.raises(GraphError) as info:
+        parse_graph_document(text, fmt)
+    assert str(info.value) == message
+
+
+def loop_fault(n, edges):
+    """The first fault of an edge list, found one edge at a time.
+
+    Returns (message, edge, first) for the first faulty edge in list order,
+    then for a disconnected graph, or None for a valid one.
+    """
+    first_index = {}
+    for k, (u, v) in enumerate(edges):
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}", k, None
+        if u == v:
+            return f"self-loop at node {u}", k, None
+        e = (min(u, v), max(u, v))
+        first = first_index.setdefault(e, k)
+        if first != k:
+            return f"duplicate edge {e}", k, first
+    seen, frontier = {0}, [0]
+    while frontier:
+        u = frontier.pop()
+        for a, b in first_index:
+            for x, y in ((a, b), (b, a)):
+                if x == u and y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+    missing = next((u for u in range(n) if u not in seen), None)
+    if missing is not None:
+        return f"graph is not connected: node {missing} unreachable from node 0", None, None
+    return None
+
+
+def test_validation_matches_loop_reference():
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for i in range(900):
+        n = int(rng.integers(1, 8))
+        ids = np.arange(-1, n + 1)
+        if i % 3 == 1:  # endpoints whose pair keys overflow int64
+            ids = np.append(ids, [2**62, 2**62 + 1, -(2**62)])
+        elif i % 3 == 2:  # a node count whose square overflows int64, ids near it
+            n += 4 * 10**9
+            ids = np.append(ids, [n - 2, n - 1])
+        edges = [tuple(rng.choice(ids, 2).tolist()) for _ in range(rng.integers(0, 12))]
+        want = loop_fault(n, edges)
+        if want is None:
+            assert Graph(n, edges).n_edges == len(edges)
+            outcomes.add("valid")
+            continue
+        with pytest.raises(GraphError) as info:
+            Graph(n, edges)
+        assert (str(info.value), info.value.edge, info.value.first) == want
+        outcomes.add(want[0].split()[0])
+    # every rule was exercised, and some lists were valid
+    assert outcomes == {"edge", "self-loop", "duplicate", "graph", "valid"}
+
+
 def test_adjacency_consistency():
     for seed in range(20):
         g = random_connected_graph(12, extra_edges=10, seed=seed)
         seen = []
         for u in range(g.n):
-            for v, k in g.adjacency[u]:
-                assert g.edges[k] == ((u, v) if u < v else (v, u))
+            row = slice(g.indptr[u], g.indptr[u + 1])
+            assert list(g.neighbor[row]) == sorted(g.neighbor[row])
+            for v, k in zip(g.neighbor[row].tolist(), g.edge[row].tolist()):
+                assert g.edges[k].tolist() == sorted([u, v])
                 seen.append(k)
         # each edge appears exactly once per endpoint
         assert sorted(seen) == sorted(list(range(g.n_edges)) * 2)
@@ -270,16 +410,61 @@ def test_edge_index():
         g.edge_index(1, 2)
 
 
+def test_edge_index_on_large_hub():
+    m = 10**4
+    g = star_graph(m)
+    assert g.edge_index(0, m) == g.edge_index(m, 0) == m - 1
+    assert type(g.edge_index(0, m)) is int
+    # absent, below 0 and past the last node: all "no edge", none wraps around
+    for u, v in [(1, 2), (0, m + 1), (-1, 0), (0, -m), (10**6, 10**7), (2**70, 0)]:
+        with pytest.raises(GraphError, match=f"^no edge between {u} and {v}$"):
+            g.edge_index(u, v)
+
+
+def test_hub_last_star_connects_in_few_rounds():
+    """Edges (0, m), (1, m), ... put the hub above every leaf.  Each hooking
+    round joins every leaf root to the hub at once; a round that kept only
+    one of the competing hooks would join one leaf per round, m rounds of
+    O(E) work (seconds here)."""
+    m = 2 * 10**4
+    edges = np.stack([np.arange(m), np.full(m, m)], axis=1)
+    start = time.perf_counter()
+    g = Graph(m + 1, edges)
+    assert time.perf_counter() - start < 1.0
+    assert g.degree(m) == m
+
+
 def test_greedy_coloring_examples():
-    assert greedy_coloring(path_graph(3)) == (0, 1, 0)
-    assert greedy_coloring(star_graph(3)) == (0, 1, 1, 1)
-    assert greedy_coloring(complete_graph(2)) == (0, 1)
+    assert greedy_coloring(path_graph(3)).tolist() == [0, 1, 0]
+    assert greedy_coloring(star_graph(3)).tolist() == [0, 1, 1, 1]
+    assert greedy_coloring(complete_graph(2)).tolist() == [0, 1]
+
+
+def loop_coloring(g):
+    """First-fit coloring over per-node neighbor lists, one node at a time."""
+    neighbors = [[] for _ in range(g.n)]
+    for u, v in g.edges.tolist():
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    colors = [-1] * g.n
+    for u in range(g.n):
+        taken = {colors[v] for v in neighbors[u] if colors[v] >= 0}
+        c = 0
+        while c in taken:
+            c += 1
+        colors[u] = c
+    return colors
 
 
 def test_greedy_coloring_proper_on_random_graphs():
     for seed in range(1000):
         g = random_connected_graph(3 + seed % 22, extra_edges=seed % 17, seed=seed)
-        check_proper(g, greedy_coloring(g))
+        colors = greedy_coloring(g)
+        check_proper(g, colors)
+        assert colors.tolist() == loop_coloring(g)
+        if seed % 10 == 0:
+            s = starify(g).graph
+            assert greedy_coloring(s).tolist() == loop_coloring(s)
 
 
 def test_check_proper_length():
@@ -288,8 +473,8 @@ def test_check_proper_length():
 
 
 def test_polarity_from_coloring_examples():
-    assert polarity_from_coloring(complete_graph(2), (0, 1)).plus_node == (1,)
-    assert polarity_from_coloring(path_graph(3), (0, 1, 0)).plus_node == (1, 1)
+    assert polarity_from_coloring(complete_graph(2), (0, 1)).plus_node.tolist() == [1]
+    assert polarity_from_coloring(path_graph(3), (0, 1, 0)).plus_node.tolist() == [1, 1]
 
 
 def test_polarity_from_coloring_improper():
@@ -345,7 +530,7 @@ def test_starify_degrees_and_flags():
         assert s.graph.degree(g.n + u) == 1
         k = s.virtual_edge_of(u)
         assert s.is_virtual_edge(k)
-        assert s.graph.edges[k] == (u, g.n + u)
+        assert s.graph.edges[k].tolist() == [u, g.n + u]
     for k in range(g.n_edges):
         assert not s.is_virtual_edge(k)
 
@@ -366,6 +551,30 @@ def test_round_trip_serialization():
     for g in graphs:
         assert parse_graph(to_edge_list(g)) == g
         assert parse_graph(to_json(g), "json") == g
+        p = polarity_from_coloring(g, greedy_coloring(g))
+        assert polarity_from_coloring(parse_graph(to_json(g), "json"), greedy_coloring(g)) == p
+    assert path_graph(3) != Graph(3, ((1, 2), (0, 1)))  # same edges, other indices
+    assert path_graph(3) != path_graph(4)
+    assert PolarityMap((1, 1)) != PolarityMap((1, 2))
+
+
+def test_graph_and_polarity_arrays_are_read_only():
+    g = random_connected_graph(9, extra_edges=6, seed=1)
+    p = polarity_from_coloring(g, greedy_coloring(g))
+    for a in (g.edges, g.indptr, g.neighbor, g.edge, p.plus_node):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    # equality is by value, so neither type can be hashed
+    for obj in (g, p):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(obj)
+
+
+def test_polarity_copies_its_input():
+    plus = np.array([1, 1])
+    p = PolarityMap(plus)
+    plus[0] = 0
+    assert p.plus_node.tolist() == [1, 1]
 
 
 @pytest.mark.parametrize(

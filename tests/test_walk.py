@@ -333,7 +333,7 @@ def reference_step_matrix(g, p, oracle, coin):
 
     apply_oracle and apply_coin act on each unit column; then every node's
     dense (2/d)J - I fills the block of rows facing it, found through
-    Graph.adjacency and PolarityMap.component_at.
+    the graph's CSR slices and PolarityMap.component_at.
     """
     dim = 2 * g.n_edges
     local = np.zeros((dim, dim), dtype=complex)
@@ -344,7 +344,7 @@ def reference_step_matrix(g, p, oracle, coin):
         local[:, j] = s.psi.reshape(-1)
     scatter = np.zeros((dim, dim))
     for u in range(g.n):
-        rows = [2 * k + p.component_at(k, u) for _, k in g.adjacency[u]]
+        rows = [2 * k + p.component_at(k, u) for k in g.edge[g.indptr[u] : g.indptr[u + 1]]]
         scatter[np.ix_(rows, rows)] = DiffusionOperator(len(rows)).matrix
     return scatter @ local
 
@@ -371,6 +371,27 @@ def test_plan_matches_reference_with_default_specs(name, g, p, marked):
     s = random_walk_state(g.n_edges, np.random.default_rng(len(name)))
     want = ref @ s.psi.reshape(-1)
     np.testing.assert_allclose(plan.step(s).psi.reshape(-1), want, rtol=0, atol=1e-12)
+
+
+def test_default_step_equals_matrix_products_bitwise():
+    """With the default specs a step gathers pole partners and flips marked
+    signs; over 20 steps that equals the 2x2 matrix products exactly."""
+    g = random_connected_graph(30, extra_edges=50, seed=4)
+    p = coloring_polarity(g)
+    marked = [3, 17]
+    oracle = OracleSpec(marked=frozenset(marked))
+    plan = WalkPlan(g, p, oracle)
+    coin_m = CoinSpec().matrix
+    marked_m = coin_m @ oracle.matrix
+    fast = random_walk_state(g.n_edges, np.random.default_rng(8))
+    slow = fast.copy()
+    for _ in range(20):
+        plan.step(fast)
+        y = slow.psi @ coin_m.T
+        y[marked] = slow.psi[marked] @ marked_m.T
+        slow.psi = y
+        plan.scatter(slow)
+        assert np.array_equal(fast.psi, slow.psi)
 
 
 PHASE = np.diag([1j, 1.0])

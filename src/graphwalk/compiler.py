@@ -15,15 +15,16 @@ locus, so nodes act on their own neighborhoods.
 
 Gates carry structure, not dense matrices: a `diffusion` gate names its
 degree d, and every gate is its own inverse.  A circuit document holds the
-layout, the instructions and the phase spans, with every qubit index, edge
-index, locus id and degree a JSON integer.
+layout's `facing` (each node's enumeration of its edges, from which the rest
+of the layout follows), the instructions and the phase spans, with every
+qubit index, locus id and degree a JSON integer.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -130,17 +131,66 @@ class Phase(NamedTuple):
 class QubitLayout:
     """Wire assignment shared by the compiler and the circuit simulator.
 
-    Edge k owns qubits (2k, 2k+1) for its + and - poles.  Node registers
-    follow.  `facing[u][s]` is the qubit of the pole facing node u for its
-    s-th incident edge (the enumeration order), and `local_edges[u][s]` that
-    edge's index.
+    `facing[u][s]` is the qubit of the pole facing node u on its s-th
+    incident edge: the node's local enumeration of its edges, the one free
+    choice in a layout.  The rest follows from it.  Edge k owns qubits
+    (2k, 2k+1) for its + and - poles, so the facing qubits are 0..2E-1, and
+    `facing[u][s] // 2` is the edge.  Node registers come next, in node
+    order: ceil(log2 d) binary qubits, then a flag.
+
+    Raises:
+        CircuitError: Naming `layout.facing[u][s]` or the edge at fault,
+            unless every qubit 0..2E-1 faces exactly one node and the two
+            poles of every edge face different nodes.
     """
 
-    edge_qubits: tuple[tuple[int, int], ...]
-    node_registers: tuple[NodeRegister, ...]
     facing: tuple[tuple[int, ...], ...]
-    local_edges: tuple[tuple[int, ...], ...]
-    n_qubits: int
+    edge_qubits: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
+    node_registers: tuple[NodeRegister, ...] = field(init=False, compare=False, repr=False)
+    n_qubits: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        degrees = [len(f) for f in self.facing]
+        width = sum(degrees) + sum(degrees) % 2
+        flat = [q for f in self.facing for q in f]
+        index = np.arange(len(flat))
+        node = np.repeat(np.arange(len(degrees)), degrees)
+        slot = index - np.cumsum([0] + degrees)[node]
+
+        def fault(i: int, what: str) -> CircuitError:
+            return CircuitError(f"layout.facing[{node[i]}][{slot[i]}]: qubit {flat[i]} {what}")
+
+        # Integers beyond 64 bits make an object array; they fail the range.
+        qubits = np.array(flat)
+        outside = np.flatnonzero((qubits < 0) | (qubits >= width))
+        if len(outside):
+            raise fault(outside[0], f"outside [0, {width})")
+        qubits = qubits.astype(np.int64)
+        first = np.full(width, len(flat))
+        np.minimum.at(first, qubits, index)
+        repeated = np.flatnonzero(first[qubits] != index)
+        if len(repeated):
+            i = repeated[0]
+            raise fault(i, f"already faces node {node[first[qubits[i]]]}")
+        missing = np.flatnonzero(first == len(flat))
+        if len(missing):
+            q = missing[0]
+            raise CircuitError(f"layout.facing: no node faces qubit {q} of edge {q // 2}")
+        owner = node[first]
+        clash = np.flatnonzero(owner[0::2] == owner[1::2])
+        if len(clash):
+            k = clash[0]
+            raise CircuitError(f"layout.facing: both poles of edge {k} face node {owner[2 * k]}")
+        registers = []
+        q = width
+        for d in degrees:
+            r = (d - 1).bit_length() if d > 1 else 0
+            registers.append(NodeRegister(binary=tuple(range(q, q + r)), flag=q + r))
+            q += r + 1
+        edge_qubits = tuple((2 * k, 2 * k + 1) for k in range(width // 2))
+        object.__setattr__(self, "edge_qubits", edge_qubits)
+        object.__setattr__(self, "node_registers", tuple(registers))
+        object.__setattr__(self, "n_qubits", q)
 
     @property
     def n_edges(self) -> int:
@@ -148,7 +198,7 @@ class QubitLayout:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.node_registers)
+        return len(self.facing)
 
     def degree(self, u: int) -> int:
         return len(self.facing[u])
@@ -157,42 +207,25 @@ class QubitLayout:
 def build_layout(
     g: Graph, p: PolarityMap, enumeration_seed: int | None = None
 ) -> QubitLayout:
-    """Assign qubits to edges and node registers.
+    """Enumerate each node's incident edges and lay the qubits out from that.
 
     Incident edges are enumerated in ascending neighbor order by default; a
     seed draws one random enumeration per node instead (the compiled step is
     equivalent either way, the wiring just permutes slot numbers).
     """
     check_polarity(g, p)
-    edge_qubits = tuple((2 * k, 2 * k + 1) for k in range(g.n_edges))
     rng = None if enumeration_seed is None else np.random.default_rng(enumeration_seed)
     # Edge qubit 2k + c holds edge k's pole c, so a facing qubit is the
     # facing amplitude's index.
-    entry_edges, entry_facing = g.edge.tolist(), facing_amplitudes(g, p).tolist()
+    entry_facing = facing_amplitudes(g, p).tolist()
     start = g.indptr.tolist()
-    registers: list[NodeRegister] = []
     facing: list[tuple[int, ...]] = []
-    local_edges: list[tuple[int, ...]] = []
-    q = 2 * g.n_edges
     for u in range(g.n):
-        d = start[u + 1] - start[u]
         entries = range(start[u], start[u + 1])
         if rng is not None:
-            entries = [start[u] + int(s) for s in rng.permutation(d)]
-        edges_u = tuple(entry_edges[i] for i in entries)
-        facing_u = tuple(entry_facing[i] for i in entries)
-        r = (d - 1).bit_length() if d > 1 else 0
-        registers.append(NodeRegister(binary=tuple(range(q, q + r)), flag=q + r))
-        q += r + 1
-        facing.append(facing_u)
-        local_edges.append(edges_u)
-    return QubitLayout(
-        edge_qubits=edge_qubits,
-        node_registers=tuple(registers),
-        facing=tuple(facing),
-        local_edges=tuple(local_edges),
-        n_qubits=q,
-    )
+            entries = [start[u] + int(s) for s in rng.permutation(len(entries))]
+        facing.append(tuple(entry_facing[i] for i in entries))
+    return QubitLayout(tuple(facing))
 
 
 def compile_oracle(layout: QubitLayout, marked) -> tuple[Instruction, ...]:
@@ -303,16 +336,7 @@ class Circuit:
 
     def to_json_dict(self) -> dict:
         return {
-            "qubits": self.n_qubits,
-            "layout": {
-                "edge_qubits": [list(pair) for pair in self.layout.edge_qubits],
-                "node_registers": [
-                    {"binary": list(reg.binary), "flag": reg.flag}
-                    for reg in self.layout.node_registers
-                ],
-                "facing": [list(f) for f in self.layout.facing],
-                "local_edges": [list(e) for e in self.layout.local_edges],
-            },
+            "layout": {"facing": [list(f) for f in self.layout.facing]},
             "instructions": [_instruction_to_dict(ins) for ins in self.instructions],
             "phases": [ph._asdict() for ph in self.phases],
         }
@@ -354,81 +378,23 @@ def compile_step(
     return Circuit(layout, tuple(instructions), tuple(phases))
 
 
-def _check_layout(layout: QubitLayout) -> None:
-    """Check a loaded layout against itself.
-
-    Raises:
-        CircuitError: Naming the field and index, unless every layout qubit
-            is in [0, qubits), edge pairs and register qubits are pairwise
-            disjoint, `facing`, `local_edges` and `node_registers` have one
-            entry per node, every local edge is in range, and every facing
-            qubit is one of the two qubits of the edge listed with it.
-    """
-    n = layout.n_qubits
-    owner: dict[int, str] = {}
-
-    def claim(q: int, field: str) -> None:
-        if not 0 <= q < n:
-            raise CircuitError(f"{field}: qubit {q} outside [0, {n})")
-        if q in owner:
-            raise CircuitError(f"{field}: qubit {q} already used by {owner[q]}")
-        owner[q] = field
-
-    for k, pair in enumerate(layout.edge_qubits):
-        for q in pair:
-            claim(q, f"layout.edge_qubits[{k}]")
-    for u, reg in enumerate(layout.node_registers):
-        for q in reg.binary + (reg.flag,):
-            claim(q, f"layout.node_registers[{u}]")
-    sizes = (len(layout.facing), len(layout.local_edges), len(layout.node_registers))
-    if len(set(sizes)) != 1:
-        raise CircuitError(
-            "layout: facing, local_edges and node_registers have "
-            f"{sizes[0]}, {sizes[1]} and {sizes[2]} entries"
-        )
-    for u, (facing_u, edges_u) in enumerate(zip(layout.facing, layout.local_edges)):
-        if len(facing_u) != len(edges_u):
-            raise CircuitError(
-                f"layout.facing[{u}]: {len(facing_u)} qubits for "
-                f"{len(edges_u)} local edges"
-            )
-        for s, (q, k) in enumerate(zip(facing_u, edges_u)):
-            if not 0 <= k < layout.n_edges:
-                raise CircuitError(
-                    f"layout.local_edges[{u}][{s}]: edge {k} outside "
-                    f"[0, {layout.n_edges})"
-                )
-            if q not in layout.edge_qubits[k]:
-                raise CircuitError(
-                    f"layout.facing[{u}][{s}]: qubit {q} is not a qubit of edge {k}"
-                )
+_JSON_NAMES = {list: "array", dict: "object", int: "integer", str: "string"}
 
 
 def _typed(value, kind: type, field: str):
-    """Return `value` if it is a JSON array (kind list) or object (kind dict)."""
-    if not isinstance(value, kind):
-        name = "array" if kind is list else "object"
-        raise CircuitError(f"{field} must be a JSON {name}")
-    return value
+    """Return `value` if it is a JSON value of `kind`: list, dict, int or str.
 
-
-def _int(value, field: str) -> int:
-    """Return `value` if it is a JSON integer, not a bool, float or string."""
-    if type(value) is not int:
-        raise CircuitError(f"{field} must be a JSON integer")
+    Types are matched exactly, so a bool or a float is not a JSON integer.
+    """
+    if type(value) is not kind:
+        raise CircuitError(f"{field} must be a JSON {_JSON_NAMES[kind]}")
     return value
 
 
 def _ints(value, field: str) -> tuple[int, ...]:
     """A JSON array of JSON integers, as a tuple."""
     items = _typed(value, list, field)
-    return tuple(_int(q, f"{field}[{i}]") for i, q in enumerate(items))
-
-
-def _int_rows(lay: dict, key: str) -> tuple[tuple[int, ...], ...]:
-    """`layout.<key>` as integer tuples, the field and each entry a JSON array."""
-    rows = _typed(lay[key], list, f"layout.{key}")
-    return tuple(_ints(row, f"layout.{key}[{i}]") for i, row in enumerate(rows))
+    return tuple(_typed(q, int, f"{field}[{i}]") for i, q in enumerate(items))
 
 
 def _phases(doc: dict, n_instructions: int) -> tuple[Phase, ...]:
@@ -438,10 +404,12 @@ def _phases(doc: dict, n_instructions: int) -> tuple[Phase, ...]:
         field = f"phases[{i}]"
         _typed(ph, dict, field)
         try:
-            node = None if ph["node"] is None else _int(ph["node"], f"{field}.node")
+            node = None if ph["node"] is None else _typed(ph["node"], int, f"{field}.node")
             phase = Phase(
-                str(ph["kind"]), node,
-                _int(ph["start"], f"{field}.start"), _int(ph["stop"], f"{field}.stop"),
+                _typed(ph["kind"], str, f"{field}.kind"),
+                node,
+                _typed(ph["start"], int, f"{field}.start"),
+                _typed(ph["stop"], int, f"{field}.stop"),
             )
         except KeyError as exc:
             raise CircuitError(f"{field} missing {exc}") from None
@@ -457,11 +425,14 @@ def _phases(doc: dict, n_instructions: int) -> tuple[Phase, ...]:
 def circuit_from_json(text: str) -> Circuit:
     """Parse a circuit document, validating its structure.
 
+    The layout is rebuilt from `layout.facing`; other layout keys and a
+    top-level `qubits`, which older documents carry, are ignored.
+
     Raises:
-        CircuitError: On schema violations (naming the field), a layout that
-            is inconsistent with itself (see `_check_layout`), a gate that
-            does not fit its arity or degree, a qubit beyond the register, or
-            a phase span outside the instruction list.
+        CircuitError: On schema violations (naming the field), a `facing`
+            that `QubitLayout` rejects, a gate that does not fit its arity
+            or degree, a qubit beyond the register, or a phase span outside
+            the instruction list.
     """
     try:
         doc = json.loads(text)
@@ -469,47 +440,26 @@ def circuit_from_json(text: str) -> Circuit:
         raise CircuitError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise CircuitError("circuit document must be a JSON object")
-    for key in ("qubits", "layout", "instructions"):
+    for key in ("layout", "instructions"):
         if key not in doc:
             raise CircuitError(f"circuit document missing {key!r}")
     lay = _typed(doc["layout"], dict, "layout")
-    try:
-        edge_qubits = tuple((a, b) for a, b in _int_rows(lay, "edge_qubits"))
-        registers = []
-        for u, reg in enumerate(_typed(lay["node_registers"], list, "layout.node_registers")):
-            field = f"layout.node_registers[{u}]"
-            _typed(reg, dict, field)
-            registers.append(
-                NodeRegister(
-                    _ints(reg["binary"], f"{field}.binary"),
-                    _int(reg["flag"], f"{field}.flag"),
-                )
-            )
-        layout = QubitLayout(
-            edge_qubits=edge_qubits,
-            node_registers=tuple(registers),
-            facing=_int_rows(lay, "facing"),
-            local_edges=_int_rows(lay, "local_edges"),
-            n_qubits=_int(doc["qubits"], "qubits"),
-        )
-    except CircuitError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CircuitError(f"malformed layout: {exc}") from None
-    _check_layout(layout)
+    rows = _typed(lay.get("facing"), list, "layout.facing")
+    layout = QubitLayout(tuple(_ints(f, f"layout.facing[{u}]") for u, f in enumerate(rows)))
     instructions: list[Instruction] = []
     for pos, ins in enumerate(_typed(doc["instructions"], list, "instructions")):
         _typed(ins, dict, f"instruction {pos}")
         try:
             gate = Gate(ins["gate"])
-            locus = Locus(str(ins["locus"]["kind"]), _int(ins["locus"]["id"], "locus.id"))
+            kind, ident = ins["locus"]["kind"], ins["locus"]["id"]
+            locus = Locus(_typed(kind, str, "locus.kind"), _typed(ident, int, "locus.id"))
             instructions.append(
                 Instruction(
                     gate,
                     _ints(ins["controls"], "controls"),
                     _ints(ins["targets"], "targets"),
                     locus,
-                    _int(ins["d"], "d") if "d" in ins else None,
+                    _typed(ins["d"], int, "d") if "d" in ins else None,
                 )
             )
         except CircuitError as exc:
@@ -611,17 +561,14 @@ def locality_audit(circuit: Circuit) -> AuditReport:
                 f"instruction {pos}: {ins.gate.value} touches qubits {stray} "
                 f"outside its {kind} {ident}"
             )
-    nodes = []
-    for u in range(layout.n_nodes):
-        d = layout.degree(u)
-        r = (d - 1).bit_length() if d > 1 else 0
-        nodes.append(
-            NodeAudit(
-                node=u,
-                degree=d,
-                cnot_mcx=cnot_mcx[u],
-                diffusion=diffusion[u],
-                bound=2 * d * (r + 1),
-            )
+    nodes = tuple(
+        NodeAudit(
+            node=u,
+            degree=layout.degree(u),
+            cnot_mcx=cnot_mcx[u],
+            diffusion=diffusion[u],
+            bound=2 * layout.degree(u) * (len(reg.binary) + 1),
         )
-    return AuditReport(nodes=tuple(nodes), violations=tuple(violations))
+        for u, reg in enumerate(layout.node_registers)
+    )
+    return AuditReport(nodes=nodes, violations=tuple(violations))

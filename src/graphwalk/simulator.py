@@ -90,15 +90,21 @@ class SparseState:
         return json.dumps(self.to_json_list(), indent=2) + "\n"
 
 
+def _edge_keys(layout: QubitLayout, n: int) -> dict[int, int]:
+    """Map the key of each edge qubit's single excitation, in an n-qubit
+    register, to its walk amplitude index 2e + c (edge e, pole c)."""
+    return {
+        1 << (n - 1 - q): 2 * e + c
+        for e, pair in enumerate(layout.edge_qubits)
+        for c, q in enumerate(pair)
+    }
+
+
 def init_walk_superposition(layout: QubitLayout) -> SparseState:
     """Uniform single-excitation state over all edge qubits, registers zero."""
     n = layout.n_qubits
-    amp = 1.0 / np.sqrt(2 * layout.n_edges)
-    amps: dict[int, complex] = {}
-    for plus, minus in layout.edge_qubits:
-        amps[1 << (n - 1 - plus)] = complex(amp)
-        amps[1 << (n - 1 - minus)] = complex(amp)
-    return SparseState(amps, n)
+    amp = complex(1.0 / np.sqrt(2 * layout.n_edges))
+    return SparseState(dict.fromkeys(_edge_keys(layout, n), amp), n)
 
 
 def _masks(state: SparseState, ins: Instruction) -> tuple[int, tuple[int, ...]]:
@@ -307,20 +313,16 @@ def run(circuit: Circuit, state: SparseState | None = None) -> SparseState:
 
 def _project(state: SparseState, layout: QubitLayout) -> tuple[np.ndarray, float]:
     """Split a state into walk amplitudes and leaked weight."""
-    n = state.n_qubits
-    onehot: dict[int, tuple[int, int]] = {}
-    for e, (plus, minus) in enumerate(layout.edge_qubits):
-        onehot[1 << (n - 1 - plus)] = (e, 0)
-        onehot[1 << (n - 1 - minus)] = (e, 1)
-    psi = np.zeros((layout.n_edges, 2), dtype=complex)
+    rows = _edge_keys(layout, state.n_qubits)
+    psi = np.zeros(2 * layout.n_edges, dtype=complex)
     leaked = 0.0
     for k, a in state.amps.items():
-        slot = onehot.get(k)
-        if slot is None:
+        row = rows.get(k)
+        if row is None:
             leaked += abs(a) ** 2
         else:
-            psi[slot] = a
-    return psi, leaked
+            psi[row] = a
+    return psi.reshape(-1, 2), leaked
 
 
 def project_to_walk_state(
@@ -359,11 +361,7 @@ def _circuit_columns(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
     layout = circuit.layout
     n = circuit.n_qubits
     dim = 2 * layout.n_edges
-    rows = {
-        1 << (n - 1 - q): 2 * e + c
-        for e, pair in enumerate(layout.edge_qubits)
-        for c, q in enumerate(pair)
-    }
+    rows = _edge_keys(layout, n)
     start = {(j << n) | key: 1.0 + 0j for key, j in rows.items()}
     final = run(circuit, SparseState(start, n))
     mat = np.zeros((dim, dim), dtype=complex)

@@ -167,7 +167,10 @@ class WalkPlan:
     negating the marked edges.
 
     The plan remembers the cumulative edge distribution of its last
-    evolution, so repeated draws at one step count evolve once.
+    evolution, so repeated draws at one step count evolve once.  It also
+    keeps the work buffers of a step, which writes the new amplitudes into
+    `state.psi` itself (a non-contiguous or read-only `psi` is first replaced
+    by a contiguous copy), so threads must not share a plan.
 
     Attributes:
         g, p, oracle, coin: What the plan was built for, as passed.
@@ -208,6 +211,14 @@ class WalkPlan:
         degrees = np.diff(g.indptr)
         self._starts, self._degrees = g.indptr[:-1][degrees > 0], degrees[degrees > 0]
         self._weights = 2.0 / self._degrees
+        # Gathered amplitude i belongs to block _node[i].  A step works in the
+        # buffers below and writes the state in place, so it allocates no
+        # state-sized array; every index is in range, and take's "clip" mode
+        # skips the copy of `out` that its checked mode makes.
+        self._node = np.repeat(np.arange(len(self._starts)), self._degrees)
+        self._x = np.empty(2 * n_edges, dtype=complex)
+        self._y = np.empty(2 * n_edges, dtype=complex)
+        self._sums = np.empty(len(self._starts), dtype=complex)
 
         coin_m = (coin if coin is not None else CoinSpec()).matrix
         marked_m = coin_m @ oracle.matrix if oracle is not None else coin_m
@@ -232,28 +243,29 @@ class WalkPlan:
             )
 
     def _diffuse(self, state: WalkState, x: np.ndarray) -> None:
-        """Set the state to every node's diffusion of its gathered amplitudes x."""
-        sums = np.add.reduceat(x, self._starts)
-        out = np.empty_like(x)
-        out[self._dst] = np.repeat(sums * self._weights, self._degrees) - x
-        state.psi = out.reshape(self.n_edges, 2)
+        """Write into the state every node's diffusion of its gathered amplitudes x."""
+        sums = np.add.reduceat(x, self._starts, out=self._sums)
+        sums *= self._weights
+        y = np.take(sums, self._node, out=self._y, mode="clip")
+        y -= x
+        _flat(state)[self._dst] = y
 
     def scatter(self, state: WalkState) -> WalkState:
         """Diffuse, at every node, the amplitudes facing it.  In place."""
         self._check(state)
-        self._diffuse(state, state.psi.reshape(-1)[self._dst])
+        self._diffuse(state, np.take(_flat(state), self._dst, out=self._x, mode="clip"))
         return state
 
     def step(self, state: WalkState) -> WalkState:
         """Advance one step: oracle, then coin, then scattering.  In place."""
         self._check(state)
         if self._swap is not None:
-            x = state.psi.reshape(-1)[self._swap]
+            x = np.take(_flat(state), self._swap, out=self._x, mode="clip")
             x[self._flip] *= -1
         else:
             y = _act(self._coin_m, state.psi)
             y[self._marked] = _act(self._marked_m, state.psi[self._marked])
-            x = y.reshape(-1)[self._dst]
+            x = np.take(y.reshape(-1), self._dst, out=self._x, mode="clip")
         self._diffuse(state, x)
         state.t += 1
         return state
@@ -287,7 +299,7 @@ class WalkPlan:
         rows_in, cols = 2 * k + r, 2 * k + c
         position = np.empty(dim, dtype=np.intp)
         position[self._dst] = np.arange(dim)
-        node = np.repeat(np.arange(len(self._starts)), self._degrees)[position[rows_in]]
+        node = self._node[position[rows_in]]
         size = self._degrees[node]
         entry = np.repeat(np.arange(len(vals)), size)
         offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
@@ -296,6 +308,13 @@ class WalkPlan:
         mat[rows, cols[entry]] = (vals * self._weights[node])[entry]
         mat[rows_in, cols] -= vals
         return mat
+
+
+def _flat(state: WalkState) -> np.ndarray:
+    """The state's amplitudes as one flat view, 2k + c for edge k's pole c."""
+    if not (state.psi.flags.c_contiguous and state.psi.flags.writeable):
+        state.psi = np.array(state.psi, order="C")
+    return state.psi.reshape(-1)
 
 
 def _act(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -348,10 +367,14 @@ def edge_probabilities(state: WalkState) -> np.ndarray:
         ValueError: If the state norm has drifted from 1 by more than 1e-9.
     """
     probs = np.abs(state.psi[:, 0]) ** 2 + np.abs(state.psi[:, 1]) ** 2
-    total = float(probs.sum())
+    _check_norm(float(probs.sum()))
+    return probs
+
+
+def _check_norm(total: float) -> None:
+    """Raise ValueError if a state's total probability is off 1 by over 1e-9."""
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"state norm drifted: total probability {total!r}")
-    return probs
 
 
 def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
@@ -524,8 +547,13 @@ def sweep(
     for t in range(t_max + 1):
         if t:
             plan.step(state)
-        dist = edge_probabilities(state)
-        probs.append(float(dist[list(marked)].sum()) if marked else 0.0)
+        # Only the marked rows are squared; the norm takes one pass, in
+        # einsum rather than a BLAS dot, whose thread wake-ups cost more.
+        flat = state.psi.reshape(-1).view(np.float64)
+        _check_norm(float(np.einsum("i,i->", flat, flat)))
+        rows = state.psi[list(marked)]
+        dist = np.abs(rows[:, 0]) ** 2 + np.abs(rows[:, 1]) ** 2
+        probs.append(float(dist.sum()))
     t_star = int(np.argmax(probs))
     return SweepReport(
         probs=tuple(probs),

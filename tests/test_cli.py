@@ -257,8 +257,8 @@ def test_compile_single_edge(single_edge, tmp_path, capsys):
     )
     assert code == 0
     doc = read_json(capsys)
-    assert doc["qubits"] == 4
-    assert set(doc) == {"qubits", "layout", "instructions", "phases"}
+    assert set(doc) == {"layout", "instructions", "phases"}
+    assert doc["layout"] == {"facing": [[1], [0]]}
     gates = [ins["gate"] for ins in doc["instructions"]]
     assert gates[:3] == ["z", "z", "swap"]
     audit = json.loads(audit_out.read_text())
@@ -312,7 +312,7 @@ def test_verify_warning_names_worst_column(path3, tmp_path, capsys, caplog):
     ) == 0
     doc = json.loads(circ_file.read_text())
     doc["instructions"].append(
-        {"gate": "z", "controls": [], "targets": [doc["layout"]["edge_qubits"][1][1]],
+        {"gate": "z", "controls": [], "targets": [3],  # edge 1's - pole
          "locus": {"kind": "edge", "id": 1}}
     )
     circ_file.write_text(json.dumps(doc))

@@ -15,6 +15,7 @@ from graphwalk import (
     Instruction,
     Locus,
     PolarityMap,
+    QubitLayout,
     SparseState,
     build_layout,
     circuit_from_json,
@@ -68,7 +69,7 @@ def test_layout_path3():
     assert [reg.flag for reg in layout.node_registers] == [4, 6, 7]
     # Greedy colors (0, 1, 0) put both + poles at node 1.
     assert layout.facing == ((1,), (0, 2), (3,))
-    assert layout.local_edges == ((0,), (0, 1), (1,))
+    assert [[q // 2 for q in f] for f in layout.facing] == [[0], [0, 1], [1]]
     assert layout.degree(1) == 2
 
 
@@ -88,6 +89,17 @@ def test_layout_single_edge():
     assert layout.n_qubits == 4
     assert layout.n_edges == 1
     assert layout.n_nodes == 2
+
+
+def test_layout_checks_facing_when_built_directly():
+    assert QubitLayout(((1,), (0,))).n_qubits == 4
+    with pytest.raises(CircuitError, match=r"^layout\.facing: both poles of edge 0 face node 0$"):
+        QubitLayout(((0, 1), ()))
+    with pytest.raises(CircuitError, match=r"^layout\.facing\[1\]\[0\]: qubit 0 already"):
+        QubitLayout(((0,), (0,)))
+    # A negative entry beside one beyond int64 makes a float array.
+    with pytest.raises(CircuitError, match=r"^layout\.facing\[0\]\[0\]: qubit -1 outside"):
+        QubitLayout(((-1,), (2**63,)))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -111,8 +123,10 @@ def test_each_pole_faces_exactly_one_node(seed):
     flat = [q for f in layout.facing for q in f]
     assert sorted(flat) == list(range(2 * g.n_edges))
     for u in range(g.n):
-        for slot, k in enumerate(layout.local_edges[u]):
-            assert layout.facing[u][slot] == layout.edge_qubits[k][p.component_at(k, u)]
+        edges = [q // 2 for q in layout.facing[u]]
+        assert edges == g.edge[g.indptr[u] : g.indptr[u + 1]].tolist()
+        for q, k in zip(layout.facing[u], edges):
+            assert q == layout.edge_qubits[k][p.component_at(k, u)]
 
 
 def test_enumeration_seed_permutes_slots():
@@ -120,10 +134,11 @@ def test_enumeration_seed_permutes_slots():
     p = hub_polarity(8)
     plain = build_layout(g, p)
     shuffled = build_layout(g, p, enumeration_seed=3)
-    assert sorted(shuffled.local_edges[0]) == sorted(plain.local_edges[0])
-    assert shuffled.local_edges[0] != plain.local_edges[0]
+    assert sorted(shuffled.facing[0]) == sorted(plain.facing[0])
+    assert shuffled.facing[0] != plain.facing[0]
+    assert shuffled.node_registers == plain.node_registers
     again = build_layout(g, p, enumeration_seed=3)
-    assert again.local_edges == shuffled.local_edges
+    assert again.facing == shuffled.facing
 
 
 def test_oracle_block_shape():
@@ -387,9 +402,9 @@ def test_circuit_json_schema():
     g = path_graph(3)
     circ = compile_step(g, coloring_polarity(g), [0])
     doc = json.loads(circ.to_json())
-    assert set(doc) == {"qubits", "layout", "instructions", "phases"}
-    assert set(doc["layout"]) == {"edge_qubits", "node_registers", "facing", "local_edges"}
-    assert doc["qubits"] == 8
+    assert set(doc) == {"layout", "instructions", "phases"}
+    assert doc["layout"] == {"facing": [[1], [0, 2], [3]]}
+    assert circuit_from_json(circ.to_json()).n_qubits == 8
     first = doc["instructions"][0]
     assert set(first) == {"gate", "controls", "targets", "locus"}
     assert first["gate"] == "z"
@@ -413,7 +428,7 @@ def test_circuit_from_json_rejects_garbage():
         circuit_from_json("{nope")
     with pytest.raises(CircuitError, match="JSON object"):
         circuit_from_json("[]")
-    with pytest.raises(CircuitError, match="missing 'qubits'"):
+    with pytest.raises(CircuitError, match="missing 'layout'"):
         circuit_from_json("{}")
 
 
@@ -469,32 +484,26 @@ _HUB_DIFFUSION = next(
 @pytest.mark.parametrize(
     "path, value, message",
     [
-        (("qubits",), "12", "qubits must be a JSON integer"),
-        (("qubits",), 12.0, "qubits must be a JSON integer"),
-        (("layout", "edge_qubits", 0, 1), "1", "layout.edge_qubits[0][1] must be a JSON integer"),
-        (("layout", "edge_qubits", 2, 0), 2.9, "layout.edge_qubits[2][0] must be a JSON integer"),
-        (("layout", "node_registers", 0, "binary", 1), False,
-         "layout.node_registers[0].binary[1] must be a JSON integer"),
-        (("layout", "node_registers", 2, "flag"), "10",
-         "layout.node_registers[2].flag must be a JSON integer"),
         (("layout", "facing", 0, 2), 4.0, "layout.facing[0][2] must be a JSON integer"),
-        (("layout", "local_edges", 3, 0), True, "layout.local_edges[3][0] must be a JSON integer"),
+        (("layout", "facing", 3, 0), True, "layout.facing[3][0] must be a JSON integer"),
         (("instructions", 0, "targets", 0), "0", "instruction 0: targets[0] must be a JSON integer"),
         (("instructions", 6, "controls", 0), 2.9,
          "instruction 6: controls[0] must be a JSON integer"),
         (("instructions", 1, "locus", "id"), False, "instruction 1: locus.id must be a JSON integer"),
+        (("instructions", 1, "locus", "kind"), False,
+         "instruction 1: locus.kind must be a JSON string"),
         (("instructions", _HUB_DIFFUSION, "d"), 3.0,
          f"instruction {_HUB_DIFFUSION}: d must be a JSON integer"),
         (("instructions", _HUB_DIFFUSION, "d"), "3",
          f"instruction {_HUB_DIFFUSION}: d must be a JSON integer"),
         (("phases", 1, "start"), "2", "phases[1].start must be a JSON integer"),
         (("phases", 2, "node"), False, "phases[2].node must be a JSON integer"),
+        (("phases", 0, "kind"), ["nonsense"], "phases[0].kind must be a JSON string"),
     ],
     ids=[
-        "qubits-string", "qubits-float", "edge-qubit-string", "edge-qubit-float",
-        "binary-false", "flag-string", "facing-float", "local-edge-true",
-        "target-string", "control-float", "locus-id-false", "d-float", "d-string",
-        "phase-start-string", "phase-node-false",
+        "facing-float", "facing-true",
+        "target-string", "control-float", "locus-id-false", "locus-kind-false",
+        "d-float", "d-string", "phase-start-string", "phase-node-false", "phase-kind-list",
     ],
 )
 def test_circuit_from_json_requires_integers(path, value, message):
@@ -530,7 +539,7 @@ def test_circuit_from_json_checks_phase_spans():
 
 def test_circuit_from_json_rejects_out_of_range_qubit():
     def mutate(doc):
-        doc["instructions"][0]["targets"] = [doc["qubits"]]
+        doc["instructions"][0]["targets"] = [4]  # one edge: 2 edge qubits + 2 flags
 
     with pytest.raises(CircuitError, match="beyond"):
         circuit_from_json(tampered_doc(mutate))
@@ -551,47 +560,95 @@ def _set(path, value):
 @pytest.mark.parametrize(
     "mutate, match",
     [
-        (_set(("edge_qubits", 2, 1), lambda doc: doc["qubits"]),
-         r"layout\.edge_qubits\[2\]: qubit 12 outside \[0, 12\)"),
-        (_set(("node_registers", 1, "flag"), lambda doc: -1),
-         r"layout\.node_registers\[1\]: qubit -1 outside"),
-        (_set(("edge_qubits", 1), lambda doc: [0, 1]),
-         r"layout\.edge_qubits\[1\]: qubit 0 already used by layout\.edge_qubits\[0\]"),
-        (_set(("node_registers", 0, "binary", 0), lambda doc: 3),
-         r"layout\.node_registers\[0\]: qubit 3 already used by layout\.edge_qubits\[1\]"),
         (_set(("facing",), lambda doc: doc["layout"]["facing"][:-1]),
-         "facing, local_edges and node_registers have 3, 4 and 4 entries"),
-        (_set(("local_edges",), lambda doc: doc["layout"]["local_edges"] + [[]]),
-         "facing, local_edges and node_registers have 4, 5 and 4 entries"),
-        (_set(("local_edges", 1, 0), lambda doc: 3),
-         r"layout\.local_edges\[1\]\[0\]: edge 3 outside \[0, 3\)"),
+         r"^layout\.facing: no node faces qubit 5 of edge 2$"),
         (_set(("facing", 0), lambda doc: doc["layout"]["facing"][0][:2]),
-         r"layout\.facing\[0\]: 2 qubits for 3 local edges"),
+         r"^layout\.facing: no node faces qubit 4 of edge 2$"),
         (_set(("facing", 1, 0), lambda doc: 2),
-         r"layout\.facing\[1\]\[0\]: qubit 2 is not a qubit of edge 0"),
+         r"^layout\.facing\[1\]\[0\]: qubit 2 already faces node 0$"),
+        (_set(("facing", 3, 0), lambda doc: 1),
+         r"^layout\.facing\[3\]\[0\]: qubit 1 already faces node 1$"),
+        (_set(("facing", 0, 2), lambda doc: 6),
+         r"^layout\.facing\[0\]\[2\]: qubit 6 outside \[0, 6\)$"),
+        (_set(("facing", 2, 0), lambda doc: -1),
+         r"^layout\.facing\[2\]\[0\]: qubit -1 outside \[0, 6\)$"),
+        (_set(("facing", 1, 0), lambda doc: 2**70),
+         rf"^layout\.facing\[1\]\[0\]: qubit {2**70} outside \[0, 6\)$"),
+        (_set(("facing",), lambda doc: [[0, 1, 4], [2], [3], [5]]),
+         r"^layout\.facing: both poles of edge 0 face node 0$"),
     ],
     ids=[
-        "edge-qubit-beyond-register",
-        "negative-register-qubit",
-        "edges-share-a-pair",
-        "register-on-edge-qubit",
         "facing-short",
-        "local-edges-long",
-        "local-edge-out-of-range",
         "facing-fewer-than-local-edges",
         "facing-not-on-its-edge",
+        "facing-repeats-a-qubit",
+        "facing-out-of-range",
+        "facing-negative",
+        "facing-beyond-64-bits",
+        "poles-face-one-node",
     ],
 )
 def test_circuit_from_json_rejects_inconsistent_layout(mutate, match):
     g = star_graph(3)
     doc = compile_step(g, hub_polarity(3), [0]).to_json_dict()
-    assert doc["qubits"] == 12
-    assert doc["layout"]["edge_qubits"] == [[0, 1], [2, 3], [4, 5]]
-    assert doc["layout"]["local_edges"][1] == [0]
+    assert doc["layout"] == {"facing": [[0, 2, 4], [1], [3], [5]]}
     circuit_from_json(json.dumps(doc))
     mutate(doc)
     with pytest.raises(CircuitError, match=match):
         circuit_from_json(json.dumps(doc))
+
+
+def test_path3_facing_with_a_repeated_qubit_is_rejected():
+    # Node 2 claims qubit 2, node 1's, so no node faces qubit 3.  Every
+    # instruction still fits the register, which is why only the facing
+    # check can catch it.
+    g = path_graph(3)
+    doc = compile_step(g, coloring_polarity(g), [0]).to_json_dict()
+    assert doc["layout"]["facing"] == [[1], [0, 2], [3]]
+    doc["layout"]["facing"][2] = [2]
+    with pytest.raises(CircuitError) as info:
+        circuit_from_json(json.dumps(doc))
+    assert str(info.value) == "layout.facing[2][0]: qubit 2 already faces node 1"
+
+
+def _with_parent_layout_keys(circ):
+    """The circuit document with the derived keys older documents stored."""
+    layout = circ.layout
+    doc = circ.to_json_dict()
+    doc["qubits"] = circ.n_qubits
+    doc["layout"] = {
+        "edge_qubits": [list(pair) for pair in layout.edge_qubits],
+        "node_registers": [
+            {"binary": list(reg.binary), "flag": reg.flag} for reg in layout.node_registers
+        ],
+        "facing": [list(f) for f in layout.facing],
+        "local_edges": [[q // 2 for q in f] for f in layout.facing],
+    }
+    return doc
+
+
+@pytest.mark.parametrize(
+    "g, seed",
+    [
+        (path_graph(3), None),
+        (star_graph(5), None),
+        (star_graph(9), 4),
+        (random_connected_graph(8, extra_edges=6, seed=3), None),
+        (random_connected_graph(8, extra_edges=6, seed=3), 11),
+    ],
+)
+def test_documents_with_parent_layout_keys_load(g, seed):
+    p = coloring_polarity(g)
+    circ = compile_step(g, p, [0], enumeration_seed=seed)
+    doc = _with_parent_layout_keys(circ)
+    back = circuit_from_json(json.dumps(doc))
+    assert back == circ
+    report = verify_circuit_equivalence(g, p, [0], circuit=back)
+    assert (report.max_deviation, report.max_leakage) == (0.0, 0.0)
+    # The derived keys are not read, so not checked either.
+    doc["qubits"] = "stale"
+    doc["layout"]["local_edges"] = None
+    assert circuit_from_json(json.dumps(doc)) == circ
 
 
 def _put(*path, value):
@@ -618,21 +675,10 @@ def _clear_layout(doc):
         (_put("instructions", value={}), "instructions must be a JSON array"),
         (_put("instructions", value=""), "instructions must be a JSON array"),
         (_put("layout", value=[]), "layout must be a JSON object"),
-        (_clear_layout, "layout.edge_qubits must be a JSON array"),
-        (_put("layout", "edge_qubits", value={}), "layout.edge_qubits must be a JSON array"),
-        (_put("layout", "edge_qubits", 1, value="23"),
-         "layout.edge_qubits[1] must be a JSON array"),
-        (_put("layout", "node_registers", value={}),
-         "layout.node_registers must be a JSON array"),
-        (_put("layout", "node_registers", 0, value=[]),
-         "layout.node_registers[0] must be a JSON object"),
-        (_put("layout", "node_registers", 1, "binary", value={}),
-         "layout.node_registers[1].binary must be a JSON array"),
+        (_clear_layout, "layout.facing must be a JSON array"),
+        (_put("layout", value={}), "layout.facing must be a JSON array"),
         (_put("layout", "facing", value={}), "layout.facing must be a JSON array"),
         (_put("layout", "facing", 2, value={}), "layout.facing[2] must be a JSON array"),
-        (_put("layout", "local_edges", value=""), "layout.local_edges must be a JSON array"),
-        (_put("layout", "local_edges", 3, value="0"),
-         "layout.local_edges[3] must be a JSON array"),
         (_put("instructions", 1, value=[]), "instruction 1 must be a JSON object"),
         (_put("instructions", 0, "controls", value={}),
          "instruction 0: controls must be a JSON array"),
@@ -648,15 +694,9 @@ def _clear_layout(doc):
         "instructions-string",
         "layout-array",
         "layout-all-objects",
-        "edge-qubits-object",
-        "edge-qubit-pair-string",
-        "registers-object",
-        "register-array",
-        "register-binary-object",
+        "layout-without-facing",
         "facing-object",
         "facing-entry-object",
-        "local-edges-string",
-        "local-edges-entry-string",
         "instruction-array",
         "controls-object",
         "targets-number",

@@ -1,5 +1,5 @@
-"""Every docstring example in the graphwalk package, and README's Quick start,
-runs and prints what it shows."""
+"""Every docstring example in the graphwalk package, and every Python block
+of README, runs and prints what it shows."""
 
 from __future__ import annotations
 
@@ -27,6 +27,10 @@ def test_docstring_examples(name):
 
 
 def test_readme_quick_start(capsys):
-    block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
-    exec(block, {})
-    assert capsys.readouterr().out.splitlines() == ["4 0.978", "0"]
+    # The blocks build on each other, so they share one namespace.
+    blocks = [b.split("```", 1)[0] for b in README.read_text().split("```python\n")[1:]]
+    assert len(blocks) == 3
+    namespace: dict = {}
+    for block in blocks:
+        exec(block, namespace)
+    assert capsys.readouterr().out.splitlines() == ["4 0.978", "0", "53", "True"]

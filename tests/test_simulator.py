@@ -411,8 +411,9 @@ def test_batched_matrix_matches_reference_with_foreign_diffusion():
     assert np.abs(mat).max() > 0.1
 
 
-def mixed_circuit(n):
-    """Every gate kind, with loci that switch mid-run and repeat."""
+def mixed_circuit():
+    """Every gate kind, with loci that switch mid-run and repeat, on the
+    8-qubit layout of a path on 3 nodes."""
     edge, node = Locus("edge", 0), Locus("node", 0)
     instrs = [
         Instruction(Gate.X, (), (2,), edge),
@@ -429,14 +430,15 @@ def mixed_circuit(n):
         Instruction(Gate.MCX, (4,), (0,), node),
         Instruction(Gate.CNOT, (2,), (3,), edge),
     ]
-    layout = QubitLayout(((0, 1),), (), (), (), n)
+    layout = QubitLayout(((1,), (0, 2), (3,)))
     return Circuit(layout, tuple(instrs))
 
 
 def test_run_matches_gate_by_gate_on_random_states():
-    n = 5
     rng = np.random.default_rng(17)
-    circ = mixed_circuit(n)
+    circ = mixed_circuit()
+    n = circ.n_qubits
+    assert n == 8
     assert {ins.gate for ins in circ.instructions} == set(Gate)
     for _ in range(5):
         state = random_sparse_state(n, rng, support=20)

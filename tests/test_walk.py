@@ -394,6 +394,48 @@ def test_default_step_equals_matrix_products_bitwise():
         assert np.array_equal(fast.psi, slow.psi)
 
 
+@pytest.mark.parametrize("coin", [None, HADAMARD], ids=["x-coin", "hadamard-coin"])
+def test_step_writes_state_in_place_and_shares_no_buffer(coin):
+    """A step writes into `state.psi` itself; two states stepped in turn by
+    one plan match states stepped by plans of their own."""
+    g = random_connected_graph(12, extra_edges=10, seed=2)
+    p = coloring_polarity(g)
+    coin = CoinSpec() if coin is None else CoinSpec(coin)
+    oracle = OracleSpec(marked=frozenset({1, 5}))
+    shared = WalkPlan(g, p, oracle, coin)
+    a = random_walk_state(g.n_edges, np.random.default_rng(0))
+    b = random_walk_state(g.n_edges, np.random.default_rng(1))
+    a_alone, b_alone = a.copy(), b.copy()
+    psi = a.psi
+    for _ in range(5):
+        shared.step(a)
+        shared.step(b)
+        WalkPlan(g, p, oracle, coin).step(a_alone)
+        WalkPlan(g, p, oracle, coin).step(b_alone)
+    assert a.psi is psi
+    assert np.array_equal(a.psi, a_alone.psi) and np.array_equal(b.psi, b_alone.psi)
+
+
+@pytest.mark.parametrize(
+    "layout", ["fortran", "read-only"],
+)
+def test_step_copies_a_psi_it_cannot_write(layout):
+    g = random_connected_graph(8, extra_edges=6, seed=3)
+    plan = WalkPlan(g, coloring_polarity(g), MARK0)
+    given = random_walk_state(g.n_edges, np.random.default_rng(4)).psi
+    if layout == "fortran":
+        given = np.asfortranarray(given)
+    else:
+        given.setflags(write=False)
+    before = given.copy()
+    state = WalkState(given)
+    want = WalkState(before.copy())
+    plan.step(state)
+    plan.step(want)
+    assert np.array_equal(given, before)
+    assert state.psi.flags.c_contiguous and np.array_equal(state.psi, want.psi)
+
+
 PHASE = np.diag([1j, 1.0])
 ROTATION = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]], dtype=complex)
 
@@ -539,6 +581,17 @@ def test_sweep_unmarked_constant_zero_column():
     assert rep.probs == (0.0,) * 11
     assert rep.t_star == 0  # ties break to the smallest t
     assert rep.marked == ()
+
+
+def test_sweep_rejects_norm_drift(monkeypatch):
+    def leaky_step(self, state):
+        state.psi *= 1.001
+        return state
+
+    monkeypatch.setattr(WalkPlan, "step", leaky_step)
+    g = star_graph(4)
+    with pytest.raises(ValueError, match="^state norm drifted: total probability 1.002"):
+        sweep(g, polarity_from_coloring(g, greedy_coloring(g)), MARK0, t_max=2)
 
 
 def test_sweep_star64_first_peak():

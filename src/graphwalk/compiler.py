@@ -397,8 +397,12 @@ def _ints(value, field: str) -> tuple[int, ...]:
     return tuple(_typed(q, int, f"{field}[{i}]") for i, q in enumerate(items))
 
 
-def _phases(doc: dict, n_instructions: int) -> tuple[Phase, ...]:
-    """The optional `phases` key: spans with 0 <= start <= stop <= n_instructions."""
+def _phases(doc: dict, n_instructions: int, n_nodes: int) -> tuple[Phase, ...]:
+    """The optional `phases` key: spans that tile [0, n_instructions) in order.
+
+    An oracle or coin phase has a null node; a scatter phase names a node of
+    the layout.
+    """
     phases = []
     for i, ph in enumerate(_typed(doc.get("phases", []), list, "phases")):
         field = f"phases[{i}]"
@@ -413,12 +417,31 @@ def _phases(doc: dict, n_instructions: int) -> tuple[Phase, ...]:
             )
         except KeyError as exc:
             raise CircuitError(f"{field} missing {exc}") from None
+        if phase.kind not in ("oracle", "coin", "scatter"):
+            raise CircuitError(f"{field}.kind must be oracle, coin or scatter, got {phase.kind!r}")
+        if phase.kind != "scatter" and node is not None:
+            raise CircuitError(f"{field}.node must be null for kind {phase.kind}, got {node}")
+        if phase.kind == "scatter" and (node is None or not 0 <= node < n_nodes):
+            raise CircuitError(
+                f"{field}.node must be a node in [0, {n_nodes}), got {json.dumps(node)}"
+            )
         if not 0 <= phase.start <= phase.stop <= n_instructions:
             raise CircuitError(
                 f"{field}: span [{phase.start}, {phase.stop}) outside "
                 f"[0, {n_instructions}]"
             )
+        start = phases[-1].stop if phases else 0
+        if phase.start != start:
+            raise CircuitError(
+                f"{field}.start must be {start}, got {phase.start}: "
+                "phases must tile the instructions in order"
+            )
         phases.append(phase)
+    if phases and phases[-1].stop != n_instructions:
+        raise CircuitError(
+            f"phases[{len(phases) - 1}].stop must be {n_instructions}, got "
+            f"{phases[-1].stop}: phases must tile the instructions in order"
+        )
     return tuple(phases)
 
 
@@ -431,8 +454,8 @@ def circuit_from_json(text: str) -> Circuit:
     Raises:
         CircuitError: On schema violations (naming the field), a `facing`
             that `QubitLayout` rejects, a gate that does not fit its arity
-            or degree, a qubit beyond the register, or a phase span outside
-            the instruction list.
+            or degree, a qubit beyond the register, or phases that do not
+            tile the instruction list or name a wrong kind or node.
     """
     try:
         doc = json.loads(text)
@@ -468,7 +491,9 @@ def circuit_from_json(text: str) -> Circuit:
             raise CircuitError(f"instruction {pos}: malformed ({exc})") from None
         if any(q >= layout.n_qubits for q in instructions[-1].qubits()):
             raise CircuitError(f"instruction {pos}: qubit index beyond {layout.n_qubits}")
-    return Circuit(layout, tuple(instructions), _phases(doc, len(instructions)))
+    return Circuit(
+        layout, tuple(instructions), _phases(doc, len(instructions), layout.n_nodes)
+    )
 
 
 @dataclass(frozen=True)

@@ -443,9 +443,12 @@ def verify_circuit_equivalence(
     side uses the standard pole-swap coin and sign oracle.
 
     Raises:
+        ValueError: If `tolerance` is NaN or negative.
         CircuitError: If the given circuit's layout has another edge count
             than g.
     """
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tolerance!r}")
     if circuit is None:
         circuit = compile_step(g, p, marked, enumeration_seed=enumeration_seed)
     elif circuit.layout.n_edges != g.n_edges:

@@ -161,7 +161,9 @@ class WalkPlan:
     unmarked edges and coin times oracle on marked ones.  It lays the
     amplitudes out node by node in the graph's CSR order, each node's facing
     amplitudes in ascending neighbor order, so one gather, one segment sum
-    and one scatter run every diffusion.  The 2x2 actions are elementwise
+    and one scatter run every diffusion.  The same two stages run on one
+    state or on (2E, B) columns side by side: `matrix()` is the step run on
+    the identity's columns.  The 2x2 actions are elementwise
     column arithmetic, not matrix products; with the default specs (the X
     coin, the -X oracle) they reduce to gathering each pole's partner and
     negating the marked edges.
@@ -209,13 +211,13 @@ class WalkPlan:
         # pole c); node u's block is i in indptr[u]:indptr[u + 1].
         self._dst = facing_amplitudes(g, p)
         degrees = np.diff(g.indptr)
-        self._starts, self._degrees = g.indptr[:-1][degrees > 0], degrees[degrees > 0]
-        self._weights = 2.0 / self._degrees
+        self._starts, degrees = g.indptr[:-1][degrees > 0], degrees[degrees > 0]
+        self._weights = 2.0 / degrees
         # Gathered amplitude i belongs to block _node[i].  A step works in the
         # buffers below and writes the state in place, so it allocates no
         # state-sized array; every index is in range, and take's "clip" mode
         # skips the copy of `out` that its checked mode makes.
-        self._node = np.repeat(np.arange(len(self._starts)), self._degrees)
+        self._node = np.repeat(np.arange(len(self._starts)), degrees)
         self._x = np.empty(2 * n_edges, dtype=complex)
         self._y = np.empty(2 * n_edges, dtype=complex)
         self._sums = np.empty(len(self._starts), dtype=complex)
@@ -242,31 +244,38 @@ class WalkPlan:
                 f"state has {state.n_edges} edges, graph has {self.n_edges}"
             )
 
-    def _diffuse(self, state: WalkState, x: np.ndarray) -> None:
-        """Write into the state every node's diffusion of its gathered amplitudes x."""
-        sums = np.add.reduceat(x, self._starts, out=self._sums)
-        sums *= self._weights
-        y = np.take(sums, self._node, out=self._y, mode="clip")
+    def _gather(self, flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Oracle and coin on (2E,) or (2E, B) flat amplitudes, gathered node by node."""
+        if self._swap is not None:
+            x = np.take(flat, self._swap, axis=0, out=out, mode="clip")
+            x[self._flip] *= -1
+            return x
+        psi = flat.reshape((self.n_edges, 2) + flat.shape[1:])
+        y = _act(self._coin_m, psi)
+        y[self._marked] = _act(self._marked_m, psi[self._marked])
+        return np.take(y.reshape(flat.shape), self._dst, axis=0, out=out, mode="clip")
+
+    def _diffuse(self, x: np.ndarray, sums=None, y=None) -> np.ndarray:
+        """Every node's diffusion of gathered amplitudes x, into buffers sums and y if given."""
+        sums = np.add.reduceat(x, self._starts, axis=0, out=sums)
+        sums *= self._weights if x.ndim == 1 else self._weights[:, None]
+        y = np.take(sums, self._node, axis=0, out=y, mode="clip")
         y -= x
-        _flat(state)[self._dst] = y
+        return y
 
     def scatter(self, state: WalkState) -> WalkState:
         """Diffuse, at every node, the amplitudes facing it.  In place."""
         self._check(state)
-        self._diffuse(state, np.take(_flat(state), self._dst, out=self._x, mode="clip"))
+        flat = _flat(state)
+        x = np.take(flat, self._dst, out=self._x, mode="clip")
+        flat[self._dst] = self._diffuse(x, self._sums, self._y)
         return state
 
     def step(self, state: WalkState) -> WalkState:
         """Advance one step: oracle, then coin, then scattering.  In place."""
         self._check(state)
-        if self._swap is not None:
-            x = np.take(_flat(state), self._swap, out=self._x, mode="clip")
-            x[self._flip] *= -1
-        else:
-            y = _act(self._coin_m, state.psi)
-            y[self._marked] = _act(self._marked_m, state.psi[self._marked])
-            x = np.take(y.reshape(-1), self._dst, out=self._x, mode="clip")
-        self._diffuse(state, x)
+        flat = _flat(state)
+        flat[self._dst] = self._diffuse(self._gather(flat, self._x), self._sums, self._y)
         state.t += 1
         return state
 
@@ -286,28 +295,12 @@ class WalkPlan:
     def matrix(self) -> np.ndarray:
         """Dense matrix of one step on the 2|E| amplitudes.
 
-        Column 2k + c holds the step's image of amplitude (edge k, pole c):
-        each nonzero v of the edge's 2x2 action, at amplitude i, spreads over
-        the diffusion block of the node that i faces, as v * (2/d) on every
-        row of the block minus v on row i.
+        The step run on the identity's columns: column 2k + c holds the
+        step's image of amplitude (edge k, pole c).
         """
-        dim = 2 * self.n_edges
-        action = np.broadcast_to(self._coin_m, (self.n_edges, 2, 2)).copy()
-        action[self._marked] = self._marked_m
-        k, r, c = np.nonzero(action)
-        vals = action[k, r, c]
-        rows_in, cols = 2 * k + r, 2 * k + c
-        position = np.empty(dim, dtype=np.intp)
-        position[self._dst] = np.arange(dim)
-        node = self._node[position[rows_in]]
-        size = self._degrees[node]
-        entry = np.repeat(np.arange(len(vals)), size)
-        offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-        rows = self._dst[self._starts[node][entry] + offset]
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[rows, cols[entry]] = (vals * self._weights[node])[entry]
-        mat[rows_in, cols] -= vals
-        return mat
+        x = self._gather(np.eye(2 * self.n_edges, dtype=complex))
+        x[self._dst] = self._diffuse(x)
+        return x
 
 
 def _flat(state: WalkState) -> np.ndarray:
@@ -318,7 +311,10 @@ def _flat(state: WalkState) -> np.ndarray:
 
 
 def _act(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """psi @ m.T for an (E, 2) state, by columns rather than a matrix product."""
+    """psi @ m.T per edge, by columns rather than a matrix product.
+
+    psi is one (E, 2) state or an (E, 2, B) array of B states side by side.
+    """
     a, b = psi[:, 0], psi[:, 1]
     return np.stack([m[0, 0] * a + m[0, 1] * b, m[1, 0] * a + m[1, 1] * b], axis=1)
 

@@ -295,6 +295,7 @@ def test_verify_tampered_circuit_exits_4(path3, tmp_path, capsys):
         {"gate": "x", "controls": [], "targets": [0],
          "locus": {"kind": "edge", "id": 0}}
     )
+    doc["phases"][-1]["stop"] += 1  # the stray gate ends the last phase
     circ_file.write_text(json.dumps(doc))
     code = main(
         ["verify", "--graph", path3, "--mark-edge", "0", "1",
@@ -315,6 +316,7 @@ def test_verify_warning_names_worst_column(path3, tmp_path, capsys, caplog):
         {"gate": "z", "controls": [], "targets": [3],  # edge 1's - pole
          "locus": {"kind": "edge", "id": 1}}
     )
+    doc["phases"][-1]["stop"] += 1  # the stray gate ends the last phase
     circ_file.write_text(json.dumps(doc))
     with caplog.at_level("WARNING", logger="graphwalk"):
         code = main(
@@ -387,6 +389,17 @@ def test_verify_circuit_for_another_edge_count_exits_1(tmp_path, capsys):
     assert captured.err == "graphwalk: circuit has 4 edges, graph has 3\n"
 
 
+@pytest.mark.parametrize("tolerance, shown", [("nan", "nan"), ("-1", "-1.0")])
+def test_verify_rejects_nan_or_negative_tolerance(path3, capsys, tolerance, shown):
+    code = main(
+        ["verify", "--graph", path3, "--mark-edge", "0", "1", "--tolerance", tolerance]
+    )
+    assert code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"graphwalk: tolerance must be nonnegative, got {shown}\n"
+
+
 def test_verify_enumeration_seed(path3, capsys):
     code = main(
         ["verify", "--graph", path3, "--mark-edge", "0", "1",
@@ -445,6 +458,32 @@ def test_missing_graph_file_returns_1(capsys):
     )
     assert code == 1
     assert "cannot read graph file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--graph", "{graph}", "--t-max", "2", "--out", "{out}"],
+        ["sweep", "--graph", "{graph}", "--t-max", "2", "--out", "{out}.json"],
+        ["search", "--graph", "{graph}", "--mark-edge", "0", "1", "--steps", "1",
+         "--out", "{out}"],
+        ["compile", "--graph", "{graph}", "--out", "{out}"],
+        ["compile", "--graph", "{graph}", "--audit-out", "{out}"],
+        ["verify", "--graph", "{graph}", "--out", "{out}"],
+        ["analyze-star", "4", "--out", "{out}"],
+        ["analyze-complete", "4", "--out", "{out}"],
+    ],
+    ids=["sweep-csv", "sweep-json", "search", "compile", "compile-audit", "verify",
+         "analyze-star", "analyze-complete"],
+)
+def test_unwritable_output_returns_1(path3, tmp_path, capsys, args):
+    out = tmp_path / "missing" / "result"
+    code = main([a.format(graph=path3, out=out) for a in args])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("graphwalk: cannot write output file: [Errno 2] ")
+    assert str(out) in err
+    assert not out.parent.exists()
 
 
 def test_disconnected_graph_returns_2(tmp_path, capsys):

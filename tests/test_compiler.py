@@ -712,6 +712,52 @@ def test_circuit_from_json_requires_arrays_and_objects(mutate, message):
     assert str(info.value) == message
 
 
+def _respan(index, start, stop):
+    def mutate(doc):
+        doc["phases"][index].update(start=start, stop=stop)
+
+    return mutate
+
+
+_TILE = "phases must tile the instructions in order"
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_put("phases", 0, value={"kind": "nonsense", "node": 99, "start": 0, "stop": 1}),
+         "phases[0].kind must be oracle, coin or scatter, got 'nonsense'"),
+        (_put("phases", 1, "node", value=0), "phases[1].node must be null for kind coin, got 0"),
+        (_put("phases", 0, "node", value=2),
+         "phases[0].node must be null for kind oracle, got 2"),
+        (_put("phases", 2, "node", value=4), "phases[2].node must be a node in [0, 4), got 4"),
+        (_put("phases", 3, "node", value=-1), "phases[3].node must be a node in [0, 4), got -1"),
+        (_put("phases", 4, "node", value=None),
+         "phases[4].node must be a node in [0, 4), got null"),
+        (_respan(1, 4, 6), f"phases[1].start must be 3, got 4: {_TILE}"),
+        (_respan(1, 2, 6), f"phases[1].start must be 3, got 2: {_TILE}"),
+        (_respan(0, 1, 3), f"phases[0].start must be 0, got 1: {_TILE}"),
+        (lambda doc: doc["phases"].insert(1, doc["phases"][1]),
+         f"phases[2].start must be 6, got 3: {_TILE}"),
+        (lambda doc: doc.update(phases=doc["phases"][:2]),
+         f"phases[1].stop must be 23, got 6: {_TILE}"),
+    ],
+    ids=[
+        "kind-nonsense", "coin-with-node", "oracle-with-node", "scatter-node-beyond",
+        "scatter-node-negative", "scatter-without-node", "gap", "overlap", "late-start",
+        "repeated-phase", "short",
+    ],
+)
+def test_circuit_from_json_checks_phase_kinds_nodes_and_tiling(mutate, message):
+    doc = _star3_doc()
+    # oracle [0, 3), coin [3, 6), the hub's scatter [6, 23), three empty leaf scatters.
+    assert [(ph["start"], ph["stop"]) for ph in doc["phases"]][:3] == [(0, 3), (3, 6), (6, 23)]
+    mutate(doc)
+    with pytest.raises(CircuitError) as info:
+        circuit_from_json(json.dumps(doc))
+    assert str(info.value) == message
+
+
 def test_instruction_validation():
     locus = Locus("edge", 0)
     with pytest.raises(CircuitError, match="reuses"):

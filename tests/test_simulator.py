@@ -344,6 +344,16 @@ def test_verify_catches_tampered_circuit():
     assert report.max_deviation > 0.1
 
 
+@pytest.mark.parametrize(
+    "tolerance", [float("nan"), -1.0, -1e-300], ids=["nan", "minus-one", "tiny-negative"]
+)
+def test_verify_rejects_nan_or_negative_tolerance(tolerance):
+    g = path_graph(3)
+    with pytest.raises(ValueError) as info:
+        verify_circuit_equivalence(g, coloring_polarity(g), [0], tolerance=tolerance)
+    assert str(info.value) == f"tolerance must be nonnegative, got {tolerance!r}"
+
+
 def test_equivalence_report_json():
     g = star_graph(2)
     report = verify_circuit_equivalence(g, hub_polarity(2), [0])

@@ -442,6 +442,19 @@ ROTATION = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]], d
 
 @pytest.mark.parametrize(
     "coin,action",
+    [(None, None), (None, PHASE), (HADAMARD, None), (None, ROTATION)],
+    ids=["default-specs", "phase-oracle", "hadamard-coin", "rotation-oracle"],
+)
+@pytest.mark.parametrize("name,g,p,marked", PLAN_CASES[:2], ids=[c[0] for c in PLAN_CASES[:2]])
+def test_plan_matrix_is_the_step_on_each_unit_state(name, g, p, marked, coin, action):
+    coin = CoinSpec() if coin is None else CoinSpec(coin)
+    oracle = OracleSpec(frozenset(marked)) if action is None else OracleSpec(frozenset(marked), action)
+    matrix = WalkPlan(g, p, oracle, coin).matrix()
+    assert np.array_equal(matrix, column_by_column_step_matrix(g, p, coin=coin, oracle=oracle))
+
+
+@pytest.mark.parametrize(
+    "coin,action",
     [(HADAMARD, None), (None, ROTATION), (None, PHASE), (HADAMARD, ROTATION)],
     ids=["hadamard-coin", "rotation-oracle", "phase-oracle", "both"],
 )

@@ -31,14 +31,10 @@ from .graph import (
 from .walk import (
     CallCapExceededError,
     CoinSpec,
-    DiffusionOperator,
     OracleSpec,
     SweepReport,
     WalkPlan,
     WalkState,
-    apply_coin,
-    apply_oracle,
-    apply_scattering,
     diagonal_state,
     edge_probabilities,
     evolve,

@@ -397,12 +397,14 @@ def _ints(value, field: str) -> tuple[int, ...]:
     return tuple(_typed(q, int, f"{field}[{i}]") for i, q in enumerate(items))
 
 
-def _phases(doc: dict, n_instructions: int, n_nodes: int) -> tuple[Phase, ...]:
-    """The optional `phases` key: spans that tile [0, n_instructions) in order.
+def _phases(doc: dict, instructions: list[Instruction], n_nodes: int) -> tuple[Phase, ...]:
+    """The optional `phases` key: spans that tile the instructions in order.
 
     An oracle or coin phase has a null node; a scatter phase names a node of
-    the layout.
+    the layout.  A nonempty list must also match `compile_step`, as
+    `_check_phase_order` sets out.
     """
+    n_instructions = len(instructions)
     phases = []
     for i, ph in enumerate(_typed(doc.get("phases", []), list, "phases")):
         field = f"phases[{i}]"
@@ -442,7 +444,51 @@ def _phases(doc: dict, n_instructions: int, n_nodes: int) -> tuple[Phase, ...]:
             f"phases[{len(phases) - 1}].stop must be {n_instructions}, got "
             f"{phases[-1].stop}: phases must tile the instructions in order"
         )
+    if phases:
+        _check_phase_order(phases, instructions, n_nodes)
     return tuple(phases)
+
+
+def _phase_name(phase: Phase) -> str:
+    return phase.kind if phase.node is None else f"{phase.kind} of node {phase.node}"
+
+
+_ORDER = "phases must be the oracle, the coin, then one scatter per node in node order"
+
+
+def _check_phase_order(
+    phases: list[Phase], instructions: list[Instruction], n_nodes: int
+) -> None:
+    """Check tiled phases against the order and loci `compile_step` emits.
+
+    An oracle or coin phase holds only edge loci; the scatter of node u
+    holds only locus ("node", u).  Loci are checked first, so two swapped
+    phases that hold gates are reported by the first instruction out of
+    place.  Then the phases must be the oracle, the coin, and one scatter
+    per node in node order.
+    """
+    for i, ph in enumerate(phases):
+        for pos in range(ph.start, ph.stop):
+            locus = instructions[pos].locus
+            if ph.kind == "scatter":
+                ok, want = locus == ("node", ph.node), f"node {ph.node}"
+            else:
+                ok, want = locus.kind == "edge", "an edge locus"
+            if not ok:
+                raise CircuitError(
+                    f"phases[{i}] ({_phase_name(ph)}): instruction {pos} has locus "
+                    f"{locus.kind} {locus.id}, must be {want}"
+                )
+    expected = ["oracle", "coin", *(f"scatter of node {u}" for u in range(n_nodes))]
+    for i, (ph, want) in enumerate(zip(phases, expected)):
+        if _phase_name(ph) != want:
+            raise CircuitError(
+                f"phases[{i}] is the {_phase_name(ph)}, must be the {want}: {_ORDER}"
+            )
+    if len(phases) != len(expected):
+        raise CircuitError(
+            f"phases has {len(phases)} entries, must have {len(expected)}: {_ORDER}"
+        )
 
 
 def circuit_from_json(text: str) -> Circuit:
@@ -455,7 +501,8 @@ def circuit_from_json(text: str) -> Circuit:
         CircuitError: On schema violations (naming the field), a `facing`
             that `QubitLayout` rejects, a gate that does not fit its arity
             or degree, a qubit beyond the register, or phases that do not
-            tile the instruction list or name a wrong kind or node.
+            tile the instruction list, name a wrong kind or node, or differ
+            from `compile_step`'s order and loci.
     """
     try:
         doc = json.loads(text)
@@ -492,7 +539,7 @@ def circuit_from_json(text: str) -> Circuit:
         if any(q >= layout.n_qubits for q in instructions[-1].qubits()):
             raise CircuitError(f"instruction {pos}: qubit index beyond {layout.n_qubits}")
     return Circuit(
-        layout, tuple(instructions), _phases(doc, len(instructions), layout.n_nodes)
+        layout, tuple(instructions), _phases(doc, instructions, layout.n_nodes)
     )
 
 

@@ -510,6 +510,18 @@ def _build_graph(n: int, edges, position, seen: str) -> Graph:
         raise GraphParseError(message, line) from None
 
 
+def _int_pairs(items: list) -> bool:
+    """True if every item is a list of two ints, checked by C-level passes.
+
+    Types are matched exactly, so a bool or a float is not an int.
+    """
+    return (
+        set(map(type, items)) <= {list}
+        and set(map(len, items)) <= {2}
+        and set(map(type, itertools.chain.from_iterable(items))) <= {int}
+    )
+
+
 def _parse_json(text: str) -> tuple[Graph, tuple[int, ...] | None]:
     try:
         doc = json.loads(text)
@@ -525,13 +537,10 @@ def _parse_json(text: str) -> tuple[Graph, tuple[int, ...] | None]:
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):
         raise GraphParseError('"edges" must be a list of [u, v] pairs')
-    for pos, pair in enumerate(raw_edges, start=1):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
-        ):
-            raise GraphParseError(f"edge must be a [u, v] integer pair, got {pair!r}", pos)
+    if not _int_pairs(raw_edges):
+        for pos, pair in enumerate(raw_edges, start=1):
+            if not _int_pairs([pair]):
+                raise GraphParseError(f"edge must be a [u, v] integer pair, got {pair!r}", pos)
     g = _build_graph(n, raw_edges, lambda k: k + 1, "at edge")
     colors = None
     if "colors" in doc:

@@ -20,7 +20,6 @@ register returned to zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,19 +74,6 @@ class SparseState:
 
     def norm_sq(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.amps.values()))
-
-    def basis_label(self, key: int) -> str:
-        return format(key, f"0{self.n_qubits}b")
-
-    def to_json_list(self) -> list[dict]:
-        """Dump as a list of {basis, re, im} entries sorted by basis string."""
-        return [
-            {"basis": self.basis_label(k), "re": float(a.real), "im": float(a.imag)}
-            for k, a in sorted(self.amps.items())
-        ]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_list(), indent=2) + "\n"
 
 
 def _edge_keys(layout: QubitLayout, n: int) -> dict[int, int]:
@@ -348,7 +334,7 @@ def measure_edge(state: SparseState, layout: QubitLayout, seed=None) -> int:
     total = float(probs.sum())
     if total <= 0.0:
         raise SimulationError("no probability weight on the edge qubits")
-    return walk._sample_edge(probs, walk._as_rng(seed))
+    return walk._draw(np.cumsum(probs), walk._as_rng(seed))
 
 
 def _circuit_columns(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:

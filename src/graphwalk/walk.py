@@ -119,40 +119,6 @@ def diagonal_state(g: Graph) -> WalkState:
     return WalkState(psi, t=0)
 
 
-@dataclass(frozen=True)
-class DiffusionOperator:
-    """Grover diffusion (2/d)J - I on d amplitudes."""
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"diffusion dimension must be positive, got {self.dim}")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        d = self.dim
-        return (2.0 / d) * np.ones((d, d)) - np.eye(d)
-
-
-def apply_oracle(state: WalkState, oracle: OracleSpec) -> WalkState:
-    """Apply the oracle action to every marked edge, in place, and return it."""
-    if oracle.marked:
-        idx = np.fromiter(oracle.marked, dtype=int)
-        if idx.min() < 0 or idx.max() >= state.n_edges:
-            raise ValueError(
-                f"marked edge index out of range for {state.n_edges} edges"
-            )
-        state.psi[idx] = state.psi[idx] @ oracle.matrix.T
-    return state
-
-
-def apply_coin(state: WalkState, coin: CoinSpec) -> WalkState:
-    """Apply the coin to the amplitude pair of every edge, in place."""
-    state.psi = state.psi @ coin.matrix.T
-    return state
-
-
 class WalkPlan:
     """One step operator for a graph, polarity, oracle and coin, built once.
 
@@ -263,14 +229,6 @@ class WalkPlan:
         y -= x
         return y
 
-    def scatter(self, state: WalkState) -> WalkState:
-        """Diffuse, at every node, the amplitudes facing it.  In place."""
-        self._check(state)
-        flat = _flat(state)
-        x = np.take(flat, self._dst, out=self._x, mode="clip")
-        flat[self._dst] = self._diffuse(x, self._sums, self._y)
-        return state
-
     def step(self, state: WalkState) -> WalkState:
         """Advance one step: oracle, then coin, then scattering.  In place."""
         self._check(state)
@@ -330,17 +288,6 @@ def _plan_for(g, p, oracle, coin, plan: WalkPlan | None) -> WalkPlan:
     return plan
 
 
-def apply_scattering(state: WalkState, g: Graph, p: PolarityMap) -> WalkState:
-    """Diffuse, at every node, the amplitudes of incident edges facing it.
-
-    Each (edge, pole) amplitude faces exactly one node, so the per-node
-    blocks partition the state and the whole pass costs O(sum of degrees).
-    Each call builds a `WalkPlan` first; to scatter repeatedly on one graph,
-    build the plan once and call `WalkPlan.scatter`.
-    """
-    return WalkPlan(g, p).scatter(state)
-
-
 def step(
     state: WalkState,
     g: Graph,
@@ -377,11 +324,6 @@ def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
     """Inverse-CDF sample of an index from a cumulative weight vector."""
     u = rng.random() * cdf[-1]
     return int(min(np.searchsorted(cdf, u, side="right"), len(cdf) - 1))
-
-
-def _sample_edge(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF sample of an edge index from a probability vector."""
-    return _draw(np.cumsum(probs), rng)
 
 
 def _as_rng(seed) -> np.random.Generator:

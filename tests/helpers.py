@@ -1,14 +1,17 @@
-"""Shared test utilities: dense gate oracles, random-state builders, and the
-gate-by-gate reference simulator.
+"""Shared test utilities: the dense walk reference, dense gate oracles,
+random-state builders, and the gate-by-gate reference simulator.
 
-The dense builders reconstruct each gate's full 2^n matrix from first
-principles (basis-by-basis bit arithmetic), independent of the sparse
-simulator's dictionary transforms, so the two can be compared.  A diffusion
-is built as the dense `DiffusionOperator` matrix padded with the identity,
-not by the simulator's segment sums.  The reference simulator applies one
-gate at a time to the whole state and runs the circuit once per column, the
-plain form that the block simulator and the batched circuit matrix must
-reproduce.
+The walk reference is the step stage by stage as plain matrices: the oracle
+and coin as 2x2 matrix products on each edge's amplitude pair, and the
+Grover diffusion as its own dense (2/d)J - I, independent of the package's
+`WalkPlan` kernels.  The dense gate builders reconstruct each gate's full
+2^n matrix from first principles (basis-by-basis bit arithmetic),
+independent of the sparse simulator's dictionary transforms, so the two can
+be compared.  A diffusion is built as that dense (2/d)J - I padded with the
+identity, not by the simulator's segment sums.  The reference simulator
+applies one gate at a time to the whole state and runs the circuit once per
+column, the plain form that the block simulator and the batched circuit
+matrix must reproduce.
 """
 
 from __future__ import annotations
@@ -16,9 +19,37 @@ from __future__ import annotations
 import numpy as np
 
 from graphwalk import (
-    Circuit, DiffusionOperator, Gate, Instruction, SimulationError, SparseState, WalkState,
+    Circuit, CoinSpec, Gate, Instruction, OracleSpec, SimulationError, SparseState, WalkState,
 )
 from graphwalk.simulator import CIRCUIT_NORM_TOL, GATE_NORM_TOL, PRUNE_EPS
+
+
+def grover_matrix(d: int) -> np.ndarray:
+    """Grover diffusion (2/d)J - I on d amplitudes, as a dense matrix."""
+    return (2.0 / d) * np.ones((d, d)) - np.eye(d)
+
+
+def reference_oracle(state: WalkState, oracle: OracleSpec) -> WalkState:
+    """Apply the oracle action to every marked edge as a 2x2 matrix product,
+    in place, and return the state."""
+    if oracle.marked:
+        idx = np.fromiter(oracle.marked, dtype=int)
+        if idx.min() < 0 or idx.max() >= state.n_edges:
+            raise ValueError(f"marked edge index out of range for {state.n_edges} edges")
+        state.psi[idx] = state.psi[idx] @ oracle.matrix.T
+    return state
+
+
+def reference_coin(state: WalkState, coin: CoinSpec) -> WalkState:
+    """Apply the coin to every edge's amplitude pair as a 2x2 matrix product,
+    in place, and return the state."""
+    state.psi = state.psi @ coin.matrix.T
+    return state
+
+
+def basis_label(key: int, n: int) -> str:
+    """Basis label of an n-qubit key, qubit 0 leftmost."""
+    return format(key, f"0{n}b")
 
 
 def bit_of(key: int, qubit: int, n: int) -> int:
@@ -34,7 +65,7 @@ def diffusion_matrix(ins: Instruction) -> np.ndarray:
     """A diffusion's local matrix on its target value: (2/d)J - I on the
     values below d, padded with the identity up to 2^len(targets)."""
     m = np.eye(1 << len(ins.targets), dtype=complex)
-    m[: ins.d, : ins.d] = DiffusionOperator(ins.d).matrix
+    m[: ins.d, : ins.d] = grover_matrix(ins.d)
     return m
 
 

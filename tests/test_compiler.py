@@ -10,7 +10,6 @@ import pytest
 from graphwalk import (
     Circuit,
     CircuitError,
-    DiffusionOperator,
     Gate,
     Instruction,
     Locus,
@@ -39,7 +38,7 @@ from graphwalk import (
     verify_circuit_equivalence,
 )
 from graphwalk.simulator import apply_instruction
-from helpers import diffusion_matrix
+from helpers import diffusion_matrix, grover_matrix
 
 
 def coloring_polarity(g):
@@ -299,7 +298,7 @@ def test_diffusion_degree_3_pads_identity():
     (ins,) = compile_diffusion(layout, 0)
     assert ins.d == 3
     expected = np.eye(4)
-    expected[:3, :3] = DiffusionOperator(3).matrix
+    expected[:3, :3] = grover_matrix(3)
     binary, flag = layout.node_registers[0]
     n = layout.n_qubits
     probe = SparseState({}, n)
@@ -720,6 +719,20 @@ def _respan(index, start, stop):
 
 
 _TILE = "phases must tile the instructions in order"
+_ORDER = "phases must be the oracle, the coin, then one scatter per node in node order"
+
+
+def _swap_phases(i, j, key):
+    def mutate(doc):
+        a, b = doc["phases"][i], doc["phases"][j]
+        a[key], b[key] = b[key], a[key]
+
+    return mutate
+
+
+def _swap_oracle_coin_and_first_scatter_nodes(doc):
+    _swap_phases(0, 1, "kind")(doc)
+    _swap_phases(2, 3, "node")(doc)
 
 
 @pytest.mark.parametrize(
@@ -741,11 +754,29 @@ _TILE = "phases must tile the instructions in order"
          f"phases[2].start must be 6, got 3: {_TILE}"),
         (lambda doc: doc.update(phases=doc["phases"][:2]),
          f"phases[1].stop must be 23, got 6: {_TILE}"),
+        (_swap_oracle_coin_and_first_scatter_nodes,
+         "phases[2] (scatter of node 1): instruction 6 has locus node 0, must be node 1"),
+        (_put("instructions", 0, "locus", value={"kind": "node", "id": 0}),
+         "phases[0] (oracle): instruction 0 has locus node 0, must be an edge locus"),
+        (_put("instructions", 5, "locus", value={"kind": "node", "id": 2}),
+         "phases[1] (coin): instruction 5 has locus node 2, must be an edge locus"),
+        (_put("instructions", 22, "locus", value={"kind": "edge", "id": 0}),
+         "phases[2] (scatter of node 0): instruction 22 has locus edge 0, must be node 0"),
+        (_swap_phases(0, 1, "kind"),
+         f"phases[0] is the coin, must be the oracle: {_ORDER}"),
+        (_swap_phases(3, 4, "node"),
+         f"phases[3] is the scatter of node 2, must be the scatter of node 1: {_ORDER}"),
+        (lambda doc: doc.update(phases=doc["phases"][:3]),
+         f"phases has 3 entries, must have 6: {_ORDER}"),
+        (lambda doc: doc["phases"].append(dict(doc["phases"][-1])),
+         f"phases has 7 entries, must have 6: {_ORDER}"),
     ],
     ids=[
         "kind-nonsense", "coin-with-node", "oracle-with-node", "scatter-node-beyond",
         "scatter-node-negative", "scatter-without-node", "gap", "overlap", "late-start",
-        "repeated-phase", "short",
+        "repeated-phase", "short", "swapped-kinds-and-nodes", "oracle-node-locus",
+        "coin-node-locus", "scatter-edge-locus", "swapped-kinds", "swapped-empty-scatters",
+        "leaf-scatters-missing", "extra-scatter",
     ],
 )
 def test_circuit_from_json_checks_phase_kinds_nodes_and_tiling(mutate, message):

@@ -80,6 +80,9 @@ def test_parse_json():
     assert g == path_graph(3)
 
 
+_BAD_PAIR = r"edge must be a \[u, v\] integer pair, got"
+
+
 @pytest.mark.parametrize(
     "text, what",
     [
@@ -88,6 +91,12 @@ def test_parse_json():
         ('{"edges": []}', '"nodes"'),
         ('{"nodes": "3", "edges": []}', "integer"),
         ('{"nodes": 2, "edges": [[0, 1, 2]]}', "pair"),
+        ('{"nodes": 2, "edges": [[0, true]]}', rf"^line 1: {_BAD_PAIR} \[0, True\]$"),
+        ('{"nodes": 2, "edges": [[0, 1.0]]}', rf"^line 1: {_BAD_PAIR} \[0, 1\.0\]$"),
+        ('{"nodes": 4, "edges": [[0, 1], [1, 2], [2, 3.0]]}',
+         rf"^line 3: {_BAD_PAIR} \[2, 3\.0\]$"),
+        ('{"nodes": 4, "edges": [[0, 1], [1, 2], {"u": 2}]}',
+         rf"^line 3: {_BAD_PAIR} \{{'u': 2\}}$"),
         ('{"nodes": 2, "edges": [[0, 0]]}', "self-loop"),
         ('{"nodes": 2, "edges": [[0, 1], [1, 0]]}', "duplicate"),
         ('{"nodes": 2, "edges": [[0, 5]]}', "outside"),

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -44,6 +42,7 @@ from graphwalk import (
 from graphwalk import simulator
 from graphwalk.simulator import CIRCUIT_NORM_TOL, GATE_NORM_TOL, apply_instruction
 from helpers import (
+    basis_label,
     dense_instruction_matrix,
     dense_to_sparse,
     random_sparse_state,
@@ -87,7 +86,7 @@ def test_mask_and_label_orientation():
     state = SparseState({}, 4)
     assert state.mask(0) == 0b1000
     assert state.mask(3) == 0b0001
-    assert state.basis_label(0b1000) == "1000"
+    assert basis_label(0b1000, state.n_qubits) == "1000"
     with pytest.raises(SimulationError, match="outside"):
         state.mask(4)
 
@@ -302,15 +301,6 @@ def test_measure_edge_rejects_empty_edge_weight():
     layout = build_layout(g, coloring_polarity(g))
     with pytest.raises(SimulationError, match="no probability"):
         measure_edge(SparseState({}, layout.n_qubits), layout)
-
-
-def test_state_dump_sorted_and_typed():
-    state = SparseState({0b10: 0.6 + 0j, 0b01: 0.8j}, 2)
-    dump = state.to_json_list()
-    assert [d["basis"] for d in dump] == ["01", "10"]
-    assert dump[0] == {"basis": "01", "re": 0.0, "im": 0.8}
-    parsed = json.loads(state.to_json())
-    assert parsed == dump
 
 
 def test_dense_sparse_roundtrip():

@@ -10,15 +10,11 @@ import pytest
 from graphwalk import (
     CallCapExceededError,
     CoinSpec,
-    DiffusionOperator,
     Graph,
     OracleSpec,
     PolarityMap,
     WalkPlan,
     WalkState,
-    apply_coin,
-    apply_oracle,
-    apply_scattering,
     complete_graph,
     diagonal_state,
     edge_probabilities,
@@ -38,7 +34,7 @@ from graphwalk import (
     sweep,
 )
 from graphwalk import walk as walk_module
-from helpers import random_walk_state
+from helpers import grover_matrix, random_walk_state, reference_coin, reference_oracle
 
 MARK0 = OracleSpec(marked=frozenset({0}))
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -50,6 +46,12 @@ def coloring_polarity(g):
 
 def hub_polarity(m):
     return PolarityMap((0,) * m)
+
+
+def scatter(state, g, p):
+    """Every node's diffusion alone: a plan's step with no oracle and the
+    identity coin, whose 2x2 action leaves each amplitude bit for bit."""
+    return WalkPlan(g, p, coin=CoinSpec(np.eye(2))).step(state)
 
 
 def test_diagonal_state_path3():
@@ -100,20 +102,20 @@ def test_spec_copies_and_freezes_matrix(make):
 
 def test_apply_oracle_minus_x():
     s = WalkState(np.array([[0.6, 0.8j]]))
-    apply_oracle(s, MARK0)
+    reference_oracle(s, MARK0)
     np.testing.assert_allclose(s.psi, [[-0.8j, -0.6]])
 
 
 def test_apply_oracle_no_mark_is_identity():
     s = random_walk_state(4, np.random.default_rng(0))
     before = s.psi.copy()
-    apply_oracle(s, OracleSpec())
+    reference_oracle(s, OracleSpec())
     np.testing.assert_array_equal(s.psi, before)
 
 
 def test_apply_oracle_star2_diagonal():
     s = diagonal_state(star_graph(2))
-    apply_oracle(s, MARK0)
+    reference_oracle(s, MARK0)
     np.testing.assert_allclose(s.psi[0], [-0.5, -0.5])
     np.testing.assert_allclose(s.psi[1], [0.5, 0.5])
 
@@ -121,26 +123,26 @@ def test_apply_oracle_star2_diagonal():
 def test_apply_oracle_out_of_range():
     s = diagonal_state(star_graph(2))
     with pytest.raises(ValueError, match="out of range"):
-        apply_oracle(s, OracleSpec(marked=frozenset({5})))
+        reference_oracle(s, OracleSpec(marked=frozenset({5})))
 
 
 def test_apply_coin_swaps_components():
     s = WalkState(np.array([[0.6, 0.8j], [1.0, 0.0]]))
-    apply_coin(s, CoinSpec())
+    reference_coin(s, CoinSpec())
     np.testing.assert_allclose(s.psi, [[0.8j, 0.6], [0.0, 1.0]])
 
 
 def test_apply_coin_identity():
     s = random_walk_state(3, np.random.default_rng(1))
     before = s.psi.copy()
-    apply_coin(s, CoinSpec(np.eye(2, dtype=complex)))
+    reference_coin(s, CoinSpec(np.eye(2, dtype=complex)))
     np.testing.assert_array_equal(s.psi, before)
 
 
 def test_apply_coin_fixes_diagonal():
     s = diagonal_state(path_graph(4))
     before = s.psi.copy()
-    apply_coin(s, CoinSpec())
+    reference_coin(s, CoinSpec())
     np.testing.assert_allclose(s.psi, before, atol=1e-15)
 
 
@@ -148,7 +150,7 @@ def test_scattering_degree_1_identity():
     g = complete_graph(2)
     s = random_walk_state(1, np.random.default_rng(2))
     before = s.psi.copy()
-    apply_scattering(s, g, PolarityMap((0,)))
+    scatter(s, g, PolarityMap((0,)))
     np.testing.assert_allclose(s.psi, before, atol=1e-15)
 
 
@@ -156,7 +158,7 @@ def test_scattering_degree_2_swaps_facing_pair():
     g = path_graph(3)
     p = PolarityMap((0, 1))  # node 1 faces e0's minus and e1's plus
     s = WalkState(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-    apply_scattering(s, g, p)
+    scatter(s, g, p)
     np.testing.assert_allclose(s.psi, [[0.0, 0.0], [1.0, 0.0]], atol=1e-15)
 
 
@@ -164,7 +166,7 @@ def test_scattering_degree_3_first_column():
     g = star_graph(3)
     s = WalkState(np.zeros((3, 2), dtype=complex))
     s.psi[0, 0] = 1.0
-    apply_scattering(s, g, hub_polarity(3))
+    scatter(s, g, hub_polarity(3))
     np.testing.assert_allclose(s.psi[:, 0], [-1 / 3, 2 / 3, 2 / 3], atol=1e-15)
     np.testing.assert_allclose(s.psi[:, 1], 0, atol=1e-15)
 
@@ -174,14 +176,14 @@ def test_scattering_matches_dense_diffusion(d):
     g = star_graph(d)
     rng = np.random.default_rng(d)
     s = random_walk_state(d, rng)
-    expected_hub = DiffusionOperator(d).matrix @ s.psi[:, 0]
-    apply_scattering(s, g, hub_polarity(d))
+    expected_hub = grover_matrix(d) @ s.psi[:, 0]
+    scatter(s, g, hub_polarity(d))
     np.testing.assert_allclose(s.psi[:, 0], expected_hub, atol=1e-13)
 
 
 def test_diffusion_operator_involution():
     for d in (1, 2, 5, 33):
-        m = DiffusionOperator(d).matrix
+        m = grover_matrix(d)
         np.testing.assert_allclose(m @ m, np.eye(d), atol=1e-12)
         np.testing.assert_allclose(m, m.T)
 
@@ -192,7 +194,7 @@ def test_scattering_twice_is_identity():
         p = coloring_polarity(g)
         s = random_walk_state(g.n_edges, np.random.default_rng(seed))
         before = s.psi.copy()
-        apply_scattering(apply_scattering(s, g, p), g, p)
+        scatter(scatter(s, g, p), g, p)
         np.testing.assert_allclose(s.psi, before, atol=1e-12)
 
 
@@ -331,7 +333,7 @@ def test_step_matrix_equals_column_by_column(seed, marked):
 def reference_step_matrix(g, p, oracle, coin):
     """One step as a dense product, independent of the plan's indexing.
 
-    apply_oracle and apply_coin act on each unit column; then every node's
+    reference_oracle and reference_coin act on each unit column; then every node's
     dense (2/d)J - I fills the block of rows facing it, found through
     the graph's CSR slices and PolarityMap.component_at.
     """
@@ -340,12 +342,12 @@ def reference_step_matrix(g, p, oracle, coin):
     for j in range(dim):
         s = WalkState(np.zeros((g.n_edges, 2), dtype=complex))
         s.psi[j // 2, j % 2] = 1.0
-        apply_coin(apply_oracle(s, oracle), coin)
+        reference_coin(reference_oracle(s, oracle), coin)
         local[:, j] = s.psi.reshape(-1)
     scatter = np.zeros((dim, dim))
     for u in range(g.n):
         rows = [2 * k + p.component_at(k, u) for k in g.edge[g.indptr[u] : g.indptr[u + 1]]]
-        scatter[np.ix_(rows, rows)] = DiffusionOperator(len(rows)).matrix
+        scatter[np.ix_(rows, rows)] = grover_matrix(len(rows))
     return scatter @ local
 
 
@@ -390,7 +392,7 @@ def test_default_step_equals_matrix_products_bitwise():
         y = slow.psi @ coin_m.T
         y[marked] = slow.psi[marked] @ marked_m.T
         slow.psi = y
-        plan.scatter(slow)
+        scatter(slow, g, p)
         assert np.array_equal(fast.psi, slow.psi)
 
 

@@ -16,8 +16,9 @@ locus, so nodes act on their own neighborhoods.
 Gates carry structure, not dense matrices: a `diffusion` gate names its
 degree d, and every gate is its own inverse.  A circuit document holds the
 layout's `facing` (each node's enumeration of its edges, from which the rest
-of the layout follows), the instructions and the phase spans, with every
-qubit index, locus id and degree a JSON integer.
+of the layout follows) and the instructions, with every qubit index, locus
+id and degree a JSON integer.  The step's phases are not stored: the
+instructions' loci determine them.
 """
 
 from __future__ import annotations
@@ -125,6 +126,9 @@ class Phase(NamedTuple):
     node: int | None
     start: int
     stop: int
+
+
+_ORDER = "instructions must be the oracle, the coin, then each node's scatter in node order"
 
 
 @dataclass(frozen=True)
@@ -324,21 +328,64 @@ def compile_scatter(layout: QubitLayout, node: int) -> tuple[Instruction, ...]:
 
 @dataclass(frozen=True)
 class Circuit:
-    """A compiled walk step: layout, flat instruction list, phase spans."""
+    """A compiled walk step: layout and flat instruction list."""
 
     layout: QubitLayout
     instructions: tuple[Instruction, ...]
-    phases: tuple[Phase, ...] = ()
 
     @property
     def n_qubits(self) -> int:
         return self.layout.n_qubits
 
+    @property
+    def phases(self) -> tuple[Phase, ...]:
+        """The oracle, the coin, then one scatter per node, from the loci.
+
+        The oracle and the coin are the leading run of edge loci, the coin
+        being its last n_edges instructions, on edges 0, 1, ..., E-1 in
+        order.  Then the scatter of node u is the run of locus ("node", u),
+        in node order, empty for a node that emits nothing.
+
+        Raises:
+            CircuitError: Naming the first instruction whose locus is out of
+                that order, or is not an edge or node of the layout.
+        """
+        loci = [ins.locus for ins in self.instructions]
+        n, n_edges = len(loci), self.layout.n_edges
+        run = next((pos for pos, locus in enumerate(loci) if locus.kind != "edge"), n)
+        coin = max(run - n_edges, 0)
+        for pos in range(coin):
+            if not 0 <= loci[pos].id < n_edges:
+                raise self._out_of_place(pos)
+        for k in range(n_edges):
+            if coin + k == n:
+                raise CircuitError(f"instructions end before the coin's edge {k}: {_ORDER}")
+            if loci[coin + k] != ("edge", k):
+                raise self._out_of_place(coin + k)
+        phases = [Phase("oracle", None, 0, coin), Phase("coin", None, coin, run)]
+        pos = run
+        for u in range(self.layout.n_nodes):
+            start = pos
+            while pos < n and loci[pos] == ("node", u):
+                pos += 1
+            phases.append(Phase("scatter", u, start, pos))
+        if pos < n:
+            raise self._out_of_place(pos)
+        return tuple(phases)
+
+    def _out_of_place(self, pos: int) -> CircuitError:
+        kind, ident = self.instructions[pos].locus
+        counts = {"edge": self.layout.n_edges, "node": self.layout.n_nodes}
+        if kind not in counts:
+            return CircuitError(f"instruction {pos}: unknown locus kind {kind!r}")
+        if not 0 <= ident < counts[kind]:
+            return CircuitError(f"instruction {pos}: unknown {kind} {ident}")
+        return CircuitError(f"instruction {pos}: locus {kind} {ident} out of place: {_ORDER}")
+
     def to_json_dict(self) -> dict:
         return {
             "layout": {"facing": [list(f) for f in self.layout.facing]},
             "instructions": [_instruction_to_dict(ins) for ins in self.instructions],
-            "phases": [ph._asdict() for ph in self.phases],
         }
 
     def to_json(self) -> str:
@@ -363,19 +410,15 @@ def compile_step(
     marked,
     enumeration_seed: int | None = None,
 ) -> Circuit:
-    """Compile one full walk step: oracle, coin, then every node's scatter."""
+    """Compile one full walk step: oracle, coin, then every node's scatter.
+
+    Each block's instructions carry its locus, so `Circuit.phases` reads
+    the spans back from them.
+    """
     layout = build_layout(g, p, enumeration_seed=enumeration_seed)
-    blocks = [
-        ("oracle", None, compile_oracle(layout, marked)),
-        ("coin", None, compile_coin(layout)),
-        *(("scatter", u, compile_scatter(layout, u)) for u in range(g.n)),
-    ]
-    instructions: list[Instruction] = []
-    phases: list[Phase] = []
-    for kind, node, block in blocks:
-        phases.append(Phase(kind, node, len(instructions), len(instructions) + len(block)))
-        instructions.extend(block)
-    return Circuit(layout, tuple(instructions), tuple(phases))
+    blocks = [compile_oracle(layout, marked), compile_coin(layout)]
+    blocks += (compile_scatter(layout, u) for u in range(g.n))
+    return Circuit(layout, tuple(ins for block in blocks for ins in block))
 
 
 _JSON_NAMES = {list: "array", dict: "object", int: "integer", str: "string"}
@@ -397,112 +440,19 @@ def _ints(value, field: str) -> tuple[int, ...]:
     return tuple(_typed(q, int, f"{field}[{i}]") for i, q in enumerate(items))
 
 
-def _phases(doc: dict, instructions: list[Instruction], n_nodes: int) -> tuple[Phase, ...]:
-    """The optional `phases` key: spans that tile the instructions in order.
-
-    An oracle or coin phase has a null node; a scatter phase names a node of
-    the layout.  A nonempty list must also match `compile_step`, as
-    `_check_phase_order` sets out.
-    """
-    n_instructions = len(instructions)
-    phases = []
-    for i, ph in enumerate(_typed(doc.get("phases", []), list, "phases")):
-        field = f"phases[{i}]"
-        _typed(ph, dict, field)
-        try:
-            node = None if ph["node"] is None else _typed(ph["node"], int, f"{field}.node")
-            phase = Phase(
-                _typed(ph["kind"], str, f"{field}.kind"),
-                node,
-                _typed(ph["start"], int, f"{field}.start"),
-                _typed(ph["stop"], int, f"{field}.stop"),
-            )
-        except KeyError as exc:
-            raise CircuitError(f"{field} missing {exc}") from None
-        if phase.kind not in ("oracle", "coin", "scatter"):
-            raise CircuitError(f"{field}.kind must be oracle, coin or scatter, got {phase.kind!r}")
-        if phase.kind != "scatter" and node is not None:
-            raise CircuitError(f"{field}.node must be null for kind {phase.kind}, got {node}")
-        if phase.kind == "scatter" and (node is None or not 0 <= node < n_nodes):
-            raise CircuitError(
-                f"{field}.node must be a node in [0, {n_nodes}), got {json.dumps(node)}"
-            )
-        if not 0 <= phase.start <= phase.stop <= n_instructions:
-            raise CircuitError(
-                f"{field}: span [{phase.start}, {phase.stop}) outside "
-                f"[0, {n_instructions}]"
-            )
-        start = phases[-1].stop if phases else 0
-        if phase.start != start:
-            raise CircuitError(
-                f"{field}.start must be {start}, got {phase.start}: "
-                "phases must tile the instructions in order"
-            )
-        phases.append(phase)
-    if phases and phases[-1].stop != n_instructions:
-        raise CircuitError(
-            f"phases[{len(phases) - 1}].stop must be {n_instructions}, got "
-            f"{phases[-1].stop}: phases must tile the instructions in order"
-        )
-    if phases:
-        _check_phase_order(phases, instructions, n_nodes)
-    return tuple(phases)
-
-
-def _phase_name(phase: Phase) -> str:
-    return phase.kind if phase.node is None else f"{phase.kind} of node {phase.node}"
-
-
-_ORDER = "phases must be the oracle, the coin, then one scatter per node in node order"
-
-
-def _check_phase_order(
-    phases: list[Phase], instructions: list[Instruction], n_nodes: int
-) -> None:
-    """Check tiled phases against the order and loci `compile_step` emits.
-
-    An oracle or coin phase holds only edge loci; the scatter of node u
-    holds only locus ("node", u).  Loci are checked first, so two swapped
-    phases that hold gates are reported by the first instruction out of
-    place.  Then the phases must be the oracle, the coin, and one scatter
-    per node in node order.
-    """
-    for i, ph in enumerate(phases):
-        for pos in range(ph.start, ph.stop):
-            locus = instructions[pos].locus
-            if ph.kind == "scatter":
-                ok, want = locus == ("node", ph.node), f"node {ph.node}"
-            else:
-                ok, want = locus.kind == "edge", "an edge locus"
-            if not ok:
-                raise CircuitError(
-                    f"phases[{i}] ({_phase_name(ph)}): instruction {pos} has locus "
-                    f"{locus.kind} {locus.id}, must be {want}"
-                )
-    expected = ["oracle", "coin", *(f"scatter of node {u}" for u in range(n_nodes))]
-    for i, (ph, want) in enumerate(zip(phases, expected)):
-        if _phase_name(ph) != want:
-            raise CircuitError(
-                f"phases[{i}] is the {_phase_name(ph)}, must be the {want}: {_ORDER}"
-            )
-    if len(phases) != len(expected):
-        raise CircuitError(
-            f"phases has {len(phases)} entries, must have {len(expected)}: {_ORDER}"
-        )
-
-
 def circuit_from_json(text: str) -> Circuit:
     """Parse a circuit document, validating its structure.
 
-    The layout is rebuilt from `layout.facing`; other layout keys and a
-    top-level `qubits`, which older documents carry, are ignored.
+    The layout is rebuilt from `layout.facing`; other layout keys and the
+    top-level `qubits` and `phases`, which older documents carry, are
+    ignored.  The phases are worked out from the loci once, so a document
+    out of `compile_step`'s order does not load.
 
     Raises:
         CircuitError: On schema violations (naming the field), a `facing`
             that `QubitLayout` rejects, a gate that does not fit its arity
-            or degree, a qubit beyond the register, or phases that do not
-            tile the instruction list, name a wrong kind or node, or differ
-            from `compile_step`'s order and loci.
+            or degree, a qubit beyond the register, or an instruction whose
+            locus is unknown or out of place, as `Circuit.phases` names it.
     """
     try:
         doc = json.loads(text)
@@ -538,9 +488,9 @@ def circuit_from_json(text: str) -> Circuit:
             raise CircuitError(f"instruction {pos}: malformed ({exc})") from None
         if any(q >= layout.n_qubits for q in instructions[-1].qubits()):
             raise CircuitError(f"instruction {pos}: qubit index beyond {layout.n_qubits}")
-    return Circuit(
-        layout, tuple(instructions), _phases(doc, instructions, layout.n_nodes)
-    )
+    circuit = Circuit(layout, tuple(instructions))
+    circuit.phases  # raises on loci out of compile_step's order
+    return circuit
 
 
 @dataclass(frozen=True)

@@ -298,13 +298,24 @@ def run(circuit: Circuit, state: SparseState | None = None) -> SparseState:
 
 
 def _project(state: SparseState, layout: QubitLayout) -> tuple[np.ndarray, float]:
-    """Split a state into walk amplitudes and leaked weight."""
-    rows = _edge_keys(layout, state.n_qubits)
+    """Split a one-column state into walk amplitudes and leaked weight.
+
+    Raises:
+        SimulationError: If a key has bits at or above `n_qubits`, which
+            label another column.
+    """
+    n = state.n_qubits
+    rows = _edge_keys(layout, n)
     psi = np.zeros(2 * layout.n_edges, dtype=complex)
     leaked = 0.0
     for k, a in state.amps.items():
         row = rows.get(k)
         if row is None:
+            if k >> n:
+                raise SimulationError(
+                    f"state holds column {k >> n}; only a one-column state "
+                    f"(keys below 2**{n}) reads as a walk state"
+                )
             leaked += abs(a) ** 2
         else:
             psi[row] = a
@@ -320,6 +331,8 @@ def project_to_walk_state(
         SubspaceLeakageError: If more than `tol` probability weight sits on
             basis states that are not a single excitation of an edge qubit
             (registers not restored, or multiple excitations).
+        SimulationError: If a key has bits at or above `n_qubits`, which
+            label a column other than column 0, naming that column.
     """
     psi, leaked = _project(state, layout)
     if leaked > tol:
@@ -328,7 +341,12 @@ def project_to_walk_state(
 
 
 def measure_edge(state: SparseState, layout: QubitLayout, seed=None) -> int:
-    """Sample one edge from a circuit state's edge distribution."""
+    """Sample one edge from a circuit state's edge distribution.
+
+    Raises:
+        SimulationError: As `project_to_walk_state` does, or if the edge
+            qubits hold no weight.
+    """
     walk_state = project_to_walk_state(state, layout)
     probs = np.abs(walk_state.psi[:, 0]) ** 2 + np.abs(walk_state.psi[:, 1]) ** 2
     total = float(probs.sum())

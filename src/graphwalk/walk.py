@@ -129,10 +129,10 @@ class WalkPlan:
     amplitudes in ascending neighbor order, so one gather, one segment sum
     and one scatter run every diffusion.  The same two stages run on one
     state or on (2E, B) columns side by side: `matrix()` is the step run on
-    the identity's columns.  The 2x2 actions are elementwise
-    column arithmetic, not matrix products; with the default specs (the X
-    coin, the -X oracle) they reduce to gathering each pole's partner and
-    negating the marked edges.
+    the identity's columns.  The 2x2 actions are not matrix products: each
+    amplitude gathers its edge's two poles, weighted by its row of the
+    edge's action; with the default specs (the X coin, the -X oracle) they
+    reduce to gathering each pole's partner and negating the marked edges.
 
     The plan remembers the cumulative edge distribution of its last
     evolution, so repeated draws at one step count evolve once.  It also
@@ -190,18 +190,24 @@ class WalkPlan:
 
         coin_m = (coin if coin is not None else CoinSpec()).matrix
         marked_m = coin_m @ oracle.matrix if oracle is not None else coin_m
-        self._marked, self._coin_m, self._marked_m = marked, coin_m, marked_m
+        is_marked = np.zeros(n_edges, dtype=bool)
+        is_marked[marked] = True
+        on_marked = is_marked[self._dst >> 1]
         self._swap = None
         if np.array_equal(coin_m, PAULI_X) and (
             oracle is None or np.array_equal(oracle.matrix, MINUS_X)
         ):
             # The X coin swaps poles: gather each amplitude's partner 2k + 1 - c.
             # On marked edges coin times oracle is -I: gather in place, negated.
-            is_marked = np.zeros(n_edges, dtype=bool)
-            is_marked[marked] = True
-            flip = is_marked[self._dst >> 1]
-            self._swap = np.where(flip, self._dst, self._dst ^ 1)
-            self._flip = np.flatnonzero(flip)
+            self._swap = np.where(on_marked, self._dst, self._dst ^ 1)
+            self._flip = np.flatnonzero(on_marked)
+        else:
+            # Gathered amplitude i, pole c of edge k, is row c of the edge's
+            # folded action applied to the edge's poles 2k and 2k + 1.
+            pole = self._dst & 1
+            rows = np.where(on_marked[:, None], marked_m[pole], coin_m[pole])
+            self._poles = (self._dst - pole, self._dst - pole + 1)
+            self._rows = (rows[:, 0].copy(), rows[:, 1].copy())
         self._cdf: tuple[int, np.ndarray] | None = None
 
     def _check(self, state: WalkState) -> None:
@@ -216,10 +222,11 @@ class WalkPlan:
             x = np.take(flat, self._swap, axis=0, out=out, mode="clip")
             x[self._flip] *= -1
             return x
-        psi = flat.reshape((self.n_edges, 2) + flat.shape[1:])
-        y = _act(self._coin_m, psi)
-        y[self._marked] = _act(self._marked_m, psi[self._marked])
-        return np.take(y.reshape(flat.shape), self._dst, axis=0, out=out, mode="clip")
+        w0, w1 = self._rows if flat.ndim == 1 else (w[:, None] for w in self._rows)
+        x = np.take(flat, self._poles[0], axis=0, out=out, mode="clip")
+        x *= w0
+        x += w1 * np.take(flat, self._poles[1], axis=0, mode="clip")
+        return x
 
     def _diffuse(self, x: np.ndarray, sums=None, y=None) -> np.ndarray:
         """Every node's diffusion of gathered amplitudes x, into buffers sums and y if given."""
@@ -266,15 +273,6 @@ def _flat(state: WalkState) -> np.ndarray:
     if not (state.psi.flags.c_contiguous and state.psi.flags.writeable):
         state.psi = np.array(state.psi, order="C")
     return state.psi.reshape(-1)
-
-
-def _act(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """psi @ m.T per edge, by columns rather than a matrix product.
-
-    psi is one (E, 2) state or an (E, 2, B) array of B states side by side.
-    """
-    a, b = psi[:, 0], psi[:, 1]
-    return np.stack([m[0, 0] * a + m[0, 1] * b, m[1, 0] * a + m[1, 1] * b], axis=1)
 
 
 def _plan_for(g, p, oracle, coin, plan: WalkPlan | None) -> WalkPlan:

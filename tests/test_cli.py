@@ -257,7 +257,7 @@ def test_compile_single_edge(single_edge, tmp_path, capsys):
     )
     assert code == 0
     doc = read_json(capsys)
-    assert set(doc) == {"layout", "instructions", "phases"}
+    assert set(doc) == {"layout", "instructions"}
     assert doc["layout"] == {"facing": [[1], [0]]}
     gates = [ins["gate"] for ins in doc["instructions"]]
     assert gates[:3] == ["z", "z", "swap"]
@@ -293,9 +293,8 @@ def test_verify_tampered_circuit_exits_4(path3, tmp_path, capsys):
     doc = json.loads(circ_file.read_text())
     doc["instructions"].append(
         {"gate": "x", "controls": [], "targets": [0],
-         "locus": {"kind": "node", "id": doc["phases"][-1]["node"]}}
-    )
-    doc["phases"][-1]["stop"] += 1  # the stray gate ends the last node's scatter
+         "locus": {"kind": "node", "id": len(doc["layout"]["facing"]) - 1}}
+    )  # the stray gate ends the last node's scatter
     circ_file.write_text(json.dumps(doc))
     code = main(
         ["verify", "--graph", path3, "--mark-edge", "0", "1",
@@ -314,9 +313,8 @@ def test_verify_warning_names_worst_column(path3, tmp_path, capsys, caplog):
     doc = json.loads(circ_file.read_text())
     doc["instructions"].append(
         {"gate": "z", "controls": [], "targets": [3],  # edge 1's - pole
-         "locus": {"kind": "node", "id": doc["phases"][-1]["node"]}}
-    )
-    doc["phases"][-1]["stop"] += 1  # the stray gate ends the last node's scatter
+         "locus": {"kind": "node", "id": len(doc["layout"]["facing"]) - 1}}
+    )  # the stray gate ends the last node's scatter
     circ_file.write_text(json.dumps(doc))
     with caplog.at_level("WARNING", logger="graphwalk"):
         code = main(

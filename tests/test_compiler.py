@@ -37,6 +37,7 @@ from graphwalk import (
     step_circuit_matrix,
     verify_circuit_equivalence,
 )
+from graphwalk.compiler import Phase
 from graphwalk.simulator import apply_instruction
 from helpers import diffusion_matrix, grover_matrix
 
@@ -356,6 +357,52 @@ def test_compile_step_phase_structure():
     assert [ph.node for ph in circ.phases] == [None, None, 0, 1, 2]
 
 
+def test_star3_phases_pinned():
+    circ = compile_step(star_graph(3), hub_polarity(3), [0])
+    assert circ.phases == (
+        Phase("oracle", None, 0, 3),
+        Phase("coin", None, 3, 6),
+        Phase("scatter", 0, 6, 23),
+        Phase("scatter", 1, 23, 23),
+        Phase("scatter", 2, 23, 23),
+        Phase("scatter", 3, 23, 23),
+    )
+
+
+def block_spans(g, p, marked, seed):
+    """The step's spans from the lengths of the blocks `compile_step` joins."""
+    layout = build_layout(g, p, enumeration_seed=seed)
+    blocks = [("oracle", None, compile_oracle(layout, marked)), ("coin", None, compile_coin(layout))]
+    blocks += [("scatter", u, compile_scatter(layout, u)) for u in range(g.n)]
+    spans, start = [], 0
+    for kind, node, block in blocks:
+        spans.append(Phase(kind, node, start, start + len(block)))
+        start += len(block)
+    return tuple(spans)
+
+
+@pytest.mark.parametrize("seed", [None, 4])
+@pytest.mark.parametrize("marks", [0, 1, 5])
+@pytest.mark.parametrize(
+    "g",
+    [
+        random_connected_graph(9, extra_edges=7, seed=1),
+        random_connected_graph(16, extra_edges=20, seed=6),
+        complete_graph(5),
+        star_graph(6),
+    ],
+    ids=["random-9", "random-16", "complete-5", "star-6"],
+)
+def test_derived_phases_survive_round_trip(g, marks, seed):
+    p = coloring_polarity(g)
+    marked = np.random.default_rng(marks).choice(g.n_edges, size=marks, replace=False)
+    circ = compile_step(g, p, marked, enumeration_seed=seed)
+    back = circuit_from_json(circ.to_json())
+    assert back == circ
+    assert back.phases == circ.phases == block_spans(g, p, marked, seed)
+    assert circ.phases[0].stop == 3 * marks
+
+
 def test_scatter_blocks_use_disjoint_qubits():
     g = cycle_graph(5)
     circ = compile_step(g, coloring_polarity(g), [0])
@@ -401,16 +448,14 @@ def test_circuit_json_schema():
     g = path_graph(3)
     circ = compile_step(g, coloring_polarity(g), [0])
     doc = json.loads(circ.to_json())
-    assert set(doc) == {"layout", "instructions", "phases"}
+    assert set(doc) == {"layout", "instructions"}
     assert doc["layout"] == {"facing": [[1], [0, 2], [3]]}
-    assert circuit_from_json(circ.to_json()).n_qubits == 8
+    back = circuit_from_json(circ.to_json())
+    assert back.n_qubits == 8
     first = doc["instructions"][0]
     assert set(first) == {"gate", "controls", "targets", "locus"}
     assert first["gate"] == "z"
-    assert doc["phases"][:2] == [
-        {"kind": "oracle", "node": None, "start": 0, "stop": 3},
-        {"kind": "coin", "node": None, "start": 3, "stop": 5},
-    ]
+    assert back.phases[:2] == (Phase("oracle", None, 0, 3), Phase("coin", None, 3, 5))
     # Path-3's middle node has degree 2 and scatters with a plain swap.
     assert not [ins for ins in doc["instructions"] if "d" in ins]
     g = star_graph(3)
@@ -495,14 +540,11 @@ _HUB_DIFFUSION = next(
          f"instruction {_HUB_DIFFUSION}: d must be a JSON integer"),
         (("instructions", _HUB_DIFFUSION, "d"), "3",
          f"instruction {_HUB_DIFFUSION}: d must be a JSON integer"),
-        (("phases", 1, "start"), "2", "phases[1].start must be a JSON integer"),
-        (("phases", 2, "node"), False, "phases[2].node must be a JSON integer"),
-        (("phases", 0, "kind"), ["nonsense"], "phases[0].kind must be a JSON string"),
     ],
     ids=[
         "facing-float", "facing-true",
         "target-string", "control-float", "locus-id-false", "locus-kind-false",
-        "d-float", "d-string", "phase-start-string", "phase-node-false", "phase-kind-list",
+        "d-float", "d-string",
     ],
 )
 def test_circuit_from_json_requires_integers(path, value, message):
@@ -518,22 +560,22 @@ def test_circuit_from_json_requires_integers(path, value, message):
 
 
 def test_circuit_from_json_checks_phase_spans():
-    doc = _star3_doc()
+    # Spans stored under `phases`, as older documents carry them, are not
+    # read: the loaded circuit's phases are the ones its loci give.
+    circ = compile_step(star_graph(3), hub_polarity(3), [0])
+    doc = circ.to_json_dict()
     n_ins = len(doc["instructions"])
-    del doc["phases"]
-    assert circuit_from_json(json.dumps(doc)).phases == ()
-    for span, message in [
-        ((0, n_ins + 1), f"phases[0]: span [0, {n_ins + 1}) outside [0, {n_ins}]"),
-        ((3, 2), f"phases[0]: span [3, 2) outside [0, {n_ins}]"),
-        ((-1, 0), f"phases[0]: span [-1, 0) outside [0, {n_ins}]"),
+    for stored in [
+        [ph._asdict() for ph in circ.phases],
+        [{"kind": "coin", "node": None, "start": 0, "stop": n_ins + 1}],
+        [{"kind": "nonsense", "node": 99, "start": -1}],
+        {},
+        None,
     ]:
-        doc["phases"] = [{"kind": "coin", "node": None, "start": span[0], "stop": span[1]}]
-        with pytest.raises(CircuitError) as info:
-            circuit_from_json(json.dumps(doc))
-        assert str(info.value) == message
-    doc["phases"] = [{"kind": "coin", "node": None, "start": 0}]
-    with pytest.raises(CircuitError, match="phases\\[0\\] missing 'stop'"):
-        circuit_from_json(json.dumps(doc))
+        doc["phases"] = stored
+        back = circuit_from_json(json.dumps(doc))
+        assert back == circ
+        assert back.phases == circ.phases
 
 
 def test_circuit_from_json_rejects_out_of_range_qubit():
@@ -615,6 +657,7 @@ def _with_parent_layout_keys(circ):
     layout = circ.layout
     doc = circ.to_json_dict()
     doc["qubits"] = circ.n_qubits
+    doc["phases"] = [ph._asdict() for ph in circ.phases]
     doc["layout"] = {
         "edge_qubits": [list(pair) for pair in layout.edge_qubits],
         "node_registers": [
@@ -646,6 +689,7 @@ def test_documents_with_parent_layout_keys_load(g, seed):
     assert (report.max_deviation, report.max_leakage) == (0.0, 0.0)
     # The derived keys are not read, so not checked either.
     doc["qubits"] = "stale"
+    doc["phases"][0]["stop"] = -1
     doc["layout"]["local_edges"] = None
     assert circuit_from_json(json.dumps(doc)) == circ
 
@@ -683,8 +727,6 @@ def _clear_layout(doc):
          "instruction 0: controls must be a JSON array"),
         (_put("instructions", 0, "targets", value=0),
          "instruction 0: targets must be a JSON array"),
-        (_put("phases", value={}), "phases must be a JSON array"),
-        (_put("phases", 0, value=[]), "phases[0] must be a JSON object"),
     ],
     ids=[
         "instructions-number",
@@ -699,8 +741,6 @@ def _clear_layout(doc):
         "instruction-array",
         "controls-object",
         "targets-number",
-        "phases-object",
-        "phase-array",
     ],
 )
 def test_circuit_from_json_requires_arrays_and_objects(mutate, message):
@@ -711,78 +751,62 @@ def test_circuit_from_json_requires_arrays_and_objects(mutate, message):
     assert str(info.value) == message
 
 
-def _respan(index, start, stop):
-    def mutate(doc):
-        doc["phases"][index].update(start=start, stop=stop)
-
-    return mutate
+_ORDER = "instructions must be the oracle, the coin, then each node's scatter in node order"
 
 
-_TILE = "phases must tile the instructions in order"
-_ORDER = "phases must be the oracle, the coin, then one scatter per node in node order"
+def _locus(pos, kind, ident):
+    return _put("instructions", pos, "locus", value={"kind": kind, "id": ident})
 
 
-def _swap_phases(i, j, key):
-    def mutate(doc):
-        a, b = doc["phases"][i], doc["phases"][j]
-        a[key], b[key] = b[key], a[key]
-
-    return mutate
+def _move_coin_before_oracle(doc):
+    ins = doc["instructions"]
+    ins[:6] = ins[3:6] + ins[:3]
 
 
-def _swap_oracle_coin_and_first_scatter_nodes(doc):
-    _swap_phases(0, 1, "kind")(doc)
-    _swap_phases(2, 3, "node")(doc)
+def _out_of_place(pos, kind, ident):
+    return f"instruction {pos}: locus {kind} {ident} out of place: {_ORDER}"
 
 
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        (_put("phases", 0, value={"kind": "nonsense", "node": 99, "start": 0, "stop": 1}),
-         "phases[0].kind must be oracle, coin or scatter, got 'nonsense'"),
-        (_put("phases", 1, "node", value=0), "phases[1].node must be null for kind coin, got 0"),
-        (_put("phases", 0, "node", value=2),
-         "phases[0].node must be null for kind oracle, got 2"),
-        (_put("phases", 2, "node", value=4), "phases[2].node must be a node in [0, 4), got 4"),
-        (_put("phases", 3, "node", value=-1), "phases[3].node must be a node in [0, 4), got -1"),
-        (_put("phases", 4, "node", value=None),
-         "phases[4].node must be a node in [0, 4), got null"),
-        (_respan(1, 4, 6), f"phases[1].start must be 3, got 4: {_TILE}"),
-        (_respan(1, 2, 6), f"phases[1].start must be 3, got 2: {_TILE}"),
-        (_respan(0, 1, 3), f"phases[0].start must be 0, got 1: {_TILE}"),
-        (lambda doc: doc["phases"].insert(1, doc["phases"][1]),
-         f"phases[2].start must be 6, got 3: {_TILE}"),
-        (lambda doc: doc.update(phases=doc["phases"][:2]),
-         f"phases[1].stop must be 23, got 6: {_TILE}"),
-        (_swap_oracle_coin_and_first_scatter_nodes,
-         "phases[2] (scatter of node 1): instruction 6 has locus node 0, must be node 1"),
-        (_put("instructions", 0, "locus", value={"kind": "node", "id": 0}),
-         "phases[0] (oracle): instruction 0 has locus node 0, must be an edge locus"),
-        (_put("instructions", 5, "locus", value={"kind": "node", "id": 2}),
-         "phases[1] (coin): instruction 5 has locus node 2, must be an edge locus"),
-        (_put("instructions", 22, "locus", value={"kind": "edge", "id": 0}),
-         "phases[2] (scatter of node 0): instruction 22 has locus edge 0, must be node 0"),
-        (_swap_phases(0, 1, "kind"),
-         f"phases[0] is the coin, must be the oracle: {_ORDER}"),
-        (_swap_phases(3, 4, "node"),
-         f"phases[3] is the scatter of node 2, must be the scatter of node 1: {_ORDER}"),
-        (lambda doc: doc.update(phases=doc["phases"][:3]),
-         f"phases has 3 entries, must have 6: {_ORDER}"),
-        (lambda doc: doc["phases"].append(dict(doc["phases"][-1])),
-         f"phases has 7 entries, must have 6: {_ORDER}"),
+        (_locus(0, "node", 0), _out_of_place(0, "node", 0)),
+        (_locus(1, "node", 2), _out_of_place(1, "node", 2)),
+        # A node locus ends the edge run early, so the coin's window covers
+        # an oracle swap and the edge-0 coin swap lands where edge 1's belongs.
+        (_locus(5, "node", 2), _out_of_place(3, "edge", 0)),
+        (_locus(3, "node", 1), _out_of_place(1, "edge", 0)),
+        (lambda doc: doc["instructions"].pop(4), _out_of_place(3, "edge", 0)),
+        (_locus(4, "edge", 2), _out_of_place(4, "edge", 2)),
+        (_move_coin_before_oracle, _out_of_place(4, "edge", 0)),
+        (_locus(22, "edge", 0), _out_of_place(22, "edge", 0)),
+        (lambda doc: doc["instructions"].extend(doc["instructions"][3:6]),
+         _out_of_place(23, "edge", 0)),
+        (_locus(6, "node", 1), _out_of_place(7, "node", 0)),
+        (_locus(14, "node", 1), _out_of_place(15, "node", 0)),
+        (_locus(6, "nonsense", 0), "instruction 6: unknown locus kind 'nonsense'"),
+        (_locus(0, "nonsense", 0), "instruction 0: unknown locus kind 'nonsense'"),
+        (_locus(6, "node", 4), "instruction 6: unknown node 4"),
+        (_locus(22, "node", -1), "instruction 22: unknown node -1"),
+        (_locus(1, "edge", 3), "instruction 1: unknown edge 3"),
+        (_put("instructions", value=[]), f"instructions end before the coin's edge 0: {_ORDER}"),
     ],
     ids=[
-        "kind-nonsense", "coin-with-node", "oracle-with-node", "scatter-node-beyond",
-        "scatter-node-negative", "scatter-without-node", "gap", "overlap", "late-start",
-        "repeated-phase", "short", "swapped-kinds-and-nodes", "oracle-node-locus",
-        "coin-node-locus", "scatter-edge-locus", "swapped-kinds", "swapped-empty-scatters",
-        "leaf-scatters-missing", "extra-scatter",
+        "oracle-node-locus", "oracle-with-node", "coin-node-locus", "coin-with-node",
+        "coin-missing-swap", "coin-wrong-edge", "swapped-kinds", "scatter-edge-locus",
+        "repeated-phase", "scatters-out-of-order", "scatter-split", "kind-nonsense",
+        "oracle-kind-nonsense", "scatter-node-beyond", "scatter-node-negative",
+        "oracle-edge-beyond", "no-instructions",
     ],
 )
 def test_circuit_from_json_checks_phase_kinds_nodes_and_tiling(mutate, message):
+    # The phases are worked out from the loci, so a document whose loci do
+    # not give the oracle, the coin and one scatter per node in node order
+    # is rejected, naming the first instruction out of place.
     doc = _star3_doc()
     # oracle [0, 3), coin [3, 6), the hub's scatter [6, 23), three empty leaf scatters.
-    assert [(ph["start"], ph["stop"]) for ph in doc["phases"]][:3] == [(0, 3), (3, 6), (6, 23)]
+    phases = circuit_from_json(json.dumps(doc)).phases
+    assert [(ph.start, ph.stop) for ph in phases][:3] == [(0, 3), (3, 6), (6, 23)]
     mutate(doc)
     with pytest.raises(CircuitError) as info:
         circuit_from_json(json.dumps(doc))

@@ -303,6 +303,26 @@ def test_measure_edge_rejects_empty_edge_weight():
         measure_edge(SparseState({}, layout.n_qubits), layout)
 
 
+@pytest.mark.parametrize("read", [project_to_walk_state, measure_edge], ids=["project", "measure"])
+@pytest.mark.parametrize("column", [1, 5])
+def test_multi_column_state_is_not_read_as_leakage(read, column):
+    # Bits at or above n_qubits label a column, as in step_circuit_matrix:
+    # that weight did not leave the walk subspace.
+    g = path_graph(3)
+    layout = build_layout(g, coloring_polarity(g))
+    n = layout.n_qubits
+    edge_key = 1 << (n - 1 - layout.edge_qubits[1][0])
+    for amps in ({column << n | edge_key: 1.0 + 0j},
+                 {edge_key: 0.6 + 0j, column << n | edge_key: 0.8 + 0j}):
+        with pytest.raises(SimulationError) as info:
+            read(SparseState(amps, n), layout)
+        assert not isinstance(info.value, SubspaceLeakageError)
+        assert str(info.value) == (
+            f"state holds column {column}; only a one-column state "
+            f"(keys below 2**{n}) reads as a walk state"
+        )
+
+
 def test_dense_sparse_roundtrip():
     rng = np.random.default_rng(0)
     state = random_sparse_state(4, rng)

@@ -3,19 +3,34 @@
 Walk circuits act on a single excitation shared by the edge qubits, so of the
 2^n basis states only O(edges) ever carry amplitude.  States are dicts from
 basis index to amplitude; qubit 0 is the leftmost bit of the basis label.
+Key bits above the register label independent columns that no gate touches,
+so `step_circuit_matrix` evolves all 2|E| unit columns in one run, with every
+norm check held per column.
 
 Every node acts only on its own neighbourhood, so a compiled step is a
-sequence of small local blocks.  The monomial gates (x, z, cnot, swap, mcx)
-each map a basis state to one basis state up to a sign; `run` applies a run
-of them that shares a locus as one block, working its action out once per
-distinct local bit pattern and moving every amplitude by table lookup.  A
-diffusion touches only the amplitudes whose controls are set, with one sum
-per group of them that shares every non-target bit.  Key bits above the
-register label independent columns that no gate touches, so
-`step_circuit_matrix` evolves all 2|E| unit columns in one run, with every
-norm check held per column.  Projecting back onto the walk's edge amplitudes
-checks that nothing leaked out of the one-excitation subspace and that every
-register returned to zero.
+sequence of small local blocks, and `run` spends on each block the work of
+the amplitudes and local bit patterns it can change:
+
+- While it runs, the state is grouped by column: low key (the register
+  bits) -> {column: amplitude}.  Gates never touch column bits, so a block
+  moves whole groups.
+- Every gate is the identity on a basis state with none of its trigger
+  qubits set: the target of z, either target of swap, the controls of
+  cnot, mcx and diffusion.  An index from each qubit to the low keys that
+  have it set gives a block its candidates: the union over its qubits, or
+  the intersection over a diffusion's controls.  Only the groups that move
+  are re-indexed.  An uncontrolled x is the one gate that moves the
+  all-zero pattern; a block that does so looks at every group.
+- The monomial gates (x, z, cnot, swap, mcx) map a basis state to one basis
+  state up to a sign.  A run of them that shares a locus is worked out once
+  per distinct local pattern of its candidates, each gate seeing only the
+  patterns its trigger selects, and the groups are moved by table lookup.
+- A diffusion sums each group of armed amplitudes that share every
+  non-target bit in ascending slot value, so its result does not depend on
+  the order in which the amplitudes were stored.
+
+Projecting back onto the walk's edge amplitudes checks that nothing leaked
+out of the one-excitation subspace and that every register returned to zero.
 """
 
 from __future__ import annotations
@@ -68,9 +83,7 @@ class SparseState:
     n_qubits: int
 
     def mask(self, q: int) -> int:
-        if not 0 <= q < self.n_qubits:
-            raise SimulationError(f"qubit {q} outside register of {self.n_qubits}")
-        return 1 << (self.n_qubits - 1 - q)
+        return _key_bits((q,), self.n_qubits)
 
     def norm_sq(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.amps.values()))
@@ -93,66 +106,71 @@ def init_walk_superposition(layout: QubitLayout) -> SparseState:
     return SparseState(dict.fromkeys(_edge_keys(layout, n), amp), n)
 
 
-def _masks(state: SparseState, ins: Instruction) -> tuple[int, tuple[int, ...]]:
-    """Key masks of an instruction: all controls ORed, then each target."""
-    cmask = 0
-    for q in ins.controls:
-        cmask |= state.mask(q)
-    return cmask, tuple(state.mask(q) for q in ins.targets)
+def _key_bits(qubits, n: int) -> int:
+    """The key bits of some qubits in an n-qubit register: qubit q is bit
+    n - 1 - q."""
+    for q in (min(qubits), max(qubits)):
+        if not 0 <= q < n:
+            raise SimulationError(f"qubit {q} outside register of {n}")
+    bits = 0
+    for q in qubits:
+        bits |= 1 << (n - 1 - q)
+    return bits
 
 
-def _act(gate: Gate, cmask: int, tmasks: tuple[int, ...], keys, flips):
-    """One monomial gate on parallel lists of basis keys and sign flips.
+def _qubits(bits: int, n: int):
+    """The qubits whose key bits are set in bits, last qubit first."""
+    while bits:
+        low = bits & -bits
+        yield n - low.bit_length()
+        bits ^= low
 
-    x, cnot and mcx flip their target when every control is set (x has
-    none), z flips the sign of keys whose target is set, and swap exchanges
-    its two target bits.  Returns the new (keys, flips).
+
+def _add(index: dict[int, set[int]], bits: int, item: int, n: int) -> None:
+    for q in _qubits(bits, n):
+        index.setdefault(q, set()).add(item)
+
+
+_NONE: frozenset[int] = frozenset()
+
+
+def _meet(index: dict[int, set[int]], qubits: tuple[int, ...]) -> set[int]:
+    """A new set of the items indexed under every one of the qubits."""
+    sets = [index.get(q, _NONE) for q in qubits]
+    return min(sets, key=len).intersection(*sets)
+
+
+def _act(ins: Instruction, n: int, images: list[int], flips: list[bool], holders) -> None:
+    """One monomial gate on a block's pattern images, in place.
+
+    holders[q] holds the ids of the images with qubit q set, so the gate
+    only looks at the images it can change: x at every image, cnot and mcx
+    at those whose controls are all set, z at those whose target is set,
+    swap at those whose two targets differ.  x, cnot and mcx flip their
+    target, z flips the sign and swap exchanges its two target bits.
     """
+    gate, controls, targets = ins.gate, ins.controls, ins.targets
     if gate is Gate.Z:
-        (m,) = tmasks
-        return keys, [f != bool(k & m) for k, f in zip(keys, flips)]
+        for i in holders.get(targets[0], ()):
+            flips[i] = not flips[i]
+        return
     if gate is Gate.SWAP:
-        a, b = tmasks
-        both = a | b
-        return [k ^ both if bool(k & a) != bool(k & b) else k for k in keys], flips
-    (m,) = tmasks
-    return [k ^ m if k & cmask == cmask else k for k in keys], flips
-
-
-def _apply_block(
-    amps: dict[int, complex], block: list[Instruction], state: SparseState
-) -> dict[int, complex]:
-    """Apply a run of monomial gates as one signed permutation of the keys.
-
-    The block's local mask is the union of the qubits its gates touch.  Each
-    distinct local bit pattern in the state goes through the gates once;
-    every amplitude is then moved by table lookup.
-
-    Raises:
-        SimulationError: If two amplitudes land on one key.
-    """
-    ops = [(ins.gate, *_masks(state, ins)) for ins in block]
-    local = 0
-    for _, cmask, tmasks in ops:
-        local |= cmask
-        for m in tmasks:
-            local |= m
-    parts = list({k & local for k in amps})
-    images, flips = parts, [False] * len(parts)
-    for gate, cmask, tmasks in ops:
-        images, flips = _act(gate, cmask, tmasks, images, flips)
-    table = dict(zip(parts, zip(images, flips)))
-    out: dict[int, complex] = {}
-    for k, a in amps.items():
-        part = k & local
-        image, flip = table[part]
-        out[k ^ part ^ image] = -a if flip else a
-    if len(out) != len(amps):
-        raise SimulationError(
-            f"gates {', '.join(ins.gate.value for ins in block)} mapped "
-            f"{len(amps)} amplitudes onto {len(out)} keys"
-        )
-    return out
+        a, b = targets
+        one, two = holders.get(a, set()), holders.get(b, set())
+        both = 1 << (n - 1 - a) | 1 << (n - 1 - b)
+        for i in one ^ two:
+            images[i] ^= both
+        holders[a], holders[b] = two, one
+        return
+    (t,) = targets
+    if len(controls) == 1:
+        ids = holders.get(controls[0], ())
+    else:
+        ids = _meet(holders, controls) if controls else range(len(images))
+    m = 1 << (n - 1 - t)
+    for i in ids:
+        images[i] ^= m
+    holders.setdefault(t, set()).symmetric_difference_update(ids)
 
 
 def _check_drift(
@@ -171,57 +189,147 @@ def _check_drift(
             raise SimulationError(f"{what} changed the squared norm by {drift:.3e}")
 
 
-def _apply_diffusion(
-    amps: dict[int, complex], ins: Instruction, state: SparseState
-) -> dict[int, complex]:
-    """Diffuse the slot values of the amplitudes whose controls are all set.
+class _Columns:
+    """A state as low key -> {column: amplitude}, with a qubit index.
 
-    Armed amplitudes sharing every non-target key bit form one group.  Each
-    slot value v below d becomes (2/d) * (the group's sum) - x_v, pruned
-    below 1e-15; higher values stay.  The squared norm of the diffused
-    amplitudes is checked column by column (key bits above the register).
-
-    Raises:
-        SimulationError: If a column's squared norm drifts by more than 1e-13.
+    The low key is key & (2**n - 1), the register bits that gates act on;
+    the column is key >> n.  `index[q]` holds the low keys with qubit q set.
+    Every gate but an uncontrolled x is the identity on a low key with none
+    of its qubits set, so a block finds its candidates in the index and
+    moves whole groups.
     """
-    n, d = state.n_qubits, ins.d
-    cmask, tmasks = _masks(state, ins)
-    # spread[v]: the key bits that spell target value v (target i is bit i).
-    spread = [0]
-    for m in tmasks:
-        spread += [bits | m for bits in spread]
-    value = {bits: v for v, bits in enumerate(spread)}
-    every = spread[-1]
-    groups: dict[int, dict[int, complex]] = {}
-    out: dict[int, complex] = {}
-    for k, a in amps.items():
-        if k & cmask == cmask:
+
+    def __init__(self, state: SparseState):
+        self.n = n = state.n_qubits
+        low = (1 << n) - 1
+        self.groups: dict[int, dict[int, complex]] = {}
+        for k, a in state.amps.items():
+            if abs(a) > PRUNE_EPS:
+                self.groups.setdefault(k & low, {})[k >> n] = a
+        self.index: dict[int, set[int]] = {}
+        for k in self.groups:
+            _add(self.index, k, k, n)
+
+    def amps(self) -> dict[int, complex]:
+        n = self.n
+        return {col << n | k: a for k, grp in self.groups.items() for col, a in grp.items()}
+
+    def norms(self) -> dict[int, float]:
+        """Squared norm of each column."""
+        norms: dict[int, float] = {}
+        for grp in self.groups.values():
+            for col, a in grp.items():
+                norms[col] = norms.get(col, 0.0) + abs(a) ** 2
+        return norms
+
+    def _put(self, k: int, grp: dict[int, complex]) -> None:
+        self.groups[k] = grp
+        _add(self.index, k, k, self.n)
+
+    def _take(self, k: int) -> dict[int, complex]:
+        for q in _qubits(k, self.n):
+            self.index[q].discard(k)
+        return self.groups.pop(k)
+
+    def apply(self, block: list[Instruction]) -> None:
+        if block[0].gate is Gate.DIFFUSION:
+            self._diffuse(block[0])
+        else:
+            self._permute(block)
+
+    def _permute(self, block: list[Instruction]) -> None:
+        """Apply a run of monomial gates as one signed permutation.
+
+        The block's local mask covers every qubit it touches.  The distinct
+        local patterns of the low keys that hold one of those qubits, plus
+        the all-zero pattern, go through the gates once; each group whose
+        pattern moves is then moved by table lookup.  If the all-zero
+        pattern moves too, every group is looked up.
+
+        Raises:
+            SimulationError: If two amplitudes land on one key.
+        """
+        n = self.n
+        qubits = {q for ins in block for q in ins.controls + ins.targets}
+        local = _key_bits(qubits, n)
+        near = set().union(*(self.index.get(q, ()) for q in qubits))
+        parts = [0, *{k & local for k in near}]
+        images, flips = parts[:], [False] * len(parts)
+        holders: dict[int, set[int]] = {}
+        for i, part in enumerate(parts):
+            _add(holders, part, i, n)
+        for ins in block:
+            _act(ins, n, images, flips, holders)
+        table = dict(zip(parts, zip(images, flips)))
+        moved = []
+        for k in list(self.groups) if images[0] or flips[0] else near:
+            part = k & local
+            image, flip = table[part]
+            if image == part:
+                if flip:
+                    self.groups[k] = {col: -a for col, a in self.groups[k].items()}
+                continue
+            grp = self._take(k)
+            moved.append((k ^ part ^ image, {col: -a for col, a in grp.items()} if flip else grp))
+        lost = 0
+        for k, grp in moved:
+            have = self.groups.get(k)
+            if have is None:
+                self._put(k, grp)
+            else:
+                lost += len(have.keys() & grp.keys())
+                have.update(grp)
+        if lost:
+            kept = sum(map(len, self.groups.values()))
+            raise SimulationError(
+                f"gates {', '.join(ins.gate.value for ins in block)} mapped "
+                f"{kept + lost} amplitudes onto {kept} keys"
+            )
+
+    def _diffuse(self, ins: Instruction) -> None:
+        """Diffuse the slot values of the amplitudes whose controls are all set.
+
+        The armed low keys are the index's intersection over the controls.
+        Armed amplitudes that share the column and every non-target bit form
+        one group.  Each slot value v below d becomes (2/d) * (the group's
+        sum, taken in ascending v) - x_v, pruned below 1e-15; higher values
+        stay.  The squared norm of the diffused amplitudes is checked column
+        by column.
+
+        Raises:
+            SimulationError: If a column's squared norm drifts by more than 1e-13.
+        """
+        n, d = self.n, ins.d
+        _key_bits(ins.controls + ins.targets, n)  # every qubit in the register
+        # spread[v]: the low bits that spell target value v (target i is bit i).
+        spread = [0]
+        for q in ins.targets:
+            spread += [bits | 1 << (n - 1 - q) for bits in spread]
+        value = {bits: v for v, bits in enumerate(spread)}
+        every = spread[-1]
+        groups: dict[int, dict[int, dict[int, complex]]] = {}
+        for k in _meet(self.index, ins.controls):
             v = value[k & every]
             if v < d:
-                groups.setdefault(k & ~every, {})[v] = a
-                continue
-        out[k] = a
-    before: dict[int, float] = {}
-    after: dict[int, float] = {}
-    for base, xs in groups.items():
-        col = base >> n
-        before[col] = before.get(col, 0.0) + sum(abs(a) ** 2 for a in xs.values())
-        twice_mean = (2.0 / d) * sum(xs.values())
-        for v in range(d):
-            y = twice_mean - xs.get(v, 0)
-            if abs(y) > PRUNE_EPS:
-                out[base | spread[v]] = y
-                after[col] = after.get(col, 0.0) + abs(y) ** 2
-    _check_drift(before, after, GATE_NORM_TOL, f"gate {ins.gate.value}")
-    return out
-
-
-def _apply(
-    amps: dict[int, complex], block: list[Instruction], state: SparseState
-) -> dict[int, complex]:
-    if block[0].gate is Gate.DIFFUSION:
-        return _apply_diffusion(amps, block[0], state)
-    return _apply_block(amps, block, state)
+                cols = groups.setdefault(k & ~every, {})
+                for col, a in self._take(k).items():
+                    cols.setdefault(col, {})[v] = a
+        before: dict[int, float] = {}
+        after: dict[int, float] = {}
+        for base, cols in groups.items():
+            out: list[dict[int, complex]] = [{} for _ in range(d)]
+            for col, xs in cols.items():
+                before[col] = before.get(col, 0.0) + sum(abs(a) ** 2 for a in xs.values())
+                twice_mean = (2.0 / d) * sum(xs[v] for v in sorted(xs))
+                for v, grp in enumerate(out):
+                    y = twice_mean - xs.get(v, 0)
+                    if abs(y) > PRUNE_EPS:
+                        grp[col] = y
+                        after[col] = after.get(col, 0.0) + abs(y) ** 2
+            for v, grp in enumerate(out):
+                if grp:
+                    self._put(base | spread[v], grp)
+        _check_drift(before, after, GATE_NORM_TOL, f"gate {ins.gate.value}")
 
 
 def _blocks(instructions):
@@ -241,19 +349,6 @@ def _blocks(instructions):
         yield block
 
 
-def _pruned(amps: dict[int, complex]) -> dict[int, complex]:
-    return {k: a for k, a in amps.items() if abs(a) > PRUNE_EPS}
-
-
-def _column_norms(amps: dict[int, complex], n: int) -> dict[int, float]:
-    """Squared norm of each column: amplitudes grouped by key >> n."""
-    norms: dict[int, float] = {}
-    for k, a in amps.items():
-        col = k >> n
-        norms[col] = norms.get(col, 0.0) + abs(a) ** 2
-    return norms
-
-
 def apply_instruction(state: SparseState, ins: Instruction) -> SparseState:
     """Apply one gate, returning a new pruned state.
 
@@ -264,23 +359,45 @@ def apply_instruction(state: SparseState, ins: Instruction) -> SparseState:
         SimulationError: If a monomial gate maps two amplitudes onto one key,
             or a diffusion drifts a column's squared norm by more than 1e-13.
     """
-    return SparseState(_apply(_pruned(state.amps), [ins], state), state.n_qubits)
+    cols = _Columns(state)
+    cols.apply([ins])
+    return SparseState(cols.amps(), state.n_qubits)
+
+
+def _where(block: list[Instruction], start: int) -> str:
+    """Name a block's instruction positions and its locus."""
+    locus = f"{block[0].locus.kind} {block[0].locus.id}"
+    if len(block) == 1:
+        return f"instruction {start}, {locus}"
+    return f"instructions {start}-{start + len(block) - 1}, {locus}"
 
 
 def run(circuit: Circuit, state: SparseState | None = None) -> SparseState:
     """Run all instructions, starting from the walk superposition by default.
 
-    Prunes the input once, then applies the circuit block by block: each run
-    of monomial gates that shares a locus is worked out once per distinct
-    local bit pattern and applied to every amplitude by table lookup, and
-    each diffusion touches only the amplitudes whose controls are set.
+    The state is pruned and grouped by column once on the way in, and
+    flattened once on the way out.  In between, each block looks only at
+    the low keys that the qubit index gives for it (every low key, if the
+    block moves the all-zero pattern), as the module docstring describes.
     Key bits at or above `n_qubits` label independent columns, and every
     norm check holds per column.
+
+    One compiled step from the walk superposition is one walk step:
+
+    >>> from graphwalk import OracleSpec, PolarityMap, compile_step, evolve, star_graph
+    >>> g, p = star_graph(3), PolarityMap((0, 0, 0))
+    >>> circuit = compile_step(g, p, [0])
+    >>> stepped = project_to_walk_state(run(circuit), circuit.layout)
+    >>> model = evolve(g, p, OracleSpec(marked=frozenset({0})), 1)
+    >>> bool(np.allclose(stepped.psi, model.psi, rtol=0, atol=1e-12))
+    True
 
     Raises:
         SimulationError: If a column's squared norm drifts by more than 1e-12
             over the whole circuit or 1e-13 over one diffusion, or a monomial
-            block maps two amplitudes onto one key.
+            block maps two amplitudes onto one key.  An error inside a block
+            ends with the block's instruction positions and locus, as in
+            "(instruction 14, node 0)" for a 3-leaf star's hub diffusion.
     """
     if state is None:
         state = init_walk_superposition(circuit.layout)
@@ -289,12 +406,17 @@ def run(circuit: Circuit, state: SparseState | None = None) -> SparseState:
         raise SimulationError(
             f"state has {n} qubits, circuit expects {circuit.n_qubits}"
         )
-    amps = _pruned(state.amps)
-    before = _column_norms(amps, n)
+    cols = _Columns(state)
+    before = cols.norms()
+    start = 0
     for block in _blocks(circuit.instructions):
-        amps = _apply(amps, block, state)
-    _check_drift(before, _column_norms(amps, n), CIRCUIT_NORM_TOL, "circuit")
-    return SparseState(amps, n)
+        try:
+            cols.apply(block)
+        except SimulationError as exc:
+            raise SimulationError(f"{exc} ({_where(block, start)})") from None
+        start += len(block)
+    _check_drift(before, cols.norms(), CIRCUIT_NORM_TOL, "circuit")
+    return SparseState(cols.amps(), n)
 
 
 def _project(state: SparseState, layout: QubitLayout) -> tuple[np.ndarray, float]:

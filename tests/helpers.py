@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from graphwalk import (
-    Circuit, CoinSpec, Gate, Instruction, OracleSpec, SimulationError, SparseState, WalkState,
+    Circuit, CoinSpec, Gate, Graph, GraphError, Instruction, OracleSpec, SimulationError,
+    SparseState, WalkState,
 )
 from graphwalk.simulator import CIRCUIT_NORM_TOL, GATE_NORM_TOL, PRUNE_EPS
 
@@ -129,6 +130,21 @@ def random_sparse_state(n: int, rng: np.random.Generator, support: int = 12) -> 
     amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
     amps /= np.linalg.norm(amps)
     return SparseState({int(k): complex(a) for k, a in zip(keys, amps)}, n)
+
+
+def random_regular_graph(n: int, d: int, seed: int) -> Graph:
+    """A seeded random simple connected d-regular graph: stub pairings of
+    the configuration model, redrawn until simple and connected."""
+    rng = np.random.default_rng(seed)
+    stubs = np.repeat(np.arange(n), d)
+    while True:
+        pairs = np.sort(rng.permutation(stubs).reshape(-1, 2), axis=1)
+        if (pairs[:, 0] == pairs[:, 1]).any() or len(np.unique(pairs, axis=0)) < len(pairs):
+            continue
+        try:
+            return Graph(n, pairs)
+        except GraphError:  # not connected
+            continue
 
 
 def random_walk_state(n_edges: int, rng: np.random.Generator) -> WalkState:

@@ -21,6 +21,7 @@ from graphwalk import (
     compile_transfer,
     complete_graph,
     diagonal_state,
+    evolve,
     greedy_coloring,
     init_walk_superposition,
     measure_edge,
@@ -45,6 +46,7 @@ from helpers import (
     basis_label,
     dense_instruction_matrix,
     dense_to_sparse,
+    random_regular_graph,
     random_sparse_state,
     reference_run,
     reference_step_circuit_matrix,
@@ -540,3 +542,150 @@ def test_verify_rejects_circuit_for_another_edge_count(monkeypatch):
     with pytest.raises(CircuitError) as info:
         verify_circuit_equivalence(star_graph(3), hub_polarity(3), [0], circuit=circuit)
     assert str(info.value) == "circuit has 4 edges, graph has 3"
+
+
+def assert_same_amps(got: dict, want: dict) -> None:
+    """Same keys and bitwise the same amplitudes."""
+    assert got.keys() == want.keys()
+    for k, a in want.items():
+        assert (got[k].real.hex(), got[k].imag.hex()) == (a.real.hex(), a.imag.hex())
+
+
+def test_uncontrolled_x_in_block_moves_untouched_key():
+    # 0b00010000 holds none of the block's qubits (0, 1, 2): only the x,
+    # which moves the all-zero pattern, can move it, so the block looks at
+    # every key.
+    layout = mixed_circuit().layout
+    instrs = (
+        Instruction(Gate.CNOT, (0,), (1,), EDGE0),
+        Instruction(Gate.X, (), (2,), EDGE0),
+        Instruction(Gate.Z, (), (2,), EDGE0),
+        Instruction(Gate.SWAP, (), (0, 1), EDGE0),
+    )
+    circ = Circuit(layout, instrs)
+    state = SparseState({0b00010000: 0.6 + 0j, 0b10000001: 0.8j}, circ.n_qubits)
+    out = run(circ, state)
+    assert 0b00010000 not in out.amps
+    assert out.amps[0b00110000] == -0.6
+    np.testing.assert_allclose(
+        sparse_to_dense(out), sparse_to_dense(reference_run(circ, state)), rtol=0, atol=1e-13
+    )
+
+
+def test_block_on_unheld_qubits_leaves_state_alone():
+    layout = mixed_circuit().layout
+    node = Locus("node", 0)
+    instrs = (
+        Instruction(Gate.CNOT, (5,), (6,), node),
+        Instruction(Gate.SWAP, (), (6, 7), node),
+        Instruction(Gate.Z, (), (7,), node),
+        Instruction(Gate.MCX, (5, 6), (7,), node),
+        Instruction(Gate.DIFFUSION, (5,), (6, 7), node, 3),
+    )
+    state = random_sparse_state(8, np.random.default_rng(2), support=20)
+    state = SparseState({k & 0b11111000: a for k, a in state.amps.items()}, 8)
+    assert_same_amps(run(Circuit(layout, instrs), state).amps, state.amps)
+
+
+def test_columns_sharing_low_keys_match_each_column_alone():
+    circ = mixed_circuit()
+    n = circ.n_qubits
+    rng = np.random.default_rng(23)
+    lows = rng.choice(1 << n, size=6, replace=False).tolist()
+    columns = []
+    for _ in range(5):
+        keys = rng.choice(lows, size=4, replace=False).tolist()
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        amps /= np.linalg.norm(amps)
+        columns.append(dict(zip(keys, map(complex, amps))))
+    assert len({k for col in columns for k in col}) < sum(map(len, columns))
+    joint = {col << n | k: a for col, amps in enumerate(columns) for k, a in amps.items()}
+    out = run(circ, SparseState(joint, n))
+    for col, amps in enumerate(columns):
+        want = reference_run(circ, SparseState(amps, n))
+        got = {k & ((1 << n) - 1): a for k, a in out.amps.items() if k >> n == col}
+        np.testing.assert_allclose(
+            sparse_to_dense(SparseState(got, n)), sparse_to_dense(want), rtol=0, atol=1e-13
+        )
+
+
+def test_diffusion_sums_in_slot_order():
+    # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in the last bit, so the
+    # result must not depend on the order the amplitudes were stored in.
+    ins = Instruction(Gate.DIFFUSION, (0,), (2, 1), EDGE0, 3)
+    keys = [0b100, 0b101, 0b110]  # slot values 0, 1, 2
+    xs = [0.1 + 0j, 0.2 + 0j, 0.3 + 0j]
+    forward = apply_instruction(SparseState(dict(zip(keys, xs)), 3), ins)
+    backward = apply_instruction(
+        SparseState(dict(zip(keys[::-1], xs[::-1])), 3), ins
+    )
+    assert_same_amps(backward.amps, forward.amps)
+    twice_mean = (2.0 / 3) * (0 + xs[0] + xs[1] + xs[2])
+    assert_same_amps(forward.amps, {k: twice_mean - x for k, x in zip(keys, xs)})
+
+
+def test_run_errors_name_instruction_and_locus(monkeypatch):
+    g = star_graph(3)
+    circ = compile_step(g, hub_polarity(3), [0])
+    (pos,) = [i for i, ins in enumerate(circ.instructions) if ins.gate is Gate.DIFFUSION]
+    monkeypatch.setattr(simulator, "GATE_NORM_TOL", -1.0)
+    with pytest.raises(
+        SimulationError,
+        match=rf"^gate diffusion changed the squared norm by \S+ \(instruction {pos}, node 0\)$",
+    ):
+        run(circ)
+
+
+def test_support_error_names_block_span(monkeypatch):
+    # An x that ORs its target in instead of flipping it sends 0b0000 and
+    # 0b0001 to one key.
+    act = simulator._act
+
+    def merging_x(ins, n, images, flips, holders):
+        if ins.gate is not Gate.X:
+            return act(ins, n, images, flips, holders)
+        m = 1 << (n - 1 - ins.targets[0])
+        for i, image in enumerate(images):
+            images[i] = image | m
+
+    monkeypatch.setattr(simulator, "_act", merging_x)
+    layout = build_layout(complete_graph(2), coloring_polarity(complete_graph(2)))
+    edge1 = Locus("edge", 1)
+    instrs = (
+        Instruction(Gate.Z, (), (0,), EDGE0),
+        Instruction(Gate.Z, (), (1,), edge1),
+        Instruction(Gate.X, (), (3,), edge1),
+    )
+    state = SparseState({0b0000: 0.6 + 0j, 0b0001: 0.8 + 0j}, 4)
+    with pytest.raises(
+        SimulationError,
+        match=r"^gates z, x mapped 2 amplitudes onto 1 keys \(instructions 1-2, edge 1\)$",
+    ):
+        run(Circuit(layout, instrs), state)
+
+
+def sparse_gap(a: SparseState, b: SparseState) -> float:
+    return max(abs(a.amps.get(k, 0) - b.amps.get(k, 0)) for k in a.amps.keys() | b.amps.keys())
+
+
+@pytest.mark.parametrize(
+    "g",
+    [star_graph(40), starify(random_connected_graph(12, extra_edges=10, seed=4)).graph],
+    ids=["star40", "starified"],
+)
+def test_compiled_step_from_superposition_matches_reference_and_walk(g):
+    p = coloring_polarity(g)
+    marked = [g.n_edges - 1]
+    circ = compile_step(g, p, marked)
+    start = init_walk_superposition(circ.layout)
+    out = run(circ, start)
+    assert sparse_gap(out, reference_run(circ, start)) <= 1e-13
+    model = evolve(g, p, OracleSpec(marked=frozenset(marked)), 1)
+    stepped = project_to_walk_state(out, circ.layout)
+    np.testing.assert_allclose(stepped.psi, model.psi, rtol=0, atol=1e-12)
+
+
+def test_verify_250_node_regular_graph_exactly():
+    g = random_regular_graph(250, 4, seed=1)
+    report = verify_circuit_equivalence(g, coloring_polarity(g), [0])
+    assert (report.max_deviation, report.max_leakage) == (0.0, 0.0)

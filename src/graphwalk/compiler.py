@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -91,7 +92,7 @@ class Instruction:
         qubits = self.controls + self.targets
         if len(set(qubits)) != len(qubits):
             raise CircuitError(f"gate {self.gate.value} reuses a qubit: {qubits}")
-        if any(q < 0 for q in qubits):
+        if min(qubits, default=0) < 0:
             raise CircuitError(f"negative qubit index in {qubits}")
         if self.gate in _ARITY:
             nc, nt = _ARITY[self.gate]
@@ -206,6 +207,15 @@ class QubitLayout:
 
     def degree(self, u: int) -> int:
         return len(self.facing[u])
+
+    @cached_property
+    def local_qubits(self) -> dict[Locus, frozenset[int]]:
+        """The qubits each locus owns: an edge's own pair, or a node's
+        register plus the facing qubits of its incident edges."""
+        table = {Locus("edge", k): frozenset(pair) for k, pair in enumerate(self.edge_qubits)}
+        for u, (binary, flag) in enumerate(self.node_registers):
+            table[Locus("node", u)] = frozenset((*binary, flag, *self.facing[u]))
+        return table
 
 
 def build_layout(
@@ -382,26 +392,34 @@ class Circuit:
             return CircuitError(f"instruction {pos}: unknown {kind} {ident}")
         return CircuitError(f"instruction {pos}: locus {kind} {ident} out of place: {_ORDER}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "layout": {"facing": [list(f) for f in self.layout.facing]},
-            "instructions": [_instruction_to_dict(ins) for ins in self.instructions],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        """The document, byte for byte `json.dumps(doc, indent=2) + "\\n"`, from
+        templates: an indented `json.dumps` runs the pure-Python encoder."""
+        kinds = {kind: json.dumps(kind) for kind in {ins.locus.kind for ins in self.instructions}}
+        facing = ",\n      ".join(map(_int_list, self.layout.facing))
+        instructions = ",\n".join(
+            _INSTRUCTION % (
+                ins.gate.value, _int_list(ins.controls), _int_list(ins.targets),
+                kinds[ins.locus.kind], ins.locus.id,
+                "" if ins.d is None else ',\n      "d": %d' % ins.d,
+            )
+            for ins in self.instructions
+        )
+        return '{\n  "layout": {\n    "facing": %s\n  },\n  "instructions": %s\n}\n' % (
+            f"[\n      {facing}\n    ]" if facing else "[]",
+            f"[\n{instructions}\n  ]" if instructions else "[]",
+        )
 
 
-def _instruction_to_dict(ins: Instruction) -> dict:
-    out = {
-        "gate": ins.gate.value,
-        "controls": list(ins.controls),
-        "targets": list(ins.targets),
-        "locus": {"kind": ins.locus.kind, "id": ins.locus.id},
-    }
-    if ins.d is not None:
-        out["d"] = ins.d
-    return out
+_INSTRUCTION = (
+    '    {\n      "gate": "%s",\n      "controls": %s,\n      "targets": %s,\n'
+    '      "locus": {\n        "kind": %s,\n        "id": %d\n      }%s\n    }'
+)
+
+
+def _int_list(xs) -> str:
+    """An int list as the indented `json.dumps` writes it at depth 3: items at 8 spaces."""
+    return "[\n        " + ",\n        ".join(map(str, xs)) + "\n      ]" if xs else "[]"
 
 
 def compile_step(
@@ -422,6 +440,7 @@ def compile_step(
 
 
 _JSON_NAMES = {list: "array", dict: "object", int: "integer", str: "string"}
+_GATES = {gate.value: gate for gate in Gate}
 
 
 def _typed(value, kind: type, field: str):
@@ -435,7 +454,10 @@ def _typed(value, kind: type, field: str):
 
 
 def _ints(value, field: str) -> tuple[int, ...]:
-    """A JSON array of JSON integers, as a tuple."""
+    """A JSON array of JSON integers, as a tuple: one C-level type pass,
+    and a per-item loop only to name the first item at fault."""
+    if type(value) is list and set(map(type, value)) <= {int}:
+        return tuple(value)
     items = _typed(value, list, field)
     return tuple(_typed(q, int, f"{field}[{i}]") for i, q in enumerate(items))
 
@@ -446,13 +468,14 @@ def circuit_from_json(text: str) -> Circuit:
     The layout is rebuilt from `layout.facing`; other layout keys and the
     top-level `qubits` and `phases`, which older documents carry, are
     ignored.  The phases are worked out from the loci once, so a document
-    out of `compile_step`'s order does not load.
+    out of `compile_step`'s order does not load, nor one that is not local.
 
     Raises:
         CircuitError: On schema violations (naming the field), a `facing`
             that `QubitLayout` rejects, a gate that does not fit its arity
-            or degree, a qubit beyond the register, or an instruction whose
-            locus is unknown or out of place, as `Circuit.phases` names it.
+            or degree, a qubit beyond the register, an instruction whose
+            locus is unknown or out of place (named as `Circuit.phases`
+            does), or one that is not local (as `locality_audit` does).
     """
     try:
         doc = json.loads(text)
@@ -468,14 +491,16 @@ def circuit_from_json(text: str) -> Circuit:
     layout = QubitLayout(tuple(_ints(f, f"layout.facing[{u}]") for u, f in enumerate(rows)))
     instructions: list[Instruction] = []
     for pos, ins in enumerate(_typed(doc["instructions"], list, "instructions")):
-        _typed(ins, dict, f"instruction {pos}")
+        if type(ins) is not dict:
+            raise CircuitError(f"instruction {pos} must be a JSON object")
         try:
-            gate = Gate(ins["gate"])
+            name = ins["gate"]
+            gate = _GATES.get(name) if type(name) is str else None
             kind, ident = ins["locus"]["kind"], ins["locus"]["id"]
             locus = Locus(_typed(kind, str, "locus.kind"), _typed(ident, int, "locus.id"))
             instructions.append(
                 Instruction(
-                    gate,
+                    gate or Gate(name),  # Gate(name) raises, naming an unknown gate
                     _ints(ins["controls"], "controls"),
                     _ints(ins["targets"], "targets"),
                     locus,
@@ -486,11 +511,22 @@ def circuit_from_json(text: str) -> Circuit:
             raise CircuitError(f"instruction {pos}: {exc}") from None
         except (KeyError, TypeError, ValueError) as exc:
             raise CircuitError(f"instruction {pos}: malformed ({exc})") from None
-        if any(q >= layout.n_qubits for q in instructions[-1].qubits()):
+        if max(instructions[-1].qubits()) >= layout.n_qubits:
             raise CircuitError(f"instruction {pos}: qubit index beyond {layout.n_qubits}")
     circuit = Circuit(layout, tuple(instructions))
     circuit.phases  # raises on loci out of compile_step's order
+    local = layout.local_qubits
+    for pos, ins in enumerate(instructions):
+        if not local[ins.locus].issuperset(ins.qubits()):
+            raise CircuitError(_stray(pos, ins, local))
     return circuit
+
+
+def _stray(pos: int, ins: Instruction, local: dict[Locus, frozenset[int]]) -> str:
+    """Name the qubits an instruction touches outside its locus."""
+    stray = [q for q in ins.qubits() if q not in local[ins.locus]]
+    kind, ident = ins.locus
+    return f"instruction {pos}: {ins.gate.value} touches qubits {stray} outside its {kind} {ident}"
 
 
 @dataclass(frozen=True)
@@ -551,38 +587,22 @@ class AuditReport:
 def locality_audit(circuit: Circuit) -> AuditReport:
     """Check every instruction against its locus and tally controlled gates."""
     layout = circuit.layout
-    node_allowed: list[set[int]] = []
-    for u in range(layout.n_nodes):
-        reg = layout.node_registers[u]
-        node_allowed.append(set(reg.binary) | {reg.flag} | set(layout.facing[u]))
+    local = layout.local_qubits
     cnot_mcx = [0] * layout.n_nodes
     diffusion = [0] * layout.n_nodes
     violations: list[str] = []
     for pos, ins in enumerate(circuit.instructions):
         kind, ident = ins.locus
-        if kind == "edge":
-            if not 0 <= ident < layout.n_edges:
-                violations.append(f"instruction {pos}: unknown edge {ident}")
-                continue
-            allowed = set(layout.edge_qubits[ident])
-        elif kind == "node":
-            if not 0 <= ident < layout.n_nodes:
-                violations.append(f"instruction {pos}: unknown node {ident}")
-                continue
-            allowed = node_allowed[ident]
+        if ins.locus not in local:
+            violations.append(str(circuit._out_of_place(pos)))  # names the unknown locus
+            continue
+        if kind == "node":
             if ins.gate in (Gate.CNOT, Gate.MCX):
                 cnot_mcx[ident] += 1
             elif ins.gate is Gate.DIFFUSION:
                 diffusion[ident] += 1
-        else:
-            violations.append(f"instruction {pos}: unknown locus kind {kind!r}")
-            continue
-        stray = [q for q in ins.qubits() if q not in allowed]
-        if stray:
-            violations.append(
-                f"instruction {pos}: {ins.gate.value} touches qubits {stray} "
-                f"outside its {kind} {ident}"
-            )
+        if not local[ins.locus].issuperset(ins.qubits()):
+            violations.append(_stray(pos, ins, local))
     nodes = tuple(
         NodeAudit(
             node=u,

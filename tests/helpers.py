@@ -1,5 +1,6 @@
 """Shared test utilities: the dense walk reference, dense gate oracles,
-random-state builders, and the gate-by-gate reference simulator.
+random-state builders, the gate-by-gate reference simulator, and the
+circuit document as a plain dict.
 
 The walk reference is the step stage by stage as plain matrices: the oracle
 and coin as 2x2 matrix products on each edge's amplitude pair, and the
@@ -11,7 +12,9 @@ be compared.  A diffusion is built as that dense (2/d)J - I padded with the
 identity, not by the simulator's segment sums.  The reference simulator
 applies one gate at a time to the whole state and runs the circuit once per
 column, the plain form that the block simulator and the batched circuit
-matrix must reproduce.
+matrix must reproduce.  `document_dict` is the document's schema as a
+dict, the reference `Circuit.to_json` must write byte for byte through
+`json.dumps(..., indent=2)`.
 """
 
 from __future__ import annotations
@@ -256,3 +259,24 @@ def reference_step_circuit_matrix(circuit: Circuit) -> tuple[np.ndarray, list[fl
                 leaked += abs(a) ** 2
         leaks.append(leaked)
     return mat, leaks
+
+
+def document_dict(circuit: Circuit) -> dict:
+    """The circuit document as a dict: the layout's `facing`, then each
+    instruction's gate, controls, targets, locus and (diffusion only) d."""
+
+    def instruction(ins: Instruction) -> dict:
+        out = {
+            "gate": ins.gate.value,
+            "controls": list(ins.controls),
+            "targets": list(ins.targets),
+            "locus": {"kind": ins.locus.kind, "id": ins.locus.id},
+        }
+        if ins.d is not None:
+            out["d"] = ins.d
+        return out
+
+    return {
+        "layout": {"facing": [list(f) for f in circuit.layout.facing]},
+        "instructions": [instruction(ins) for ins in circuit.instructions],
+    }

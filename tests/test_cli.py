@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -292,9 +293,9 @@ def test_verify_tampered_circuit_exits_4(path3, tmp_path, capsys):
     ) == 0
     doc = json.loads(circ_file.read_text())
     doc["instructions"].append(
-        {"gate": "x", "controls": [], "targets": [0],
+        {"gate": "x", "controls": [], "targets": [doc["layout"]["facing"][-1][0]],
          "locus": {"kind": "node", "id": len(doc["layout"]["facing"]) - 1}}
-    )  # the stray gate ends the last node's scatter
+    )  # the stray gate, on a qubit the last node faces, ends its scatter
     circ_file.write_text(json.dumps(doc))
     code = main(
         ["verify", "--graph", path3, "--mark-edge", "0", "1",
@@ -302,6 +303,44 @@ def test_verify_tampered_circuit_exits_4(path3, tmp_path, capsys):
     )
     assert code == 4
     assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def test_verify_non_local_circuit_exits_1(path3, tmp_path, capsys):
+    circ_file = tmp_path / "circuit.json"
+    assert main(
+        ["compile", "--graph", path3, "--mark-edge", "0", "1",
+         "--out", str(circ_file)]
+    ) == 0
+    doc = json.loads(circ_file.read_text())
+    doc["instructions"].append(
+        {"gate": "x", "controls": [], "targets": [0],
+         "locus": {"kind": "node", "id": 2}}
+    )  # node 2 faces qubit 3, not qubit 0
+    circ_file.write_text(json.dumps(doc))
+    code = main(
+        ["verify", "--graph", path3, "--mark-edge", "0", "1",
+         "--circuit", str(circ_file)]
+    )
+    assert code == 1
+    assert "instruction 6: x touches qubits [0] outside its node 2" in capsys.readouterr().err
+
+
+# sha256 of `compile --mark-edge 0 1` output, pinned so that any change to
+# the document's bytes is deliberate.
+_GOLDEN_SHA256 = {
+    "0 1\n1 2\n": "743e72cf2f14fd0a62ce4d9f2570e745af1aa7a3ae33de1474c563ecc10b52f4",
+    "0 1\n0 2\n0 3\n": "4daf37b20041267d411d63dc279687be00cee7e78d436d92c1bf84f5fbd8e21f",
+}
+
+
+@pytest.mark.parametrize("edges", list(_GOLDEN_SHA256), ids=["path-3", "star-3"])
+def test_compile_output_bytes_are_pinned(edges, tmp_path):
+    graph = tmp_path / "graph.txt"
+    graph.write_text(edges)
+    out = tmp_path / "circuit.json"
+    assert main(["compile", "--graph", str(graph), "--mark-edge", "0", "1",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_SHA256[edges]
 
 
 def test_verify_warning_names_worst_column(path3, tmp_path, capsys, caplog):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,12 +35,13 @@ from graphwalk import (
     polarity_from_coloring,
     random_connected_graph,
     star_graph,
+    starify,
     step_circuit_matrix,
     verify_circuit_equivalence,
 )
 from graphwalk.compiler import Phase
 from graphwalk.simulator import apply_instruction
-from helpers import diffusion_matrix, grover_matrix
+from helpers import diffusion_matrix, document_dict, grover_matrix
 
 
 def coloring_polarity(g):
@@ -467,6 +469,36 @@ def test_circuit_json_schema():
     }
 
 
+_NODE_MODE = starify(random_connected_graph(8, extra_edges=5, seed=3)).graph
+
+
+@pytest.mark.parametrize(
+    "g, marked, seed",
+    [
+        (star_graph(3), [0], None),
+        (star_graph(256), [0], None),
+        (path_graph(3), [0], None),  # degrees 1 and 2: empty scatters, "controls": []
+        (complete_graph(4), [1], None),
+        (random_connected_graph(10, extra_edges=8, seed=2), [3], None),
+        (random_connected_graph(10, extra_edges=8, seed=2), [3], 9),
+        (_NODE_MODE, [_NODE_MODE.n_edges - 1], None),
+        (complete_graph(5), [], None),
+        (complete_graph(5), [2, 7], 1),
+    ],
+    ids=[
+        "star-3", "star-256", "path-3", "K4", "random", "random-enumeration-seed",
+        "starified", "no-marks", "two-marks",
+    ],
+)
+def test_to_json_writes_indented_json_dumps(g, marked, seed):
+    circ = compile_step(g, coloring_polarity(g), marked, enumeration_seed=seed)
+    text = circ.to_json()
+    assert text == json.dumps(document_dict(circ), indent=2) + "\n"
+    back = circuit_from_json(text)
+    assert back == circ
+    assert back.to_json() == text
+
+
 def test_circuit_from_json_rejects_garbage():
     with pytest.raises(CircuitError, match="invalid JSON"):
         circuit_from_json("{nope")
@@ -479,7 +511,7 @@ def test_circuit_from_json_rejects_garbage():
 def tampered_doc(mutate):
     g = complete_graph(2)
     circ = compile_step(g, coloring_polarity(g), [0])
-    doc = circ.to_json_dict()
+    doc = document_dict(circ)
     mutate(doc)
     return json.dumps(doc)
 
@@ -516,7 +548,7 @@ def test_circuit_from_json_rejects_non_unitary_matrix():
 
 
 def _star3_doc():
-    return compile_step(star_graph(3), hub_polarity(3), [0]).to_json_dict()
+    return document_dict(compile_step(star_graph(3), hub_polarity(3), [0]))
 
 
 # The hub's diffusion, the one instruction of `_star3_doc` that carries `d`.
@@ -559,11 +591,44 @@ def test_circuit_from_json_requires_integers(path, value, message):
     assert str(info.value) == message
 
 
+_STAR256 = compile_step(star_graph(256), hub_polarity(256), [0])
+# A hub mcx with at least four controls: slot value 7 or more has 3 one-bits.
+_WIDE_MCX = next(
+    pos for pos, ins in enumerate(_STAR256.instructions)
+    if ins.gate is Gate.MCX and len(ins.controls) >= 4
+)
+_HUB256_DIFFUSION = next(
+    pos for pos, ins in enumerate(_STAR256.instructions) if ins.gate is Gate.DIFFUSION
+)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("instructions", _WIDE_MCX, "controls", 3), True,
+         f"instruction {_WIDE_MCX}: controls[3] must be a JSON integer"),
+        (("layout", "facing", 0, 200), 400.0, "layout.facing[0][200] must be a JSON integer"),
+        (("instructions", _HUB256_DIFFUSION, "d"), "256",
+         f"instruction {_HUB256_DIFFUSION}: d must be a JSON integer"),
+    ],
+    ids=["mcx-control-true", "facing-float-deep", "d-string"],
+)
+def test_circuit_from_json_names_a_fault_deep_in_a_long_list(path, value, message):
+    doc = document_dict(_STAR256)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(CircuitError) as info:
+        circuit_from_json(json.dumps(doc))
+    assert str(info.value) == message
+
+
 def test_circuit_from_json_checks_phase_spans():
     # Spans stored under `phases`, as older documents carry them, are not
     # read: the loaded circuit's phases are the ones its loci give.
     circ = compile_step(star_graph(3), hub_polarity(3), [0])
-    doc = circ.to_json_dict()
+    doc = document_dict(circ)
     n_ins = len(doc["instructions"])
     for stored in [
         [ph._asdict() for ph in circ.phases],
@@ -631,7 +696,7 @@ def _set(path, value):
 )
 def test_circuit_from_json_rejects_inconsistent_layout(mutate, match):
     g = star_graph(3)
-    doc = compile_step(g, hub_polarity(3), [0]).to_json_dict()
+    doc = document_dict(compile_step(g, hub_polarity(3), [0]))
     assert doc["layout"] == {"facing": [[0, 2, 4], [1], [3], [5]]}
     circuit_from_json(json.dumps(doc))
     mutate(doc)
@@ -644,7 +709,7 @@ def test_path3_facing_with_a_repeated_qubit_is_rejected():
     # instruction still fits the register, which is why only the facing
     # check can catch it.
     g = path_graph(3)
-    doc = compile_step(g, coloring_polarity(g), [0]).to_json_dict()
+    doc = document_dict(compile_step(g, coloring_polarity(g), [0]))
     assert doc["layout"]["facing"] == [[1], [0, 2], [3]]
     doc["layout"]["facing"][2] = [2]
     with pytest.raises(CircuitError) as info:
@@ -655,7 +720,7 @@ def test_path3_facing_with_a_repeated_qubit_is_rejected():
 def _with_parent_layout_keys(circ):
     """The circuit document with the derived keys older documents stored."""
     layout = circ.layout
-    doc = circ.to_json_dict()
+    doc = document_dict(circ)
     doc["qubits"] = circ.n_qubits
     doc["phases"] = [ph._asdict() for ph in circ.phases]
     doc["layout"] = {
@@ -808,6 +873,24 @@ def test_circuit_from_json_checks_phase_kinds_nodes_and_tiling(mutate, message):
     phases = circuit_from_json(json.dumps(doc)).phases
     assert [(ph.start, ph.stop) for ph in phases][:3] == [(0, 3), (3, 6), (6, 23)]
     mutate(doc)
+    with pytest.raises(CircuitError) as info:
+        circuit_from_json(json.dumps(doc))
+    assert str(info.value) == message
+
+
+def test_circuit_from_json_rejects_a_gate_outside_its_locus():
+    # Relabelling the hub's last gate to node 1 keeps compile_step's order
+    # (it becomes node 1's scatter), so only the locality check catches it.
+    circ = compile_step(star_graph(3), hub_polarity(3), [0])
+    doc = document_dict(circ)
+    assert circ.phases[2] == Phase("scatter", 0, 6, 23)
+    doc["instructions"][22]["locus"]["id"] = 1
+    last = circ.instructions[22]
+    assert (last.gate, last.controls, last.targets) == (Gate.CNOT, (0,), (8,))
+    relabelled = replace(last, locus=Locus("node", 1))
+    tampered = Circuit(circ.layout, circ.instructions[:22] + (relabelled,))
+    message = "instruction 22: cnot touches qubits [0, 8] outside its node 1"
+    assert locality_audit(tampered).violations == (message,)
     with pytest.raises(CircuitError) as info:
         circuit_from_json(json.dumps(doc))
     assert str(info.value) == message

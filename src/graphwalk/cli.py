@@ -166,6 +166,8 @@ def cmd_search(args) -> int:
         raise ConfigError(f"--steps must be nonnegative, got {args.steps}")
     if args.trials < 1:
         raise ConfigError(f"--trials must be positive, got {args.trials}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     result = {
         "command": "search",
         "graph": {"nodes": g.n, "edges": g.n_edges},
@@ -242,9 +244,16 @@ def cmd_analyze_complete(args) -> int:
     return EXIT_OK
 
 
+def _enumeration_seed(args) -> int | None:
+    seed = args.enumeration_seed
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--enumeration-seed must be nonnegative, got {seed}")
+    return seed
+
+
 def cmd_compile(args) -> int:
     g, p, marked, star, node = _load_marked_graph(args)
-    circuit = compile_step(g, p, marked, enumeration_seed=args.enumeration_seed)
+    circuit = compile_step(g, p, marked, enumeration_seed=_enumeration_seed(args))
     audit = locality_audit(circuit)
     if not audit.ok:
         raise CircuitError("; ".join(audit.violations))
@@ -274,7 +283,7 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"cannot read circuit file: {exc}") from None
     report = verify_circuit_equivalence(
         g, p, marked, circuit=circuit, tolerance=args.tolerance,
-        enumeration_seed=args.enumeration_seed,
+        enumeration_seed=_enumeration_seed(args),
     )
     _dump_json(report.to_json_dict(), args.out)
     if not report.ok:

@@ -7,24 +7,24 @@ Key bits above the register label independent columns that no gate touches,
 so `step_circuit_matrix` evolves all 2|E| unit columns in one run, with every
 norm check held per column.
 
-Every node acts only on its own neighbourhood, so a compiled step is a
-sequence of small local blocks, and `run` spends on each block the work of
-the amplitudes and local bit patterns it can change:
+Every node acts only on its own neighbourhood, so a compiled step is a long
+run of small local gates, and `run` spends on each gate the work of the
+amplitudes it can change:
 
-- While it runs, the state is grouped by column: low key (the register
-  bits) -> {column: amplitude}.  Gates never touch column bits, so a block
-  moves whole groups.
-- Every gate is the identity on a basis state with none of its trigger
-  qubits set: the target of z, either target of swap, the controls of
-  cnot, mcx and diffusion.  An index from each qubit to the low keys that
-  have it set gives a block its candidates: the union over its qubits, or
-  the intersection over a diffusion's controls.  Only the groups that move
-  are re-indexed.  An uncontrolled x is the one gate that moves the
-  all-zero pattern; a block that does so looks at every group.
+- While it runs, the state is grouped by low key (the register bits): each
+  {column: amplitude} group has a stable id, and gates never touch column
+  bits, so a gate moves whole groups by rewriting their low keys.
+- Every gate but x is the identity on a basis state with none of its
+  trigger qubits set: the target of z, either target of swap, the controls
+  of cnot, mcx and diffusion.  An index from each qubit to the ids whose
+  low key has it set gives a gate its ids: those in every control's entry,
+  in z's target entry, or in exactly one of swap's two target entries.  An
+  uncontrolled x looks at every id.
 - The monomial gates (x, z, cnot, swap, mcx) map a basis state to one basis
-  state up to a sign.  A run of them that shares a locus is worked out once
-  per distinct local pattern of its candidates, each gate seeing only the
-  patterns its trigger selects, and the groups are moved by table lookup.
+  state up to a sign.  z negates the groups it selects; the others flip
+  target bits in the low keys of theirs and update only their targets'
+  index entries.  A map from each low key back to its id shows, after
+  every gate, whether two groups landed on one key.
 - A diffusion sums each group of armed amplitudes that share every
   non-target bit in ascending slot value, so its result does not depend on
   the order in which the amplitudes were stored.
@@ -36,6 +36,7 @@ out of the one-excitation subspace and that every register returned to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -83,7 +84,10 @@ class SparseState:
     n_qubits: int
 
     def mask(self, q: int) -> int:
-        return _key_bits((q,), self.n_qubits)
+        n = self.n_qubits
+        if not 0 <= q < n:
+            raise SimulationError(f"qubit {q} outside register of {n}")
+        return 1 << (n - 1 - q)
 
     def norm_sq(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.amps.values()))
@@ -100,22 +104,16 @@ def _edge_keys(layout: QubitLayout, n: int) -> dict[int, int]:
 
 
 def init_walk_superposition(layout: QubitLayout) -> SparseState:
-    """Uniform single-excitation state over all edge qubits, registers zero."""
+    """Uniform single-excitation state over all edge qubits, registers zero.
+
+    Raises:
+        ValueError: If the layout has no edges.
+    """
+    if layout.n_edges == 0:
+        raise ValueError("graph has no edges to walk on")
     n = layout.n_qubits
     amp = complex(1.0 / np.sqrt(2 * layout.n_edges))
     return SparseState(dict.fromkeys(_edge_keys(layout, n), amp), n)
-
-
-def _key_bits(qubits, n: int) -> int:
-    """The key bits of some qubits in an n-qubit register: qubit q is bit
-    n - 1 - q."""
-    for q in (min(qubits), max(qubits)):
-        if not 0 <= q < n:
-            raise SimulationError(f"qubit {q} outside register of {n}")
-    bits = 0
-    for q in qubits:
-        bits |= 1 << (n - 1 - q)
-    return bits
 
 
 def _qubits(bits: int, n: int):
@@ -126,11 +124,6 @@ def _qubits(bits: int, n: int):
         bits ^= low
 
 
-def _add(index: dict[int, set[int]], bits: int, item: int, n: int) -> None:
-    for q in _qubits(bits, n):
-        index.setdefault(q, set()).add(item)
-
-
 _NONE: frozenset[int] = frozenset()
 
 
@@ -138,39 +131,6 @@ def _meet(index: dict[int, set[int]], qubits: tuple[int, ...]) -> set[int]:
     """A new set of the items indexed under every one of the qubits."""
     sets = [index.get(q, _NONE) for q in qubits]
     return min(sets, key=len).intersection(*sets)
-
-
-def _act(ins: Instruction, n: int, images: list[int], flips: list[bool], holders) -> None:
-    """One monomial gate on a block's pattern images, in place.
-
-    holders[q] holds the ids of the images with qubit q set, so the gate
-    only looks at the images it can change: x at every image, cnot and mcx
-    at those whose controls are all set, z at those whose target is set,
-    swap at those whose two targets differ.  x, cnot and mcx flip their
-    target, z flips the sign and swap exchanges its two target bits.
-    """
-    gate, controls, targets = ins.gate, ins.controls, ins.targets
-    if gate is Gate.Z:
-        for i in holders.get(targets[0], ()):
-            flips[i] = not flips[i]
-        return
-    if gate is Gate.SWAP:
-        a, b = targets
-        one, two = holders.get(a, set()), holders.get(b, set())
-        both = 1 << (n - 1 - a) | 1 << (n - 1 - b)
-        for i in one ^ two:
-            images[i] ^= both
-        holders[a], holders[b] = two, one
-        return
-    (t,) = targets
-    if len(controls) == 1:
-        ids = holders.get(controls[0], ())
-    else:
-        ids = _meet(holders, controls) if controls else range(len(images))
-    m = 1 << (n - 1 - t)
-    for i in ids:
-        images[i] ^= m
-    holders.setdefault(t, set()).symmetric_difference_update(ids)
 
 
 def _check_drift(
@@ -190,29 +150,35 @@ def _check_drift(
 
 
 class _Columns:
-    """A state as low key -> {column: amplitude}, with a qubit index.
+    """A state as groups of amplitudes that share a low key, one id each.
 
     The low key is key & (2**n - 1), the register bits that gates act on;
-    the column is key >> n.  `index[q]` holds the low keys with qubit q set.
-    Every gate but an uncontrolled x is the identity on a low key with none
-    of its qubits set, so a block finds its candidates in the index and
-    moves whole groups.
+    the column is key >> n.  Group i maps column -> amplitude
+    (`groups[i]`) and sits at low key `keys[i]`; `ids` maps each low key
+    back to its id, so two groups that land on one key show as a shorter
+    `ids`.  `index[q]` holds the ids whose low key has qubit q set.
     """
 
     def __init__(self, state: SparseState):
         self.n = n = state.n_qubits
-        low = (1 << n) - 1
         self.groups: dict[int, dict[int, complex]] = {}
+        self.keys: dict[int, int] = {}
+        self.ids: dict[int, int] = {}
+        self.index: dict[int, set[int]] = {}
+        self._fresh = count()
+        low = (1 << n) - 1
+        grouped: dict[int, dict[int, complex]] = {}
         for k, a in state.amps.items():
             if abs(a) > PRUNE_EPS:
-                self.groups.setdefault(k & low, {})[k >> n] = a
-        self.index: dict[int, set[int]] = {}
-        for k in self.groups:
-            _add(self.index, k, k, n)
+                grouped.setdefault(k & low, {})[k >> n] = a
+        for k, grp in grouped.items():
+            self._place(k, grp)
 
     def amps(self) -> dict[int, complex]:
-        n = self.n
-        return {col << n | k: a for k, grp in self.groups.items() for col, a in grp.items()}
+        n, keys = self.n, self.keys
+        return {
+            col << n | keys[i]: a for i, grp in self.groups.items() for col, a in grp.items()
+        }
 
     def norms(self) -> dict[int, float]:
         """Squared norm of each column."""
@@ -222,85 +188,78 @@ class _Columns:
                 norms[col] = norms.get(col, 0.0) + abs(a) ** 2
         return norms
 
-    def _put(self, k: int, grp: dict[int, complex]) -> None:
-        self.groups[k] = grp
-        _add(self.index, k, k, self.n)
-
-    def _take(self, k: int) -> dict[int, complex]:
+    def _place(self, k: int, grp: dict[int, complex]) -> None:
+        """Add a group at low key k under a new id."""
+        i = next(self._fresh)
+        self.groups[i] = grp
+        self.keys[i] = k
+        self.ids[k] = i
         for q in _qubits(k, self.n):
-            self.index[q].discard(k)
-        return self.groups.pop(k)
+            self.index.setdefault(q, set()).add(i)
 
-    def apply(self, block: list[Instruction]) -> None:
-        if block[0].gate is Gate.DIFFUSION:
-            self._diffuse(block[0])
-        else:
-            self._permute(block)
+    def _move(self, ids, bits: int) -> None:
+        """Flip bits in the low keys of ids, keeping the key -> id map."""
+        keys, where = self.keys, self.ids
+        for i in ids:
+            del where[keys[i]]
+        for i in ids:
+            k = keys[i] ^ bits
+            keys[i] = k
+            where[k] = i
 
-    def _permute(self, block: list[Instruction]) -> None:
-        """Apply a run of monomial gates as one signed permutation.
-
-        The block's local mask covers every qubit it touches.  The distinct
-        local patterns of the low keys that hold one of those qubits, plus
-        the all-zero pattern, go through the gates once; each group whose
-        pattern moves is then moved by table lookup.  If the all-zero
-        pattern moves too, every group is looked up.
+    def apply(self, ins: Instruction) -> None:
+        """Apply one gate in place, to the ids the index gives it.
 
         Raises:
-            SimulationError: If two amplitudes land on one key.
+            SimulationError: If a qubit lies outside the register, two
+                groups land on one low key, or a diffusion drifts a column's
+                squared norm by more than 1e-13.
         """
-        n = self.n
-        qubits = {q for ins in block for q in ins.controls + ins.targets}
-        local = _key_bits(qubits, n)
-        near = set().union(*(self.index.get(q, ()) for q in qubits))
-        parts = [0, *{k & local for k in near}]
-        images, flips = parts[:], [False] * len(parts)
-        holders: dict[int, set[int]] = {}
-        for i, part in enumerate(parts):
-            _add(holders, part, i, n)
-        for ins in block:
-            _act(ins, n, images, flips, holders)
-        table = dict(zip(parts, zip(images, flips)))
-        moved = []
-        for k in list(self.groups) if images[0] or flips[0] else near:
-            part = k & local
-            image, flip = table[part]
-            if image == part:
-                if flip:
-                    self.groups[k] = {col: -a for col, a in self.groups[k].items()}
-                continue
-            grp = self._take(k)
-            moved.append((k ^ part ^ image, {col: -a for col, a in grp.items()} if flip else grp))
-        lost = 0
-        for k, grp in moved:
-            have = self.groups.get(k)
-            if have is None:
-                self._put(k, grp)
+        gate, controls, targets = ins.gate, ins.controls, ins.targets
+        n, index = self.n, self.index
+        top = max(controls + targets)  # Instruction rejects negative qubits
+        if top >= n:
+            raise SimulationError(f"qubit {top} outside register of {n}")
+        if gate is Gate.DIFFUSION:
+            self._diffuse(ins)
+        elif gate is Gate.Z:
+            for i in index.get(targets[0], ()):
+                self.groups[i] = {col: -a for col, a in self.groups[i].items()}
+        elif gate is Gate.SWAP:
+            a, b = targets
+            one, two = index.setdefault(a, set()), index.setdefault(b, set())
+            self._move(one ^ two, 1 << (n - 1 - a) | 1 << (n - 1 - b))
+            index[a], index[b] = two, one
+        else:
+            if gate is Gate.X:
+                ids = list(self.keys)
+            elif gate is Gate.CNOT:
+                ids = index.get(controls[0], _NONE)
             else:
-                lost += len(have.keys() & grp.keys())
-                have.update(grp)
-        if lost:
-            kept = sum(map(len, self.groups.values()))
+                ids = _meet(index, controls)
+            (t,) = targets
+            self._move(ids, 1 << (n - 1 - t))
+            index.setdefault(t, set()).symmetric_difference_update(ids)
+        if len(self.ids) != len(self.keys):
             raise SimulationError(
-                f"gates {', '.join(ins.gate.value for ins in block)} mapped "
-                f"{kept + lost} amplitudes onto {kept} keys"
+                f"gate {gate.value} mapped {len(self.keys)} low keys onto {len(self.ids)}"
             )
 
     def _diffuse(self, ins: Instruction) -> None:
         """Diffuse the slot values of the amplitudes whose controls are all set.
 
-        The armed low keys are the index's intersection over the controls.
+        The armed ids are the index's intersection over the controls.
         Armed amplitudes that share the column and every non-target bit form
         one group.  Each slot value v below d becomes (2/d) * (the group's
         sum, taken in ascending v) - x_v, pruned below 1e-15; higher values
-        stay.  The squared norm of the diffused amplitudes is checked column
-        by column.
+        stay.  The diffused groups leave under their old ids and return
+        under new ones.  The squared norm of the diffused amplitudes is
+        checked column by column.
 
         Raises:
             SimulationError: If a column's squared norm drifts by more than 1e-13.
         """
         n, d = self.n, ins.d
-        _key_bits(ins.controls + ins.targets, n)  # every qubit in the register
         # spread[v]: the low bits that spell target value v (target i is bit i).
         spread = [0]
         for q in ins.targets:
@@ -308,11 +267,15 @@ class _Columns:
         value = {bits: v for v, bits in enumerate(spread)}
         every = spread[-1]
         groups: dict[int, dict[int, dict[int, complex]]] = {}
-        for k in _meet(self.index, ins.controls):
+        for i in _meet(self.index, ins.controls):
+            k = self.keys[i]
             v = value[k & every]
             if v < d:
+                del self.keys[i], self.ids[k]
+                for q in _qubits(k, n):
+                    self.index[q].discard(i)
                 cols = groups.setdefault(k & ~every, {})
-                for col, a in self._take(k).items():
+                for col, a in self.groups.pop(i).items():
                     cols.setdefault(col, {})[v] = a
         before: dict[int, float] = {}
         after: dict[int, float] = {}
@@ -328,59 +291,32 @@ class _Columns:
                         after[col] = after.get(col, 0.0) + abs(y) ** 2
             for v, grp in enumerate(out):
                 if grp:
-                    self._put(base | spread[v], grp)
+                    self._place(base | spread[v], grp)
         _check_drift(before, after, GATE_NORM_TOL, f"gate {ins.gate.value}")
-
-
-def _blocks(instructions):
-    """Split instructions into runs of monomial gates sharing a locus; every
-    diffusion is a block of its own."""
-    block: list[Instruction] = []
-    for ins in instructions:
-        if block and (
-            ins.gate is Gate.DIFFUSION
-            or block[-1].gate is Gate.DIFFUSION
-            or ins.locus != block[-1].locus
-        ):
-            yield block
-            block = []
-        block.append(ins)
-    if block:
-        yield block
 
 
 def apply_instruction(state: SparseState, ins: Instruction) -> SparseState:
     """Apply one gate, returning a new pruned state.
 
-    A monomial gate runs as a one-gate block; a diffusion is applied to the
-    amplitudes whose controls are set.
-
     Raises:
-        SimulationError: If a monomial gate maps two amplitudes onto one key,
-            or a diffusion drifts a column's squared norm by more than 1e-13.
+        SimulationError: If a qubit lies outside the register, a monomial
+            gate maps two amplitudes onto one key, or a diffusion drifts a
+            column's squared norm by more than 1e-13.
     """
     cols = _Columns(state)
-    cols.apply([ins])
+    cols.apply(ins)
     return SparseState(cols.amps(), state.n_qubits)
-
-
-def _where(block: list[Instruction], start: int) -> str:
-    """Name a block's instruction positions and its locus."""
-    locus = f"{block[0].locus.kind} {block[0].locus.id}"
-    if len(block) == 1:
-        return f"instruction {start}, {locus}"
-    return f"instructions {start}-{start + len(block) - 1}, {locus}"
 
 
 def run(circuit: Circuit, state: SparseState | None = None) -> SparseState:
     """Run all instructions, starting from the walk superposition by default.
 
-    The state is pruned and grouped by column once on the way in, and
-    flattened once on the way out.  In between, each block looks only at
-    the low keys that the qubit index gives for it (every low key, if the
-    block moves the all-zero pattern), as the module docstring describes.
-    Key bits at or above `n_qubits` label independent columns, and every
-    norm check holds per column.
+    The state is pruned and grouped by low key once on the way in, and
+    flattened once on the way out.  In between, each gate acts on the
+    grouped state itself, as the module docstring describes: it looks only
+    at the ids the qubit index gives it and re-indexes only its targets.  Key
+    bits at or above `n_qubits` label independent columns, and every norm
+    check holds per column.
 
     One compiled step from the walk superposition is one walk step:
 
@@ -394,9 +330,9 @@ def run(circuit: Circuit, state: SparseState | None = None) -> SparseState:
 
     Raises:
         SimulationError: If a column's squared norm drifts by more than 1e-12
-            over the whole circuit or 1e-13 over one diffusion, or a monomial
-            block maps two amplitudes onto one key.  An error inside a block
-            ends with the block's instruction positions and locus, as in
+            over the whole circuit or 1e-13 over one diffusion, or a gate
+            maps two amplitudes onto one key.  An error inside a gate ends
+            with the instruction's position and locus, as in
             "(instruction 14, node 0)" for a 3-leaf star's hub diffusion.
     """
     if state is None:
@@ -408,13 +344,12 @@ def run(circuit: Circuit, state: SparseState | None = None) -> SparseState:
         )
     cols = _Columns(state)
     before = cols.norms()
-    start = 0
-    for block in _blocks(circuit.instructions):
+    for pos, ins in enumerate(circuit.instructions):
         try:
-            cols.apply(block)
+            cols.apply(ins)
         except SimulationError as exc:
-            raise SimulationError(f"{exc} ({_where(block, start)})") from None
-        start += len(block)
+            where = f"instruction {pos}, {ins.locus.kind} {ins.locus.id}"
+            raise SimulationError(f"{exc} ({where})") from None
     _check_drift(before, cols.norms(), CIRCUIT_NORM_TOL, "circuit")
     return SparseState(cols.amps(), n)
 
@@ -569,12 +504,17 @@ def verify_circuit_equivalence(
     side uses the standard pole-swap coin and sign oracle.
 
     Raises:
-        ValueError: If `tolerance` is NaN or negative.
+        ValueError: If `tolerance` is NaN, negative or infinite, or g has no
+            edges.
         CircuitError: If the given circuit's layout has another edge count
             than g.
     """
     if not tolerance >= 0:
         raise ValueError(f"tolerance must be nonnegative, got {tolerance!r}")
+    if np.isinf(tolerance):
+        raise ValueError(f"tolerance must be finite, got {tolerance!r}")
+    if g.n_edges == 0:
+        raise ValueError("graph has no edges to walk on")
     if circuit is None:
         circuit = compile_step(g, p, marked, enumeration_seed=enumeration_seed)
     elif circuit.layout.n_edges != g.n_edges:

@@ -11,7 +11,7 @@ independent of the sparse simulator's dictionary transforms, so the two can
 be compared.  A diffusion is built as that dense (2/d)J - I padded with the
 identity, not by the simulator's segment sums.  The reference simulator
 applies one gate at a time to the whole state and runs the circuit once per
-column, the plain form that the block simulator and the batched circuit
+column, the plain form that the grouped simulator and the batched circuit
 matrix must reproduce.  `document_dict` is the document's schema as a
 dict, the reference `Circuit.to_json` must write byte for byte through
 `json.dumps(..., indent=2)`.

@@ -426,7 +426,9 @@ def test_verify_circuit_for_another_edge_count_exits_1(tmp_path, capsys):
     assert captured.err == "graphwalk: circuit has 4 edges, graph has 3\n"
 
 
-@pytest.mark.parametrize("tolerance, shown", [("nan", "nan"), ("-1", "-1.0")])
+@pytest.mark.parametrize(
+    "tolerance, shown", [("nan", "nan"), ("-1", "-1.0"), ("inf", "inf")]
+)
 def test_verify_rejects_nan_or_negative_tolerance(path3, capsys, tolerance, shown):
     code = main(
         ["verify", "--graph", path3, "--mark-edge", "0", "1", "--tolerance", tolerance]
@@ -434,7 +436,34 @@ def test_verify_rejects_nan_or_negative_tolerance(path3, capsys, tolerance, show
     assert code == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == f"graphwalk: tolerance must be nonnegative, got {shown}\n"
+    rule = "finite" if tolerance == "inf" else "nonnegative"
+    assert out.err == f"graphwalk: tolerance must be {rule}, got {shown}\n"
+
+
+def test_verify_edgeless_graph_exits_1(tmp_path, capsys):
+    f = tmp_path / "lonely.json"
+    f.write_text(json.dumps({"nodes": 1, "edges": []}))
+    assert main(["verify", "--graph", str(f), "--format", "json"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "graphwalk: graph has no edges to walk on\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["search", "--mark-edge", "0", "1", "--steps", "1"], "--seed"),
+        (["compile"], "--enumeration-seed"),
+        (["verify"], "--enumeration-seed"),
+    ],
+    ids=["search", "compile", "verify"],
+)
+def test_negative_seed_names_its_flag(path3, capsys, command, flag):
+    code = main([command[0], "--graph", path3, *command[1:], flag, "-1"])
+    assert code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"graphwalk: {flag} must be nonnegative, got -1\n"
 
 
 def test_verify_enumeration_seed(path3, capsys):

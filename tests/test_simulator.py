@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from graphwalk import (
     Circuit,
     CircuitError,
     Gate,
+    Graph,
     Instruction,
     Locus,
     OracleSpec,
@@ -357,13 +360,27 @@ def test_verify_catches_tampered_circuit():
 
 
 @pytest.mark.parametrize(
-    "tolerance", [float("nan"), -1.0, -1e-300], ids=["nan", "minus-one", "tiny-negative"]
+    "tolerance",
+    [float("nan"), -1.0, -1e-300, float("inf")],
+    ids=["nan", "minus-one", "tiny-negative", "inf"],
 )
 def test_verify_rejects_nan_or_negative_tolerance(tolerance):
     g = path_graph(3)
     with pytest.raises(ValueError) as info:
         verify_circuit_equivalence(g, coloring_polarity(g), [0], tolerance=tolerance)
-    assert str(info.value) == f"tolerance must be nonnegative, got {tolerance!r}"
+    rule = "finite" if tolerance == float("inf") else "nonnegative"
+    assert str(info.value) == f"tolerance must be {rule}, got {tolerance!r}"
+
+
+def test_edgeless_graph_has_no_walk():
+    g = Graph(1, ())
+    with pytest.raises(ValueError, match="^graph has no edges to walk on$"):
+        verify_circuit_equivalence(g, PolarityMap(()), [])
+    layout = build_layout(g, PolarityMap(()))
+    with pytest.raises(ValueError, match="^graph has no edges to walk on$"):
+        init_walk_superposition(layout)
+    with pytest.raises(ValueError, match="^graph has no edges to walk on$"):
+        run(Circuit(layout, ()))
 
 
 def test_equivalence_report_json():
@@ -552,8 +569,8 @@ def assert_same_amps(got: dict, want: dict) -> None:
 
 
 def test_uncontrolled_x_in_block_moves_untouched_key():
-    # 0b00010000 holds none of the block's qubits (0, 1, 2): only the x,
-    # which moves the all-zero pattern, can move it, so the block looks at
+    # 0b00010000 holds none of the gates' qubits (0, 1, 2): only the x,
+    # which moves the all-zero pattern, can move it, so the x looks at
     # every key.
     layout = mixed_circuit().layout
     instrs = (
@@ -636,19 +653,17 @@ def test_run_errors_name_instruction_and_locus(monkeypatch):
         run(circ)
 
 
-def test_support_error_names_block_span(monkeypatch):
-    # An x that ORs its target in instead of flipping it sends 0b0000 and
-    # 0b0001 to one key.
-    act = simulator._act
+def test_support_error_names_instruction(monkeypatch):
+    # A move that ORs its bits in instead of flipping them sends the x's
+    # 0b0000 and 0b0001 to one key.
+    def merging_move(cols, ids, bits):
+        for i in ids:
+            del cols.ids[cols.keys[i]]
+        for i in ids:
+            cols.keys[i] |= bits
+            cols.ids[cols.keys[i]] = i
 
-    def merging_x(ins, n, images, flips, holders):
-        if ins.gate is not Gate.X:
-            return act(ins, n, images, flips, holders)
-        m = 1 << (n - 1 - ins.targets[0])
-        for i, image in enumerate(images):
-            images[i] = image | m
-
-    monkeypatch.setattr(simulator, "_act", merging_x)
+    monkeypatch.setattr(simulator._Columns, "_move", merging_move)
     layout = build_layout(complete_graph(2), coloring_polarity(complete_graph(2)))
     edge1 = Locus("edge", 1)
     instrs = (
@@ -659,9 +674,29 @@ def test_support_error_names_block_span(monkeypatch):
     state = SparseState({0b0000: 0.6 + 0j, 0b0001: 0.8 + 0j}, 4)
     with pytest.raises(
         SimulationError,
-        match=r"^gates z, x mapped 2 amplitudes onto 1 keys \(instructions 1-2, edge 1\)$",
+        match=r"^gate x mapped 2 low keys onto 1 \(instruction 2, edge 1\)$",
     ):
         run(Circuit(layout, instrs), state)
+
+
+# sha256 of the simulator's outputs, recorded with the block simulator that
+# the gate-by-gate one replaced: its outputs must stay bitwise the same.
+_RUN_STAR40_SHA256 = "69732478bf5b677e4ba9c751b66b61ff7a3f1ef721e5764c4f2da4839e3e4680"
+_COLUMNS_REGULAR250_SHA256 = "14ce25a2f58bf1a2cd5220a19af256205daca2e0635d98a18de5b14a5f1dc991"
+
+
+def test_run_output_bytes_are_pinned():
+    g = star_graph(40)
+    out = run(compile_step(g, coloring_polarity(g), [0]))
+    digest = hashlib.sha256(repr(sorted(out.amps.items())).encode()).hexdigest()
+    assert digest == _RUN_STAR40_SHA256
+
+
+def test_circuit_columns_bytes_are_pinned():
+    g = random_regular_graph(250, 4, seed=1)
+    mat, leak = simulator._circuit_columns(compile_step(g, coloring_polarity(g), [0]))
+    digest = hashlib.sha256(mat.tobytes() + leak.tobytes()).hexdigest()
+    assert digest == _COLUMNS_REGULAR250_SHA256
 
 
 def sparse_gap(a: SparseState, b: SparseState) -> float:

@@ -25,8 +25,11 @@ from __future__ import annotations
 
 import enum
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, compress, count, repeat
+from operator import add, contains, is_, itemgetter, not_
 from typing import NamedTuple
 
 import numpy as np
@@ -69,8 +72,38 @@ _ARITY = {
 }
 
 
-@dataclass(frozen=True)
-class Instruction:
+def _shape_fault(gate: Gate, n_controls: int, n_targets: int, d: int | None) -> str | None:
+    """What is wrong with a gate's arity or degree, or None if nothing is."""
+    if gate in _ARITY:
+        nc, nt = _ARITY[gate]
+        if n_controls != nc or n_targets != nt:
+            return (
+                f"gate {gate.value} takes {nc} controls and {nt} targets, "
+                f"got {n_controls} and {n_targets}"
+            )
+    elif gate is Gate.MCX:
+        if n_controls < 1 or n_targets != 1:
+            return "mcx needs at least one control and one target"
+    elif gate is Gate.DIFFUSION:
+        if n_controls < 1 or n_targets < 1:
+            return "diffusion needs controls and targets"
+        top = 1 << n_targets
+        if d is None or not 2 <= d <= top:
+            return f"diffusion on {n_targets} targets needs 2 <= d <= {top}, got {d}"
+    if d is not None and gate is not Gate.DIFFUSION:
+        return f"gate {gate.value} does not take d"
+    return None
+
+
+class _InstructionFields(NamedTuple):
+    gate: Gate
+    controls: tuple[int, ...]
+    targets: tuple[int, ...]
+    locus: Locus
+    d: int | None = None
+
+
+class Instruction(_InstructionFields):
     """One gate: kind, control qubits, target qubits, and its locus.
 
     DIFFUSION carries the degree d.  When every control is set, it reads the
@@ -78,43 +111,42 @@ class Instruction:
     (2/d) times the sum over those values minus itself, and leaves higher
     values alone.  Every gate is its own inverse.  Controls and targets are
     kept as given; the document loader type-checks them.
+
+    An instruction is a named tuple.  Calling the class checks the qubits,
+    arity and degree, and so does `_replace`; only `_make` does not, for
+    records whose fields are already known to fit.
+
+    >>> swap = Instruction(Gate.SWAP, (), (0, 1), Locus("edge", 0))
+    >>> swap == ("swap", (), (0, 1), ("edge", 0), None)
+    True
+    >>> Instruction(Gate.SWAP, (), (0, 0), Locus("edge", 0))
+    Traceback (most recent call last):
+    ...
+    graphwalk.compiler.CircuitError: gate swap reuses a qubit: (0, 0)
+    >>> swap._replace(targets=(0, -1))
+    Traceback (most recent call last):
+    ...
+    graphwalk.compiler.CircuitError: negative qubit index in (0, -1)
     """
 
-    gate: Gate
-    controls: tuple[int, ...]
-    targets: tuple[int, ...]
-    locus: Locus
-    d: int | None = None
+    __slots__ = ()
     # Always None, not a field: perfbench/tracer.py still counts payload entries.
     matrix = None
 
-    def __post_init__(self):
-        qubits = self.controls + self.targets
+    def __new__(cls, gate: Gate, controls, targets, locus: Locus, d: int | None = None):
+        qubits = controls + targets
         if len(set(qubits)) != len(qubits):
-            raise CircuitError(f"gate {self.gate.value} reuses a qubit: {qubits}")
+            raise CircuitError(f"gate {gate.value} reuses a qubit: {qubits}")
         if min(qubits, default=0) < 0:
             raise CircuitError(f"negative qubit index in {qubits}")
-        if self.gate in _ARITY:
-            nc, nt = _ARITY[self.gate]
-            if len(self.controls) != nc or len(self.targets) != nt:
-                raise CircuitError(
-                    f"gate {self.gate.value} takes {nc} controls and {nt} targets, "
-                    f"got {len(self.controls)} and {len(self.targets)}"
-                )
-        elif self.gate is Gate.MCX:
-            if len(self.controls) < 1 or len(self.targets) != 1:
-                raise CircuitError("mcx needs at least one control and one target")
-        elif self.gate is Gate.DIFFUSION:
-            if len(self.controls) < 1 or len(self.targets) < 1:
-                raise CircuitError("diffusion needs controls and targets")
-            top = 1 << len(self.targets)
-            if self.d is None or not 2 <= self.d <= top:
-                raise CircuitError(
-                    f"diffusion on {len(self.targets)} targets needs "
-                    f"2 <= d <= {top}, got {self.d}"
-                )
-        if self.d is not None and self.gate is not Gate.DIFFUSION:
-            raise CircuitError(f"gate {self.gate.value} does not take d")
+        fault = _shape_fault(gate, len(controls), len(targets), d)
+        if fault is not None:
+            raise CircuitError(fault)
+        return super().__new__(cls, gate, controls, targets, locus, d)
+
+    def _replace(self, **changes) -> Instruction:
+        # The named tuple's own `_replace` goes through the unchecked `_make`.
+        return Instruction(*super()._replace(**changes))
 
     def qubits(self) -> tuple[int, ...]:
         return self.controls + self.targets
@@ -250,17 +282,17 @@ def compile_oracle(layout: QubitLayout, marked) -> tuple[Instruction, ...]:
             raise CircuitError(f"marked edge {k} out of range")
         plus, minus = layout.edge_qubits[k]
         locus = Locus("edge", k)
-        out.append(Instruction(Gate.Z, (), (plus,), locus))
-        out.append(Instruction(Gate.Z, (), (minus,), locus))
-        out.append(Instruction(Gate.SWAP, (), (plus, minus), locus))
+        out.append(Instruction._make((Gate.Z, (), (plus,), locus, None)))
+        out.append(Instruction._make((Gate.Z, (), (minus,), locus, None)))
+        out.append(Instruction._make((Gate.SWAP, (), (plus, minus), locus, None)))
     return tuple(out)
 
 
 def compile_coin(layout: QubitLayout) -> tuple[Instruction, ...]:
     """Pole swap (the X coin) on every edge's qubit pair."""
     return tuple(
-        Instruction(Gate.SWAP, (), (plus, minus), Locus("edge", k))
-        for k, (plus, minus) in enumerate(layout.edge_qubits)
+        Instruction._make((Gate.SWAP, (), pair, Locus("edge", k), None))
+        for k, pair in enumerate(layout.edge_qubits)
     )
 
 
@@ -291,8 +323,8 @@ def compile_transfer_k(layout: QubitLayout, node: int, k: int) -> tuple[Instruct
     eta = layout.facing[node][k - 1]
     locus = Locus("node", node)
     writes = tuple(q for i, q in enumerate(binary) if (k - 1) >> i & 1) + (flag,)
-    erase = Instruction(Gate.MCX, writes, (eta,), locus)
-    return tuple(Instruction(Gate.CNOT, (eta,), (q,), locus) for q in writes) + (erase,)
+    cnots = tuple(Instruction._make((Gate.CNOT, (eta,), (q,), locus, None)) for q in writes)
+    return cnots + (Instruction._make((Gate.MCX, writes, (eta,), locus, None)),)
 
 
 def compile_transfer(layout: QubitLayout, node: int) -> tuple[Instruction, ...]:
@@ -312,7 +344,7 @@ def compile_diffusion(layout: QubitLayout, node: int) -> tuple[Instruction, ...]
     if d < 2:
         return ()
     binary, flag = layout.node_registers[node]
-    return (Instruction(Gate.DIFFUSION, (flag,), binary, Locus("node", node), d),)
+    return (Instruction._make((Gate.DIFFUSION, (flag,), binary, Locus("node", node), d)),)
 
 
 def invert_instructions(instrs) -> tuple[Instruction, ...]:
@@ -331,7 +363,8 @@ def compile_scatter(layout: QubitLayout, node: int) -> tuple[Instruction, ...]:
     if d < 2:
         return ()
     if d == 2:
-        return (Instruction(Gate.SWAP, (), layout.facing[node], Locus("node", node)),)
+        swap = (Gate.SWAP, (), layout.facing[node], Locus("node", node), None)
+        return (Instruction._make(swap),)
     tr = compile_transfer(layout, node)
     return tr + compile_diffusion(layout, node) + invert_instructions(tr)
 
@@ -469,6 +502,8 @@ def circuit_from_json(text: str) -> Circuit:
     top-level `qubits` and `phases`, which older documents carry, are
     ignored.  The phases are worked out from the loci once, so a document
     out of `compile_step`'s order does not load, nor one that is not local.
+    The instructions are checked in passes over the whole list; only when
+    one fails does a per-item loop run, to name the first fault.
 
     Raises:
         CircuitError: On schema violations (naming the field), a `facing`
@@ -489,8 +524,73 @@ def circuit_from_json(text: str) -> Circuit:
     lay = _typed(doc["layout"], dict, "layout")
     rows = _typed(lay.get("facing"), list, "layout.facing")
     layout = QubitLayout(tuple(_ints(f, f"layout.facing[{u}]") for u, f in enumerate(rows)))
+    items = _typed(doc["instructions"], list, "instructions")
+    instructions = _instructions_at_once(items, layout)
+    if instructions is None:
+        return _load_item_by_item(items, layout)
+    circuit = Circuit(layout, instructions)
+    circuit.phases  # raises on loci out of compile_step's order
+    return circuit
+
+
+def _instructions_at_once(items: list, layout: QubitLayout) -> tuple[Instruction, ...] | None:
+    """The document's instructions, or None if any check fails.
+
+    Each check of `_load_item_by_item` but the phases is one C-level pass
+    over the whole list; on None, that loop runs to name the first fault.
+    Locality covers the negative-qubit and range checks, since a locus owns
+    only qubits of the register.
+    """
+    if not set(map(type, items)) <= {dict}:
+        return None
+    try:
+        names, controls, targets, locus_docs = (
+            list(map(itemgetter(key), items)) for key in ("gate", "controls", "targets", "locus")
+        )
+        if not set(map(type, locus_docs)) <= {dict}:
+            return None
+        kinds = list(map(itemgetter("kind"), locus_docs))
+        ids = list(map(itemgetter("id"), locus_docs))
+    except KeyError:
+        return None
+    ds = list(map(dict.get, items, repeat("d")))
+    if not (
+        set(map(type, names)) <= {str}
+        and set(names).issubset(_GATES)
+        and set(map(type, kinds)) <= {str}
+        and set(map(type, ids)) <= {int}
+        and set(map(type, chain(controls, targets))) <= {list}
+        and set(map(type, chain.from_iterable(chain(controls, targets)))) <= {int}
+        and set(map(type, ds)) <= {int, type(None)}
+        # A d that is present must not be null.
+        and ds.count(None) == len(items) - sum(map(dict.__contains__, items, repeat("d")))
+    ):
+        return None
+    gates = list(map(_GATES.__getitem__, names))
+    controls = list(map(tuple, controls))
+    targets = list(map(tuple, targets))
+    shapes = set(zip(names, map(len, controls), map(len, targets), ds))
+    if any(_shape_fault(_GATES[name], *shape) for name, *shape in shapes):
+        return None
+    sizes = map(len, map(set, map(add, controls, targets)))
+    if list(sizes) != list(map(add, map(len, controls), map(len, targets))):
+        return None  # a repeated qubit
+    # The layout's own loci, so that records share them; None for an unknown one.
+    known = {locus: locus for locus in layout.local_qubits}
+    loci = list(map(known.get, zip(kinds, ids)))
+    if _nonlocal(layout.local_qubits, loci, map(add, controls, targets)):
+        return None
+    return tuple(map(Instruction._make, zip(gates, controls, targets, loci, ds)))
+
+
+def _load_item_by_item(items: list, layout: QubitLayout) -> Circuit:
+    """The circuit of a document's instructions, checked one at a time.
+
+    Raises:
+        CircuitError: Naming the first fault, as `circuit_from_json` does.
+    """
     instructions: list[Instruction] = []
-    for pos, ins in enumerate(_typed(doc["instructions"], list, "instructions")):
+    for pos, ins in enumerate(items):
         if type(ins) is not dict:
             raise CircuitError(f"instruction {pos} must be a JSON object")
         try:
@@ -516,10 +616,18 @@ def circuit_from_json(text: str) -> Circuit:
     circuit = Circuit(layout, tuple(instructions))
     circuit.phases  # raises on loci out of compile_step's order
     local = layout.local_qubits
-    for pos, ins in enumerate(instructions):
-        if not local[ins.locus].issuperset(ins.qubits()):
-            raise CircuitError(_stray(pos, ins, local))
+    loci = (ins.locus for ins in instructions)
+    stray = _nonlocal(local, loci, map(Instruction.qubits, instructions))
+    if stray:
+        raise CircuitError(_stray(stray[0], instructions[stray[0]], local))
     return circuit
+
+
+def _nonlocal(local: dict[Locus, frozenset[int]], loci, qubits) -> list[int]:
+    """The positions of the gates that touch a qubit their locus does not
+    own, found in one C-level pass; an unknown locus owns no qubit."""
+    owned = map(local.get, loci, repeat(frozenset()))
+    return list(compress(count(), map(not_, map(frozenset.issuperset, owned, qubits))))
 
 
 def _stray(pos: int, ins: Instruction, local: dict[Locus, frozenset[int]]) -> str:
@@ -588,29 +696,25 @@ def locality_audit(circuit: Circuit) -> AuditReport:
     """Check every instruction against its locus and tally controlled gates."""
     layout = circuit.layout
     local = layout.local_qubits
-    cnot_mcx = [0] * layout.n_nodes
-    diffusion = [0] * layout.n_nodes
-    violations: list[str] = []
-    for pos, ins in enumerate(circuit.instructions):
-        kind, ident = ins.locus
-        if ins.locus not in local:
-            violations.append(str(circuit._out_of_place(pos)))  # names the unknown locus
-            continue
-        if kind == "node":
-            if ins.gate in (Gate.CNOT, Gate.MCX):
-                cnot_mcx[ident] += 1
-            elif ins.gate is Gate.DIFFUSION:
-                diffusion[ident] += 1
-        if not local[ins.locus].issuperset(ins.qubits()):
-            violations.append(_stray(pos, ins, local))
+    instructions = circuit.instructions
+    gates, controls, targets, loci, _ = zip(*instructions) if instructions else ((),) * 5
+    violations = tuple(
+        _stray(pos, instructions[pos], local)
+        if loci[pos] in local
+        else str(circuit._out_of_place(pos))  # names the unknown locus
+        for pos in _nonlocal(local, loci, map(add, controls, targets))
+    )
+    # Only the layout's nodes are read back from the tallies.
+    controlled = Counter(compress(loci, map(contains, repeat((Gate.CNOT, Gate.MCX)), gates)))
+    diffusions = Counter(compress(loci, map(is_, gates, repeat(Gate.DIFFUSION))))
     nodes = tuple(
         NodeAudit(
             node=u,
             degree=layout.degree(u),
-            cnot_mcx=cnot_mcx[u],
-            diffusion=diffusion[u],
+            cnot_mcx=controlled[Locus("node", u)],
+            diffusion=diffusions[Locus("node", u)],
             bound=2 * layout.degree(u) * (len(reg.binary) + 1),
         )
         for u, reg in enumerate(layout.node_registers)
     )
-    return AuditReport(nodes=nodes, violations=tuple(violations))
+    return AuditReport(nodes=nodes, violations=violations)

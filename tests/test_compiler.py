@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from graphwalk import (
     step_circuit_matrix,
     verify_circuit_equivalence,
 )
+from graphwalk import compiler
 from graphwalk.compiler import Phase
 from graphwalk.simulator import apply_instruction
 from helpers import diffusion_matrix, document_dict, grover_matrix
@@ -887,7 +889,7 @@ def test_circuit_from_json_rejects_a_gate_outside_its_locus():
     doc["instructions"][22]["locus"]["id"] = 1
     last = circ.instructions[22]
     assert (last.gate, last.controls, last.targets) == (Gate.CNOT, (0,), (8,))
-    relabelled = replace(last, locus=Locus("node", 1))
+    relabelled = last._replace(locus=Locus("node", 1))
     tampered = Circuit(circ.layout, circ.instructions[:22] + (relabelled,))
     message = "instruction 22: cnot touches qubits [0, 8] outside its node 1"
     assert locality_audit(tampered).violations == (message,)
@@ -919,6 +921,41 @@ def test_instruction_validation():
         )
     for targets, d in [((1,), 2), ((1, 2), 3), ((1, 2), 4), ((1, 2, 3), 8)]:
         assert Instruction(Gate.DIFFUSION, (0,), targets, locus, d).d == d
+
+
+def test_replace_checks_like_the_constructor():
+    ins = Instruction(Gate.X, (), (0,), Locus("edge", 0))
+    assert ins._replace(targets=(1,)) == Instruction(Gate.X, (), (1,), Locus("edge", 0))
+    assert type(ins._replace(targets=(1,))) is Instruction
+    with pytest.raises(CircuitError, match="negative qubit index in"):
+        ins._replace(targets=(-1,))
+    with pytest.raises(CircuitError, match="reuses"):
+        ins._replace(gate=Gate.CNOT, controls=(0,))
+    with pytest.raises(CircuitError, match="gate x does not take d"):
+        ins._replace(d=2)
+
+
+@pytest.mark.parametrize(
+    "g, marked, seed",
+    [
+        (star_graph(3), [0], None),
+        (star_graph(128), [0], None),
+        (star_graph(256), [0], None),
+        (complete_graph(5), [], None),
+        (complete_graph(5), [2, 7], None),
+        (random_connected_graph(12, extra_edges=10, seed=4), [3], 5),
+    ],
+    ids=["star-3", "star-128", "star-256", "K5-no-marks", "K5-two-marks", "random-seeded"],
+)
+def test_compiled_records_pass_the_checked_constructor(g, marked, seed):
+    # The compiler builds records with the unchecked `_make`; each is one the
+    # constructor accepts, and its document loads without the per-item loop.
+    circ = compile_step(g, coloring_polarity(g), marked, enumeration_seed=seed)
+    for ins in circ.instructions:
+        assert Instruction(*ins) == ins
+    items = json.loads(circ.to_json())["instructions"]
+    assert compiler._instructions_at_once(items, circ.layout) == circ.instructions
+    assert compiler._load_item_by_item(items, circ.layout) == circ
 
 
 @pytest.mark.parametrize(
@@ -1010,3 +1047,78 @@ def test_audit_json_shape():
         set(n) == {"node", "degree", "cnot_mcx", "diffusion", "bound", "within_bound"}
         for n in doc["nodes"]
     )
+
+
+_DROP = object()  # an edit that deletes the key, or the list item
+
+
+def _mutation_corpus(circ):
+    """The compiled document of `circ` under single edits, in a fixed order.
+
+    For each instruction and each field (gate, controls, targets, each
+    control and target, the locus, its kind and id, and d where present):
+    the field set to true, 1.0, null, "x", -1, 0, the register width, []
+    or {}, or deleted.  Then d = 2 on a gate that takes none, or a diffusion's
+    d set to null, 1 or 2**len(targets) + 1; and the locus given an unknown
+    kind, then an unknown id.
+    """
+    values = (True, 1.0, None, "x", -1, 0, circ.n_qubits, [], {}, _DROP)
+    unknown = {"edge": circ.layout.n_edges, "node": circ.layout.n_nodes}
+    base = document_dict(circ)
+
+    def edited(pos, path, value):
+        instructions = list(base["instructions"])
+        instructions[pos] = node = copy.deepcopy(instructions[pos])
+        for key in path[:-1]:
+            node = node[key]
+        if value is _DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        return json.dumps({**base, "instructions": instructions})
+
+    for pos, ins in enumerate(base["instructions"]):
+        paths = [("gate",), ("controls",), ("targets",), ("locus",), ("locus", "kind"),
+                 ("locus", "id")]
+        paths += [(key, i) for key in ("controls", "targets") for i in range(len(ins[key]))]
+        paths += [("d",)] if "d" in ins else []
+        for path in paths:
+            for value in values:
+                yield edited(pos, path, value)
+        if "d" in ins:
+            for d in (None, 1, 2 ** len(ins["targets"]) + 1):
+                yield edited(pos, ("d",), d)
+        else:
+            yield edited(pos, ("d",), 2)
+        yield edited(pos, ("locus", "kind"), "nowhere")
+        yield edited(pos, ("locus", "id"), unknown[ins["locus"]["kind"]])
+
+
+def _verdict(text):
+    """The loader's `CircuitError` message, or "ok" and the instructions' fields."""
+    try:
+        circ = circuit_from_json(text)
+    except CircuitError as exc:
+        return str(exc)
+    return "ok " + repr([
+        (ins.gate.value, ins.controls, ins.targets, tuple(ins.locus), ins.d)
+        for ins in circ.instructions
+    ])
+
+
+@pytest.mark.parametrize(
+    "g, marked, digest",
+    [
+        (path_graph(3), [0], "08367e8ea614d0562e56d666767372440ada15fa1762640d9323a5d25aea96d2"),
+        (star_graph(3), [0], "733fb6c7625cc4ceeff6af4b4a231ebd977886dcd5f6b4ba5c6f558a1a3355b0"),
+        (complete_graph(4), [1], "8ad96f52b6842e1d3b4be40e893072b27cc828e0b95a61b7c51b10b604f4cda6"),
+    ],
+    ids=["path-3", "star-3", "K4"],
+)
+def test_loader_verdicts_on_a_mutation_corpus_are_pinned(g, marked, digest):
+    # Every single edit of every instruction field either loads or names the
+    # same first fault as it did when the loader checked item by item.
+    circ = compile_step(g, coloring_polarity(g), marked)
+    verdicts = [_verdict(text) for text in _mutation_corpus(circ)]
+    assert 0 < sum(v.startswith("ok ") for v in verdicts) < len(verdicts) // 10
+    assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == digest

@@ -168,6 +168,8 @@ def cmd_search(args) -> int:
         raise ConfigError(f"--trials must be positive, got {args.trials}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    if args.guaranteed and args.max_calls < 1:
+        raise ConfigError(f"--max-calls must be positive, got {args.max_calls}")
     result = {
         "command": "search",
         "graph": {"nodes": g.n, "edges": g.n_edges},
@@ -237,6 +239,8 @@ def cmd_analyze_complete(args) -> int:
     t_max = args.t_max
     if t_max is None:
         t_max = math.ceil(math.pi * args.n / 2)
+    elif t_max < 0:
+        raise ConfigError(f"--t-max must be nonnegative, got {t_max}")
     report = complete_graph_report(args.n, t_max)
     doc = report.to_json_dict()
     doc["peak_relative_error"] = abs(report.t_star - report.predicted_t) / report.predicted_t

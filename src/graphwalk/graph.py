@@ -599,8 +599,6 @@ def random_connected_graph(n: int, extra_edges: int = 0, seed: int = 0) -> Graph
     `extra_edges` distinct non-tree edges are added (fewer if the graph
     saturates).  Deterministic for a given seed.
     """
-    import numpy as np
-
     if n < 2:
         raise GraphError(f"random graph needs at least 2 nodes, got {n}")
     rng = np.random.default_rng(seed)

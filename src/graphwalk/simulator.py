@@ -1,33 +1,33 @@
 """Sparse state-vector simulation of compiled walk circuits.
 
 Walk circuits act on a single excitation shared by the edge qubits, so of the
-2^n basis states only O(edges) ever carry amplitude.  States are dicts from
-basis index to amplitude; qubit 0 is the leftmost bit of the basis label.
-Key bits above the register label independent columns that no gate touches,
-so `step_circuit_matrix` evolves all 2|E| unit columns in one run, with every
-norm check held per column.
+2^n basis states only O(edges) ever carry amplitude.  A `SparseState` maps
+basis keys to amplitudes; qubit 0 is the leftmost bit of the basis label.
 
 Every node acts only on its own neighbourhood, so a compiled step is a long
 run of small local gates, and `run` spends on each gate the work of the
 amplitudes it can change:
 
-- While it runs, the state is grouped by low key (the register bits): each
-  {column: amplitude} group has a stable id, and gates never touch column
-  bits, so a gate moves whole groups by rewriting their low keys.
+- While it runs, a basis state is the frozenset of the qubits it excites,
+  however wide the register, and the state is a set of {column: amplitude}
+  groups, one per basis state, each under a stable id.  `run` holds one
+  column; `step_circuit_matrix` evolves all 2|E| unit columns side by side,
+  with every norm check held per column.  Gates never touch columns, so a
+  gate moves whole groups by rewriting their keys.
 - Every gate but x is the identity on a basis state with none of its
   trigger qubits set: the target of z, either target of swap, the controls
   of cnot, mcx and diffusion.  An index from each qubit to the ids whose
-  low key has it set gives a gate its ids: those in every control's entry,
-  in z's target entry, or in exactly one of swap's two target entries.  An
+  key holds it gives a gate its ids: those in every control's entry, in
+  z's target entry, or in exactly one of swap's two target entries.  An
   uncontrolled x looks at every id.
 - The monomial gates (x, z, cnot, swap, mcx) map a basis state to one basis
   state up to a sign.  z negates the groups it selects; the others flip
-  target bits in the low keys of theirs and update only their targets'
-  index entries.  A map from each low key back to its id shows, after
-  every gate, whether two groups landed on one key.
+  their targets in the keys of theirs and update only their targets' index
+  entries.  A map from each key back to its id shows, after every gate,
+  whether two groups landed on one key.
 - A diffusion sums each group of armed amplitudes that share every
-  non-target bit in ascending slot value, so its result does not depend on
-  the order in which the amplitudes were stored.
+  non-target qubit in ascending slot value, so its result does not depend
+  on the order in which the amplitudes were stored.
 
 Projecting back onto the walk's edge amplitudes checks that nothing leaked
 out of the one-excitation subspace and that every register returned to zero.
@@ -36,7 +36,7 @@ out of the one-excitation subspace and that every register returned to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count
 
 import numpy as np
 
@@ -75,9 +75,7 @@ class SparseState:
         amps: Map from basis index to complex amplitude.
         n_qubits: Width of the register; qubit q is bit (n_qubits - 1 - q)
             of the key, so basis labels read left to right as qubit 0, 1, ...
-            Key bits at or above n_qubits label independent columns: gates
-            never touch them, and the simulator's norm checks hold for each
-            column (the amplitudes sharing key >> n_qubits) on its own.
+            Every key lies in [0, 2**n_qubits).
     """
 
     amps: dict[int, complex]
@@ -93,14 +91,18 @@ class SparseState:
         return float(sum(abs(a) ** 2 for a in self.amps.values()))
 
 
-def _edge_keys(layout: QubitLayout, n: int) -> dict[int, int]:
-    """Map the key of each edge qubit's single excitation, in an n-qubit
-    register, to its walk amplitude index 2e + c (edge e, pole c)."""
-    return {
-        1 << (n - 1 - q): 2 * e + c
-        for e, pair in enumerate(layout.edge_qubits)
-        for c, q in enumerate(pair)
-    }
+def _checked_amps(state: SparseState) -> dict[int, complex]:
+    """`state.amps`, once every key is checked to lie in [0, 2**n_qubits)."""
+    n = state.n_qubits
+    for k in state.amps:
+        if k >> n:
+            raise SimulationError(f"basis key {k} lies beyond a register of {n} qubits")
+    return state.amps
+
+
+def _edge_rows(layout: QubitLayout) -> dict[int, int]:
+    """Map each edge qubit to its walk amplitude index 2e + c (edge e, pole c)."""
+    return {q: j for j, q in enumerate(chain.from_iterable(layout.edge_qubits))}
 
 
 def init_walk_superposition(layout: QubitLayout) -> SparseState:
@@ -113,7 +115,8 @@ def init_walk_superposition(layout: QubitLayout) -> SparseState:
         raise ValueError("graph has no edges to walk on")
     n = layout.n_qubits
     amp = complex(1.0 / np.sqrt(2 * layout.n_edges))
-    return SparseState(dict.fromkeys(_edge_keys(layout, n), amp), n)
+    top = 1 << (n - 1)  # the key of qubit q is top >> q
+    return SparseState(dict.fromkeys(map(top.__rshift__, _edge_rows(layout)), amp), n)
 
 
 def _qubits(bits: int, n: int):
@@ -125,6 +128,9 @@ def _qubits(bits: int, n: int):
 
 
 _NONE: frozenset[int] = frozenset()
+# The gates `apply` tests on every instruction, as module names: reading a
+# member off the `Gate` class costs about ten times as much.
+_X, _Z, _CNOT, _SWAP, _DIFFUSION = Gate.X, Gate.Z, Gate.CNOT, Gate.SWAP, Gate.DIFFUSION
 
 
 def _meet(index: dict[int, set[int]], qubits: tuple[int, ...]) -> set[int]:
@@ -150,35 +156,36 @@ def _check_drift(
 
 
 class _Columns:
-    """A state as groups of amplitudes that share a low key, one id each.
+    """A state as groups of amplitudes that share a basis state, one id each.
 
-    The low key is key & (2**n - 1), the register bits that gates act on;
-    the column is key >> n.  Group i maps column -> amplitude
-    (`groups[i]`) and sits at low key `keys[i]`; `ids` maps each low key
-    back to its id, so two groups that land on one key show as a shorter
-    `ids`.  `index[q]` holds the ids whose low key has qubit q set.
+    A key is the frozenset of the qubits a basis state excites.  Group i maps
+    column -> amplitude (`groups[i]`) and sits at key `keys[i]`; `ids` maps
+    each key back to its id, so two groups that land on one key show as a
+    shorter `ids`.  `index[q]` holds the ids whose key holds qubit q.
     """
 
-    def __init__(self, state: SparseState):
-        self.n = n = state.n_qubits
+    def __init__(self, groups: dict[frozenset[int], dict[int, complex]], n: int):
+        self.n = n
         self.groups: dict[int, dict[int, complex]] = {}
-        self.keys: dict[int, int] = {}
-        self.ids: dict[int, int] = {}
+        self.keys: dict[int, frozenset[int]] = {}
+        self.ids: dict[frozenset[int], int] = {}
         self.index: dict[int, set[int]] = {}
         self._fresh = count()
-        low = (1 << n) - 1
-        grouped: dict[int, dict[int, complex]] = {}
-        for k, a in state.amps.items():
-            if abs(a) > PRUNE_EPS:
-                grouped.setdefault(k & low, {})[k >> n] = a
-        for k, grp in grouped.items():
+        for k, grp in groups.items():
             self._place(k, grp)
 
-    def amps(self) -> dict[int, complex]:
-        n, keys = self.n, self.keys
-        return {
-            col << n | keys[i]: a for i, grp in self.groups.items() for col, a in grp.items()
-        }
+    @classmethod
+    def of(cls, state: SparseState) -> _Columns:
+        """The state as column 0, pruned below 1e-15."""
+        n, amps = state.n_qubits, _checked_amps(state)
+        groups = {frozenset(_qubits(k, n)): {0: a} for k, a in amps.items() if abs(a) > PRUNE_EPS}
+        return cls(groups, n)
+
+    def state(self) -> SparseState:
+        """Column 0 as a `SparseState`."""
+        n, keys, top = self.n, self.keys, 1 << (self.n - 1)
+        amps = {sum(map(top.__rshift__, keys[i])): grp[0] for i, grp in self.groups.items()}
+        return SparseState(amps, n)
 
     def norms(self) -> dict[int, float]:
         """Squared norm of each column."""
@@ -188,22 +195,22 @@ class _Columns:
                 norms[col] = norms.get(col, 0.0) + abs(a) ** 2
         return norms
 
-    def _place(self, k: int, grp: dict[int, complex]) -> None:
-        """Add a group at low key k under a new id."""
+    def _place(self, k: frozenset[int], grp: dict[int, complex]) -> None:
+        """Add a group at key k under a new id."""
         i = next(self._fresh)
         self.groups[i] = grp
         self.keys[i] = k
         self.ids[k] = i
-        for q in _qubits(k, self.n):
+        for q in k:
             self.index.setdefault(q, set()).add(i)
 
-    def _move(self, ids, bits: int) -> None:
-        """Flip bits in the low keys of ids, keeping the key -> id map."""
+    def _move(self, ids, flip: frozenset[int]) -> None:
+        """Flip the qubits in the keys of ids, keeping the key -> id map."""
         keys, where = self.keys, self.ids
         for i in ids:
             del where[keys[i]]
         for i in ids:
-            k = keys[i] ^ bits
+            k = keys[i] ^ flip
             keys[i] = k
             where[k] = i
 
@@ -212,7 +219,7 @@ class _Columns:
 
         Raises:
             SimulationError: If a qubit lies outside the register, two
-                groups land on one low key, or a diffusion drifts a column's
+                groups land on one key, or a diffusion drifts a column's
                 squared norm by more than 1e-13.
         """
         gate, controls, targets = ins.gate, ins.controls, ins.targets
@@ -220,25 +227,25 @@ class _Columns:
         top = max(controls + targets)  # Instruction rejects negative qubits
         if top >= n:
             raise SimulationError(f"qubit {top} outside register of {n}")
-        if gate is Gate.DIFFUSION:
+        if gate is _DIFFUSION:
             self._diffuse(ins)
-        elif gate is Gate.Z:
+        elif gate is _Z:
             for i in index.get(targets[0], ()):
                 self.groups[i] = {col: -a for col, a in self.groups[i].items()}
-        elif gate is Gate.SWAP:
+        elif gate is _SWAP:
             a, b = targets
             one, two = index.setdefault(a, set()), index.setdefault(b, set())
-            self._move(one ^ two, 1 << (n - 1 - a) | 1 << (n - 1 - b))
+            self._move(one ^ two, frozenset(targets))
             index[a], index[b] = two, one
         else:
-            if gate is Gate.X:
+            if gate is _X:
                 ids = list(self.keys)
-            elif gate is Gate.CNOT:
+            elif gate is _CNOT:
                 ids = index.get(controls[0], _NONE)
             else:
                 ids = _meet(index, controls)
             (t,) = targets
-            self._move(ids, 1 << (n - 1 - t))
+            self._move(ids, frozenset(targets))
             index.setdefault(t, set()).symmetric_difference_update(ids)
         if len(self.ids) != len(self.keys):
             raise SimulationError(
@@ -249,32 +256,32 @@ class _Columns:
         """Diffuse the slot values of the amplitudes whose controls are all set.
 
         The armed ids are the index's intersection over the controls.
-        Armed amplitudes that share the column and every non-target bit form
-        one group.  Each slot value v below d becomes (2/d) * (the group's
-        sum, taken in ascending v) - x_v, pruned below 1e-15; higher values
-        stay.  The diffused groups leave under their old ids and return
-        under new ones.  The squared norm of the diffused amplitudes is
-        checked column by column.
+        Armed amplitudes that share the column and every non-target qubit
+        form one group.  Each slot value v below d becomes (2/d) * (the
+        group's sum, taken in ascending v) - x_v, pruned below 1e-15; higher
+        values stay.  The diffused groups leave under their old ids and
+        return under new ones.  The squared norm of the diffused amplitudes
+        is checked column by column.
 
         Raises:
             SimulationError: If a column's squared norm drifts by more than 1e-13.
         """
-        n, d = self.n, ins.d
-        # spread[v]: the low bits that spell target value v (target i is bit i).
-        spread = [0]
+        d = ins.d
+        # spread[v]: the targets that spell slot value v (target i is bit i).
+        spread = [_NONE]
         for q in ins.targets:
-            spread += [bits | 1 << (n - 1 - q) for bits in spread]
-        value = {bits: v for v, bits in enumerate(spread)}
+            spread += [s | {q} for s in spread]
+        value = {s: v for v, s in enumerate(spread)}
         every = spread[-1]
-        groups: dict[int, dict[int, dict[int, complex]]] = {}
+        groups: dict[frozenset[int], dict[int, dict[int, complex]]] = {}
         for i in _meet(self.index, ins.controls):
             k = self.keys[i]
             v = value[k & every]
             if v < d:
                 del self.keys[i], self.ids[k]
-                for q in _qubits(k, n):
+                for q in k:
                     self.index[q].discard(i)
-                cols = groups.setdefault(k & ~every, {})
+                cols = groups.setdefault(k - every, {})
                 for col, a in self.groups.pop(i).items():
                     cols.setdefault(col, {})[v] = a
         before: dict[int, float] = {}
@@ -299,24 +306,33 @@ def apply_instruction(state: SparseState, ins: Instruction) -> SparseState:
     """Apply one gate, returning a new pruned state.
 
     Raises:
-        SimulationError: If a qubit lies outside the register, a monomial
-            gate maps two amplitudes onto one key, or a diffusion drifts a
-            column's squared norm by more than 1e-13.
+        SimulationError: If a key lies beyond the register, a qubit lies
+            outside it, a monomial gate maps two amplitudes onto one key, or
+            a diffusion drifts the squared norm by more than 1e-13.
     """
-    cols = _Columns(state)
+    cols = _Columns.of(state)
     cols.apply(ins)
-    return SparseState(cols.amps(), state.n_qubits)
+    return cols.state()
+
+
+def _evolve(cols: _Columns, circuit: Circuit) -> None:
+    """Apply every instruction to cols in place, with `run`'s checks."""
+    before = cols.norms()
+    for pos, ins in enumerate(circuit.instructions):
+        try:
+            cols.apply(ins)
+        except SimulationError as exc:
+            where = f"instruction {pos}, {ins.locus.kind} {ins.locus.id}"
+            raise SimulationError(f"{exc} ({where})") from None
+    _check_drift(before, cols.norms(), CIRCUIT_NORM_TOL, "circuit")
 
 
 def run(circuit: Circuit, state: SparseState | None = None) -> SparseState:
     """Run all instructions, starting from the walk superposition by default.
 
-    The state is pruned and grouped by low key once on the way in, and
-    flattened once on the way out.  In between, each gate acts on the
-    grouped state itself, as the module docstring describes: it looks only
-    at the ids the qubit index gives it and re-indexes only its targets.  Key
-    bits at or above `n_qubits` label independent columns, and every norm
-    check holds per column.
+    The state is pruned and keyed by qubit sets once on the way in, and
+    turned back into basis indices once on the way out.  In between, each
+    gate acts on the grouped state as the module docstring describes.
 
     One compiled step from the walk superposition is one walk step:
 
@@ -329,11 +345,12 @@ def run(circuit: Circuit, state: SparseState | None = None) -> SparseState:
     True
 
     Raises:
-        SimulationError: If a column's squared norm drifts by more than 1e-12
-            over the whole circuit or 1e-13 over one diffusion, or a gate
-            maps two amplitudes onto one key.  An error inside a gate ends
-            with the instruction's position and locus, as in
-            "(instruction 14, node 0)" for a 3-leaf star's hub diffusion.
+        SimulationError: If the state has another width or a key beyond
+            the register, the squared norm drifts by more than 1e-12 over the
+            circuit or 1e-13 over one diffusion, or a gate maps two
+            amplitudes onto one key.  An error inside a gate ends with the
+            instruction's position and locus, as in "(instruction 14, node 0)"
+            for a 3-leaf star's hub diffusion.
     """
     if state is None:
         state = init_walk_superposition(circuit.layout)
@@ -342,37 +359,22 @@ def run(circuit: Circuit, state: SparseState | None = None) -> SparseState:
         raise SimulationError(
             f"state has {n} qubits, circuit expects {circuit.n_qubits}"
         )
-    cols = _Columns(state)
-    before = cols.norms()
-    for pos, ins in enumerate(circuit.instructions):
-        try:
-            cols.apply(ins)
-        except SimulationError as exc:
-            where = f"instruction {pos}, {ins.locus.kind} {ins.locus.id}"
-            raise SimulationError(f"{exc} ({where})") from None
-    _check_drift(before, cols.norms(), CIRCUIT_NORM_TOL, "circuit")
-    return SparseState(cols.amps(), n)
+    cols = _Columns.of(state)
+    _evolve(cols, circuit)
+    return cols.state()
 
 
 def _project(state: SparseState, layout: QubitLayout) -> tuple[np.ndarray, float]:
-    """Split a one-column state into walk amplitudes and leaked weight.
-
-    Raises:
-        SimulationError: If a key has bits at or above `n_qubits`, which
-            label another column.
-    """
+    """Split a state into walk amplitudes and leaked weight; a key beyond the
+    register raises SimulationError."""
+    rows = _edge_rows(layout)
     n = state.n_qubits
-    rows = _edge_keys(layout, n)
     psi = np.zeros(2 * layout.n_edges, dtype=complex)
     leaked = 0.0
-    for k, a in state.amps.items():
-        row = rows.get(k)
+    for k, a in _checked_amps(state).items():
+        # The single excitation of qubit q is the one-bit key 2**(n - 1 - q).
+        row = rows.get(n - k.bit_length()) if k & (k - 1) == 0 else None
         if row is None:
-            if k >> n:
-                raise SimulationError(
-                    f"state holds column {k >> n}; only a one-column state "
-                    f"(keys below 2**{n}) reads as a walk state"
-                )
             leaked += abs(a) ** 2
         else:
             psi[row] = a
@@ -388,8 +390,7 @@ def project_to_walk_state(
         SubspaceLeakageError: If more than `tol` probability weight sits on
             basis states that are not a single excitation of an edge qubit
             (registers not restored, or multiple excitations).
-        SimulationError: If a key has bits at or above `n_qubits`, which
-            label a column other than column 0, naming that column.
+        SimulationError: If a key lies beyond the register.
     """
     psi, leaked = _project(state, layout)
     if leaked > tol:
@@ -415,36 +416,32 @@ def measure_edge(state: SparseState, layout: QubitLayout, seed=None) -> int:
 def _circuit_columns(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
     """The circuit's matrix on the walk amplitudes and each column's leakage.
 
-    Column j = 2e + c (edge e, pole c) starts as the key
-    (j << n_qubits) | onehot(edge_qubits[e][c]); gates never touch the bits
-    at or above n_qubits, so one run evolves all 2|E| columns side by side.
+    Column j = 2e + c (edge e, pole c) starts as the group {j: 1} at the
+    excitation of edge_qubits[e][c]; gates never touch columns, so one
+    evolution carries all 2|E| columns side by side.
     """
-    layout = circuit.layout
-    n = circuit.n_qubits
-    dim = 2 * layout.n_edges
-    rows = _edge_keys(layout, n)
-    start = {(j << n) | key: 1.0 + 0j for key, j in rows.items()}
-    final = run(circuit, SparseState(start, n))
-    mat = np.zeros((dim, dim), dtype=complex)
-    leak = np.zeros(dim)
-    low = (1 << n) - 1
-    for k, a in final.amps.items():
-        j = k >> n
-        row = rows.get(k & low)
+    rows = {frozenset({q}): j for q, j in _edge_rows(circuit.layout).items()}
+    cols = _Columns({s: {j: 1.0 + 0j} for s, j in rows.items()}, circuit.n_qubits)
+    _evolve(cols, circuit)
+    mat = np.zeros((len(rows), len(rows)), dtype=complex)
+    leak = np.zeros(len(rows))
+    for i, grp in cols.groups.items():
+        row = rows.get(cols.keys[i])
         if row is None:
-            leak[j] += abs(a) ** 2
+            for j, a in grp.items():
+                leak[j] += abs(a) ** 2
         else:
-            mat[row, j] = a
+            mat[row, list(grp)] = list(grp.values())
     return mat, leak
 
 
 def step_circuit_matrix(circuit: Circuit) -> tuple[np.ndarray, float]:
     """Dense action of the circuit on the 2|E| walk amplitudes.
 
-    Runs the circuit once on a state holding every single-excitation basis
-    state as its own column (key bits above the register) and projects each
-    column; basis order matches walk.step_matrix (edge k's poles at rows 2k
-    and 2k+1).  Every norm check of `run` holds column by column.
+    Evolves every single-excitation basis state of an edge qubit as its own
+    column in one pass and projects each column; basis order matches
+    walk.step_matrix (edge k's poles at rows 2k and 2k+1).  Every norm check
+    of `run` holds column by column.
 
     Returns:
         (matrix, max_leakage): the matrix and the worst per-column weight

@@ -466,6 +466,29 @@ def test_negative_seed_names_its_flag(path3, capsys, command, flag):
     assert out.err == f"graphwalk: {flag} must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze-complete", "5", "--t-max", "-1"], "--t-max must be nonnegative, got -1"),
+        (["search", "--graph", "{graph}", "--mark-edge", "0", "1", "--steps", "1",
+          "--guaranteed", "--max-calls", "0"], "--max-calls must be positive, got 0"),
+    ],
+    ids=["t-max", "max-calls"],
+)
+def test_bad_count_names_its_flag(path3, capsys, argv, message):
+    code = main([arg.format(graph=path3) for arg in argv])
+    assert code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"graphwalk: {message}\n"
+
+
+def test_max_calls_is_read_only_with_guaranteed(path3, capsys):
+    argv = ["search", "--graph", path3, "--mark-edge", "0", "1", "--steps", "1"]
+    assert main([*argv, "--max-calls", "0"]) == 0
+    capsys.readouterr()
+
+
 def test_verify_enumeration_seed(path3, capsys):
     code = main(
         ["verify", "--graph", path3, "--mark-edge", "0", "1",

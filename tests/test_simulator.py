@@ -308,24 +308,37 @@ def test_measure_edge_rejects_empty_edge_weight():
         measure_edge(SparseState({}, layout.n_qubits), layout)
 
 
-@pytest.mark.parametrize("read", [project_to_walk_state, measure_edge], ids=["project", "measure"])
-@pytest.mark.parametrize("column", [1, 5])
-def test_multi_column_state_is_not_read_as_leakage(read, column):
-    # Bits at or above n_qubits label a column, as in step_circuit_matrix:
-    # that weight did not leave the walk subspace.
+def _run_path3(state, layout):
+    g = path_graph(3)
+    return run(compile_step(g, coloring_polarity(g), [0]), state)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        _run_path3,
+        lambda state, layout: apply_instruction(state, Instruction(Gate.X, (), (0,), EDGE0)),
+        project_to_walk_state,
+        measure_edge,
+    ],
+    ids=["run", "apply_instruction", "project", "measure"],
+)
+def test_key_beyond_register_is_rejected(read):
+    # A key at or above 2**n_qubits names no basis state of the register:
+    # it is rejected, not read as leakage or dropped.
     g = path_graph(3)
     layout = build_layout(g, coloring_polarity(g))
     n = layout.n_qubits
     edge_key = 1 << (n - 1 - layout.edge_qubits[1][0])
-    for amps in ({column << n | edge_key: 1.0 + 0j},
-                 {edge_key: 0.6 + 0j, column << n | edge_key: 0.8 + 0j}):
-        with pytest.raises(SimulationError) as info:
-            read(SparseState(amps, n), layout)
-        assert not isinstance(info.value, SubspaceLeakageError)
-        assert str(info.value) == (
-            f"state holds column {column}; only a one-column state "
-            f"(keys below 2**{n}) reads as a walk state"
-        )
+    for column in (1, 5):
+        for amps in ({column << n | edge_key: 1.0 + 0j},
+                     {edge_key: 0.6 + 0j, column << n | edge_key: 0.8 + 0j}):
+            with pytest.raises(SimulationError) as info:
+                read(SparseState(amps, n), layout)
+            assert not isinstance(info.value, SubspaceLeakageError)
+            assert str(info.value) == (
+                f"basis key {column << n | edge_key} lies beyond a register of {n} qubits"
+            )
 
 
 def test_dense_sparse_roundtrip():
@@ -616,11 +629,19 @@ def test_columns_sharing_low_keys_match_each_column_alone():
         amps /= np.linalg.norm(amps)
         columns.append(dict(zip(keys, map(complex, amps))))
     assert len({k for col in columns for k in col}) < sum(map(len, columns))
-    joint = {col << n | k: a for col, amps in enumerate(columns) for k, a in amps.items()}
-    out = run(circ, SparseState(joint, n))
+    joint: dict = {}
+    for col, amps in enumerate(columns):
+        for k, a in amps.items():
+            joint.setdefault(frozenset(simulator._qubits(k, n)), {})[col] = a
+    out = simulator._Columns(joint, n)
+    simulator._evolve(out, circ)
     for col, amps in enumerate(columns):
         want = reference_run(circ, SparseState(amps, n))
-        got = {k & ((1 << n) - 1): a for k, a in out.amps.items() if k >> n == col}
+        got = {
+            sum(1 << (n - 1 - q) for q in out.keys[i]): grp[col]
+            for i, grp in out.groups.items()
+            if col in grp
+        }
         np.testing.assert_allclose(
             sparse_to_dense(SparseState(got, n)), sparse_to_dense(want), rtol=0, atol=1e-13
         )
@@ -683,6 +704,8 @@ def test_support_error_names_instruction(monkeypatch):
 # the gate-by-gate one replaced: its outputs must stay bitwise the same.
 _RUN_STAR40_SHA256 = "69732478bf5b677e4ba9c751b66b61ff7a3f1ef721e5764c4f2da4839e3e4680"
 _COLUMNS_REGULAR250_SHA256 = "14ce25a2f58bf1a2cd5220a19af256205daca2e0635d98a18de5b14a5f1dc991"
+# The star's single hub diffusion has d = 239 slots.
+_COLUMNS_STAR239_SHA256 = "6817a9570a1ad83519b6b72e3b6ce22feb74d6887537adb81e89fcb5f5253430"
 
 
 def test_run_output_bytes_are_pinned():
@@ -693,10 +716,13 @@ def test_run_output_bytes_are_pinned():
 
 
 def test_circuit_columns_bytes_are_pinned():
-    g = random_regular_graph(250, 4, seed=1)
-    mat, leak = simulator._circuit_columns(compile_step(g, coloring_polarity(g), [0]))
-    digest = hashlib.sha256(mat.tobytes() + leak.tobytes()).hexdigest()
-    assert digest == _COLUMNS_REGULAR250_SHA256
+    for g, want in [
+        (random_regular_graph(250, 4, seed=1), _COLUMNS_REGULAR250_SHA256),
+        (star_graph(239), _COLUMNS_STAR239_SHA256),
+    ]:
+        mat, leak = simulator._circuit_columns(compile_step(g, coloring_polarity(g), [0]))
+        digest = hashlib.sha256(mat.tobytes() + leak.tobytes()).hexdigest()
+        assert digest == want
 
 
 def sparse_gap(a: SparseState, b: SparseState) -> float:

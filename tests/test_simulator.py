@@ -313,32 +313,40 @@ def _run_path3(state, layout):
     return run(compile_step(g, coloring_polarity(g), [0]), state)
 
 
-@pytest.mark.parametrize(
-    "read",
-    [
-        _run_path3,
-        lambda state, layout: apply_instruction(state, Instruction(Gate.X, (), (0,), EDGE0)),
-        project_to_walk_state,
-        measure_edge,
-    ],
-    ids=["run", "apply_instruction", "project", "measure"],
-)
-def test_key_beyond_register_is_rejected(read):
+def _assert_key_beyond_register_rejected(read, column):
     # A key at or above 2**n_qubits names no basis state of the register:
     # it is rejected, not read as leakage or dropped.
     g = path_graph(3)
     layout = build_layout(g, coloring_polarity(g))
     n = layout.n_qubits
     edge_key = 1 << (n - 1 - layout.edge_qubits[1][0])
-    for column in (1, 5):
-        for amps in ({column << n | edge_key: 1.0 + 0j},
-                     {edge_key: 0.6 + 0j, column << n | edge_key: 0.8 + 0j}):
-            with pytest.raises(SimulationError) as info:
-                read(SparseState(amps, n), layout)
-            assert not isinstance(info.value, SubspaceLeakageError)
-            assert str(info.value) == (
-                f"basis key {column << n | edge_key} lies beyond a register of {n} qubits"
-            )
+    for amps in ({column << n | edge_key: 1.0 + 0j},
+                 {edge_key: 0.6 + 0j, column << n | edge_key: 0.8 + 0j}):
+        with pytest.raises(SimulationError) as info:
+            read(SparseState(amps, n), layout)
+        assert not isinstance(info.value, SubspaceLeakageError)
+        assert str(info.value) == (
+            f"basis key {column << n | edge_key} lies beyond a register of {n} qubits"
+        )
+
+
+@pytest.mark.parametrize("read", [project_to_walk_state, measure_edge], ids=["project", "measure"])
+@pytest.mark.parametrize("column", [1, 5])
+def test_multi_column_state_is_not_read_as_leakage(read, column):
+    _assert_key_beyond_register_rejected(read, column)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        _run_path3,
+        lambda state, layout: apply_instruction(state, Instruction(Gate.X, (), (0,), EDGE0)),
+    ],
+    ids=["run", "apply_instruction"],
+)
+@pytest.mark.parametrize("column", [1, 5])
+def test_key_beyond_register_is_rejected(read, column):
+    _assert_key_beyond_register_rejected(read, column)
 
 
 def test_dense_sparse_roundtrip():

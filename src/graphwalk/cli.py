@@ -271,7 +271,7 @@ def cmd_compile(args) -> int:
             entry.node, entry.degree, entry.cnot_mcx, entry.diffusion,
         )
     if args.audit_out is not None:
-        _dump_json(audit.to_json_dict(), args.audit_out)
+        _emit(audit.to_json(), args.audit_out)
     _emit(circuit.to_json(), args.out)
     return EXIT_OK
 

@@ -691,6 +691,30 @@ class AuditReport:
             ],
         }
 
+    def to_json(self) -> str:
+        """The report, byte for byte `json.dumps(self.to_json_dict(), indent=2)
+        + "\\n"`, from templates as in `Circuit.to_json`."""
+        violations = ",\n    ".join(map(json.dumps, self.violations))
+        nodes = ",\n".join(
+            _NODE_AUDIT % (
+                n.node, n.degree, n.cnot_mcx, n.diffusion, n.bound,
+                "true" if n.within_bound else "false",
+            )
+            for n in self.nodes
+        )
+        return '{\n  "ok": %s,\n  "all_within_bound": %s,\n  "violations": %s,\n  "nodes": %s\n}\n' % (
+            json.dumps(self.ok),
+            json.dumps(self.all_within_bound),
+            f"[\n    {violations}\n  ]" if self.violations else "[]",
+            f"[\n{nodes}\n  ]" if nodes else "[]",
+        )
+
+
+_NODE_AUDIT = (
+    '    {\n      "node": %d,\n      "degree": %d,\n      "cnot_mcx": %d,\n'
+    '      "diffusion": %d,\n      "bound": %d,\n      "within_bound": %s\n    }'
+)
+
 
 def locality_audit(circuit: Circuit) -> AuditReport:
     """Check every instruction against its locus and tally controlled gates."""

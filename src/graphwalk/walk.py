@@ -124,12 +124,18 @@ class WalkPlan:
 
     A step applies the oracle, then the coin, then every node's diffusion.
     The plan folds the first two into one 2x2 action per edge: the coin on
-    unmarked edges and coin times oracle on marked ones.  It lays the
-    amplitudes out node by node in the graph's CSR order, each node's facing
-    amplitudes in ascending neighbor order, so one gather, one segment sum
-    and one scatter run every diffusion.  The same two stages run on one
-    state or on (2E, B) columns side by side: `matrix()` is the step run on
-    the identity's columns.  The 2x2 actions are not matrix products: each
+    unmarked edges and coin times oracle on marked ones.  It keeps the 2|E|
+    amplitudes in an order of its own, node by node: first the nodes of
+    degree >= 2 in the graph's CSR order, each node's facing amplitudes in
+    ascending neighbor order, then the amplitudes facing degree-1 nodes.  A
+    step is one gather into that order, which applies the 2x2 actions, then
+    the diffusions: one segment sum over the nodes of degree >= 2, and
+    2x - x for each degree-1 node, the same bits as its one-element sum.
+    `evolve` and `sweep` keep the state in the plan's order between steps,
+    so their steps scatter nothing; `step` works on a flat state and
+    scatters each result back.  The same stages run on one state or on
+    (2E, B) columns side by side: `matrix()` is the step run on the
+    identity's columns.  The 2x2 actions are not matrix products: each
     amplitude gathers its edge's two poles, weighted by its row of the
     edge's action; with the default specs (the X coin, the -X oracle) they
     reduce to gathering each pole's partner and negating the marked edges.
@@ -173,41 +179,52 @@ class WalkPlan:
         self.g, self.p, self.oracle, self.coin = g, p, oracle, coin
         self.n_edges = n_edges
 
-        # Gathered amplitude i is flat amplitude _dst[i] (2k + c is edge k's
-        # pole c); node u's block is i in indptr[u]:indptr[u + 1].
-        self._dst = facing_amplitudes(g, p)
+        # Plan position i holds flat amplitude _dst[i] (2k + c is edge k's
+        # pole c), and flat amplitude j sits at position _at[j].  Nodes of
+        # degree >= 2 fill the first _hubs positions, node by node; the
+        # amplitudes facing degree-1 nodes follow.
         degrees = np.diff(g.indptr)
-        self._starts, degrees = g.indptr[:-1][degrees > 0], degrees[degrees > 0]
+        leaf = np.repeat(degrees == 1, degrees)
+        self._dst = facing_amplitudes(g, p)[np.argsort(leaf, kind="stable")]
+        self._at = np.empty_like(self._dst)
+        self._at[self._dst] = np.arange(2 * n_edges)
+        degrees = degrees[degrees > 1]
+        self._hubs = int(degrees.sum())
+        self._starts = np.cumsum(degrees) - degrees
         self._weights = 2.0 / degrees
-        # Gathered amplitude i belongs to block _node[i].  A step works in the
+        # Hub position i belongs to block _node[i].  A step works in the
         # buffers below and writes the state in place, so it allocates no
         # state-sized array; every index is in range, and take's "clip" mode
         # skips the copy of `out` that its checked mode makes.
-        self._node = np.repeat(np.arange(len(self._starts)), degrees)
+        self._node = np.repeat(np.arange(len(degrees)), degrees)
         self._x = np.empty(2 * n_edges, dtype=complex)
         self._y = np.empty(2 * n_edges, dtype=complex)
-        self._sums = np.empty(len(self._starts), dtype=complex)
+        self._sums = np.empty(len(degrees), dtype=complex)
 
         coin_m = (coin if coin is not None else CoinSpec()).matrix
         marked_m = coin_m @ oracle.matrix if oracle is not None else coin_m
         is_marked = np.zeros(n_edges, dtype=bool)
         is_marked[marked] = True
         on_marked = is_marked[self._dst >> 1]
-        self._swap = None
+        self._rows = None
         if np.array_equal(coin_m, PAULI_X) and (
             oracle is None or np.array_equal(oracle.matrix, MINUS_X)
         ):
             # The X coin swaps poles: gather each amplitude's partner 2k + 1 - c.
             # On marked edges coin times oracle is -I: gather in place, negated.
-            self._swap = np.where(on_marked, self._dst, self._dst ^ 1)
+            reads = (np.where(on_marked, self._dst, self._dst ^ 1),)
             self._flip = np.flatnonzero(on_marked)
         else:
-            # Gathered amplitude i, pole c of edge k, is row c of the edge's
-            # folded action applied to the edge's poles 2k and 2k + 1.
+            # Position i, pole c of edge k, is row c of the edge's folded
+            # action applied to the edge's poles 2k and 2k + 1.
             pole = self._dst & 1
             rows = np.where(on_marked[:, None], marked_m[pole], coin_m[pole])
-            self._poles = (self._dst - pole, self._dst - pole + 1)
+            reads = (self._dst - pole, self._dst - pole + 1)
             self._rows = (rows[:, 0].copy(), rows[:, 1].copy())
+        # A gather reads flat amplitudes at _flat_reads and plan-ordered ones
+        # at _plan_reads, the same amplitudes' positions.
+        self._flat_reads = reads
+        self._plan_reads = tuple(self._at[r] for r in reads)
         self._cdf: tuple[int, np.ndarray] | None = None
 
     def _check(self, state: WalkState) -> None:
@@ -216,31 +233,39 @@ class WalkPlan:
                 f"state has {state.n_edges} edges, graph has {self.n_edges}"
             )
 
-    def _gather(self, flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Oracle and coin on (2E,) or (2E, B) flat amplitudes, gathered node by node."""
-        if self._swap is not None:
-            x = np.take(flat, self._swap, axis=0, out=out, mode="clip")
+    def _gather(self, src: np.ndarray, reads, out: np.ndarray | None = None) -> np.ndarray:
+        """Oracle and coin on (2E,) or (2E, B) amplitudes read at `reads`, in plan order."""
+        x = np.take(src, reads[0], axis=0, out=out, mode="clip")
+        if self._rows is None:
             x[self._flip] *= -1
             return x
-        w0, w1 = self._rows if flat.ndim == 1 else (w[:, None] for w in self._rows)
-        x = np.take(flat, self._poles[0], axis=0, out=out, mode="clip")
+        w0, w1 = self._rows if src.ndim == 1 else (w[:, None] for w in self._rows)
         x *= w0
-        x += w1 * np.take(flat, self._poles[1], axis=0, mode="clip")
+        x += w1 * np.take(src, reads[1], axis=0, mode="clip")
         return x
 
-    def _diffuse(self, x: np.ndarray, sums=None, y=None) -> np.ndarray:
-        """Every node's diffusion of gathered amplitudes x, into buffers sums and y if given."""
-        sums = np.add.reduceat(x, self._starts, axis=0, out=sums)
+    def _diffuse(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Every node's diffusion of plan-ordered amplitudes x, written into out."""
+        h = self._hubs
+        sums = np.add.reduceat(x[:h], self._starts, axis=0, out=self._sums if x.ndim == 1 else None)
         sums *= self._weights if x.ndim == 1 else self._weights[:, None]
-        y = np.take(sums, self._node, axis=0, out=y, mode="clip")
-        y -= x
-        return y
+        np.take(sums, self._node, axis=0, out=out[:h], mode="clip")
+        out[:h] -= x[:h]
+        # A degree-1 node's segment sum would be its one amplitude, weighted
+        # by 2.0: 2x - x gives the same bits, signed zeros included.
+        np.multiply(x[h:], 2.0, out=out[h:])
+        out[h:] -= x[h:]
+        return out
+
+    def _advance(self, z: np.ndarray) -> None:
+        """One step on the plan-ordered amplitudes z, in place."""
+        self._diffuse(self._gather(z, self._plan_reads, self._x), z)
 
     def step(self, state: WalkState) -> WalkState:
         """Advance one step: oracle, then coin, then scattering.  In place."""
         self._check(state)
         flat = _flat(state)
-        flat[self._dst] = self._diffuse(self._gather(flat, self._x), self._sums, self._y)
+        flat[self._dst] = self._diffuse(self._gather(flat, self._flat_reads, self._x), self._y)
         state.t += 1
         return state
 
@@ -263,8 +288,8 @@ class WalkPlan:
         The step run on the identity's columns: column 2k + c holds the
         step's image of amplitude (edge k, pole c).
         """
-        x = self._gather(np.eye(2 * self.n_edges, dtype=complex))
-        x[self._dst] = self._diffuse(x)
+        x = self._gather(np.eye(2 * self.n_edges, dtype=complex), self._flat_reads)
+        x[self._dst] = self._diffuse(x, np.empty_like(x))
         return x
 
 
@@ -347,8 +372,15 @@ def evolve(
     if steps < 0:
         raise ValueError(f"step count must be nonnegative, got {steps}")
     state = diagonal_state(g)
+    flat = state.psi.reshape(-1)
+    # The uniform start reads the same in plan order.  The walk runs in the
+    # plan's flat-step buffer and is permuted back into the state's own.
+    z = plan._y
+    z[:] = flat
     for _ in range(steps):
-        plan.step(state)
+        plan._advance(z)
+    np.take(z, plan._at, out=flat, mode="clip")
+    state.t = steps
     return state
 
 
@@ -478,16 +510,18 @@ def sweep(
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
     marked = tuple(sorted(oracle.marked))
-    state = diagonal_state(g)
+    z = diagonal_state(g).psi.reshape(-1)  # the uniform start, in plan order too
+    # The plan positions of each marked edge's (+, -) poles.
+    at = plan._at[2 * np.array(marked, dtype=np.intp)[:, None] + (0, 1)]
     probs = []
     for t in range(t_max + 1):
         if t:
-            plan.step(state)
+            plan._advance(z)
         # Only the marked rows are squared; the norm takes one pass, in
         # einsum rather than a BLAS dot, whose thread wake-ups cost more.
-        flat = state.psi.reshape(-1).view(np.float64)
-        _check_norm(float(np.einsum("i,i->", flat, flat)))
-        rows = state.psi[list(marked)]
+        parts = z.view(np.float64)
+        _check_norm(float(np.einsum("i,i->", parts, parts)))
+        rows = z[at]
         dist = np.abs(rows[:, 0]) ** 2 + np.abs(rows[:, 1]) ** 2
         probs.append(float(dist.sum()))
     t_star = int(np.argmax(probs))

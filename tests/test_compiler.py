@@ -1049,6 +1049,20 @@ def test_audit_json_shape():
     )
 
 
+def test_audit_to_json_is_the_indented_dump():
+    g = star_graph(40)
+    clean = locality_audit(compile_step(g, coloring_polarity(g), [0]))
+    g = path_graph(3)
+    circ = compile_step(g, coloring_polarity(g), [0])
+    ghost = Instruction(Gate.X, (), (0,), Locus("edge", 99))
+    flagged = locality_audit(Circuit(circ.layout, circ.instructions + (ghost, ghost)))
+    over = compiler.NodeAudit(node=0, degree=3, cnot_mcx=99, diffusion=1, bound=16)
+    escaped = compiler.AuditReport(nodes=(over,), violations=('a "quoted" \\ path', "caf\u00e9\n"))
+    for report in (clean, flagged, escaped, compiler.AuditReport(nodes=(), violations=())):
+        assert report.to_json() == json.dumps(report.to_json_dict(), indent=2) + "\n"
+    assert not flagged.ok and len(flagged.violations) == 2
+
+
 _DROP = object()  # an edit that deletes the key, or the list item
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from graphwalk import (
     WalkPlan,
     WalkState,
     complete_graph,
+    cycle_graph,
     diagonal_state,
     edge_probabilities,
     evolve,
@@ -599,14 +601,61 @@ def test_sweep_unmarked_constant_zero_column():
 
 
 def test_sweep_rejects_norm_drift(monkeypatch):
-    def leaky_step(self, state):
-        state.psi *= 1.001
-        return state
+    def leaky_advance(self, z):
+        z *= 1.001
 
-    monkeypatch.setattr(WalkPlan, "step", leaky_step)
+    # sweep steps its plan-ordered state through WalkPlan._advance.
+    monkeypatch.setattr(WalkPlan, "_advance", leaky_advance)
     g = star_graph(4)
     with pytest.raises(ValueError, match="^state norm drifted: total probability 1.002"):
         sweep(g, polarity_from_coloring(g, greedy_coloring(g)), MARK0, t_max=2)
+
+
+# sha256 over the `evolve`, `sweep`, public `step`, `matrix()` and `search`
+# outputs below, recorded while every step scattered into flat order and
+# every node, degree-1 nodes too, had a segment sum: the walk in plan order
+# must keep every bit.
+_WALK_BYTES_SHA256 = "11bb83df48a2d54fe7007df99666a7b5752d33e1fa8d25b29eef04a654047479"
+
+
+def _phased_state(n_edges: int) -> WalkState:
+    """A random state with complex phases and zeros of both signs."""
+    state = random_walk_state(n_edges, np.random.default_rng(n_edges))
+    state.psi.real[::5, 0] = -0.0
+    state.psi.imag[::5, 0] = 0.0
+    state.psi.real[::7, 1] = 0.0
+    state.psi.imag[::7, 1] = -0.0
+    return state
+
+
+def test_walk_bytes_are_pinned():
+    graphs = [
+        star_graph(1),  # no node of degree >= 2
+        cycle_graph(7),  # no node of degree 1
+        path_graph(5),
+        star_graph(64),
+        starify(complete_graph(8)).graph,
+        random_connected_graph(300, 0, seed=5),
+        random_connected_graph(200, 500, seed=3),
+    ]
+    specs = [(None, None), (HADAMARD, None), (None, ROTATION), (None, PHASE), (HADAMARD, ROTATION)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        p = coloring_polarity(g)
+        for coin_m, action in specs:
+            coin = None if coin_m is None else CoinSpec(coin_m)
+            marked = frozenset({0, g.n_edges // 2})
+            oracle = OracleSpec(marked) if action is None else OracleSpec(marked, action)
+            plan = WalkPlan(g, p, oracle, coin)
+            digest.update(evolve(g, p, oracle, 9, coin, plan=plan).psi.tobytes())
+            digest.update(np.array(sweep(g, p, oracle, 9, coin).probs).tobytes())
+            state = _phased_state(g.n_edges)
+            for _ in range(5):
+                digest.update(plan.step(state).psi.tobytes())
+            digest.update(plan.matrix().tobytes())
+            draws = [search(g, p, oracle, 9, s, coin, plan=plan) for s in range(5)]
+            digest.update(np.array(draws).tobytes())
+    assert digest.hexdigest() == _WALK_BYTES_SHA256
 
 
 def test_sweep_star64_first_peak():

@@ -132,13 +132,14 @@ class WalkPlan:
     the diffusions: one segment sum over the nodes of degree >= 2, and
     2x - x for each degree-1 node, the same bits as its one-element sum.
     `evolve` and `sweep` keep the state in the plan's order between steps,
-    so their steps scatter nothing; `step` works on a flat state and
-    scatters each result back.  The same stages run on one state or on
-    (2E, B) columns side by side: `matrix()` is the step run on the
-    identity's columns.  The 2x2 actions are not matrix products: each
-    amplitude gathers its edge's two poles, weighted by its row of the
-    edge's action; with the default specs (the X coin, the -X oracle) they
-    reduce to gathering each pole's partner and negating the marked edges.
+    so their steps scatter nothing; `step` works on a flat state, permuted
+    into the plan's order and back around each step.  The same stages run
+    on one state or on (2E, B) columns side by side: `matrix()` is the step
+    run on the identity's columns.  The 2x2 actions are not matrix
+    products: each amplitude gathers its edge's two poles, weighted by its
+    row of the edge's action; with the default specs (the X coin, the -X
+    oracle) they reduce to gathering each pole's partner and negating the
+    marked edges.
 
     The plan remembers the cumulative edge distribution of its last
     evolution, so repeated draws at one step count evolve once.  It also
@@ -210,21 +211,19 @@ class WalkPlan:
         if np.array_equal(coin_m, PAULI_X) and (
             oracle is None or np.array_equal(oracle.matrix, MINUS_X)
         ):
-            # The X coin swaps poles: gather each amplitude's partner 2k + 1 - c.
-            # On marked edges coin times oracle is -I: gather in place, negated.
-            reads = (np.where(on_marked, self._dst, self._dst ^ 1),)
+            # The X coin swaps poles: gather each amplitude's partner 2k + 1 - c,
+            # read at its plan position.  On marked edges coin times oracle is
+            # -I: gather in place, negated.
+            self._reads = (self._at[np.where(on_marked, self._dst, self._dst ^ 1)],)
             self._flip = np.flatnonzero(on_marked)
         else:
             # Position i, pole c of edge k, is row c of the edge's folded
-            # action applied to the edge's poles 2k and 2k + 1.
+            # action applied to the edge's poles 2k and 2k + 1, read at their
+            # plan positions.
             pole = self._dst & 1
             rows = np.where(on_marked[:, None], marked_m[pole], coin_m[pole])
-            reads = (self._dst - pole, self._dst - pole + 1)
+            self._reads = (self._at[self._dst - pole], self._at[self._dst - pole + 1])
             self._rows = (rows[:, 0].copy(), rows[:, 1].copy())
-        # A gather reads flat amplitudes at _flat_reads and plan-ordered ones
-        # at _plan_reads, the same amplitudes' positions.
-        self._flat_reads = reads
-        self._plan_reads = tuple(self._at[r] for r in reads)
         self._cdf: tuple[int, np.ndarray] | None = None
 
     def _check(self, state: WalkState) -> None:
@@ -233,15 +232,15 @@ class WalkPlan:
                 f"state has {state.n_edges} edges, graph has {self.n_edges}"
             )
 
-    def _gather(self, src: np.ndarray, reads, out: np.ndarray | None = None) -> np.ndarray:
-        """Oracle and coin on (2E,) or (2E, B) amplitudes read at `reads`, in plan order."""
-        x = np.take(src, reads[0], axis=0, out=out, mode="clip")
+    def _gather(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Oracle and coin on (2E,) or (2E, B) plan-ordered amplitudes z."""
+        x = np.take(z, self._reads[0], axis=0, out=out, mode="clip")
         if self._rows is None:
             x[self._flip] *= -1
             return x
-        w0, w1 = self._rows if src.ndim == 1 else (w[:, None] for w in self._rows)
+        w0, w1 = self._rows if z.ndim == 1 else (w[:, None] for w in self._rows)
         x *= w0
-        x += w1 * np.take(src, reads[1], axis=0, mode="clip")
+        x += w1 * np.take(z, self._reads[1], axis=0, mode="clip")
         return x
 
     def _diffuse(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -259,13 +258,15 @@ class WalkPlan:
 
     def _advance(self, z: np.ndarray) -> None:
         """One step on the plan-ordered amplitudes z, in place."""
-        self._diffuse(self._gather(z, self._plan_reads, self._x), z)
+        self._diffuse(self._gather(z, self._x), z)
 
     def step(self, state: WalkState) -> WalkState:
         """Advance one step: oracle, then coin, then scattering.  In place."""
         self._check(state)
         flat = _flat(state)
-        flat[self._dst] = self._diffuse(self._gather(flat, self._flat_reads, self._x), self._y)
+        np.take(flat, self._dst, out=self._y, mode="clip")
+        self._advance(self._y)
+        np.take(self._y, self._at, out=flat, mode="clip")
         state.t += 1
         return state
 
@@ -288,8 +289,11 @@ class WalkPlan:
         The step run on the identity's columns: column 2k + c holds the
         step's image of amplitude (edge k, pole c).
         """
-        x = self._gather(np.eye(2 * self.n_edges, dtype=complex), self._flat_reads)
-        x[self._dst] = self._diffuse(x, np.empty_like(x))
+        n = 2 * self.n_edges
+        eye = np.zeros((n, n), dtype=complex)
+        eye[np.arange(n), self._dst] = 1  # the identity in plan order
+        x = self._gather(eye)
+        x[self._dst] = self._diffuse(x, eye)
         return x
 
 

@@ -234,8 +234,6 @@ def cmd_analyze_star(args) -> int:
 
 
 def cmd_analyze_complete(args) -> int:
-    if args.n < 3:
-        raise ConfigError(f"complete-graph analysis needs n >= 3, got {args.n}")
     t_max = args.t_max
     if t_max is None:
         t_max = math.ceil(math.pi * args.n / 2)

@@ -522,7 +522,11 @@ def verify_circuit_equivalence(
         g, p, oracle=walk.OracleSpec(marked=frozenset(marked))
     )
     actual, leakage = _circuit_columns(circuit)
-    gap = np.abs(actual - model)
+    # The difference overwrites the circuit's matrix and the model is freed
+    # before `gap`, so no third dense (2E)^2 complex array is made.
+    actual -= model
+    del model
+    gap = np.abs(actual)
     worst = int(np.argmax(np.maximum(gap.max(axis=0), leakage)))
     return EquivalenceReport(
         max_deviation=float(gap.max()),

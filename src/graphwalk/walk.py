@@ -8,6 +8,7 @@ each node diffuses the amplitudes facing it with the degree-d Grover operator
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,14 +32,14 @@ class CallCapExceededError(RuntimeError):
 
 
 def _check_unitary(matrix: np.ndarray, what: str, tol: float = 1e-12) -> np.ndarray:
-    """Return a read-only complex copy of `matrix` after checking unitarity.
+    """Return a read-only complex copy of a 2x2 `matrix` after checking unitarity.
 
     The copy keeps a caller's later writes from changing a checked matrix.
     """
     m = np.array(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
-    if not np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=tol):
+    if m.shape != (2, 2):
+        raise ValueError(f"{what} must be 2x2, got shape {m.shape}")
+    if not np.allclose(m @ m.conj().T, np.eye(2), atol=tol):
         raise ValueError(f"{what} is not unitary within {tol}")
     m.setflags(write=False)
     return m
@@ -51,10 +52,7 @@ class CoinSpec:
     matrix: np.ndarray = field(default_factory=lambda: PAULI_X)
 
     def __post_init__(self):
-        m = _check_unitary(self.matrix, "coin")
-        if m.shape != (2, 2):
-            raise ValueError(f"coin must be 2x2, got shape {m.shape}")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _check_unitary(self.matrix, "coin"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,11 +73,8 @@ class OracleSpec:
     matrix: np.ndarray = field(default_factory=lambda: MINUS_X)
 
     def __post_init__(self):
-        object.__setattr__(self, "marked", frozenset(int(k) for k in self.marked))
-        m = _check_unitary(self.matrix, "oracle action")
-        if m.shape != (2, 2):
-            raise ValueError(f"oracle action must be 2x2, got shape {m.shape}")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "marked", frozenset(map(operator.index, self.marked)))
+        object.__setattr__(self, "matrix", _check_unitary(self.matrix, "oracle action"))
 
 
 @dataclass
@@ -131,15 +126,15 @@ class WalkPlan:
     step is one gather into that order, which applies the 2x2 actions, then
     the diffusions: one segment sum over the nodes of degree >= 2, and
     2x - x for each degree-1 node, the same bits as its one-element sum.
-    `evolve` and `sweep` keep the state in the plan's order between steps,
-    so their steps scatter nothing; `step` works on a flat state, permuted
-    into the plan's order and back around each step.  The same stages run
-    on one state or on (2E, B) columns side by side: `matrix()` is the step
-    run on the identity's columns.  The 2x2 actions are not matrix
-    products: each amplitude gathers its edge's two poles, weighted by its
-    row of the edge's action; with the default specs (the X coin, the -X
-    oracle) they reduce to gathering each pole's partner and negating the
-    marked edges.
+    `evolve` and `sweep` run the plan's one walk loop, which starts from the
+    uniform superposition and steps in the plan's buffer, so their steps
+    scatter nothing; `step` works on a flat state, permuted into the plan's
+    order and back around each step.  The same stages run on one state or
+    on (2E, B) columns side by side: `matrix()` is the step run on the
+    identity's columns.  The 2x2 actions are not matrix products: each
+    amplitude gathers its edge's two poles, weighted by its row of the
+    edge's action; with the default specs (the X coin, the -X oracle) they
+    reduce to gathering each pole's partner and negating the marked edges.
 
     The plan remembers the cumulative edge distribution of its last
     evolution, so repeated draws at one step count evolve once.  It also
@@ -260,6 +255,20 @@ class WalkPlan:
         """One step on the plan-ordered amplitudes z, in place."""
         self._diffuse(self._gather(z, self._x), z)
 
+    def _walk(self, t_max: int):
+        """Yield the plan-ordered amplitudes at t = 0..t_max from the uniform start.
+
+        Every yield is the plan's own buffer, which the next step overwrites.
+        """
+        if self.n_edges == 0:
+            raise ValueError("graph has no edges to walk on")
+        z = self._y
+        z.fill(1.0 / np.sqrt(2 * self.n_edges))
+        yield z
+        for _ in range(t_max):
+            self._advance(z)
+            yield z
+
     def step(self, state: WalkState) -> WalkState:
         """Advance one step: oracle, then coin, then scattering.  In place."""
         self._check(state)
@@ -375,17 +384,9 @@ def evolve(
     plan = _plan_for(g, p, oracle, coin, plan)
     if steps < 0:
         raise ValueError(f"step count must be nonnegative, got {steps}")
-    state = diagonal_state(g)
-    flat = state.psi.reshape(-1)
-    # The uniform start reads the same in plan order.  The walk runs in the
-    # plan's flat-step buffer and is permuted back into the state's own.
-    z = plan._y
-    z[:] = flat
-    for _ in range(steps):
-        plan._advance(z)
-    np.take(z, plan._at, out=flat, mode="clip")
-    state.t = steps
-    return state
+    for z in plan._walk(steps):
+        pass
+    return WalkState(np.take(z, plan._at, mode="clip").reshape(-1, 2), t=steps)
 
 
 def search(
@@ -472,14 +473,10 @@ class SweepReport:
 
     def to_csv(self) -> str:
         """Serialize as CSV, one row per step."""
-        if self.predicted_t is None:
-            lines = ["t,p_marked"]
-            lines += [f"{t},{p!r}" for t, p in enumerate(self.probs)]
-        else:
-            lines = ["t,p_marked,predicted_T"]
-            lines += [
-                f"{t},{p!r},{self.predicted_t!r}" for t, p in enumerate(self.probs)
-            ]
+        header, extra = "t,p_marked", ""
+        if self.predicted_t is not None:
+            header, extra = "t,p_marked,predicted_T", f",{self.predicted_t!r}"
+        lines = [header] + [f"{t},{p!r}{extra}" for t, p in enumerate(self.probs)]
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
@@ -514,13 +511,10 @@ def sweep(
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
     marked = tuple(sorted(oracle.marked))
-    z = diagonal_state(g).psi.reshape(-1)  # the uniform start, in plan order too
     # The plan positions of each marked edge's (+, -) poles.
     at = plan._at[2 * np.array(marked, dtype=np.intp)[:, None] + (0, 1)]
     probs = []
-    for t in range(t_max + 1):
-        if t:
-            plan._advance(z)
+    for z in plan._walk(t_max):
         # Only the marked rows are squared; the norm takes one pass, in
         # einsum rather than a BLAS dot, whose thread wake-ups cost more.
         parts = z.view(np.float64)

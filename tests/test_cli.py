@@ -472,8 +472,11 @@ def test_negative_seed_names_its_flag(path3, capsys, command, flag):
         (["analyze-complete", "5", "--t-max", "-1"], "--t-max must be nonnegative, got -1"),
         (["search", "--graph", "{graph}", "--mark-edge", "0", "1", "--steps", "1",
           "--guaranteed", "--max-calls", "0"], "--max-calls must be positive, got 0"),
+        (["search", "--graph", "{graph}", "--mark-edge", "0", "1", "--steps", "1",
+          "--trials", "0"], "--trials must be positive, got 0"),
+        (["sweep", "--graph", "{graph}", "--t-max", "-1"], "--t-max must be nonnegative, got -1"),
     ],
-    ids=["t-max", "max-calls"],
+    ids=["t-max", "max-calls", "trials", "sweep-t-max"],
 )
 def test_bad_count_names_its_flag(path3, capsys, argv, message):
     code = main([arg.format(graph=path3) for arg in argv])
@@ -507,6 +510,21 @@ def test_json_graph_with_colors(tmp_path, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out.splitlines()[0] == "t,p_marked"
+
+
+def test_json_graph_colors_are_ignored_in_node_mode(tmp_path, capsys):
+    doc = {"nodes": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+    outs = []
+    for name, extra in [("plain", {}), ("colored", {"colors": [1, 0, 1, 0]})]:
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps({**doc, **extra}))
+        code = main(
+            ["sweep", "--graph", str(f), "--format", "json",
+             "--mark-node", "2", "--t-max", "4"]
+        )
+        assert code == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_improper_colors_exit_2(tmp_path, capsys):
@@ -575,6 +593,24 @@ def test_unwritable_output_returns_1(path3, tmp_path, capsys, args):
     assert not out.parent.exists()
 
 
+def test_verify_missing_circuit_file_returns_1(path3, tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code = main(["verify", "--graph", path3, "--circuit", str(missing)])
+    assert code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("graphwalk: cannot read circuit file: [Errno 2] ")
+    assert str(missing) in out.err
+
+
+def test_whitespace_only_edge_list_returns_2(tmp_path, capsys):
+    f = tmp_path / "blank.txt"
+    f.write_text("  \n\t\n")
+    code = main(["sweep", "--graph", str(f), "--t-max", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == "graphwalk: graph error: no edges found\n"
+
+
 def test_disconnected_graph_returns_2(tmp_path, capsys):
     f = tmp_path / "broken.txt"
     f.write_text("0 1\n2 3\n")
@@ -625,3 +661,19 @@ def test_console_entry_point_and_log_env(path3):
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "t,p_marked"
     assert "parsed graph" in proc.stderr
+
+
+def test_debug_log_env_writes_info_to_stderr_only(path3):
+    argv = [sys.executable, "-m", "graphwalk.cli", "sweep", "--graph", path3,
+            "--mark-edge", "0", "1", "--t-max", "2"]
+    env = {k: v for k, v in os.environ.items() if k != "GRAPHWALK_LOG"}
+    quiet = subprocess.run(argv, capture_output=True, text=True, env=env)
+    loud = subprocess.run(
+        argv, capture_output=True, text=True, env=dict(env, GRAPHWALK_LOG="debug")
+    )
+    assert quiet.returncode == loud.returncode == 0
+    assert loud.stdout == quiet.stdout
+    assert quiet.stderr == ""
+    lines = loud.stderr.splitlines()
+    assert "INFO graphwalk: parsed graph: 3 nodes, 2 edges" in lines
+    assert all(line.startswith("INFO graphwalk: ") for line in lines)

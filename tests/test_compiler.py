@@ -158,6 +158,30 @@ def test_oracle_block_shape():
         compile_oracle(layout, [5])
 
 
+@pytest.mark.parametrize(
+    "mark", [2.9, "1", np.float64(1.0)], ids=["float", "string", "numpy-float"]
+)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda g, p, marked: compile_oracle(build_layout(g, p), marked),
+        compile_step,
+        verify_circuit_equivalence,
+    ],
+    ids=["oracle", "step", "verify"],
+)
+def test_marks_that_are_not_integers_are_rejected(build, mark):
+    g = path_graph(4)
+    with pytest.raises(TypeError):
+        build(g, coloring_polarity(g), [mark])
+
+
+def test_numpy_integer_marks_compile_as_ints():
+    g = path_graph(4)
+    p = coloring_polarity(g)
+    assert compile_step(g, p, [np.int64(2)]).to_json() == compile_step(g, p, [2]).to_json()
+
+
 def test_oracle_action_is_minus_pole_swap():
     g = complete_graph(2)
     layout = build_layout(g, coloring_polarity(g))

@@ -183,6 +183,8 @@ def _doc(text, fmt="edge-list"):
                      id="edges-negative"),
         pytest.param(_doc("# nothing here\n"), "no edges found", {"line": None},
                      id="edges-empty"),
+        pytest.param(_doc("  \n\t\n \r\n"), "no edges found", {"line": None},
+                     id="edges-whitespace-only"),
         pytest.param(_doc("0 1\n2 3"),
                      "graph is not connected: node 2 unreachable from node 0",
                      {"line": None}, id="edges-disconnected"),
@@ -196,6 +198,9 @@ def _doc(text, fmt="edge-list"):
                      id="json-no-nodes"),
         pytest.param(_doc('{"nodes": "3", "edges": []}', "json"),
                      '"nodes" must be an integer', {"line": None}, id="json-nodes-string"),
+        pytest.param(_doc('{"nodes": 3, "edges": 5}', "json"),
+                     '"edges" must be a list of [u, v] pairs', {"line": None},
+                     id="json-edges-not-a-list"),
         pytest.param(_doc('{"nodes": 2, "edges": [[0, 1, 2]]}', "json"),
                      "line 1: edge must be a [u, v] integer pair, got [0, 1, 2]",
                      {"line": 1}, id="json-triple"),
@@ -224,6 +229,9 @@ def _doc(text, fmt="edge-list"):
                      {"line": None}, id="unknown-format"),
         pytest.param(lambda: Graph(0, ()), "graph needs at least one node, got n=0",
                      {"edge": None, "first": None}, id="graph-no-nodes"),
+        pytest.param(lambda: Graph(3, [[0, 1, 2]]),
+                     "edges must be (u, v) pairs, got shape (1, 3)",
+                     {"edge": None, "first": None}, id="graph-not-pairs"),
         pytest.param(lambda: Graph(2, ((0, 2),)),
                      "edge (0, 2) has an endpoint outside 0..1", {"edge": 0, "first": None},
                      id="graph-out-of-range"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -758,3 +759,19 @@ def test_verify_250_node_regular_graph_exactly():
     g = random_regular_graph(250, 4, seed=1)
     report = verify_circuit_equivalence(g, coloring_polarity(g), [0])
     assert (report.max_deviation, report.max_leakage) == (0.0, 0.0)
+
+
+def test_verify_peaks_below_two_and_a_half_dense_matrices():
+    # E = 500: one dense (2E)^2 complex array is 15.3 MiB.  The model, the
+    # circuit's matrix and the gap are all dense; verify keeps no third
+    # complex one alive.
+    g = random_regular_graph(250, 4, seed=1)
+    p = coloring_polarity(g)
+    tracemalloc.start()
+    try:
+        report = verify_circuit_equivalence(g, p, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 2.5 * (2 * g.n_edges) ** 2 * 16

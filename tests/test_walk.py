@@ -90,6 +90,36 @@ def test_oracle_spec_rejects_non_unitary():
 
 
 @pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: CoinSpec(np.ones((3, 3))), r"^coin must be 2x2, got shape \(3, 3\)$"),
+        (lambda: CoinSpec(np.ones(4)), r"^coin must be 2x2, got shape \(4,\)$"),
+        (lambda: OracleSpec(frozenset({0}), np.ones((3, 3))),
+         r"^oracle action must be 2x2, got shape \(3, 3\)$"),
+    ],
+    ids=["coin-3x3", "coin-flat", "oracle-3x3"],
+)
+def test_spec_shape_is_checked_before_unitarity(make, message):
+    # np.ones((3, 3)) is not unitary either; the shape is named first.
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+@pytest.mark.parametrize(
+    "mark", [1.7, "3", np.float64(2.0)], ids=["float", "string", "numpy-float"]
+)
+def test_oracle_spec_rejects_marks_that_are_not_integers(mark):
+    with pytest.raises(TypeError):
+        OracleSpec(marked={mark})
+
+
+def test_oracle_spec_takes_numpy_integer_marks():
+    spec = OracleSpec(marked={np.int64(3), np.int32(1)})
+    assert spec.marked == frozenset({1, 3})
+    assert {type(k) for k in spec.marked} == {int}
+
+
+@pytest.mark.parametrize(
     "make", [CoinSpec, lambda m: OracleSpec(frozenset({0}), m)], ids=["coin", "oracle"]
 )
 def test_spec_copies_and_freezes_matrix(make):
@@ -510,8 +540,42 @@ def test_search_validates_input():
     p = coloring_polarity(g)
     with pytest.raises(ValueError, match="marked"):
         search(g, p, OracleSpec(), 1, 0)
+    with pytest.raises(ValueError, match="^search needs at least one marked edge$"):
+        guaranteed_search(g, p, OracleSpec(), 1, 0)
     with pytest.raises(ValueError, match="nonnegative"):
         search(g, p, MARK0, -1, 0)
+
+
+def test_plan_step_rejects_a_state_of_another_size():
+    g = path_graph(4)
+    plan = WalkPlan(g, coloring_polarity(g))
+    with pytest.raises(ValueError, match="^state has 2 edges, graph has 3$"):
+        plan.step(WalkState(np.zeros((2, 2))))
+
+
+def test_evolve_state_shares_no_buffer_with_its_plan():
+    g = star_graph(8)
+    p = coloring_polarity(g)
+    plan = WalkPlan(g, p, MARK0)
+    state = evolve(g, p, MARK0, 3, plan=plan)
+    want = state.psi.copy()
+    evolve(g, p, MARK0, 5, plan=plan)
+    plan.step(diagonal_state(g))
+    np.testing.assert_array_equal(state.psi, want)
+    assert state.t == 3
+    assert state.psi.flags.c_contiguous and state.psi.flags.writeable
+    buffers = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+    assert not any(np.shares_memory(state.psi, b) for b in buffers)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda g, p: evolve(g, p, None, 2), lambda g, p: sweep(g, p, OracleSpec(), 2)],
+    ids=["evolve", "sweep"],
+)
+def test_walk_needs_edges(run):
+    with pytest.raises(ValueError, match="^graph has no edges to walk on$"):
+        run(Graph(1, ()), PolarityMap(()))
 
 
 def test_guaranteed_search_certain_success():
@@ -590,6 +654,12 @@ def test_guaranteed_search_call_cap():
     assert info.value.calls == 1
     with pytest.raises(ValueError, match="cap"):
         guaranteed_search(g, p, MARK0, 0, 0, max_calls=0)
+
+
+def test_sweep_rejects_negative_t_max():
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="^t_max must be nonnegative, got -1$"):
+        sweep(g, coloring_polarity(g), MARK0, -1)
 
 
 def test_sweep_unmarked_constant_zero_column():

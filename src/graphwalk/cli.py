@@ -388,10 +388,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:  # argparse exits (usage errors, --help)
-        if isinstance(exc.code, int):
-            return exc.code
-        return EXIT_OK if exc.code is None else EXIT_CONFIG
+    except SystemExit as exc:  # argparse exits only through `exit`, with an int code
+        return exc.code
     except CallCapExceededError as exc:
         print(f"graphwalk: {exc}", file=sys.stderr)
         return EXIT_CALL_CAP

@@ -29,12 +29,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, count, repeat
-from operator import add, contains, index, is_, itemgetter, not_
+from operator import add, contains, is_, itemgetter, not_
 from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, PolarityMap, check_polarity, facing_amplitudes
+from .graph import Graph, PolarityMap, _edge_index, check_polarity, facing_amplitudes
 
 
 class CircuitError(ValueError):
@@ -277,7 +277,7 @@ def build_layout(
 def compile_oracle(layout: QubitLayout, marked) -> tuple[Instruction, ...]:
     """Sign-flip-and-swap on each marked edge's qubit pair (the -X action)."""
     out: list[Instruction] = []
-    for k in sorted(map(index, set(marked))):
+    for k in sorted(map(_edge_index, set(marked))):
         if not 0 <= k < layout.n_edges:
             raise CircuitError(f"marked edge {k} out of range")
         plus, minus = layout.edge_qubits[k]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,13 @@ def _int_array(values) -> np.ndarray:
         return np.asarray(values, dtype=np.int64)
     except OverflowError:
         return np.array(values, dtype=object)
+
+
+def _edge_index(k) -> int:
+    """k as an int edge index; like `operator.index`, but a bool is refused."""
+    if isinstance(k, bool):
+        raise TypeError("'bool' object cannot be interpreted as an edge index")
+    return operator.index(k)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -464,8 +472,8 @@ def _line_endpoints(text: str) -> list[int]:
     """The endpoints u, v, u, v, ... of an edge list, read line by line.
 
     Raises:
-        GraphParseError: On the first line that is not a pair of
-            non-negative integers.
+        GraphParseError: On the first line that is not a pair of node ids,
+            each ASCII digits only; a "-" before the digits is a negative id.
     """
     flat: list[int] = []
     for lineno, line in _edge_lines(text):
@@ -474,11 +482,14 @@ def _line_endpoints(text: str) -> list[int]:
             raise GraphParseError(
                 f"expected two node ids, got {len(parts)} fields: {line!r}", lineno
             )
+        ids = [s.removeprefix("-") for s in parts]
         try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
+            if not all(s.isascii() and s.isdigit() for s in ids):
+                raise ValueError
+            u, v = int(ids[0]), int(ids[1])
+        except ValueError:  # int() also refuses more digits than its limit
             raise GraphParseError(f"non-integer node id in {line!r}", lineno) from None
-        if u < 0 or v < 0:
+        if ids != parts:
             raise GraphParseError(f"negative node id in {line!r}", lineno)
         flat += (u, v)
     return flat

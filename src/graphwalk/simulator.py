@@ -36,7 +36,7 @@ out of the one-excitation subspace and that every register returned to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import count
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .walk import WalkState
 PRUNE_EPS = 1e-15
 GATE_NORM_TOL = 1e-13
 CIRCUIT_NORM_TOL = 1e-12
+LEAKAGE_TOL = 1e-10
 
 
 class SimulationError(RuntimeError):
@@ -100,13 +101,8 @@ def _checked_amps(state: SparseState) -> dict[int, complex]:
     return state.amps
 
 
-def _edge_rows(layout: QubitLayout) -> dict[int, int]:
-    """Map each edge qubit to its walk amplitude index 2e + c (edge e, pole c)."""
-    return {q: j for j, q in enumerate(chain.from_iterable(layout.edge_qubits))}
-
-
 def init_walk_superposition(layout: QubitLayout) -> SparseState:
-    """Uniform single-excitation state over all edge qubits, registers zero.
+    """Uniform single-excitation state over edge qubits 0..2E-1, registers zero.
 
     Raises:
         ValueError: If the layout has no edges.
@@ -116,7 +112,7 @@ def init_walk_superposition(layout: QubitLayout) -> SparseState:
     n = layout.n_qubits
     amp = complex(1.0 / np.sqrt(2 * layout.n_edges))
     top = 1 << (n - 1)  # the key of qubit q is top >> q
-    return SparseState(dict.fromkeys(map(top.__rshift__, _edge_rows(layout)), amp), n)
+    return SparseState(dict.fromkeys(map(top.__rshift__, range(2 * layout.n_edges)), amp), n)
 
 
 def _qubits(bits: int, n: int):
@@ -366,34 +362,31 @@ def run(circuit: Circuit, state: SparseState | None = None) -> SparseState:
 
 def _project(state: SparseState, layout: QubitLayout) -> tuple[np.ndarray, float]:
     """Split a state into walk amplitudes and leaked weight; a key beyond the
-    register raises SimulationError."""
-    rows = _edge_rows(layout)
-    n = state.n_qubits
-    psi = np.zeros(2 * layout.n_edges, dtype=complex)
+    register raises SimulationError.  Edge qubit q holds amplitude q; only its
+    one-bit key 2**(n - 1 - q) reads back, and every other key has leaked."""
+    n, m = state.n_qubits, 2 * layout.n_edges
+    psi = np.zeros(m, dtype=complex)
     leaked = 0.0
     for k, a in _checked_amps(state).items():
-        # The single excitation of qubit q is the one-bit key 2**(n - 1 - q).
-        row = rows.get(n - k.bit_length()) if k & (k - 1) == 0 else None
-        if row is None:
-            leaked += abs(a) ** 2
+        q = n - k.bit_length()
+        if k and k & (k - 1) == 0 and q < m:
+            psi[q] = a
         else:
-            psi[row] = a
+            leaked += abs(a) ** 2
     return psi.reshape(-1, 2), leaked
 
 
-def project_to_walk_state(
-    state: SparseState, layout: QubitLayout, tol: float = 1e-10
-) -> WalkState:
+def project_to_walk_state(state: SparseState, layout: QubitLayout) -> WalkState:
     """Read the walk amplitudes back out of a circuit state.
 
     Raises:
-        SubspaceLeakageError: If more than `tol` probability weight sits on
+        SubspaceLeakageError: If more than 1e-10 probability weight sits on
             basis states that are not a single excitation of an edge qubit
             (registers not restored, or multiple excitations).
         SimulationError: If a key lies beyond the register.
     """
     psi, leaked = _project(state, layout)
-    if leaked > tol:
+    if leaked > LEAKAGE_TOL:
         raise SubspaceLeakageError(leaked)
     return WalkState(psi)
 
@@ -416,22 +409,23 @@ def measure_edge(state: SparseState, layout: QubitLayout, seed=None) -> int:
 def _circuit_columns(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
     """The circuit's matrix on the walk amplitudes and each column's leakage.
 
-    Column j = 2e + c (edge e, pole c) starts as the group {j: 1} at the
-    excitation of edge_qubits[e][c]; gates never touch columns, so one
-    evolution carries all 2|E| columns side by side.
+    Column q starts as the group {q: 1} at edge qubit q; gates never touch
+    columns, so one evolution carries all 2|E| columns side by side.  A group
+    keyed by edge qubit q alone is row q; every other group has leaked.
     """
-    rows = {frozenset({q}): j for q, j in _edge_rows(circuit.layout).items()}
-    cols = _Columns({s: {j: 1.0 + 0j} for s, j in rows.items()}, circuit.n_qubits)
+    m = 2 * circuit.layout.n_edges
+    cols = _Columns({frozenset({q}): {q: 1.0 + 0j} for q in range(m)}, circuit.n_qubits)
     _evolve(cols, circuit)
-    mat = np.zeros((len(rows), len(rows)), dtype=complex)
-    leak = np.zeros(len(rows))
+    mat = np.zeros((m, m), dtype=complex)
+    leak = np.zeros(m)
     for i, grp in cols.groups.items():
-        row = rows.get(cols.keys[i])
-        if row is None:
+        k = cols.keys[i]
+        q = min(k) if len(k) == 1 else m
+        if q < m:
+            mat[q, list(grp)] = list(grp.values())
+        else:
             for j, a in grp.items():
                 leak[j] += abs(a) ** 2
-        else:
-            mat[row, list(grp)] = list(grp.values())
     return mat, leak
 
 

@@ -8,12 +8,11 @@ each node diffuses the amplitudes facing it with the degree-d Grover operator
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, PolarityMap, check_polarity, facing_amplitudes
+from .graph import Graph, PolarityMap, _edge_index, check_polarity, facing_amplitudes
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 MINUS_X = -PAULI_X
@@ -73,7 +72,7 @@ class OracleSpec:
     matrix: np.ndarray = field(default_factory=lambda: MINUS_X)
 
     def __post_init__(self):
-        object.__setattr__(self, "marked", frozenset(map(operator.index, self.marked)))
+        object.__setattr__(self, "marked", frozenset(map(_edge_index, self.marked)))
         object.__setattr__(self, "matrix", _check_unitary(self.matrix, "oracle action"))
 
 

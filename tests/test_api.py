@@ -80,6 +80,67 @@ PUBLIC_API = [
     "verify_circuit_equivalence",
 ]
 
+# Each public function's parameters: names, kinds and defaults, without
+# annotations, so that an option added or removed is deliberate too.
+SIGNATURES = {
+    "apply_instruction": "(state, ins)",
+    "build_layout": "(g, p, enumeration_seed=None)",
+    "check_polarity": "(g, p)",
+    "check_proper": "(g, colors)",
+    "circuit_from_json": "(text)",
+    "compile_coin": "(layout)",
+    "compile_diffusion": "(layout, node)",
+    "compile_oracle": "(layout, marked)",
+    "compile_scatter": "(layout, node)",
+    "compile_step": "(g, p, marked, enumeration_seed=None)",
+    "compile_transfer": "(layout, node)",
+    "compile_transfer_k": "(layout, node, k)",
+    "complete_graph": "(n)",
+    "complete_graph_report": "(n, t_max)",
+    "cycle_graph": "(n)",
+    "diagonal_state": "(g)",
+    "edge_probabilities": "(state)",
+    "evolve": "(g, p, oracle, steps, coin=None, *, plan=None)",
+    "greedy_coloring": "(g)",
+    "guaranteed_search": (
+        "(g, p, oracle, steps, seed=None, coin=None, max_calls=1000000, *, plan=None)"
+    ),
+    "init_walk_superposition": "(layout)",
+    "invert_instructions": "(instrs)",
+    "locality_audit": "(circuit)",
+    "measure_edge": "(state, layout, seed=None)",
+    "parse_graph": "(text, fmt='edge-list')",
+    "parse_graph_document": "(text, fmt='edge-list')",
+    "path_graph": "(n)",
+    "polarity_from_coloring": "(g, colors)",
+    "project_to_walk_state": "(state, layout)",
+    "random_connected_graph": "(n, extra_edges=0, seed=0)",
+    "reduced_vs_full": "(m, t_max, polarity=None)",
+    "run": "(circuit, state=None)",
+    "search": "(g, p, oracle, steps, seed=None, coin=None, *, plan=None)",
+    "star_graph": "(m)",
+    "star_initial_state": "(m)",
+    "star_matrix": "(m)",
+    "star_predicted_prob": "(m, t)",
+    "star_reduced_step": "(s)",
+    "star_spectrum": "(m)",
+    "starify": "(g)",
+    "step": "(state, g, p, coin=None, oracle=None)",
+    "step_circuit_matrix": "(circuit)",
+    "step_matrix": "(g, p, coin=None, oracle=None)",
+    "sweep": "(g, p, oracle, t_max, coin=None, predicted_t=None)",
+    "to_edge_list": "(g)",
+    "to_json": "(g)",
+    "verify_circuit_equivalence": (
+        "(g, p, marked, circuit=None, tolerance=1e-10, enumeration_seed=None)"
+    ),
+}
+
+
+def _parameters(f) -> str:
+    params = inspect.signature(f).parameters.values()
+    return str(inspect.Signature([p.replace(annotation=inspect.Parameter.empty) for p in params]))
+
 
 def test_public_api_is_pinned():
     # Submodules (graph, walk, ..., and cli once something imports it) are
@@ -91,3 +152,10 @@ def test_public_api_is_pinned():
         if not name.startswith("_") and not inspect.ismodule(getattr(graphwalk, name))
     ]
     assert names == PUBLIC_API
+
+
+def test_public_signatures_are_pinned():
+    functions = {name: getattr(graphwalk, name) for name in PUBLIC_API}
+    assert {
+        name: _parameters(f) for name, f in functions.items() if inspect.isfunction(f)
+    } == SIGNATURES

@@ -14,6 +14,7 @@ import pytest
 
 from graphwalk import (
     OracleSpec,
+    SimulationError,
     complete_graph,
     greedy_coloring,
     guaranteed_search,
@@ -22,6 +23,7 @@ from graphwalk import (
     star_graph,
     to_edge_list,
 )
+from graphwalk import simulator
 from graphwalk.cli import main
 
 
@@ -305,6 +307,20 @@ def test_verify_tampered_circuit_exits_4(path3, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
+def test_verify_simulation_error_exits_4(path3, capsys, monkeypatch):
+    def broken(cols, circuit):
+        raise SimulationError("circuit changed the squared norm by 1.000e+00")
+
+    monkeypatch.setattr(simulator, "_evolve", broken)
+    code = main(["verify", "--graph", path3, "--mark-edge", "0", "1"])
+    assert code == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "graphwalk: simulation error: circuit changed the squared norm by 1.000e+00\n"
+    )
+
+
 def test_verify_non_local_circuit_exits_1(path3, tmp_path, capsys):
     circ_file = tmp_path / "circuit.json"
     assert main(
@@ -542,10 +558,12 @@ def test_usage_error_returns_1(single_edge, capsys):
     assert main(["search", "--graph", single_edge, "--steps", "1"]) == 1
     assert "error" in capsys.readouterr().err
     assert main(["no-such-command"]) == 1
+    assert main([]) == 1
 
 
 def test_help_returns_0(capsys):
     assert main(["--help"]) == 0
+    assert main(["sweep", "--help"]) == 0
     assert "graphwalk" in capsys.readouterr().out
 
 
@@ -609,6 +627,16 @@ def test_whitespace_only_edge_list_returns_2(tmp_path, capsys):
     code = main(["sweep", "--graph", str(f), "--t-max", "1"])
     assert code == 2
     assert capsys.readouterr().err == "graphwalk: graph error: no edges found\n"
+
+
+def test_edge_list_node_ids_are_ascii_digits(tmp_path, capsys):
+    f = tmp_path / "signed.txt"
+    f.write_text("0 1\n1 +2\n2 \u0663\n")
+    code = main(["sweep", "--graph", str(f), "--t-max", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "graphwalk: graph error: line 2: non-integer node id in '1 +2'\n"
+    )
 
 
 def test_disconnected_graph_returns_2(tmp_path, capsys):

@@ -159,7 +159,9 @@ def test_oracle_block_shape():
 
 
 @pytest.mark.parametrize(
-    "mark", [2.9, "1", np.float64(1.0)], ids=["float", "string", "numpy-float"]
+    "mark",
+    [2.9, "1", np.float64(1.0), True, False],
+    ids=["float", "string", "numpy-float", "true", "false"],
 )
 @pytest.mark.parametrize(
     "build",

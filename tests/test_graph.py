@@ -63,6 +63,12 @@ def test_parse_edge_list_comments_and_blanks():
         ("0 0", 1, "self-loop"),
         ("0 1\n1 0", 2, "duplicate"),
         ("0 -1", 1, "negative"),
+        ("0 -0", 1, "negative"),
+        ("0 1\n1 +2", 2, "non-integer"),
+        ("0 1\n1 0_2", 2, "non-integer"),
+        ("0 1\n1 \uff12", 2, "non-integer"),  # full-width 2
+        ("0 1\n1 \u0663", 2, "non-integer"),  # Arabic-Indic 3
+        ("0 1\n1 --2", 2, "non-integer"),
     ],
 )
 def test_parse_edge_list_errors_carry_line(text, line, what):
@@ -305,6 +311,10 @@ def test_tokenizers_agree(style):
         text = _write(written, rng, style)
         fast = _plain_endpoints(text)
         assert (fast is None) == (style not in PLAIN)
+        if style == "signed":  # "+u" is not ASCII digits, so both readers refuse it
+            with pytest.raises(GraphParseError, match="line 1: non-integer node id"):
+                _line_endpoints(text)
+            continue
         slow = _line_endpoints(text)
         if fast is not None:
             assert fast.tolist() == slow
@@ -573,6 +583,9 @@ def test_round_trip_serialization():
     assert path_graph(3) != Graph(3, ((1, 2), (0, 1)))  # same edges, other indices
     assert path_graph(3) != path_graph(4)
     assert PolarityMap((1, 1)) != PolarityMap((1, 2))
+    # against another type, __eq__ defers and identity decides
+    assert path_graph(3) != "0 1\n1 2"
+    assert PolarityMap((1, 1)) != (1, 1)
 
 
 def test_graph_and_polarity_arrays_are_read_only():
@@ -596,7 +609,13 @@ def test_polarity_copies_its_input():
 
 @pytest.mark.parametrize(
     "builder, bad",
-    [(path_graph, 1), (cycle_graph, 2), (star_graph, 0), (complete_graph, 1)],
+    [
+        (path_graph, 1),
+        (cycle_graph, 2),
+        (star_graph, 0),
+        (complete_graph, 1),
+        (random_connected_graph, 1),
+    ],
 )
 def test_constructor_range_errors(builder, bad):
     with pytest.raises(GraphError):

@@ -45,7 +45,7 @@ from graphwalk import (
     verify_circuit_equivalence,
 )
 from graphwalk import simulator
-from graphwalk.simulator import CIRCUIT_NORM_TOL, GATE_NORM_TOL, apply_instruction
+from graphwalk.simulator import CIRCUIT_NORM_TOL, GATE_NORM_TOL, LEAKAGE_TOL, apply_instruction
 from helpers import (
     basis_label,
     dense_instruction_matrix,
@@ -266,6 +266,34 @@ def test_project_detects_register_leakage():
     with pytest.raises(SubspaceLeakageError) as info:
         project_to_walk_state(stuck, layout)
     assert info.value.leaked > 0.4
+
+
+@pytest.mark.parametrize("off", ["empty", "flag", "two-edges"])
+def test_project_counts_each_key_off_the_edge_qubits_as_leaked(off):
+    g = path_graph(3)
+    layout = build_layout(g, coloring_polarity(g))
+    n = layout.n_qubits
+    key = {q: 1 << (n - 1 - q) for q in range(n)}
+    stray = {"empty": 0, "flag": key[layout.node_registers[0].flag], "two-edges": key[1] | key[2]}
+    for weight in (2 * LEAKAGE_TOL, LEAKAGE_TOL / 2):
+        amps = {key[1]: complex(np.sqrt(1 - weight)), stray[off]: complex(np.sqrt(weight))}
+        state = SparseState(amps, n)
+        if weight > LEAKAGE_TOL:
+            with pytest.raises(SubspaceLeakageError) as info:
+                project_to_walk_state(state, layout)
+            assert info.value.leaked == pytest.approx(weight)
+        else:
+            psi = project_to_walk_state(state, layout).psi.reshape(-1)
+            assert psi.tolist() == [0, amps[key[1]], 0, 0]  # edge qubit q holds amplitude q
+
+
+def test_project_reads_no_edge_amplitude_off_the_empty_key():
+    # On a 2-qubit register the empty key has bit length 0, as if it were
+    # qubit 2, which is an edge qubit of path 3; it still leaks.
+    g = path_graph(3)
+    layout = build_layout(g, coloring_polarity(g))
+    with pytest.raises(SubspaceLeakageError):
+        project_to_walk_state(SparseState({0: 1.0 + 0j}, 2), layout)
 
 
 def test_measure_edge_one_hot():

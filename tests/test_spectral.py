@@ -72,6 +72,11 @@ def test_small_stars_rejected(m):
         star_spectrum(m)
 
 
+def test_reduced_vs_full_rejects_negative_t_max():
+    with pytest.raises(ValueError, match="t_max must be nonnegative"):
+        reduced_vs_full(3, -1)
+
+
 @pytest.mark.parametrize("m", [2, 10, 100, 10_000])
 def test_eigenvalues_match_closed_form(m):
     spectrum = star_spectrum(m)

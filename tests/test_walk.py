@@ -106,7 +106,9 @@ def test_spec_shape_is_checked_before_unitarity(make, message):
 
 
 @pytest.mark.parametrize(
-    "mark", [1.7, "3", np.float64(2.0)], ids=["float", "string", "numpy-float"]
+    "mark",
+    [1.7, "3", np.float64(2.0), True, False],
+    ids=["float", "string", "numpy-float", "true", "false"],
 )
 def test_oracle_spec_rejects_marks_that_are_not_integers(mark):
     with pytest.raises(TypeError):

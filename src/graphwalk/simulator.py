@@ -361,10 +361,13 @@ def run(circuit: Circuit, state: SparseState | None = None) -> SparseState:
 
 
 def _project(state: SparseState, layout: QubitLayout) -> tuple[np.ndarray, float]:
-    """Split a state into walk amplitudes and leaked weight; a key beyond the
-    register raises SimulationError.  Edge qubit q holds amplitude q; only its
-    one-bit key 2**(n - 1 - q) reads back, and every other key has leaked."""
+    """Split a state into walk amplitudes and leaked weight; a state of
+    another width or a key beyond the register raises SimulationError.  Edge
+    qubit q holds amplitude q; only its one-bit key 2**(n - 1 - q) reads back,
+    and every other key has leaked."""
     n, m = state.n_qubits, 2 * layout.n_edges
+    if n != layout.n_qubits:
+        raise SimulationError(f"state has {n} qubits, layout expects {layout.n_qubits}")
     psi = np.zeros(m, dtype=complex)
     leaked = 0.0
     for k, a in _checked_amps(state).items():
@@ -383,7 +386,8 @@ def project_to_walk_state(state: SparseState, layout: QubitLayout) -> WalkState:
         SubspaceLeakageError: If more than 1e-10 probability weight sits on
             basis states that are not a single excitation of an edge qubit
             (registers not restored, or multiple excitations).
-        SimulationError: If a key lies beyond the register.
+        SimulationError: If the state has another width than the layout's
+            register, or a key lies beyond the register.
     """
     psi, leaked = _project(state, layout)
     if leaked > LEAKAGE_TOL:
@@ -403,7 +407,7 @@ def measure_edge(state: SparseState, layout: QubitLayout, seed=None) -> int:
     total = float(probs.sum())
     if total <= 0.0:
         raise SimulationError("no probability weight on the edge qubits")
-    return walk._draw(np.cumsum(probs), walk._as_rng(seed))
+    return int(walk._draw(np.cumsum(probs), walk._as_rng(seed))[0])
 
 
 def _circuit_columns(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:

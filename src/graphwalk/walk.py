@@ -198,9 +198,9 @@ class WalkPlan:
 
         coin_m = (coin if coin is not None else CoinSpec()).matrix
         marked_m = coin_m @ oracle.matrix if oracle is not None else coin_m
-        is_marked = np.zeros(n_edges, dtype=bool)
-        is_marked[marked] = True
-        on_marked = is_marked[self._dst >> 1]
+        self._is_marked = np.zeros(n_edges, dtype=bool)
+        self._is_marked[marked] = True
+        on_marked = self._is_marked[self._dst >> 1]
         self._rows = None
         if np.array_equal(coin_m, PAULI_X) and (
             oracle is None or np.array_equal(oracle.matrix, MINUS_X)
@@ -355,10 +355,12 @@ def _check_norm(total: float) -> None:
         raise ValueError(f"state norm drifted: total probability {total!r}")
 
 
-def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF sample of an index from a cumulative weight vector."""
-    u = rng.random() * cdf[-1]
-    return int(min(np.searchsorted(cdf, u, side="right"), len(cdf) - 1))
+def _draw(cdf: np.ndarray, rng: np.random.Generator, n: int = 1) -> np.ndarray:
+    """`n` inverse-CDF samples of an index from a cumulative weight vector:
+    `rng.random(n)` gives the doubles of `n` single `rng.random()` calls, so
+    the draws, and where `rng` is left, are those of `n` single draws."""
+    u = rng.random(n) * cdf[-1]
+    return np.searchsorted(cdf[:-1], u, side="right")  # at most len(cdf) - 1
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -410,7 +412,7 @@ def search(
     if not oracle.marked:
         raise ValueError("search needs at least one marked edge")
     plan = _plan_for(g, p, oracle, coin, plan)
-    return _draw(plan.cdf(steps), _as_rng(seed))
+    return int(_draw(plan.cdf(steps), _as_rng(seed))[0])
 
 
 def guaranteed_search(
@@ -428,7 +430,9 @@ def guaranteed_search(
 
     The final distribution is computed once (or taken from `plan`, as in
     `search`); each draw models one run-and-measure round followed by an
-    oracle check of the outcome.
+    oracle check of the outcome.  Draws are made in batches, sized from the
+    marked mass and doubling up to 2**14; a Generator passed as `seed` is left
+    exactly where `calls` (on a miss, `max_calls`) single draws leave it.
 
     Returns:
         (edge, calls): the marked edge found and the number of draws used.
@@ -440,12 +444,26 @@ def guaranteed_search(
         raise ValueError("search needs at least one marked edge")
     if max_calls < 1:
         raise ValueError(f"call cap must be positive, got {max_calls}")
-    cdf = _plan_for(g, p, oracle, coin, plan).cdf(steps)
+    plan = _plan_for(g, p, oracle, coin, plan)
+    cdf, is_marked = plan.cdf(steps), plan._is_marked
     rng = _as_rng(seed)
-    for calls in range(1, max_calls + 1):
-        edge = _draw(cdf, rng)
-        if edge in oracle.marked:
-            return edge, calls
+    mass = float(sum(cdf[k] - (cdf[k - 1] if k else 0.0) for k in oracle.marked) / cdf[-1])
+    ceiling = 1 << 14  # bounds a batch's memory whatever max_calls is
+    n = ceiling if mass * ceiling <= 1.0 else round(1.0 / mass)
+    calls = 0
+    while calls < max_calls:
+        n = min(n, max_calls - calls)
+        saved = rng.bit_generator.state if n > 1 else None
+        edges = _draw(cdf, rng, n)
+        hits = is_marked[edges]
+        i = int(hits.argmax())
+        if hits[i]:
+            if i + 1 < n:  # put rng back to just after the hit
+                rng.bit_generator.state = saved
+                rng.random(i + 1)
+            return int(edges[i]), calls + i + 1
+        calls += n
+        n = min(2 * n, ceiling)
     raise CallCapExceededError(max_calls)
 
 

@@ -289,11 +289,26 @@ def test_project_counts_each_key_off_the_edge_qubits_as_leaked(off):
 
 def test_project_reads_no_edge_amplitude_off_the_empty_key():
     # On a 2-qubit register the empty key has bit length 0, as if it were
-    # qubit 2, which is an edge qubit of path 3; it still leaks.
+    # qubit 2, which is an edge qubit of path 3's 8-qubit layout; the state's
+    # width is rejected before the key is read.
     g = path_graph(3)
     layout = build_layout(g, coloring_polarity(g))
-    with pytest.raises(SubspaceLeakageError):
+    with pytest.raises(SimulationError, match="^state has 2 qubits, layout expects 8$"):
         project_to_walk_state(SparseState({0: 1.0 + 0j}, 2), layout)
+
+
+@pytest.mark.parametrize("read", [project_to_walk_state, measure_edge], ids=["project", "measure"])
+@pytest.mark.parametrize("width", [2, 9])
+def test_state_of_another_width_is_rejected(read, width):
+    # Key 1 is qubit width - 1: on 2 qubits, edge 0's - pole of path 3's
+    # 8-qubit layout; on 9, one past its register.
+    g = path_graph(3)
+    layout = build_layout(g, coloring_polarity(g))
+    assert layout.n_qubits == 8
+    with pytest.raises(SimulationError) as info:
+        read(SparseState({1: 1.0 + 0j}, width), layout)
+    assert not isinstance(info.value, SubspaceLeakageError)
+    assert str(info.value) == f"state has {width} qubits, layout expects 8"
 
 
 def test_measure_edge_one_hot():

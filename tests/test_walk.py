@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from graphwalk import (
     PolarityMap,
     WalkPlan,
     WalkState,
+    build_layout,
     complete_graph,
     cycle_graph,
     diagonal_state,
@@ -23,6 +25,8 @@ from graphwalk import (
     evolve,
     greedy_coloring,
     guaranteed_search,
+    init_walk_superposition,
+    measure_edge,
     path_graph,
     polarity_from_coloring,
     random_connected_graph,
@@ -656,6 +660,121 @@ def test_guaranteed_search_call_cap():
     assert info.value.calls == 1
     with pytest.raises(ValueError, match="cap"):
         guaranteed_search(g, p, MARK0, 0, 0, max_calls=0)
+
+
+def _lasvegas_cases():
+    """(g, p, oracle, steps) with marked mass about 0.003, 0.978 and 1."""
+    star = starify(random_connected_graph(300, 600, seed=1))
+    low = OracleSpec(marked=frozenset({star.virtual_edge_of(0)}))
+    return [
+        (star.graph, coloring_polarity(star.graph), low, 1),
+        (star_graph(16), coloring_polarity(star_graph(16)), MARK0, 4),
+        (complete_graph(2), coloring_polarity(complete_graph(2)), MARK0, 3),
+    ]
+
+
+# sha256 of guaranteed_search's results and of the shared Generator's final
+# state, recorded with the draw-by-draw loop, pinned so that drawing in
+# batches stays bitwise the same.
+_LASVEGAS_SHA256 = "b50e11794a6dd8df238e4c25227f5287360e676758a06a62d096798b3920b8dc"
+
+
+def test_guaranteed_search_bytes_are_pinned():
+    shared = np.random.default_rng(2024)
+    results = []
+    for g, p, oracle, steps in _lasvegas_cases():
+        plan = WalkPlan(g, p, oracle)
+        results += [guaranteed_search(g, p, oracle, steps, s, plan=plan) for s in range(20)]
+        results += [guaranteed_search(g, p, oracle, steps, shared, plan=plan) for _ in range(200)]
+    payload = repr(results) + repr(shared.bit_generator.state)
+    assert hashlib.sha256(payload.encode()).hexdigest() == _LASVEGAS_SHA256
+
+
+def _scalar_lasvegas(cdf, marked, rng, max_calls):
+    """Draw by draw until a marked edge: the reference for batched draws."""
+    for calls in range(1, max_calls + 1):
+        u = rng.random() * cdf[-1]
+        edge = int(min(np.searchsorted(cdf, u, side="right"), len(cdf) - 1))
+        if edge in marked:
+            return edge, calls
+    return None, max_calls
+
+
+def _zero_mass_plan(steps):
+    """A 16-leaf star plan for MARK0 whose cached distribution at `steps`
+    puts no weight on edge 0, so every draw misses."""
+    g = star_graph(16)
+    plan = WalkPlan(g, coloring_polarity(g), MARK0)
+    cdf = np.cumsum(np.r_[0.0, np.full(15, 1 / 15)])
+    cdf.setflags(write=False)
+    plan._cdf = (steps, cdf)
+    return plan
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox]
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize(
+    "case, max_calls, seeds",
+    [
+        ("low", 3, range(5)),  # a cap below the first batch (318 draws)
+        ("low", 10**6, range(5)),  # hits after several doubled batches
+        ("star", 10**6, range(5)),
+        ("zero", 40_000, range(2)),  # misses over 16384 + 16384 + 7232 draws
+    ],
+    ids=["low-cap-3", "low", "star", "zero-cap-40000"],
+)
+def test_guaranteed_search_leaves_rng_after_exactly_calls_draws(bit_generator, case, max_calls, seeds):
+    if case == "zero":
+        plan, steps = _zero_mass_plan(1), 1
+    else:
+        g, p, oracle, steps = _lasvegas_cases()[case == "star"]
+        plan = WalkPlan(g, p, oracle)
+    cdf = plan.cdf(steps)
+    for seed in seeds:
+        rng = np.random.Generator(bit_generator(seed))
+        ref = np.random.Generator(bit_generator(seed))
+        edge, calls = _scalar_lasvegas(cdf, plan.oracle.marked, ref, max_calls)
+        if edge is None:
+            with pytest.raises(CallCapExceededError) as info:
+                guaranteed_search(plan.g, plan.p, plan.oracle, steps, rng, max_calls=max_calls, plan=plan)
+            assert info.value.calls == max_calls
+        else:
+            assert guaranteed_search(
+                plan.g, plan.p, plan.oracle, steps, rng, max_calls=max_calls, plan=plan
+            ) == (edge, calls)
+        np.testing.assert_array_equal(rng.random(3), ref.random(3))
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_search_and_measure_edge_take_one_draw(bit_generator):
+    g = star_graph(5)
+    p = coloring_polarity(g)
+    layout = build_layout(g, p)
+    draws = [
+        lambda rng: search(g, p, MARK0, 2, rng),
+        lambda rng: measure_edge(init_walk_superposition(layout), layout, rng),
+    ]
+    for draw in draws:
+        rng = np.random.Generator(bit_generator(7))
+        ref = np.random.Generator(bit_generator(7))
+        draw(rng)
+        ref.random()
+        np.testing.assert_array_equal(rng.random(3), ref.random(3))
+
+
+def test_guaranteed_search_on_zero_marked_mass_stays_bounded():
+    plan = _zero_mass_plan(2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CallCapExceededError) as info:
+            guaranteed_search(plan.g, plan.p, MARK0, 2, 0, max_calls=10**6, plan=plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.calls == 10**6
+    assert peak < 1 << 20
 
 
 def test_sweep_rejects_negative_t_max():

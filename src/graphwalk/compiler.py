@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, PolarityMap, _edge_index, check_polarity, facing_amplitudes
+from .graph import Graph, PolarityMap, _index, check_polarity, facing_amplitudes
 
 
 class CircuitError(ValueError):
@@ -277,7 +277,7 @@ def build_layout(
 def compile_oracle(layout: QubitLayout, marked) -> tuple[Instruction, ...]:
     """Sign-flip-and-swap on each marked edge's qubit pair (the -X action)."""
     out: list[Instruction] = []
-    for k in sorted(map(_edge_index, set(marked))):
+    for k in sorted(map(_index, set(marked))):
         if not 0 <= k < layout.n_edges:
             raise CircuitError(f"marked edge {k} out of range")
         plus, minus = layout.edge_qubits[k]

@@ -54,10 +54,11 @@ def _int_array(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _edge_index(k) -> int:
-    """k as an int edge index; like `operator.index`, but a bool is refused."""
+def _index(k, what: str = "an edge index") -> int:
+    """k as an int (an edge index, a step count, a cap); like
+    `operator.index`, but a bool is refused."""
     if isinstance(k, bool):
-        raise TypeError("'bool' object cannot be interpreted as an edge index")
+        raise TypeError(f"'bool' object cannot be interpreted as {what}")
     return operator.index(k)
 
 

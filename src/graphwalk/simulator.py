@@ -407,7 +407,7 @@ def measure_edge(state: SparseState, layout: QubitLayout, seed=None) -> int:
     total = float(probs.sum())
     if total <= 0.0:
         raise SimulationError("no probability weight on the edge qubits")
-    return int(walk._draw(np.cumsum(probs), walk._as_rng(seed))[0])
+    return walk._draw(np.cumsum(probs), walk._as_rng(seed))
 
 
 def _circuit_columns(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, PolarityMap, _edge_index, check_polarity, facing_amplitudes
+from .graph import Graph, PolarityMap, _index, check_polarity, facing_amplitudes
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 MINUS_X = -PAULI_X
@@ -72,7 +72,7 @@ class OracleSpec:
     matrix: np.ndarray = field(default_factory=lambda: MINUS_X)
 
     def __post_init__(self):
-        object.__setattr__(self, "marked", frozenset(map(_edge_index, self.marked)))
+        object.__setattr__(self, "marked", frozenset(map(_index, self.marked)))
         object.__setattr__(self, "matrix", _check_unitary(self.matrix, "oracle action"))
 
 
@@ -136,10 +136,11 @@ class WalkPlan:
     reduce to gathering each pole's partner and negating the marked edges.
 
     The plan remembers the cumulative edge distribution of its last
-    evolution, so repeated draws at one step count evolve once.  It also
-    keeps the work buffers of a step, which writes the new amplitudes into
-    `state.psi` itself (a non-contiguous or read-only `psi` is first replaced
-    by a contiguous copy), so threads must not share a plan.
+    evolution, so repeated draws at one step count evolve once, and the
+    marked edges' bounds in it that `guaranteed_search` draws against.  It
+    also keeps the work buffers of a step, which writes the new amplitudes
+    into `state.psi` itself (a non-contiguous or read-only `psi` is first
+    replaced by a contiguous copy), so threads must not share a plan.
 
     Attributes:
         g, p, oracle, coin: What the plan was built for, as passed.
@@ -198,9 +199,9 @@ class WalkPlan:
 
         coin_m = (coin if coin is not None else CoinSpec()).matrix
         marked_m = coin_m @ oracle.matrix if oracle is not None else coin_m
-        self._is_marked = np.zeros(n_edges, dtype=bool)
-        self._is_marked[marked] = True
-        on_marked = self._is_marked[self._dst >> 1]
+        is_marked = np.zeros(n_edges, dtype=bool)
+        is_marked[marked] = True
+        on_marked = is_marked[self._dst >> 1]
         self._rows = None
         if np.array_equal(coin_m, PAULI_X) and (
             oracle is None or np.array_equal(oracle.matrix, MINUS_X)
@@ -219,6 +220,7 @@ class WalkPlan:
             self._reads = (self._at[self._dst - pole], self._at[self._dst - pole + 1])
             self._rows = (rows[:, 0].copy(), rows[:, 1].copy())
         self._cdf: tuple[int, np.ndarray] | None = None
+        self._bounds: tuple[np.ndarray, np.ndarray, np.ndarray, float] | None = None
 
     def _check(self, state: WalkState) -> None:
         if state.n_edges != self.n_edges:
@@ -284,12 +286,37 @@ class WalkPlan:
         The last result is kept (read-only) and returned again for the same
         step count.
         """
+        steps = _index(steps, "a step count")
         if self._cdf is None or self._cdf[0] != steps:
             state = evolve(self.g, self.p, self.oracle, steps, self.coin, plan=self)
             cdf = np.cumsum(edge_probabilities(state))
             cdf.setflags(write=False)
             self._cdf = (steps, cdf)
         return self._cdf[1]
+
+    def _marked_bounds(self, cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """The marked edges in ascending order, their bounds in `cdf` and their mass.
+
+        `_draw` picks edge k for lo_k <= u < hi_k, where lo_k = cdf[k - 1]
+        (-inf for edge 0) and hi_k = cdf[k] (+inf for the last edge).
+        `bounds` is [lo_1, hi_1, lo_2, hi_2, ...] over the marked edges, a
+        sorted array, so a draw u hits marked edge j exactly when
+        searchsorted(bounds, u, side="right") is 2j + 1.  `mass` is the
+        marked share of cdf[-1].  They are kept with the `cdf` they were read
+        from and read again for another one.
+        """
+        if self._bounds is None or self._bounds[0] is not cdf:
+            marked = np.array(sorted(self.oracle.marked), dtype=np.intp)
+            lo = np.where(marked > 0, cdf[marked - 1], 0.0)
+            hi = cdf[marked]
+            mass = float((hi - lo).sum() / cdf[-1])
+            bounds = np.stack((lo, hi), axis=1).ravel()
+            if marked[0] == 0:
+                bounds[0] = -np.inf
+            if marked[-1] == len(cdf) - 1:
+                bounds[-1] = np.inf
+            self._bounds = (cdf, marked, bounds, mass)
+        return self._bounds[1:]
 
     def matrix(self) -> np.ndarray:
         """Dense matrix of one step on the 2|E| amplitudes.
@@ -355,12 +382,11 @@ def _check_norm(total: float) -> None:
         raise ValueError(f"state norm drifted: total probability {total!r}")
 
 
-def _draw(cdf: np.ndarray, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-    """`n` inverse-CDF samples of an index from a cumulative weight vector:
-    `rng.random(n)` gives the doubles of `n` single `rng.random()` calls, so
-    the draws, and where `rng` is left, are those of `n` single draws."""
-    u = rng.random(n) * cdf[-1]
-    return np.searchsorted(cdf[:-1], u, side="right")  # at most len(cdf) - 1
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """One inverse-CDF sample of an index from a cumulative weight vector,
+    made from one `rng.random()` double."""
+    u = rng.random() * cdf[-1]
+    return int(np.searchsorted(cdf[:-1], u, side="right"))  # at most len(cdf) - 1
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -383,6 +409,7 @@ def evolve(
     `plan`, when given, must have been built for these g, p, oracle and coin.
     """
     plan = _plan_for(g, p, oracle, coin, plan)
+    steps = _index(steps, "a step count")
     if steps < 0:
         raise ValueError(f"step count must be nonnegative, got {steps}")
     for z in plan._walk(steps):
@@ -412,7 +439,7 @@ def search(
     if not oracle.marked:
         raise ValueError("search needs at least one marked edge")
     plan = _plan_for(g, p, oracle, coin, plan)
-    return int(_draw(plan.cdf(steps), _as_rng(seed))[0])
+    return _draw(plan.cdf(steps), _as_rng(seed))
 
 
 def guaranteed_search(
@@ -430,38 +457,55 @@ def guaranteed_search(
 
     The final distribution is computed once (or taken from `plan`, as in
     `search`); each draw models one run-and-measure round followed by an
-    oracle check of the outcome.  Draws are made in batches, sized from the
-    marked mass and doubling up to 2**14; a Generator passed as `seed` is left
-    exactly where `calls` (on a miss, `max_calls`) single draws leave it.
+    oracle check of the outcome.  The check needs only whether the draw fell
+    in a marked edge's interval of the cumulative distribution, so a draw
+    searches the 2m bounds of the m marked intervals rather than all E
+    entries, and picks the edge a single `search` draw would.  Draws are made
+    in batches, sized from the marked mass and doubling up to 2**14; a
+    Generator passed as `seed` is left exactly where `calls` (on a miss,
+    `max_calls`) single draws leave it.
 
     Returns:
         (edge, calls): the marked edge found and the number of draws used.
 
     Raises:
         CallCapExceededError: After `max_calls` unsuccessful draws.
+
+    Examples:
+        >>> from graphwalk import greedy_coloring, polarity_from_coloring, star_graph
+        >>> g = star_graph(16)
+        >>> p = polarity_from_coloring(g, greedy_coloring(g))
+        >>> oracle = OracleSpec(marked=frozenset({0}))
+        >>> guaranteed_search(g, p, oracle, 0, seed=3)  # uniform: p = 1/16
+        (0, 21)
+        >>> guaranteed_search(g, p, oracle, 4, seed=3)  # the peak: p = 0.978
+        (0, 1)
     """
     if not oracle.marked:
         raise ValueError("search needs at least one marked edge")
+    max_calls = _index(max_calls, "a call cap")
     if max_calls < 1:
         raise ValueError(f"call cap must be positive, got {max_calls}")
     plan = _plan_for(g, p, oracle, coin, plan)
-    cdf, is_marked = plan.cdf(steps), plan._is_marked
+    cdf = plan.cdf(steps)
+    marked, bounds, mass = plan._marked_bounds(cdf)
     rng = _as_rng(seed)
-    mass = float(sum(cdf[k] - (cdf[k - 1] if k else 0.0) for k in oracle.marked) / cdf[-1])
     ceiling = 1 << 14  # bounds a batch's memory whatever max_calls is
     n = ceiling if mass * ceiling <= 1.0 else round(1.0 / mass)
     calls = 0
     while calls < max_calls:
         n = min(n, max_calls - calls)
         saved = rng.bit_generator.state if n > 1 else None
-        edges = _draw(cdf, rng, n)
-        hits = is_marked[edges]
-        i = int(hits.argmax())
-        if hits[i]:
+        # `rng.random(n)` gives the doubles of n single draws, so these are
+        # _draw's u; an odd position is a hit on marked[pos >> 1]
+        pos = bounds.searchsorted(rng.random(n) * cdf[-1], side="right")
+        odd = pos & 1
+        i = int(odd.argmax())
+        if odd[i]:
             if i + 1 < n:  # put rng back to just after the hit
                 rng.bit_generator.state = saved
                 rng.random(i + 1)
-            return int(edges[i]), calls + i + 1
+            return int(marked[pos[i] >> 1]), calls + i + 1
         calls += n
         n = min(2 * n, ceiling)
     raise CallCapExceededError(max_calls)
@@ -525,6 +569,7 @@ def sweep(
     the smallest t.
     """
     plan = WalkPlan(g, p, oracle, coin)
+    t_max = _index(t_max, "a step count")
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
     marked = tuple(sorted(oracle.marked))

@@ -19,6 +19,7 @@ from graphwalk import (
     greedy_coloring,
     guaranteed_search,
     polarity_from_coloring,
+    random_connected_graph,
     search,
     star_graph,
     to_edge_list,
@@ -160,6 +161,36 @@ def test_search_call_cap_exit_code(star16, capsys):
     )
     assert code == 3
     assert "after 1 oracle calls" in capsys.readouterr().err
+
+
+# sha256 of `search --mark-node 7 --steps 1 --trials 24 --seed 3` output on
+# a starified random graph (marked mass about 0.003, so a guaranteed trial
+# takes hundreds of draws), recorded while each draw searched the whole
+# cumulative distribution; a cap of 20 calls misses and prints nothing.
+_SEARCH_SHA256 = {
+    "guaranteed": "c94f82e7edb8a86e86b457e38dab636f749fa8c29858335466229b2bbd55bf8e",
+    "single-draw": "3711a29852156eb6e4410abac84e87e3386b5da5742b067beb5351698f2cc8a9",
+    "cap-20": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+_SEARCH_FLAGS = {
+    "guaranteed": (["--guaranteed"], 0),
+    "single-draw": ([], 0),
+    "cap-20": (["--guaranteed", "--max-calls", "20"], 3),
+}
+
+
+@pytest.mark.parametrize("case", list(_SEARCH_SHA256))
+def test_search_output_bytes_are_pinned(case, tmp_path, capsys):
+    graph = tmp_path / "random.txt"
+    graph.write_text(to_edge_list(random_connected_graph(300, 600, seed=1)))
+    flags, want = _SEARCH_FLAGS[case]
+    code = main(["search", "--graph", str(graph), "--mark-node", "7", "--steps", "1",
+                 "--trials", "24", "--seed", "3", *flags])
+    out, err = capsys.readouterr()
+    assert code == want
+    assert hashlib.sha256(out.encode()).hexdigest() == _SEARCH_SHA256[case]
+    if want == 3:
+        assert err == "graphwalk: no marked edge found after 20 oracle calls\n"
 
 
 def test_sweep_csv_output(path3, capsys):

@@ -711,6 +711,44 @@ def _zero_mass_plan(steps):
     return plan
 
 
+def _hand_built_plan(marked, weights, steps):
+    """A 16-leaf star plan marking `marked` whose cached distribution at
+    `steps` is the cumulative sum of `weights`."""
+    g = star_graph(16)
+    plan = WalkPlan(g, coloring_polarity(g), OracleSpec(marked=frozenset(marked)))
+    cdf = np.cumsum(weights)
+    cdf.setflags(write=False)
+    plan._cdf = (steps, cdf)
+    return plan
+
+
+# Edges 0, 3, 4, 7, 9 and 15 weigh nothing; so do 12 and 13, side by side.
+# Sixteenths sum exactly, so the distribution ends at 1.0 and a draw r is
+# the point u = r * 1.0 itself.
+_GAPPY_WEIGHTS = np.array([0, 1, 2, 0, 0, 3, 1, 0, 2, 0, 2, 1, 0, 0, 4, 0]) / 16
+
+
+def _exactness_plan(case):
+    """(plan, steps) for a case of the RNG-exactness test below."""
+    if case == "zero":
+        return _zero_mass_plan(1), 1
+    if case == "zero-width":
+        # marked 0, 4 and 15 weigh nothing; 5 follows the empty 4
+        return _hand_built_plan({0, 4, 5, 15}, _GAPPY_WEIGHTS, 1), 1
+    if case in ("low", "star"):
+        g, p, oracle, steps = _lasvegas_cases()[case == "star"]
+        return WalkPlan(g, p, oracle), steps
+    star = starify(random_connected_graph(300, 600, seed=1))
+    virtual = star.graph.n_edges - 300  # the virtual edge of node 0
+    marked, steps = {
+        "several": ({virtual + 5, virtual + 90, virtual + 211}, 1),
+        "adjacent": ({virtual + 40, virtual + 41, virtual + 42}, 1),
+        "ends": ({0, star.graph.n_edges - 1}, 2),
+    }[case]
+    g = star.graph
+    return WalkPlan(g, coloring_polarity(g), OracleSpec(marked=frozenset(marked))), steps
+
+
 BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox]
 
 
@@ -722,15 +760,17 @@ BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox]
         ("low", 10**6, range(5)),  # hits after several doubled batches
         ("star", 10**6, range(5)),
         ("zero", 40_000, range(2)),  # misses over 16384 + 16384 + 7232 draws
+        ("several", 10**6, range(5)),  # three marked edges apart
+        ("several", 50, range(5)),  # a cap that some seeds reach
+        ("adjacent", 10**6, range(5)),  # three marked edges in a row
+        ("ends", 10**6, range(10)),  # edge 0 and the last edge (PCG64: 5 and 8 hit it)
+        ("zero-width", 10**6, range(5)),  # marked edges of no weight
     ],
-    ids=["low-cap-3", "low", "star", "zero-cap-40000"],
+    ids=["low-cap-3", "low", "star", "zero-cap-40000", "several", "several-cap-50",
+         "adjacent", "ends", "zero-width"],
 )
 def test_guaranteed_search_leaves_rng_after_exactly_calls_draws(bit_generator, case, max_calls, seeds):
-    if case == "zero":
-        plan, steps = _zero_mass_plan(1), 1
-    else:
-        g, p, oracle, steps = _lasvegas_cases()[case == "star"]
-        plan = WalkPlan(g, p, oracle)
+    plan, steps = _exactness_plan(case)
     cdf = plan.cdf(steps)
     for seed in seeds:
         rng = np.random.Generator(bit_generator(seed))
@@ -745,6 +785,92 @@ def test_guaranteed_search_leaves_rng_after_exactly_calls_draws(bit_generator, c
                 plan.g, plan.p, plan.oracle, steps, rng, max_calls=max_calls, plan=plan
             ) == (edge, calls)
         np.testing.assert_array_equal(rng.random(3), ref.random(3))
+
+
+class _FixedDraws(np.random.Generator):
+    """A Generator whose `random(n)` returns the next n of given doubles."""
+
+    def __init__(self, draws):
+        super().__init__(np.random.PCG64(0))
+        self.draws = list(draws)
+
+    def random(self, n=None):
+        out, self.draws[:n] = np.array(self.draws[:n]), []
+        return out
+
+
+@pytest.mark.parametrize(
+    "marked",
+    [{0}, {15}, {0, 15}, {3}, {3, 4}, {2, 3, 4, 5}, {12, 13}, {1, 14}, set(range(16))],
+)
+def test_guaranteed_search_hits_exactly_the_edges_a_draw_picks(marked):
+    # One call per draw u, at every CDF value and its neighbors (1.0 and
+    # past it too, which the clamp gives the last edge), against the edge
+    # _draw picks for the same u.
+    plan = _hand_built_plan(marked, _GAPPY_WEIGHTS, 1)
+    cdf = plan.cdf(1)
+    assert cdf[-1] == 1.0
+    for u in np.r_[0.0, cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf), 2.0]:
+        edge = int(np.searchsorted(cdf[:-1], u, side="right"))
+        try:
+            got = guaranteed_search(
+                plan.g, plan.p, plan.oracle, 1, _FixedDraws([u]), max_calls=1, plan=plan
+            )
+        except CallCapExceededError:
+            got = None
+        assert got == ((edge, 1) if edge in marked else None), u
+
+
+def test_marked_bounds_follow_the_plans_distribution():
+    # One plan searched at changing step counts reads each count's bounds.
+    g = star_graph(16)
+    p = coloring_polarity(g)
+    oracle = OracleSpec(marked=frozenset({0, 7}))
+    plan = WalkPlan(g, p, oracle)
+    for steps in (0, 4, 0, 2, 2):
+        fresh = [guaranteed_search(g, p, oracle, steps, s) for s in range(5)]
+        assert [guaranteed_search(g, p, oracle, steps, s, plan=plan) for s in range(5)] == fresh
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [True, False, 2.5, np.float64(1.0), "1"],
+    ids=["true", "false", "float", "numpy-float", "string"],
+)
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda g, p, plan, x: evolve(g, p, MARK0, x),
+        lambda g, p, plan, x: search(g, p, MARK0, x, 0, plan=plan),
+        lambda g, p, plan, x: guaranteed_search(g, p, MARK0, x, 0, plan=plan),
+        lambda g, p, plan, x: guaranteed_search(g, p, MARK0, 1, 0, max_calls=x, plan=plan),
+        lambda g, p, plan, x: sweep(g, p, MARK0, x),
+        lambda g, p, plan, x: plan.cdf(x),
+    ],
+    ids=["evolve", "search", "guaranteed_search", "max_calls", "sweep", "cdf"],
+)
+def test_counts_must_be_integers(run, bad):
+    # The plan has a distribution cached at t = 1, which True and 1.0 equal.
+    g = star_graph(4)
+    p = coloring_polarity(g)
+    plan = WalkPlan(g, p, MARK0)
+    plan.cdf(1)
+    with pytest.raises(TypeError):
+        run(g, p, plan, bad)
+
+
+def test_counts_take_numpy_integers():
+    g = star_graph(16)
+    p = coloring_polarity(g)
+    four, cap = np.int64(4), np.int32(5)
+    want = guaranteed_search(g, p, MARK0, 4, 3, max_calls=5)
+    assert guaranteed_search(g, p, MARK0, four, 3, max_calls=cap) == want
+    assert search(g, p, MARK0, four, 3) == search(g, p, MARK0, 4, 3)
+    np.testing.assert_array_equal(evolve(g, p, MARK0, four).psi, evolve(g, p, MARK0, 4).psi)
+    assert sweep(g, p, MARK0, np.int64(5)) == sweep(g, p, MARK0, 5)
+    with pytest.raises(CallCapExceededError) as info:
+        guaranteed_search(g, p, MARK0, 0, 0, max_calls=np.int64(1))
+    assert type(info.value.calls) is int
 
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)

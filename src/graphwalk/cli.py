@@ -87,7 +87,7 @@ def _emit(text: str, out: str | None) -> None:
             with open(out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ConfigError(f"cannot write output file: {exc}") from None
+            raise ValueError(f"cannot write output file: {exc}") from None
 
 
 def _dump_json(obj: dict, out: str | None) -> None:
@@ -106,7 +106,7 @@ def _load_marked_graph(args):
         with open(args.graph) as fh:
             text = fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read graph file: {exc}") from None
+        raise ValueError(f"cannot read graph file: {exc}") from None
     g, colors = parse_graph_document(text, args.format)
     log.info("parsed graph: %d nodes, %d edges", g.n, g.n_edges)
     star: StarifiedGraph | None = None
@@ -130,10 +130,6 @@ def _load_marked_graph(args):
         colors = greedy_coloring(g)
     p = polarity_from_coloring(g, colors)
     return g, p, marked, star, node
-
-
-class ConfigError(ValueError):
-    """Raised for CLI problems outside argparse's scope."""
 
 
 def _edge_payload(g: Graph, star: StarifiedGraph | None, k: int) -> dict:
@@ -163,13 +159,13 @@ def _trial(g, p, oracle, plan, star, seq, args) -> dict:
 def cmd_search(args) -> int:
     g, p, marked, star, node = _load_marked_graph(args)
     if args.steps < 0:
-        raise ConfigError(f"--steps must be nonnegative, got {args.steps}")
+        raise ValueError(f"--steps must be nonnegative, got {args.steps}")
     if args.trials < 1:
-        raise ConfigError(f"--trials must be positive, got {args.trials}")
+        raise ValueError(f"--trials must be positive, got {args.trials}")
     if args.seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     if args.guaranteed and args.max_calls < 1:
-        raise ConfigError(f"--max-calls must be positive, got {args.max_calls}")
+        raise ValueError(f"--max-calls must be positive, got {args.max_calls}")
     result = {
         "command": "search",
         "graph": {"nodes": g.n, "edges": g.n_edges},
@@ -203,7 +199,7 @@ def cmd_search(args) -> int:
 def cmd_sweep(args) -> int:
     g, p, marked, star, node = _load_marked_graph(args)
     if args.t_max < 0:
-        raise ConfigError(f"--t-max must be nonnegative, got {args.t_max}")
+        raise ValueError(f"--t-max must be nonnegative, got {args.t_max}")
     report = run_sweep(g, p, OracleSpec(marked=marked), args.t_max)
     log.info("sweep peak: t*=%d p*=%.6f", report.t_star, report.p_star)
     if args.out is not None and args.out.endswith(".json"):
@@ -217,7 +213,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_analyze_star(args) -> int:
     if args.m < 2:
-        raise ConfigError(f"star analysis needs at least 2 leaves, got {args.m}")
+        raise ValueError(f"star analysis needs at least 2 leaves, got {args.m}")
     spectrum = star_spectrum(args.m)
     _dump_json(
         {
@@ -238,7 +234,7 @@ def cmd_analyze_complete(args) -> int:
     if t_max is None:
         t_max = math.ceil(math.pi * args.n / 2)
     elif t_max < 0:
-        raise ConfigError(f"--t-max must be nonnegative, got {t_max}")
+        raise ValueError(f"--t-max must be nonnegative, got {t_max}")
     report = complete_graph_report(args.n, t_max)
     doc = report.to_json_dict()
     doc["peak_relative_error"] = abs(report.t_star - report.predicted_t) / report.predicted_t
@@ -249,7 +245,7 @@ def cmd_analyze_complete(args) -> int:
 def _enumeration_seed(args) -> int | None:
     seed = args.enumeration_seed
     if seed is not None and seed < 0:
-        raise ConfigError(f"--enumeration-seed must be nonnegative, got {seed}")
+        raise ValueError(f"--enumeration-seed must be nonnegative, got {seed}")
     return seed
 
 
@@ -282,7 +278,7 @@ def cmd_verify(args) -> int:
             with open(args.circuit) as fh:
                 circuit = circuit_from_json(fh.read())
         except OSError as exc:
-            raise ConfigError(f"cannot read circuit file: {exc}") from None
+            raise ValueError(f"cannot read circuit file: {exc}") from None
     report = verify_circuit_equivalence(
         g, p, marked, circuit=circuit, tolerance=args.tolerance,
         enumeration_seed=_enumeration_seed(args),
@@ -396,9 +392,6 @@ def main(argv=None) -> int:
     except GraphError as exc:
         print(f"graphwalk: graph error: {exc}", file=sys.stderr)
         return EXIT_GRAPH
-    except (ConfigError, CircuitError) as exc:
-        print(f"graphwalk: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except SimulationError as exc:
         print(f"graphwalk: simulation error: {exc}", file=sys.stderr)
         return EXIT_EQUIVALENCE

@@ -187,40 +187,25 @@ class QubitLayout:
     n_qubits: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        degrees = [len(f) for f in self.facing]
-        width = sum(degrees) + sum(degrees) % 2
-        flat = [q for f in self.facing for q in f]
-        index = np.arange(len(flat))
-        node = np.repeat(np.arange(len(degrees)), degrees)
-        slot = index - np.cumsum([0] + degrees)[node]
-
-        def fault(i: int, what: str) -> CircuitError:
-            return CircuitError(f"layout.facing[{node[i]}][{slot[i]}]: qubit {flat[i]} {what}")
-
-        # Integers beyond 64 bits make an object array; they fail the range.
-        qubits = np.array(flat)
-        outside = np.flatnonzero((qubits < 0) | (qubits >= width))
-        if len(outside):
-            raise fault(outside[0], f"outside [0, {width})")
-        qubits = qubits.astype(np.int64)
-        first = np.full(width, len(flat))
-        np.minimum.at(first, qubits, index)
-        repeated = np.flatnonzero(first[qubits] != index)
-        if len(repeated):
-            i = repeated[0]
-            raise fault(i, f"already faces node {node[first[qubits[i]]]}")
-        missing = np.flatnonzero(first == len(flat))
-        if len(missing):
-            q = missing[0]
+        cells = [(u, s, q) for u, f in enumerate(self.facing) for s, q in enumerate(f)]
+        width = len(cells) + len(cells) % 2
+        for u, s, q in cells:
+            if not 0 <= q < width:
+                raise CircuitError(f"layout.facing[{u}][{s}]: qubit {q} outside [0, {width})")
+        owner = [None] * width
+        for u, s, q in cells:
+            if owner[q] is not None:
+                raise CircuitError(f"layout.facing[{u}][{s}]: qubit {q} already faces node {owner[q]}")
+            owner[q] = u
+        if None in owner:
+            q = owner.index(None)
             raise CircuitError(f"layout.facing: no node faces qubit {q} of edge {q // 2}")
-        owner = node[first]
-        clash = np.flatnonzero(owner[0::2] == owner[1::2])
-        if len(clash):
-            k = clash[0]
-            raise CircuitError(f"layout.facing: both poles of edge {k} face node {owner[2 * k]}")
+        for k, (plus, minus) in enumerate(zip(owner[0::2], owner[1::2])):
+            if plus == minus:
+                raise CircuitError(f"layout.facing: both poles of edge {k} face node {plus}")
         registers = []
         q = width
-        for d in degrees:
+        for d in map(len, self.facing):
             r = (d - 1).bit_length() if d > 1 else 0
             registers.append(NodeRegister(binary=tuple(range(q, q + r)), flag=q + r))
             q += r + 1
@@ -238,6 +223,9 @@ class QubitLayout:
         return len(self.facing)
 
     def degree(self, u: int) -> int:
+        u = _index(u, "a node index")
+        if not 0 <= u < len(self.facing):
+            raise CircuitError(f"node {u} outside 0..{len(self.facing) - 1}")
         return len(self.facing[u])
 
     @cached_property
@@ -572,13 +560,13 @@ def _instructions_at_once(items: list, layout: QubitLayout) -> tuple[Instruction
     shapes = set(zip(names, map(len, controls), map(len, targets), ds))
     if any(_shape_fault(_GATES[name], *shape) for name, *shape in shapes):
         return None
-    sizes = map(len, map(set, map(add, controls, targets)))
-    if list(sizes) != list(map(add, map(len, controls), map(len, targets))):
+    qubits = list(map(add, controls, targets))
+    if list(map(len, map(set, qubits))) != list(map(len, qubits)):
         return None  # a repeated qubit
     # The layout's own loci, so that records share them; None for an unknown one.
     known = {locus: locus for locus in layout.local_qubits}
     loci = list(map(known.get, zip(kinds, ids)))
-    if _nonlocal(layout.local_qubits, loci, map(add, controls, targets)):
+    if _nonlocal(layout.local_qubits, loci, qubits):
         return None
     return tuple(map(Instruction._make, zip(gates, controls, targets, loci, ds)))
 

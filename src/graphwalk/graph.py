@@ -153,6 +153,9 @@ class Graph:
         return len(self.edges)
 
     def degree(self, u: int) -> int:
+        u = _index(u, "a node index")
+        if not 0 <= u < self.n:
+            raise GraphError(f"node {u} outside 0..{self.n - 1}")
         return int(self.indptr[u + 1] - self.indptr[u])
 
     def edge_index(self, u: int, v: int) -> int:
@@ -255,7 +258,10 @@ class PolarityMap:
 
     def component_at(self, edge_index: int, node: int) -> int:
         """Return 0 if `node` holds the + pole of the edge, else 1."""
-        return 0 if self.plus_node[edge_index] == node else 1
+        k = _index(edge_index)
+        if not 0 <= k < len(self.plus_node):
+            raise GraphError(f"edge {k} outside 0..{len(self.plus_node) - 1}", k)
+        return 0 if self.plus_node[k] == node else 1
 
 
 def facing_amplitudes(g: Graph, p: PolarityMap) -> np.ndarray:

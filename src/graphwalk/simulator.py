@@ -107,10 +107,8 @@ def init_walk_superposition(layout: QubitLayout) -> SparseState:
     Raises:
         ValueError: If the layout has no edges.
     """
-    if layout.n_edges == 0:
-        raise ValueError("graph has no edges to walk on")
+    amp = complex(walk._start_amplitude(layout.n_edges))
     n = layout.n_qubits
-    amp = complex(1.0 / np.sqrt(2 * layout.n_edges))
     top = 1 << (n - 1)  # the key of qubit q is top >> q
     return SparseState(dict.fromkeys(map(top.__rshift__, range(2 * layout.n_edges)), amp), n)
 
@@ -508,8 +506,7 @@ def verify_circuit_equivalence(
         raise ValueError(f"tolerance must be nonnegative, got {tolerance!r}")
     if np.isinf(tolerance):
         raise ValueError(f"tolerance must be finite, got {tolerance!r}")
-    if g.n_edges == 0:
-        raise ValueError("graph has no edges to walk on")
+    walk._start_amplitude(g.n_edges)  # raises on a graph with no edges
     if circuit is None:
         circuit = compile_step(g, p, marked, enumeration_seed=enumeration_seed)
     elif circuit.layout.n_edges != g.n_edges:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .graph import (
     PolarityMap,
+    _index,
     complete_graph,
     greedy_coloring,
     polarity_from_coloring,
@@ -167,6 +168,7 @@ def reduced_vs_full(
         max over t of the max absolute amplitude difference.
     """
     _check_m(m)
+    t_max = _index(t_max, "a step count")
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
     g = star_graph(m)

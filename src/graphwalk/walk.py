@@ -30,7 +30,7 @@ class CallCapExceededError(RuntimeError):
         self.calls = calls
 
 
-def _check_unitary(matrix: np.ndarray, what: str, tol: float = 1e-12) -> np.ndarray:
+def _check_unitary(matrix: np.ndarray, what: str) -> np.ndarray:
     """Return a read-only complex copy of a 2x2 `matrix` after checking unitarity.
 
     The copy keeps a caller's later writes from changing a checked matrix.
@@ -38,8 +38,8 @@ def _check_unitary(matrix: np.ndarray, what: str, tol: float = 1e-12) -> np.ndar
     m = np.array(matrix, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"{what} must be 2x2, got shape {m.shape}")
-    if not np.allclose(m @ m.conj().T, np.eye(2), atol=tol):
-        raise ValueError(f"{what} is not unitary within {tol}")
+    if not np.allclose(m @ m.conj().T, np.eye(2), atol=1e-12):
+        raise ValueError(f"{what} is not unitary within 1e-12")
     m.setflags(write=False)
     return m
 
@@ -105,11 +105,16 @@ class WalkState:
         return WalkState(self.psi.copy(), self.t)
 
 
+def _start_amplitude(n_edges: int) -> float:
+    """1/sqrt(2E), each (edge, pole) amplitude of the uniform start."""
+    if n_edges == 0:
+        raise ValueError("graph has no edges to walk on")
+    return 1.0 / np.sqrt(2 * n_edges)
+
+
 def diagonal_state(g: Graph) -> WalkState:
     """Uniform superposition over all (edge, pole) pairs, the search start."""
-    if g.n_edges == 0:
-        raise ValueError("graph has no edges to walk on")
-    psi = np.full((g.n_edges, 2), 1.0 / np.sqrt(2 * g.n_edges), dtype=complex)
+    psi = np.full((g.n_edges, 2), _start_amplitude(g.n_edges), dtype=complex)
     return WalkState(psi, t=0)
 
 
@@ -261,10 +266,8 @@ class WalkPlan:
 
         Every yield is the plan's own buffer, which the next step overwrites.
         """
-        if self.n_edges == 0:
-            raise ValueError("graph has no edges to walk on")
         z = self._y
-        z.fill(1.0 / np.sqrt(2 * self.n_edges))
+        z.fill(_start_amplitude(self.n_edges))
         yield z
         for _ in range(t_max):
             self._advance(z)

@@ -24,8 +24,9 @@ from graphwalk import (
     star_graph,
     to_edge_list,
 )
-from graphwalk import simulator
+from graphwalk import cli, simulator
 from graphwalk.cli import main
+from graphwalk.compiler import AuditReport
 
 
 @pytest.fixture
@@ -299,6 +300,19 @@ def test_compile_single_edge(single_edge, tmp_path, capsys):
     assert audit["ok"] is True
     assert audit["violations"] == []
     assert len(audit["nodes"]) == 2
+
+
+def test_compile_reports_audit_violations(single_edge, tmp_path, capsys, monkeypatch):
+    violation = "instruction 0: z touches qubits [3] outside its edge 0"
+    report = AuditReport(nodes=(), violations=(violation,))
+    monkeypatch.setattr(cli, "locality_audit", lambda circuit: report)
+    out = tmp_path / "circuit.json"
+    code = main(["compile", "--graph", single_edge, "--mark-edge", "0", "1", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"graphwalk: {violation}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_compile_deterministic_bytes(tri, tmp_path):

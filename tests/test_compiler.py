@@ -101,9 +101,30 @@ def test_layout_checks_facing_when_built_directly():
         QubitLayout(((0, 1), ()))
     with pytest.raises(CircuitError, match=r"^layout\.facing\[1\]\[0\]: qubit 0 already"):
         QubitLayout(((0,), (0,)))
-    # A negative entry beside one beyond int64 makes a float array.
+    # A negative entry beside one beyond int64: the first entry out of range is named.
     with pytest.raises(CircuitError, match=r"^layout\.facing\[0\]\[0\]: qubit -1 outside"):
         QubitLayout(((-1,), (2**63,)))
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        lambda layout, u: layout.degree(u),
+        lambda layout, u: compile_transfer_k(layout, u, 1),
+        compile_transfer,
+        compile_diffusion,
+        compile_scatter,
+    ],
+    ids=["degree", "compile_transfer_k", "compile_transfer", "compile_diffusion", "compile_scatter"],
+)
+def test_layout_refuses_nodes_outside_it(block):
+    layout = build_layout(star_graph(3), hub_polarity(3))
+    for u in (-1, 4):
+        with pytest.raises(CircuitError, match=rf"^node {u} outside 0\.\.3$"):
+            block(layout, u)
+    with pytest.raises(TypeError, match="bool"):
+        block(layout, True)
+    assert layout.degree(np.int64(0)) == 3
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -728,6 +749,27 @@ def test_circuit_from_json_rejects_inconsistent_layout(mutate, match):
     assert doc["layout"] == {"facing": [[0, 2, 4], [1], [3], [5]]}
     circuit_from_json(json.dumps(doc))
     mutate(doc)
+    with pytest.raises(CircuitError, match=match):
+        circuit_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "facing, match",
+    [
+        ([[0, 2, 4], [0], [3], [6]], r"^layout\.facing\[3\]\[0\]: qubit 6 outside \[0, 6\)$"),
+        ([[0, 2, 4], [1], [2]], r"^layout\.facing\[2\]\[0\]: qubit 2 already faces node 0$"),
+        ([[0, 1, 4], [2], [2], [5]], r"^layout\.facing\[2\]\[0\]: qubit 2 already faces node 1$"),
+        ([[0, 1, 4], [2], [3]], r"^layout\.facing: no node faces qubit 5 of edge 2$"),
+    ],
+    ids=["range-before-repeat", "repeat-before-missing", "repeat-before-clash",
+         "missing-before-clash"],
+)
+def test_layout_checks_run_in_order(facing, match):
+    # Each document breaks the two checks its id names (a repeat also leaves
+    # a qubit missing).  The checks run in the order range, repeat, missing,
+    # clash, so the earlier one is named wherever the other fault sits.
+    doc = document_dict(compile_step(star_graph(3), hub_polarity(3), [0]))
+    doc["layout"]["facing"] = facing
     with pytest.raises(CircuitError, match=match):
         circuit_from_json(json.dumps(doc))
 

@@ -45,6 +45,16 @@ def test_parse_edge_list_star():
     assert all(g.degree(u) == 1 for u in (1, 2, 3))
 
 
+def test_degree_refuses_nodes_outside_the_graph():
+    g = star_graph(3)
+    for u in (-1, 4):
+        with pytest.raises(GraphError, match=rf"^node {u} outside 0\.\.3$"):
+            g.degree(u)
+    with pytest.raises(TypeError, match="bool"):
+        g.degree(True)
+    assert g.degree(np.int64(3)) == 1
+
+
 def test_parse_edge_list_disconnected():
     with pytest.raises(GraphError, match="not connected"):
         parse_graph("0 1\n2 3")
@@ -517,6 +527,17 @@ def test_polarity_antisymmetry_on_random_graphs():
         for k, (u, v) in enumerate(g.edges):
             # exactly one + endpoint: the components at u and v differ
             assert {p.component_at(k, u), p.component_at(k, v)} == {0, 1}
+
+
+def test_component_at_refuses_edges_outside_the_map():
+    p = PolarityMap((1, 1))
+    for k in (-1, 2):
+        with pytest.raises(GraphError, match=rf"^edge {k} outside 0\.\.1$") as info:
+            p.component_at(k, 1)
+        assert info.value.edge == k
+    with pytest.raises(TypeError, match="bool"):
+        p.component_at(True, 1)
+    assert p.component_at(np.int64(1), 1) == 0
 
 
 def test_check_polarity_rejects_foreign_node():

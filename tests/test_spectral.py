@@ -75,6 +75,8 @@ def test_small_stars_rejected(m):
 def test_reduced_vs_full_rejects_negative_t_max():
     with pytest.raises(ValueError, match="t_max must be nonnegative"):
         reduced_vs_full(3, -1)
+    with pytest.raises(TypeError, match="bool"):
+        reduced_vs_full(3, True)
 
 
 @pytest.mark.parametrize("m", [2, 10, 100, 10_000])

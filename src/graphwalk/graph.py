@@ -160,6 +160,7 @@ class Graph:
 
     def edge_index(self, u: int, v: int) -> int:
         """Return the index of edge {u, v}, raising GraphError if absent."""
+        u, v = _index(u, "a node index"), _index(v, "a node index")
         lo, hi = (u, v) if u < v else (v, u)
         if 0 <= lo and hi < self.n:
             start, stop = self.indptr[lo], self.indptr[lo + 1]
@@ -257,8 +258,10 @@ class PolarityMap:
         object.__setattr__(self, "plus_node", _read_only(np.array(self.plus_node, dtype=np.int64)))
 
     def component_at(self, edge_index: int, node: int) -> int:
-        """Return 0 if `node` holds the + pole of the edge, else 1."""
-        k = _index(edge_index)
+        """Return 0 if `node` holds the + pole of the edge, else 1.  `node`
+        must be an endpoint of the edge, which the caller checks: the map
+        does not know the graph, and any other node reads as 1."""
+        k, node = _index(edge_index), _index(node, "a node index")
         if not 0 <= k < len(self.plus_node):
             raise GraphError(f"edge {k} outside 0..{len(self.plus_node) - 1}", k)
         return 0 if self.plus_node[k] == node else 1
@@ -385,6 +388,7 @@ class StarifiedGraph:
 
     def virtual_edge_of(self, u: int) -> int:
         """Index of the pendant edge attached to real node u."""
+        u = _index(u, "a node index")
         if not 0 <= u < self.real_node_count:
             raise GraphError(f"node {u} is not a node of the original graph")
         return self.real_edge_count + u

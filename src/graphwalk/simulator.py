@@ -2,7 +2,7 @@
 
 Walk circuits act on a single excitation shared by the edge qubits, so of the
 2^n basis states only O(edges) ever carry amplitude.  A `SparseState` maps
-basis keys to amplitudes; qubit 0 is the leftmost bit of the basis label.
+the ascending tuple of the qubits each basis state excites to its amplitude.
 
 Every node acts only on its own neighbourhood, so a compiled step is a long
 run of small local gates, and `run` spends on each gate the work of the
@@ -36,7 +36,8 @@ out of the one-excitation subspace and that every register returned to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count
+from operator import itemgetter, lt
 
 import numpy as np
 
@@ -70,35 +71,43 @@ class SubspaceLeakageError(SimulationError):
 
 @dataclass
 class SparseState:
-    """Amplitudes over computational basis states, keyed by basis index.
+    """Amplitudes over computational basis states, keyed by excited qubits.
 
     Attributes:
-        amps: Map from basis index to complex amplitude.
-        n_qubits: Width of the register; qubit q is bit (n_qubits - 1 - q)
-            of the key, so basis labels read left to right as qubit 0, 1, ...
-            Every key lies in [0, 2**n_qubits).
+        amps: Map from the strictly ascending tuple of the qubits a basis
+            state excites (`()` for none) to its complex amplitude.
+        n_qubits: Width of the register, above every key's qubits.
     """
 
-    amps: dict[int, complex]
+    amps: dict[tuple[int, ...], complex]
     n_qubits: int
-
-    def mask(self, q: int) -> int:
-        n = self.n_qubits
-        if not 0 <= q < n:
-            raise SimulationError(f"qubit {q} outside register of {n}")
-        return 1 << (n - 1 - q)
 
     def norm_sq(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.amps.values()))
 
 
-def _checked_amps(state: SparseState) -> dict[int, complex]:
-    """`state.amps`, once every key is checked to lie in [0, 2**n_qubits)."""
-    n = state.n_qubits
-    for k in state.amps:
-        if k >> n:
-            raise SimulationError(f"basis key {k} lies beyond a register of {n} qubits")
-    return state.amps
+def _keys_ok(keys, n: int) -> bool:
+    """Whether every key is a tuple of ints (no bools) rising strictly from 0
+    or more to below n.  Each test maps a builtin over all keys at once."""
+    if not set(map(type, keys)) <= {tuple}:
+        return False
+    qubits = list(chain.from_iterable(keys))
+    if not set(map(type, qubits)) <= {int}:
+        return False
+    if qubits and not (0 <= min(qubits) and max(qubits) < n):
+        return False
+    heads = chain.from_iterable(map(itemgetter(slice(-1)), keys))  # all but each key's last
+    tails = chain.from_iterable(map(itemgetter(slice(1, None)), keys))  # and all but its first
+    return all(map(lt, heads, tails))
+
+
+def _checked_amps(state: SparseState) -> dict[tuple[int, ...], complex]:
+    """`state.amps`, once `_keys_ok` holds; else the first failing key is named."""
+    amps, n = state.amps, state.n_qubits
+    if not _keys_ok(amps, n):
+        k = next(k for k in amps if not _keys_ok((k,), n))
+        raise SimulationError(f"basis key {k!r} is not an ascending tuple of qubits below {n}")
+    return amps
 
 
 def init_walk_superposition(layout: QubitLayout) -> SparseState:
@@ -108,17 +117,8 @@ def init_walk_superposition(layout: QubitLayout) -> SparseState:
         ValueError: If the layout has no edges.
     """
     amp = complex(walk._start_amplitude(layout.n_edges))
-    n = layout.n_qubits
-    top = 1 << (n - 1)  # the key of qubit q is top >> q
-    return SparseState(dict.fromkeys(map(top.__rshift__, range(2 * layout.n_edges)), amp), n)
-
-
-def _qubits(bits: int, n: int):
-    """The qubits whose key bits are set in bits, last qubit first."""
-    while bits:
-        low = bits & -bits
-        yield n - low.bit_length()
-        bits ^= low
+    keys = [(q,) for q in range(2 * layout.n_edges)]
+    return SparseState(dict.fromkeys(keys, amp), layout.n_qubits)
 
 
 _NONE: frozenset[int] = frozenset()
@@ -171,15 +171,14 @@ class _Columns:
     @classmethod
     def of(cls, state: SparseState) -> _Columns:
         """The state as column 0, pruned below 1e-15."""
-        n, amps = state.n_qubits, _checked_amps(state)
-        groups = {frozenset(_qubits(k, n)): {0: a} for k, a in amps.items() if abs(a) > PRUNE_EPS}
-        return cls(groups, n)
+        amps = _checked_amps(state)
+        groups = {frozenset(k): {0: a} for k, a in amps.items() if abs(a) > PRUNE_EPS}
+        return cls(groups, state.n_qubits)
 
     def state(self) -> SparseState:
         """Column 0 as a `SparseState`."""
-        n, keys, top = self.n, self.keys, 1 << (self.n - 1)
-        amps = {sum(map(top.__rshift__, keys[i])): grp[0] for i, grp in self.groups.items()}
-        return SparseState(amps, n)
+        amps = {tuple(sorted(self.keys[i])): grp[0] for i, grp in self.groups.items()}
+        return SparseState(amps, self.n)
 
     def norms(self) -> dict[int, float]:
         """Squared norm of each column."""
@@ -300,9 +299,10 @@ def apply_instruction(state: SparseState, ins: Instruction) -> SparseState:
     """Apply one gate, returning a new pruned state.
 
     Raises:
-        SimulationError: If a key lies beyond the register, a qubit lies
-            outside it, a monomial gate maps two amplitudes onto one key, or
-            a diffusion drifts the squared norm by more than 1e-13.
+        SimulationError: If a key is not an ascending tuple of the register's
+            qubits, a gate's qubit lies outside the register, a monomial gate
+            maps two amplitudes onto one key, or a diffusion drifts the
+            squared norm by more than 1e-13.
     """
     cols = _Columns.of(state)
     cols.apply(ins)
@@ -324,9 +324,9 @@ def _evolve(cols: _Columns, circuit: Circuit) -> None:
 def run(circuit: Circuit, state: SparseState | None = None) -> SparseState:
     """Run all instructions, starting from the walk superposition by default.
 
-    The state is pruned and keyed by qubit sets once on the way in, and
-    turned back into basis indices once on the way out.  In between, each
-    gate acts on the grouped state as the module docstring describes.
+    The state is pruned and its keys become qubit sets once on the way in,
+    and ascending tuples again once on the way out.  In between, each gate
+    acts on the grouped state as the module docstring describes.
 
     One compiled step from the walk superposition is one walk step:
 
@@ -339,10 +339,10 @@ def run(circuit: Circuit, state: SparseState | None = None) -> SparseState:
     True
 
     Raises:
-        SimulationError: If the state has another width or a key beyond
-            the register, the squared norm drifts by more than 1e-12 over the
-            circuit or 1e-13 over one diffusion, or a gate maps two
-            amplitudes onto one key.  An error inside a gate ends with the
+        SimulationError: If the state has another width or a key that is not
+            an ascending tuple of its qubits, the squared norm drifts by more
+            than 1e-12 over the circuit or 1e-13 over one diffusion, or a gate
+            maps two amplitudes onto one key.  An error inside a gate ends with the
             instruction's position and locus, as in "(instruction 14, node 0)"
             for a 3-leaf star's hub diffusion.
     """
@@ -360,18 +360,17 @@ def run(circuit: Circuit, state: SparseState | None = None) -> SparseState:
 
 def _project(state: SparseState, layout: QubitLayout) -> tuple[np.ndarray, float]:
     """Split a state into walk amplitudes and leaked weight; a state of
-    another width or a key beyond the register raises SimulationError.  Edge
-    qubit q holds amplitude q; only its one-bit key 2**(n - 1 - q) reads back,
-    and every other key has leaked."""
+    another width or a key that is not an ascending tuple of its qubits
+    raises SimulationError.  Edge qubit q holds amplitude q; only its key
+    (q,) reads back, and every other key has leaked."""
     n, m = state.n_qubits, 2 * layout.n_edges
     if n != layout.n_qubits:
         raise SimulationError(f"state has {n} qubits, layout expects {layout.n_qubits}")
     psi = np.zeros(m, dtype=complex)
     leaked = 0.0
     for k, a in _checked_amps(state).items():
-        q = n - k.bit_length()
-        if k and k & (k - 1) == 0 and q < m:
-            psi[q] = a
+        if len(k) == 1 and k[0] < m:
+            psi[k[0]] = a
         else:
             leaked += abs(a) ** 2
     return psi.reshape(-1, 2), leaked
@@ -385,7 +384,7 @@ def project_to_walk_state(state: SparseState, layout: QubitLayout) -> WalkState:
             basis states that are not a single excitation of an edge qubit
             (registers not restored, or multiple excitations).
         SimulationError: If the state has another width than the layout's
-            register, or a key lies beyond the register.
+            register, or a key is not an ascending tuple of its qubits.
     """
     psi, leaked = _project(state, layout)
     if leaked > LEAKAGE_TOL:

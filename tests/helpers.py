@@ -12,7 +12,9 @@ be compared.  A diffusion is built as that dense (2/d)J - I padded with the
 identity, not by the simulator's segment sums.  The reference simulator
 applies one gate at a time to the whole state and runs the circuit once per
 column, the plain form that the grouped simulator and the batched circuit
-matrix must reproduce.  `document_dict` is the document's schema as a
+matrix must reproduce.  It keys amplitudes by basis index, qubit q as bit
+n - 1 - q, and turns `SparseState` keys into indices and back only through
+`key_of` and `qubits_of`.  `document_dict` is the document's schema as a
 dict, the reference `Circuit.to_json` must write byte for byte through
 `json.dumps(..., indent=2)`.
 """
@@ -51,17 +53,23 @@ def reference_coin(state: WalkState, coin: CoinSpec) -> WalkState:
     return state
 
 
-def basis_label(key: int, n: int) -> str:
-    """Basis label of an n-qubit key, qubit 0 leftmost."""
-    return format(key, f"0{n}b")
+def key_of(qubits, n: int) -> int:
+    """The n-qubit basis index with the given qubits excited: qubit q is bit
+    n - 1 - q, so the binary label reads left to right as qubit 0, 1, ..."""
+    return sum(1 << (n - 1 - q) for q in qubits)
+
+
+def qubits_of(key: int, n: int) -> tuple[int, ...]:
+    """The ascending tuple of the qubits an n-qubit basis index excites."""
+    return tuple(q for q in range(n) if key & key_of((q,), n))
 
 
 def bit_of(key: int, qubit: int, n: int) -> int:
-    return key >> (n - 1 - qubit) & 1
+    return int(key & key_of((qubit,), n) != 0)
 
 
 def with_bit(key: int, qubit: int, n: int, value: int) -> int:
-    mask = 1 << (n - 1 - qubit)
+    mask = key_of((qubit,), n)
     return (key | mask) if value else (key & ~mask)
 
 
@@ -118,21 +126,22 @@ def dense_instruction_matrix(ins: Instruction, n: int) -> np.ndarray:
 
 
 def sparse_to_dense(state: SparseState) -> np.ndarray:
-    vec = np.zeros(1 << state.n_qubits, dtype=complex)
+    n = state.n_qubits
+    vec = np.zeros(1 << n, dtype=complex)
     for k, a in state.amps.items():
-        vec[k] = a
+        vec[key_of(k, n)] = a
     return vec
 
 
 def dense_to_sparse(vec: np.ndarray, n: int) -> SparseState:
-    return SparseState({k: complex(a) for k, a in enumerate(vec) if a != 0}, n)
+    return SparseState({qubits_of(k, n): complex(a) for k, a in enumerate(vec) if a != 0}, n)
 
 
 def random_sparse_state(n: int, rng: np.random.Generator, support: int = 12) -> SparseState:
     keys = rng.choice(1 << n, size=min(support, 1 << n), replace=False)
     amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
     amps /= np.linalg.norm(amps)
-    return SparseState({int(k): complex(a) for k, a in zip(keys, amps)}, n)
+    return SparseState({qubits_of(int(k), n): complex(a) for k, a in zip(keys, amps)}, n)
 
 
 def random_regular_graph(n: int, d: int, seed: int) -> Graph:
@@ -156,44 +165,45 @@ def random_walk_state(n_edges: int, rng: np.random.Generator) -> WalkState:
     return WalkState(psi)
 
 
-def reference_apply_instruction(state: SparseState, ins: Instruction) -> SparseState:
-    """Gate-by-gate sparse transform over the whole state, with the squared
-    norm summed before and after every gate: the simulator's original
-    one-instruction semantics, kept as the reference for block simulation."""
-    n = state.n_qubits
-    before = state.norm_sq()
-    tmask = [state.mask(q) for q in ins.targets]
-    cmask = 0
-    for q in ins.controls:
-        cmask |= state.mask(q)
+def _norm_sq(amps: dict) -> float:
+    return float(sum(abs(a) ** 2 for a in amps.values()))
+
+
+def _reference_gate(amps: dict[int, complex], ins: Instruction, n: int) -> dict[int, complex]:
+    """One gate on amplitudes keyed by n-qubit basis index, with the squared
+    norm summed before and after."""
+    before = _norm_sq(amps)
+    top = max(ins.controls + ins.targets)
+    if top >= n:
+        raise SimulationError(f"qubit {top} outside register of {n}")
+    tmask = [key_of((q,), n) for q in ins.targets]
+    cmask = key_of(ins.controls, n)
     out: dict[int, complex] = {}
     if ins.gate is Gate.X:
         m = tmask[0]
-        out = {k ^ m: a for k, a in state.amps.items()}
+        out = {k ^ m: a for k, a in amps.items()}
     elif ins.gate is Gate.Z:
         m = tmask[0]
-        out = {k: (-a if k & m else a) for k, a in state.amps.items()}
+        out = {k: (-a if k & m else a) for k, a in amps.items()}
     elif ins.gate is Gate.CNOT:
         m = tmask[0]
-        out = {(k ^ m if k & cmask else k): a for k, a in state.amps.items()}
+        out = {(k ^ m if k & cmask else k): a for k, a in amps.items()}
     elif ins.gate is Gate.SWAP:
         ma, mb = tmask
         both = ma | mb
         out = {
             (k ^ both if bool(k & ma) != bool(k & mb) else k): a
-            for k, a in state.amps.items()
+            for k, a in amps.items()
         }
     elif ins.gate is Gate.MCX:
         m = tmask[0]
         out = {
-            (k ^ m if k & cmask == cmask else k): a for k, a in state.amps.items()
+            (k ^ m if k & cmask == cmask else k): a for k, a in amps.items()
         }
     elif ins.gate is Gate.DIFFUSION:
-        all_t = 0
-        for m in tmask:
-            all_t |= m
+        all_t = key_of(ins.targets, n)
         u = diffusion_matrix(ins)
-        for k, a in state.amps.items():
+        for k, a in amps.items():
             if k & cmask != cmask:
                 out[k] = out.get(k, 0j) + a
                 continue
@@ -212,25 +222,35 @@ def reference_apply_instruction(state: SparseState, ins: Instruction) -> SparseS
     else:
         raise AssertionError(f"unhandled gate {ins.gate}")
     out = {k: a for k, a in out.items() if abs(a) > PRUNE_EPS}
-    result = SparseState(out, n)
-    after = result.norm_sq()
+    after = _norm_sq(out)
     if abs(after - before) > GATE_NORM_TOL * max(1.0, before):
         raise SimulationError(
             f"gate {ins.gate.value} changed the squared norm by {after - before:.3e}"
         )
-    return result
+    return out
+
+
+def reference_apply_instruction(state: SparseState, ins: Instruction) -> SparseState:
+    """Gate-by-gate sparse transform over the whole state, on keys turned
+    into basis indices and back: the simulator's original one-instruction
+    semantics, kept as the reference for block simulation."""
+    n = state.n_qubits
+    amps = _reference_gate({key_of(k, n): a for k, a in state.amps.items()}, ins, n)
+    return SparseState({qubits_of(k, n): a for k, a in amps.items()}, n)
 
 
 def reference_run(circuit: Circuit, state: SparseState) -> SparseState:
-    """Every instruction through `reference_apply_instruction`, with the
-    whole-circuit norm check."""
-    before = state.norm_sq()
+    """Every instruction as `reference_apply_instruction` applies it, with the
+    keys turned into basis indices once, and the whole-circuit norm check."""
+    n = state.n_qubits
+    amps = {key_of(k, n): a for k, a in state.amps.items()}
+    before = _norm_sq(amps)
     for ins in circuit.instructions:
-        state = reference_apply_instruction(state, ins)
-    after = state.norm_sq()
+        amps = _reference_gate(amps, ins, n)
+    after = _norm_sq(amps)
     if abs(after - before) > CIRCUIT_NORM_TOL * max(1.0, before):
         raise SimulationError(f"circuit changed the squared norm by {after - before:.3e}")
-    return state
+    return SparseState({qubits_of(k, n): a for k, a in amps.items()}, n)
 
 
 def reference_step_circuit_matrix(circuit: Circuit) -> tuple[np.ndarray, list[float]]:
@@ -241,7 +261,7 @@ def reference_step_circuit_matrix(circuit: Circuit) -> tuple[np.ndarray, list[fl
     n = circuit.n_qubits
     dim = 2 * layout.n_edges
     onehot = {
-        1 << (n - 1 - q): 2 * e + c
+        (q,): 2 * e + c
         for e, pair in enumerate(layout.edge_qubits)
         for c, q in enumerate(pair)
     }
@@ -249,7 +269,7 @@ def reference_step_circuit_matrix(circuit: Circuit) -> tuple[np.ndarray, list[fl
     leaks = []
     for j in range(dim):
         e, c = divmod(j, 2)
-        key = 1 << (n - 1 - layout.edge_qubits[e][c])
+        key = (layout.edge_qubits[e][c],)
         final = reference_run(circuit, SparseState({key: 1.0 + 0j}, n))
         leaked = 0.0
         for k, a in final.amps.items():

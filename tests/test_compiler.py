@@ -65,6 +65,12 @@ def run_instructions(instrs, state):
     return state
 
 
+def register_key(flag, binary, v):
+    """The key of a node register holding slot value v with its flag set:
+    the flag and each binary qubit i with bit i of v set."""
+    return tuple(sorted([flag] + [q for i, q in enumerate(binary) if v >> i & 1]))
+
+
 def test_layout_path3():
     layout = path3_layout()
     assert layout.n_qubits == 8
@@ -209,12 +215,12 @@ def test_oracle_action_is_minus_pole_swap():
     g = complete_graph(2)
     layout = build_layout(g, coloring_polarity(g))
     instrs = compile_oracle(layout, [0])
-    plus = SparseState({0b1000: 1.0 + 0j}, 4)
+    plus = SparseState({(0,): 1.0 + 0j}, 4)
     out = run_instructions(instrs, plus)
-    assert out.amps == {0b0100: -1.0 + 0j}
-    minus = SparseState({0b0100: 1.0 + 0j}, 4)
+    assert out.amps == {(1,): -1.0 + 0j}
+    minus = SparseState({(1,): 1.0 + 0j}, 4)
     out = run_instructions(instrs, minus)
-    assert out.amps == {0b1000: -1.0 + 0j}
+    assert out.amps == {(0,): -1.0 + 0j}
 
 
 def test_coin_block():
@@ -273,17 +279,12 @@ def test_transfer_defining_action(d):
     instrs = compile_transfer(layout, 0)
     binary, flag = layout.node_registers[0]
     n = layout.n_qubits
-    probe = SparseState({0: 1.0 + 0j}, n)
-    assert run_instructions(instrs, probe).amps == {0: 1.0 + 0j}
+    probe = SparseState({(): 1.0 + 0j}, n)
+    assert run_instructions(instrs, probe).amps == {(): 1.0 + 0j}
     for k in range(1, d + 1):
         eta = layout.facing[0][k - 1]
-        start = SparseState({}, n)
-        start.amps = {start.mask(eta): 1.0 + 0j}
-        out = run_instructions(instrs, start)
-        expected = out.mask(flag)
-        for i, q in enumerate(binary):
-            if (k - 1) >> i & 1:
-                expected |= out.mask(q)
+        out = run_instructions(instrs, SparseState({(eta,): 1.0 + 0j}, n))
+        expected = register_key(flag, binary, k - 1)
         assert out.amps == {expected: 1.0 + 0j}
 
 
@@ -296,12 +297,8 @@ def test_transfer_then_inverse_fixes_every_local_state(d):
     binary, flag = layout.node_registers[0]
     local = list(layout.facing[0]) + list(binary) + [flag]
     n = layout.n_qubits
-    probe = SparseState({}, n)
     for bits in range(2 ** len(local)):
-        key = 0
-        for i, q in enumerate(local):
-            if bits >> i & 1:
-                key |= probe.mask(q)
+        key = tuple(sorted(q for i, q in enumerate(local) if bits >> i & 1))
         out = run_instructions(roundtrip, SparseState({key: 1.0 + 0j}, n))
         assert out.amps == {key: 1.0 + 0j}
 
@@ -315,14 +312,10 @@ def test_inverse_transfer_returns_every_slot_value(d, seed):
     inverse = invert_instructions(compile_transfer(layout, 0))
     binary, flag = layout.node_registers[0]
     n = layout.n_qubits
-    probe = SparseState({}, n)
     for v in range(d):
-        key = probe.mask(flag)
-        for i, q in enumerate(binary):
-            if v >> i & 1:
-                key |= probe.mask(q)
+        key = register_key(flag, binary, v)
         out = run_instructions(inverse, SparseState({key: 1.0 + 0j}, n))
-        assert out.amps == {probe.mask(layout.facing[0][v]): 1.0 + 0j}
+        assert out.amps == {(layout.facing[0][v],): 1.0 + 0j}
 
 
 def test_diffusion_degree_2_is_pole_swap_matrix():
@@ -353,16 +346,11 @@ def test_diffusion_degree_3_pads_identity():
     expected[:3, :3] = grover_matrix(3)
     binary, flag = layout.node_registers[0]
     n = layout.n_qubits
-    probe = SparseState({}, n)
     for v in range(4):
-        key = probe.mask(flag)
-        for i, q in enumerate(binary):
-            if v >> i & 1:
-                key |= probe.mask(q)
-        out = apply_instruction(SparseState({key: 1.0 + 0j}, n), ins)
+        out = apply_instruction(SparseState({register_key(flag, binary, v): 1.0 + 0j}, n), ins)
         column = np.zeros(4, dtype=complex)
         for k, a in out.amps.items():
-            column[sum(1 << i for i, q in enumerate(binary) if k & probe.mask(q))] = a
+            column[sum(1 << i for i, q in enumerate(binary) if q in k)] = a
         np.testing.assert_allclose(column, expected[:, v], rtol=0, atol=1e-15)
 
 

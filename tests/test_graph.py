@@ -445,6 +445,10 @@ def test_edge_index():
     assert g.edge_index(2, 0) == 1
     with pytest.raises(GraphError, match="no edge"):
         g.edge_index(1, 2)
+    assert g.edge_index(np.int64(2), np.int64(0)) == 1
+    for u, v in [(0, True), (True, 2), (0.0, 1.0), (0, 1.0)]:
+        with pytest.raises(TypeError):
+            g.edge_index(u, v)
 
 
 def test_edge_index_on_large_hub():
@@ -540,6 +544,14 @@ def test_component_at_refuses_edges_outside_the_map():
     assert p.component_at(np.int64(1), 1) == 0
 
 
+def test_component_at_refuses_nodes_that_are_not_ints():
+    p = PolarityMap((1, 1))
+    assert p.component_at(0, np.int64(1)) == 0
+    for node in (True, 1.0, 1.5):
+        with pytest.raises(TypeError):
+            p.component_at(0, node)
+
+
 def test_check_polarity_rejects_foreign_node():
     g = path_graph(3)
     with pytest.raises(GraphError, match="not an endpoint"):
@@ -587,6 +599,10 @@ def test_starify_virtual_edge_of_range():
     s = starify(complete_graph(3))
     with pytest.raises(GraphError, match="not a node"):
         s.virtual_edge_of(3)
+    assert s.virtual_edge_of(np.int64(1)) == 4
+    for u in (True, 1.5, 1.0):
+        with pytest.raises(TypeError):
+            s.virtual_edge_of(u)
 
 
 def test_round_trip_serialization():

@@ -23,6 +23,7 @@ from .graph import (
     Graph,
     GraphError,
     StarifiedGraph,
+    _count,
     greedy_coloring,
     parse_graph_document,
     polarity_from_coloring,
@@ -90,6 +91,14 @@ def _emit(text: str, out: str | None) -> None:
             raise ValueError(f"cannot write output file: {exc}") from None
 
 
+def _read(path: str, what: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {what} file: {exc}") from None
+
+
 def _dump_json(obj: dict, out: str | None) -> None:
     _emit(json.dumps(obj, indent=2) + "\n", out)
 
@@ -102,11 +111,7 @@ def _load_marked_graph(args):
         node mode), its coloring-derived polarity, the marked edge set, the
         starified wrapper or None, and the marked node or None.
     """
-    try:
-        with open(args.graph) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read graph file: {exc}") from None
+    text = _read(args.graph, "graph")
     g, colors = parse_graph_document(text, args.format)
     log.info("parsed graph: %d nodes, %d edges", g.n, g.n_edges)
     star: StarifiedGraph | None = None
@@ -133,24 +138,22 @@ def _load_marked_graph(args):
 
 
 def _edge_payload(g: Graph, star: StarifiedGraph | None, k: int) -> dict:
-    u, v = g.edges[k].tolist()
-    payload = {"edge_index": k, "edge": [u, v], "node": None}
+    payload = {"edge_index": k, "edge": g.edges[k].tolist(), "node": None}
     if star is not None and star.is_virtual_edge(k):
         payload["node"] = k - star.real_edge_count
     return payload
 
 
 def _trial(g, p, oracle, plan, star, seq, args) -> dict:
-    rng = np.random.default_rng(seq)
     if args.guaranteed:
         edge, calls = guaranteed_search(
-            g, p, oracle, args.steps, rng, max_calls=args.max_calls, plan=plan
+            g, p, oracle, args.steps, seq, max_calls=args.max_calls, plan=plan
         )
         out = _edge_payload(g, star, edge)
         out["calls"] = calls
         out["is_marked"] = True
     else:
-        edge = run_search(g, p, oracle, args.steps, rng, plan=plan)
+        edge = run_search(g, p, oracle, args.steps, seq, plan=plan)
         out = _edge_payload(g, star, edge)
         out["is_marked"] = edge in oracle.marked
     return out
@@ -158,14 +161,11 @@ def _trial(g, p, oracle, plan, star, seq, args) -> dict:
 
 def cmd_search(args) -> int:
     g, p, marked, star, node = _load_marked_graph(args)
-    if args.steps < 0:
-        raise ValueError(f"--steps must be nonnegative, got {args.steps}")
-    if args.trials < 1:
-        raise ValueError(f"--trials must be positive, got {args.trials}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
-    if args.guaranteed and args.max_calls < 1:
-        raise ValueError(f"--max-calls must be positive, got {args.max_calls}")
+    _count(args.steps, "--steps")
+    _count(args.trials, "--trials", 1)
+    _count(args.seed, "--seed")
+    if args.guaranteed:
+        _count(args.max_calls, "--max-calls", 1)
     result = {
         "command": "search",
         "graph": {"nodes": g.n, "edges": g.n_edges},
@@ -198,8 +198,7 @@ def cmd_search(args) -> int:
 
 def cmd_sweep(args) -> int:
     g, p, marked, star, node = _load_marked_graph(args)
-    if args.t_max < 0:
-        raise ValueError(f"--t-max must be nonnegative, got {args.t_max}")
+    _count(args.t_max, "--t-max")
     report = run_sweep(g, p, OracleSpec(marked=marked), args.t_max)
     log.info("sweep peak: t*=%d p*=%.6f", report.t_star, report.p_star)
     if args.out is not None and args.out.endswith(".json"):
@@ -233,9 +232,7 @@ def cmd_analyze_complete(args) -> int:
     t_max = args.t_max
     if t_max is None:
         t_max = math.ceil(math.pi * args.n / 2)
-    elif t_max < 0:
-        raise ValueError(f"--t-max must be nonnegative, got {t_max}")
-    report = complete_graph_report(args.n, t_max)
+    report = complete_graph_report(args.n, _count(t_max, "--t-max"))
     doc = report.to_json_dict()
     doc["peak_relative_error"] = abs(report.t_star - report.predicted_t) / report.predicted_t
     _dump_json(doc, args.out)
@@ -244,9 +241,7 @@ def cmd_analyze_complete(args) -> int:
 
 def _enumeration_seed(args) -> int | None:
     seed = args.enumeration_seed
-    if seed is not None and seed < 0:
-        raise ValueError(f"--enumeration-seed must be nonnegative, got {seed}")
-    return seed
+    return None if seed is None else _count(seed, "--enumeration-seed")
 
 
 def cmd_compile(args) -> int:
@@ -272,13 +267,7 @@ def cmd_compile(args) -> int:
 
 def cmd_verify(args) -> int:
     g, p, marked, star, node = _load_marked_graph(args)
-    circuit = None
-    if args.circuit is not None:
-        try:
-            with open(args.circuit) as fh:
-                circuit = circuit_from_json(fh.read())
-        except OSError as exc:
-            raise ValueError(f"cannot read circuit file: {exc}") from None
+    circuit = None if args.circuit is None else circuit_from_json(_read(args.circuit, "circuit"))
     report = verify_circuit_equivalence(
         g, p, marked, circuit=circuit, tolerance=args.tolerance,
         enumeration_seed=_enumeration_seed(args),

@@ -47,7 +47,19 @@ class GraphParseError(GraphError):
 
 
 def _int_array(values) -> np.ndarray:
-    """`values` as an int64 array, or as exact Python ints where some do not fit."""
+    """Ids or colours as an int64 array (exact Python ints if one does not
+    fit), each entry by `_index`'s rule: an integer ndarray by its dtype, any
+    other input by one C-level pass over its entries' types."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+        values = np.array(values, dtype=object)
+        entries = values.ravel()
+        for entry in dict(zip(map(type, entries), entries)).values():
+            _index(entry, "an integer")
+    return _int64(values)
+
+
+def _int64(values) -> np.ndarray:
+    """Integers as an int64 array, or as exact Python ints if one does not fit."""
     try:
         return np.asarray(values, dtype=np.int64)
     except OverflowError:
@@ -55,11 +67,18 @@ def _int_array(values) -> np.ndarray:
 
 
 def _index(k, what: str = "an edge index") -> int:
-    """k as an int (an edge index, a step count, a cap); like
-    `operator.index`, but a bool is refused."""
+    """k as an int (an index or a count), like `operator.index`, but a bool is refused."""
     if isinstance(k, bool):
         raise TypeError(f"'bool' object cannot be interpreted as {what}")
     return operator.index(k)
+
+
+def _count(k, name: str, least: int = 0) -> int:
+    """k as an int by `_index`'s rule, refused below `least` (0 or 1)."""
+    k = _index(k, "an integer")
+    if k < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}, got {k}")
+    return k
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -87,6 +106,10 @@ class Graph:
         neighbor: The neighbor at each of the 2E entries.
         edge: The index of the edge at each entry.
 
+    Raises:
+        TypeError: If n or an endpoint is not an integer (a bool or a float).
+        GraphError: If n < 1, or the edges are not simple and connected.
+
     Examples:
         >>> g = Graph(3, ((2, 1), (1, 0)))
         >>> g.edges
@@ -110,7 +133,7 @@ class Graph:
         return self.n == other.n and np.array_equal(self.edges, other.edges)
 
     def __post_init__(self):
-        n = self.n
+        n = _index(self.n, "a node count")
         if n < 1:
             raise GraphError(f"graph needs at least one node, got n={n}")
         written = _int_array(self.edges)
@@ -235,7 +258,10 @@ class PolarityMap:
 
     Attributes:
         plus_node: Per edge, the node id of the + endpoint (read-only int64
-            array).
+            array; exact Python ints if one does not fit).
+
+    Raises:
+        TypeError: If a node id is a bool, a float or any other non-integer.
 
     Examples:
         >>> p = PolarityMap((1, 1))
@@ -255,7 +281,7 @@ class PolarityMap:
         return np.array_equal(self.plus_node, other.plus_node)
 
     def __post_init__(self):
-        object.__setattr__(self, "plus_node", _read_only(np.array(self.plus_node, dtype=np.int64)))
+        object.__setattr__(self, "plus_node", _read_only(np.array(_int_array(self.plus_node))))
 
     def component_at(self, edge_index: int, node: int) -> int:
         """Return 0 if `node` holds the + pole of the edge, else 1.  `node`
@@ -380,10 +406,11 @@ class StarifiedGraph:
     real_node_count: int
     real_edge_count: int
 
-    def is_virtual_node(self, u: int) -> bool:
-        return u >= self.real_node_count
-
     def is_virtual_edge(self, k: int) -> bool:
+        """Whether edge k of the extended graph is a virtual pendant edge."""
+        k = _index(k)
+        if not 0 <= k < self.graph.n_edges:
+            raise GraphError(f"edge {k} outside 0..{self.graph.n_edges - 1}", k)
         return k >= self.real_edge_count
 
     def virtual_edge_of(self, u: int) -> int:
@@ -509,7 +536,7 @@ def _line_endpoints(text: str) -> list[int]:
 def _parse_edge_list(text: str) -> Graph:
     flat = _plain_endpoints(text)
     if flat is None:
-        flat = _int_array(_line_endpoints(text))
+        flat = _int64(_line_endpoints(text))
     if not flat.size:
         raise GraphParseError("no edges found")
     return _build_graph(
@@ -563,13 +590,11 @@ def _parse_json(text: str) -> tuple[Graph, tuple[int, ...] | None]:
         for pos, pair in enumerate(raw_edges, start=1):
             if not _int_pairs([pair]):
                 raise GraphParseError(f"edge must be a [u, v] integer pair, got {pair!r}", pos)
-    g = _build_graph(n, raw_edges, lambda k: k + 1, "at edge")
+    g = _build_graph(n, _int64(raw_edges), lambda k: k + 1, "at edge")
     colors = None
     if "colors" in doc:
         raw = doc["colors"]
-        if not isinstance(raw, list) or not all(
-            isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in raw
-        ):
+        if type(raw) is not list or not set(map(type, raw)) <= {int} or min(raw, default=0) < 0:
             raise GraphParseError('"colors" must be a list of non-negative integers')
         colors = tuple(raw)
         check_proper(g, colors)
@@ -590,28 +615,28 @@ def path_graph(n: int) -> Graph:
     """Path 0-1-...-(n-1)."""
     if n < 2:
         raise GraphError(f"path needs at least 2 nodes, got {n}")
-    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+    return Graph(n, np.stack([np.arange(n - 1), np.arange(1, n)], axis=1))
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle on n >= 3 nodes."""
     if n < 3:
         raise GraphError(f"cycle needs at least 3 nodes, got {n}")
-    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
+    return Graph(n, np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1))
 
 
 def star_graph(m: int) -> Graph:
     """Star with hub 0 and m leaves; edge k joins the hub to leaf k + 1."""
     if m < 1:
         raise GraphError(f"star needs at least 1 leaf, got {m}")
-    return Graph(m + 1, tuple((0, i) for i in range(1, m + 1)))
+    return Graph(m + 1, np.stack([np.zeros(m, dtype=np.int64), np.arange(1, m + 1)], axis=1))
 
 
 def complete_graph(n: int) -> Graph:
     """Complete graph on n >= 2 nodes, edges in lexicographic order."""
     if n < 2:
         raise GraphError(f"complete graph needs at least 2 nodes, got {n}")
-    return Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
+    return Graph(n, np.stack(np.triu_indices(n, 1), axis=1))
 
 
 def random_connected_graph(n: int, extra_edges: int = 0, seed: int = 0) -> Graph:
@@ -637,4 +662,4 @@ def random_connected_graph(n: int, extra_edges: int = 0, seed: int = 0) -> Graph
             continue
         edges.add(key)
         budget -= 1
-    return Graph(n, tuple(sorted(edges)))
+    return Graph(n, np.array(sorted(edges)))

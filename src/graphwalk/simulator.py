@@ -35,6 +35,7 @@ out of the one-excitation subspace and that every register returned to zero.
 
 from __future__ import annotations
 
+from cmath import isfinite
 from dataclasses import dataclass
 from itertools import chain, count
 from operator import itemgetter, lt
@@ -102,11 +103,15 @@ def _keys_ok(keys, n: int) -> bool:
 
 
 def _checked_amps(state: SparseState) -> dict[tuple[int, ...], complex]:
-    """`state.amps`, once `_keys_ok` holds; else the first failing key is named."""
+    """`state.amps`, once `_keys_ok` holds and every amplitude is finite;
+    else the first failing key is named."""
     amps, n = state.amps, state.n_qubits
     if not _keys_ok(amps, n):
         k = next(k for k in amps if not _keys_ok((k,), n))
         raise SimulationError(f"basis key {k!r} is not an ascending tuple of qubits below {n}")
+    if not all(map(isfinite, amps.values())):
+        k = next(k for k, a in amps.items() if not isfinite(a))
+        raise SimulationError(f"amplitude {amps[k]!r} at basis key {k!r} is not finite")
     return amps
 
 
@@ -300,9 +305,9 @@ def apply_instruction(state: SparseState, ins: Instruction) -> SparseState:
 
     Raises:
         SimulationError: If a key is not an ascending tuple of the register's
-            qubits, a gate's qubit lies outside the register, a monomial gate
-            maps two amplitudes onto one key, or a diffusion drifts the
-            squared norm by more than 1e-13.
+            qubits or holds a NaN or infinite amplitude, a gate's qubit lies
+            outside the register, a monomial gate maps two amplitudes onto
+            one key, or a diffusion drifts the squared norm by more than 1e-13.
     """
     cols = _Columns.of(state)
     cols.apply(ins)
@@ -339,12 +344,13 @@ def run(circuit: Circuit, state: SparseState | None = None) -> SparseState:
     True
 
     Raises:
-        SimulationError: If the state has another width or a key that is not
-            an ascending tuple of its qubits, the squared norm drifts by more
-            than 1e-12 over the circuit or 1e-13 over one diffusion, or a gate
-            maps two amplitudes onto one key.  An error inside a gate ends with the
-            instruction's position and locus, as in "(instruction 14, node 0)"
-            for a 3-leaf star's hub diffusion.
+        SimulationError: If the state has another width, a key that is not an
+            ascending tuple of its qubits or a NaN or infinite amplitude (the
+            key is named), the squared norm drifts by more than 1e-12 over the
+            circuit or 1e-13 over one diffusion, or a gate maps two amplitudes
+            onto one key.  An error inside a gate ends with the instruction's
+            position and locus, as in "(instruction 14, node 0)" for a 3-leaf
+            star's hub diffusion.
     """
     if state is None:
         state = init_walk_superposition(circuit.layout)
@@ -384,7 +390,8 @@ def project_to_walk_state(state: SparseState, layout: QubitLayout) -> WalkState:
             basis states that are not a single excitation of an edge qubit
             (registers not restored, or multiple excitations).
         SimulationError: If the state has another width than the layout's
-            register, or a key is not an ascending tuple of its qubits.
+            register, a key is not an ascending tuple of its qubits, or an
+            amplitude is NaN or infinite (the message names its key).
     """
     psi, leaked = _project(state, layout)
     if leaked > LEAKAGE_TOL:
@@ -401,10 +408,9 @@ def measure_edge(state: SparseState, layout: QubitLayout, seed=None) -> int:
     """
     walk_state = project_to_walk_state(state, layout)
     probs = np.abs(walk_state.psi[:, 0]) ** 2 + np.abs(walk_state.psi[:, 1]) ** 2
-    total = float(probs.sum())
-    if total <= 0.0:
+    if probs.sum() <= 0.0:
         raise SimulationError("no probability weight on the edge qubits")
-    return walk._draw(np.cumsum(probs), walk._as_rng(seed))
+    return walk._draw(np.cumsum(probs), np.random.default_rng(seed))
 
 
 def _circuit_columns(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
@@ -496,8 +502,9 @@ def verify_circuit_equivalence(
     side uses the standard pole-swap coin and sign oracle.
 
     Raises:
-        ValueError: If `tolerance` is NaN, negative or infinite, or g has no
-            edges.
+        ValueError: If `tolerance` is NaN, negative or infinite, g has no
+            edges, or a marked edge lies outside g (checked before compiling).
+        TypeError: If a marked edge is a bool, a float or another non-integer.
         CircuitError: If the given circuit's layout has another edge count
             than g.
     """
@@ -506,15 +513,12 @@ def verify_circuit_equivalence(
     if np.isinf(tolerance):
         raise ValueError(f"tolerance must be finite, got {tolerance!r}")
     walk._start_amplitude(g.n_edges)  # raises on a graph with no edges
+    if circuit is not None and circuit.layout.n_edges != g.n_edges:
+        raise CircuitError(f"circuit has {circuit.layout.n_edges} edges, graph has {g.n_edges}")
+    # The model checks the marks by the walk's rule, before anything is compiled.
+    model = walk.step_matrix(g, p, oracle=walk.OracleSpec(marked=frozenset(marked)))
     if circuit is None:
         circuit = compile_step(g, p, marked, enumeration_seed=enumeration_seed)
-    elif circuit.layout.n_edges != g.n_edges:
-        raise CircuitError(
-            f"circuit has {circuit.layout.n_edges} edges, graph has {g.n_edges}"
-        )
-    model = walk.step_matrix(
-        g, p, oracle=walk.OracleSpec(marked=frozenset(marked))
-    )
     actual, leakage = _circuit_columns(circuit)
     # The difference overwrites the circuit's matrix and the model is freed
     # before `gap`, so no third dense (2E)^2 complex array is made.

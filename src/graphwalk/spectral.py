@@ -16,6 +16,7 @@ import numpy as np
 
 from .graph import (
     PolarityMap,
+    _count,
     _index,
     complete_graph,
     greedy_coloring,
@@ -27,7 +28,7 @@ from . import walk
 
 
 def _check_m(m: int) -> None:
-    if m < 2:
+    if _index(m, "a leaf count") < 2:
         raise ValueError(f"star reduction needs at least 2 leaves, got m={m}")
 
 
@@ -149,7 +150,6 @@ def star_spectrum(m: int) -> StarSpectrum:
 
 def star_predicted_prob(m: int, t: float) -> float:
     """Closed-form estimate sin^2(lam * t) of the marked-edge probability."""
-    _check_m(m)
     return math.sin(star_spectrum(m).lam * t) ** 2
 
 
@@ -168,9 +168,7 @@ def reduced_vs_full(
         max over t of the max absolute amplitude difference.
     """
     _check_m(m)
-    t_max = _index(t_max, "a step count")
-    if t_max < 0:
-        raise ValueError(f"t_max must be nonnegative, got {t_max}")
+    t_max = _count(t_max, "t_max")
     g = star_graph(m)
     p = polarity if polarity is not None else PolarityMap((0,) * m)
     plan = walk.WalkPlan(g, p, walk.OracleSpec(marked=frozenset({0})))

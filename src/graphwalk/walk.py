@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, PolarityMap, _index, check_polarity, facing_amplitudes
+from .graph import Graph, PolarityMap, _count, _index, check_polarity, facing_amplitudes
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 MINUS_X = -PAULI_X
@@ -227,12 +227,6 @@ class WalkPlan:
         self._cdf: tuple[int, np.ndarray] | None = None
         self._bounds: tuple[np.ndarray, np.ndarray, np.ndarray, float] | None = None
 
-    def _check(self, state: WalkState) -> None:
-        if state.n_edges != self.n_edges:
-            raise ValueError(
-                f"state has {state.n_edges} edges, graph has {self.n_edges}"
-            )
-
     def _gather(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Oracle and coin on (2E,) or (2E, B) plan-ordered amplitudes z."""
         x = np.take(z, self._reads[0], axis=0, out=out, mode="clip")
@@ -275,7 +269,8 @@ class WalkPlan:
 
     def step(self, state: WalkState) -> WalkState:
         """Advance one step: oracle, then coin, then scattering.  In place."""
-        self._check(state)
+        if state.n_edges != self.n_edges:
+            raise ValueError(f"state has {state.n_edges} edges, graph has {self.n_edges}")
         flat = _flat(state)
         np.take(flat, self._dst, out=self._y, mode="clip")
         self._advance(self._y)
@@ -289,7 +284,7 @@ class WalkPlan:
         The last result is kept (read-only) and returned again for the same
         step count.
         """
-        steps = _index(steps, "a step count")
+        steps = _count(steps, "step count")
         if self._cdf is None or self._cdf[0] != steps:
             state = evolve(self.g, self.p, self.oracle, steps, self.coin, plan=self)
             cdf = np.cumsum(edge_probabilities(state))
@@ -381,7 +376,7 @@ def edge_probabilities(state: WalkState) -> np.ndarray:
 
 def _check_norm(total: float) -> None:
     """Raise ValueError if a state's total probability is off 1 by over 1e-9."""
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"state norm drifted: total probability {total!r}")
 
 
@@ -390,12 +385,6 @@ def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
     made from one `rng.random()` double."""
     u = rng.random() * cdf[-1]
     return int(np.searchsorted(cdf[:-1], u, side="right"))  # at most len(cdf) - 1
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def evolve(
@@ -412,9 +401,7 @@ def evolve(
     `plan`, when given, must have been built for these g, p, oracle and coin.
     """
     plan = _plan_for(g, p, oracle, coin, plan)
-    steps = _index(steps, "a step count")
-    if steps < 0:
-        raise ValueError(f"step count must be nonnegative, got {steps}")
+    steps = _count(steps, "step count")
     for z in plan._walk(steps):
         pass
     return WalkState(np.take(z, plan._at, mode="clip").reshape(-1, 2), t=steps)
@@ -442,7 +429,7 @@ def search(
     if not oracle.marked:
         raise ValueError("search needs at least one marked edge")
     plan = _plan_for(g, p, oracle, coin, plan)
-    return _draw(plan.cdf(steps), _as_rng(seed))
+    return _draw(plan.cdf(steps), np.random.default_rng(seed))
 
 
 def guaranteed_search(
@@ -486,13 +473,11 @@ def guaranteed_search(
     """
     if not oracle.marked:
         raise ValueError("search needs at least one marked edge")
-    max_calls = _index(max_calls, "a call cap")
-    if max_calls < 1:
-        raise ValueError(f"call cap must be positive, got {max_calls}")
+    max_calls = _count(max_calls, "call cap", 1)
     plan = _plan_for(g, p, oracle, coin, plan)
     cdf = plan.cdf(steps)
     marked, bounds, mass = plan._marked_bounds(cdf)
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator comes back as it is
     ceiling = 1 << 14  # bounds a batch's memory whatever max_calls is
     n = ceiling if mass * ceiling <= 1.0 else round(1.0 / mass)
     calls = 0
@@ -572,9 +557,7 @@ def sweep(
     the smallest t.
     """
     plan = WalkPlan(g, p, oracle, coin)
-    t_max = _index(t_max, "a step count")
-    if t_max < 0:
-        raise ValueError(f"t_max must be nonnegative, got {t_max}")
+    t_max = _count(t_max, "t_max")
     marked = tuple(sorted(oracle.marked))
     # The plan positions of each marked edge's (+, -) poles.
     at = plan._at[2 * np.array(marked, dtype=np.intp)[:, None] + (0, 1)]

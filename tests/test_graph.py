@@ -585,14 +585,25 @@ def test_starify_degrees_and_flags():
     assert s.graph.n == 2 * g.n
     for u in range(g.n):
         assert s.graph.degree(u) == g.degree(u) + 1
-        assert not s.is_virtual_node(u)
-        assert s.is_virtual_node(g.n + u)
         assert s.graph.degree(g.n + u) == 1
         k = s.virtual_edge_of(u)
         assert s.is_virtual_edge(k)
         assert s.graph.edges[k].tolist() == [u, g.n + u]
     for k in range(g.n_edges):
         assert not s.is_virtual_edge(k)
+
+
+def test_is_virtual_edge_refuses_edges_outside_the_extended_graph():
+    s = starify(complete_graph(3))  # 6 nodes, 6 edges
+    assert [s.is_virtual_edge(k) for k in range(6)] == [False] * 3 + [True] * 3
+    assert s.is_virtual_edge(np.int64(5))
+    for k in (-1, 6, 99):
+        with pytest.raises(GraphError, match=rf"^edge {k} outside 0\.\.5$") as info:
+            s.is_virtual_edge(k)
+        assert info.value.edge == k
+    for k in (True, False, 4.0, 4.5):
+        with pytest.raises(TypeError):
+            s.is_virtual_edge(k)
 
 
 def test_starify_virtual_edge_of_range():
@@ -675,3 +686,80 @@ def test_random_connected_graph_deterministic():
 def test_random_connected_graph_saturates():
     g = random_connected_graph(4, extra_edges=100, seed=0)
     assert g == complete_graph(4)
+
+
+# Ids and colours follow the rule of a single index: a bool, a float or a
+# complex is refused, never truncated to a node.  A Python sequence is read
+# entry by entry; an ndarray by its dtype, or entry by entry if it holds
+# objects.  (An ndarray built from bools mixed with ints is an int array.)
+BAD_EDGES = [
+    ((0.5, 1.5), (1.0, 2.0)),
+    ((True, 2), (0, 2)),
+    ((0, 1), (1, np.float64(2.0))),
+    ((0, 1), (1, 2 + 0j)),
+    np.array([[0.5, 1.5], [1.0, 2.0]]),
+    np.array([[True, False]]),
+    np.array([(True, 2), (0, 2)], dtype=object),
+]
+BAD_IDS = [
+    (1.7, 2.2),
+    (True, 1),
+    [1, np.bool_(True)],
+    np.array([1.7, 2.2]),
+    np.array([True, True]),
+    np.array([True, 1], dtype=object),
+]
+BAD_COLORS = [
+    (0.0, 1.0, 0.0),
+    (False, True, False),
+    np.array([0.0, 1.0, 0.0]),
+    np.array([False, True, False]),
+    np.array([0, True, 0], dtype=object),
+]
+
+
+@pytest.mark.parametrize(
+    "edges", BAD_EDGES,
+    ids=["float", "bool", "numpy-float", "complex", "float-array", "bool-array", "object-array"],
+)
+def test_graph_refuses_ids_that_are_not_integers(edges):
+    with pytest.raises(TypeError):
+        Graph(3, edges)
+
+
+@pytest.mark.parametrize(
+    "plus", BAD_IDS,
+    ids=["float", "bool", "numpy-bool", "float-array", "bool-array", "object-array"],
+)
+def test_polarity_refuses_ids_that_are_not_integers(plus):
+    with pytest.raises(TypeError):
+        PolarityMap(plus)
+
+
+@pytest.mark.parametrize(
+    "colors", BAD_COLORS, ids=["float", "bool", "float-array", "bool-array", "object-array"]
+)
+def test_coloring_refuses_colors_that_are_not_integers(colors):
+    g = path_graph(3)
+    with pytest.raises(TypeError):
+        polarity_from_coloring(g, colors)
+    with pytest.raises(TypeError):
+        check_proper(g, colors)
+
+
+@pytest.mark.parametrize("n", [2.0, 3.0, True, "3"])
+def test_graph_refuses_a_node_count_that_is_not_an_integer(n):
+    with pytest.raises(TypeError):
+        Graph(n, ((0, 1),))
+
+
+def test_numpy_integer_ids_are_accepted():
+    want = Graph(3, ((0, 1), (1, 2)))
+    assert Graph(np.int64(3), ((np.int64(0), np.int32(1)), (1, np.uint8(2)))) == want
+    assert Graph(3, np.array([[0, 1], [1, 2]], dtype=np.int32)) == want
+    assert Graph(3, np.array([[0, 1], [1, 2]], dtype=object)) == want
+    assert Graph(1, ()).n_edges == 0
+    plus = PolarityMap((np.int64(1), 2))
+    assert plus == PolarityMap(np.array([1, 2], dtype=np.uint16))
+    assert plus.plus_node.dtype == np.int64
+    assert polarity_from_coloring(want, (np.int8(0), 1, np.int64(0))) == PolarityMap((1, 1))

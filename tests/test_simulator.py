@@ -387,6 +387,33 @@ def test_key_that_is_not_ascending_register_qubits_is_rejected(read, key):
     _assert_key_rejected(read, key)
 
 
+@pytest.mark.parametrize(
+    "bad", [complex("nan"), float("nan"), float("inf"), complex(0, -float("inf"))],
+    ids=["nan", "float-nan", "inf", "imaginary-inf"],
+)
+@pytest.mark.parametrize(
+    "read",
+    [
+        _run_path3,
+        lambda state, layout: apply_instruction(state, Instruction(Gate.X, (), (0,), EDGE0)),
+        project_to_walk_state,
+        measure_edge,
+    ],
+    ids=["run", "apply_instruction", "project", "measure"],
+)
+def test_amplitude_that_is_not_finite_is_rejected(read, bad):
+    # A NaN would be pruned or sampled from, an inf turned into -inf: the
+    # state is rejected on the way in, with the key named.
+    g = path_graph(3)
+    layout = build_layout(g, coloring_polarity(g))
+    n = layout.n_qubits
+    for amps in ({(4,): bad}, {(2,): 0.6 + 0j, (4,): bad, (5,): 0.8 + 0j}):
+        with pytest.raises(SimulationError) as info:
+            read(SparseState(amps, n), layout)
+        assert not isinstance(info.value, SubspaceLeakageError)
+        assert str(info.value) == f"amplitude {bad!r} at basis key (4,) is not finite"
+
+
 def test_state_keys_take_the_benchmark_digest():
     # perfbench's circuit-run workload digests a state with this expression,
     # so the keys must sort and serialize to JSON.
@@ -614,6 +641,31 @@ def test_report_names_worst_column():
     assert report.to_json_dict()["worst_column"] == {
         "edge": int(source) // 2, "pole": int(source) % 2
     }
+
+
+@pytest.mark.parametrize(
+    "marked, error, message",
+    [([7], ValueError, "^marked edge index out of range for 3 edges$"),
+     ([-1], ValueError, "^marked edge index out of range for 3 edges$"),
+     ([True], TypeError, "bool"),
+     ([0.0], TypeError, "float")],
+    ids=["past-the-end", "negative", "bool", "float"],
+)
+def test_verify_checks_marks_by_the_walk_rule_before_compiling(monkeypatch, marked, error, message):
+    # With or without a circuit, a bad mark gets one error, raised before
+    # anything is compiled.
+    g, p = star_graph(3), hub_polarity(3)
+    circuit = compile_step(g, p, [0])
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("compiled or simulated a step for a bad mark")
+
+    monkeypatch.setattr(simulator, "compile_step", unreachable)
+    monkeypatch.setattr(simulator, "_circuit_columns", unreachable)
+    for given in (None, circuit):
+        with pytest.raises(error, match=message) as info:
+            verify_circuit_equivalence(g, p, marked, circuit=given)
+        assert type(info.value) is error
 
 
 def test_verify_rejects_circuit_for_another_edge_count(monkeypatch):

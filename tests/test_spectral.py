@@ -72,6 +72,18 @@ def test_small_stars_rejected(m):
         star_spectrum(m)
 
 
+@pytest.mark.parametrize("m", [2.5, 3.0, True, "3"])
+def test_leaf_counts_must_be_integers(m):
+    for f in (star_initial_state, star_matrix, star_spectrum):
+        with pytest.raises(TypeError):
+            f(m)
+
+
+def test_leaf_counts_take_numpy_integers():
+    assert star_initial_state(np.int64(3)) == star_initial_state(3)
+    assert reduced_vs_full(np.int64(3), np.int32(4)) == reduced_vs_full(3, 4)
+
+
 def test_reduced_vs_full_rejects_negative_t_max():
     with pytest.raises(ValueError, match="t_max must be nonnegative"):
         reduced_vs_full(3, -1)

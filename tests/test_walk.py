@@ -293,6 +293,12 @@ def test_edge_probabilities_rejects_denormalized():
         edge_probabilities(WalkState(np.ones((2, 2), dtype=complex)))
 
 
+def test_edge_probabilities_rejects_a_nan_state():
+    # abs(nan - 1) > 1e-9 is False: the norm check is written so NaN fails it.
+    with pytest.raises(ValueError, match="^state norm drifted: total probability nan$"):
+        edge_probabilities(WalkState(np.full((3, 2), np.nan)))
+
+
 def test_marked_probability_matches_reduced_model():
     g = star_graph(2)
     s = diagonal_state(g)
@@ -1028,3 +1034,29 @@ def test_sweep_report_json():
 def test_walk_state_shape_validation():
     with pytest.raises(ValueError, match="shape"):
         WalkState(np.zeros(4))
+
+
+@pytest.mark.parametrize("node_mode", [False, True], ids=["edge", "node"])
+def test_outputs_do_not_depend_on_the_polarity(node_mode):
+    # The plan-ordered dynamics do not depend on which pole faces which
+    # endpoint, and every output adds an edge's two poles, which commutes in
+    # IEEE arithmetic: probabilities and draws are bitwise the same.
+    g = random_connected_graph(40, 60, seed=3)
+    marked = {7}
+    if node_mode:
+        s = starify(g)
+        g, marked = s.graph, {s.virtual_edge_of(5)}
+    oracle = OracleSpec(marked=frozenset(marked))
+    polarities = [coloring_polarity(g), PolarityMap(g.edges[:, 0]), PolarityMap(g.edges[:, 1])]
+    assert polarities[0] != polarities[1]
+    outputs = []
+    for p in polarities:
+        plan = WalkPlan(g, p, oracle)
+        outputs.append((
+            sweep(g, p, oracle, 12).probs,
+            edge_probabilities(evolve(g, p, oracle, 7)).tobytes(),
+            [search(g, p, oracle, 7, seed, plan=plan) for seed in range(20)],
+            [guaranteed_search(g, p, oracle, 2, seed, plan=plan) for seed in range(20)],
+        ))
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]

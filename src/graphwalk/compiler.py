@@ -24,6 +24,7 @@ instructions' loci determine them.
 from __future__ import annotations
 
 import enum
+import gc
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -415,27 +416,33 @@ class Circuit:
 
     def to_json(self) -> str:
         """The document, byte for byte `json.dumps(doc, indent=2) + "\\n"`, from
-        templates: an indented `json.dumps` runs the pure-Python encoder."""
-        kinds = {kind: json.dumps(kind) for kind in {ins.locus.kind for ins in self.instructions}}
+        templates: an indented `json.dumps` runs the pure-Python encoder.  Each
+        instruction is one `%` on the template of its shape, built at its first use."""
+        templates: dict[tuple, str] = {}
+        rendered = []
+        for gate, controls, targets, (kind, ident), d in self.instructions:
+            shape = (gate, len(controls), len(targets), kind, d)
+            template = templates.get(shape) or templates.setdefault(shape, _template(*shape))
+            rendered.append(template % (*controls, *targets, ident))
         facing = ",\n      ".join(map(_int_list, self.layout.facing))
-        instructions = ",\n".join(
-            _INSTRUCTION % (
-                ins.gate.value, _int_list(ins.controls), _int_list(ins.targets),
-                kinds[ins.locus.kind], ins.locus.id,
-                "" if ins.d is None else ',\n      "d": %d' % ins.d,
-            )
-            for ins in self.instructions
-        )
+        instructions = ",\n".join(rendered)
         return '{\n  "layout": {\n    "facing": %s\n  },\n  "instructions": %s\n}\n' % (
             f"[\n      {facing}\n    ]" if facing else "[]",
             f"[\n{instructions}\n  ]" if instructions else "[]",
         )
 
 
-_INSTRUCTION = (
-    '    {\n      "gate": "%s",\n      "controls": %s,\n      "targets": %s,\n'
-    '      "locus": {\n        "kind": %s,\n        "id": %d\n      }%s\n    }'
-)
+def _template(gate: Gate, n_controls: int, n_targets: int, kind: str, d: int | None) -> str:
+    """An instruction of this shape as the indented `json.dumps` writes it, with a
+    %s for each control and target, %d for the locus id, and any other `%` doubled."""
+    controls, targets = _int_list(["%s"] * n_controls), _int_list(["%s"] * n_targets)
+    kind = json.dumps(kind).replace("%", "%%")
+    tail = "" if d is None else ',\n      "d": %d' % d
+    return (
+        f'    {{\n      "gate": "{gate.value}",\n      "controls": {controls},\n'
+        f'      "targets": {targets},\n      "locus": {{\n        "kind": {kind},\n'
+        f'        "id": %d\n      }}{tail}\n    }}'
+    )
 
 
 def _int_list(xs) -> str:
@@ -500,25 +507,31 @@ def circuit_from_json(text: str) -> Circuit:
             locus is unknown or out of place (named as `Circuit.phases`
             does), or one that is not local (as `locality_audit` does).
     """
+    enabled = gc.isenabled()
+    gc.disable()  # json.loads's containers set off full collections; no record holds a cycle
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CircuitError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise CircuitError("circuit document must be a JSON object")
-    for key in ("layout", "instructions"):
-        if key not in doc:
-            raise CircuitError(f"circuit document missing {key!r}")
-    lay = _typed(doc["layout"], dict, "layout")
-    rows = _typed(lay.get("facing"), list, "layout.facing")
-    layout = QubitLayout(tuple(_ints(f, f"layout.facing[{u}]") for u, f in enumerate(rows)))
-    items = _typed(doc["instructions"], list, "instructions")
-    instructions = _instructions_at_once(items, layout)
-    if instructions is None:
-        return _load_item_by_item(items, layout)
-    circuit = Circuit(layout, instructions)
-    circuit.phases  # raises on loci out of compile_step's order
-    return circuit
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise CircuitError(f"invalid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise CircuitError("circuit document must be a JSON object")
+        for key in ("layout", "instructions"):
+            if key not in doc:
+                raise CircuitError(f"circuit document missing {key!r}")
+        lay = _typed(doc["layout"], dict, "layout")
+        rows = _typed(lay.get("facing"), list, "layout.facing")
+        layout = QubitLayout(tuple(_ints(f, f"layout.facing[{u}]") for u, f in enumerate(rows)))
+        items = _typed(doc["instructions"], list, "instructions")
+        instructions = _instructions_at_once(items, layout)
+        if instructions is None:
+            return _load_item_by_item(items, layout)
+        circuit = Circuit(layout, instructions)
+        circuit.phases  # raises on loci out of compile_step's order
+        return circuit
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _instructions_at_once(items: list, layout: QubitLayout) -> tuple[Instruction, ...] | None:

@@ -337,6 +337,11 @@ def _flat(state: WalkState) -> np.ndarray:
     return state.psi.reshape(-1)
 
 
+def _check_marked(oracle: OracleSpec) -> None:
+    if not oracle.marked:
+        raise ValueError("search needs at least one marked edge")
+
+
 def _plan_for(g, p, oracle, coin, plan: WalkPlan | None) -> WalkPlan:
     """Build a plan, or check that a given one belongs to these arguments."""
     if plan is None:
@@ -426,8 +431,7 @@ def search(
     Returns:
         The sampled edge index (not necessarily a marked one).
     """
-    if not oracle.marked:
-        raise ValueError("search needs at least one marked edge")
+    _check_marked(oracle)
     plan = _plan_for(g, p, oracle, coin, plan)
     return _draw(plan.cdf(steps), np.random.default_rng(seed))
 
@@ -471,8 +475,7 @@ def guaranteed_search(
         >>> guaranteed_search(g, p, oracle, 4, seed=3)  # the peak: p = 0.978
         (0, 1)
     """
-    if not oracle.marked:
-        raise ValueError("search needs at least one marked edge")
+    _check_marked(oracle)
     max_calls = _count(max_calls, "call cap", 1)
     plan = _plan_for(g, p, oracle, coin, plan)
     cdf = plan.cdf(steps)

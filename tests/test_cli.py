@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,7 +273,7 @@ def test_analyze_star_2_closed_form(capsys):
 
 def test_analyze_star_rejects_tiny(capsys):
     assert main(["analyze-star", "1"]) == 1
-    assert "at least 2 leaves" in capsys.readouterr().err
+    assert capsys.readouterr().err == "graphwalk: star reduction needs at least 2 leaves, got m=1\n"
 
 
 def test_analyze_complete_8(capsys):
@@ -705,6 +706,8 @@ def test_marked_node_out_of_range_returns_2(path3, capsys):
         ["search", "--graph", path3, "--mark-node", "9", "--steps", "1"]
     )
     assert code == 2
+    err = capsys.readouterr().err
+    assert err == "graphwalk: graph error: node 9 is not a node of the original graph\n"
 
 
 def test_negative_steps_returns_1(single_edge, capsys):
@@ -722,8 +725,16 @@ def test_logging_enabled_by_env(caplog, path3):
     assert "parsed graph: 3 nodes, 2 edges" in caplog.text
 
 
+# A child interpreter does not see pytest's `pythonpath`, so it gets this
+# checkout's `src` first on PYTHONPATH.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_CHILD_ENV = dict(
+    os.environ, PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+)
+
+
 def test_console_entry_point_and_log_env(path3):
-    env = dict(os.environ, GRAPHWALK_LOG="info")
+    env = dict(_CHILD_ENV, GRAPHWALK_LOG="info")
     proc = subprocess.run(
         [sys.executable, "-m", "graphwalk.cli", "sweep", "--graph", path3,
          "--mark-edge", "0", "1", "--t-max", "2"],
@@ -739,7 +750,7 @@ def test_console_entry_point_and_log_env(path3):
 def test_debug_log_env_writes_info_to_stderr_only(path3):
     argv = [sys.executable, "-m", "graphwalk.cli", "sweep", "--graph", path3,
             "--mark-edge", "0", "1", "--t-max", "2"]
-    env = {k: v for k, v in os.environ.items() if k != "GRAPHWALK_LOG"}
+    env = {k: v for k, v in _CHILD_ENV.items() if k != "GRAPHWALK_LOG"}
     quiet = subprocess.run(argv, capture_output=True, text=True, env=env)
     loud = subprocess.run(
         argv, capture_output=True, text=True, env=dict(env, GRAPHWALK_LOG="debug")

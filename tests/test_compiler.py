@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import hashlib
 import json
 
@@ -534,6 +535,65 @@ def test_to_json_writes_indented_json_dumps(g, marked, seed):
     back = circuit_from_json(text)
     assert back == circ
     assert back.to_json() == text
+
+
+@pytest.mark.parametrize(
+    "circ",
+    [
+        Circuit(
+            QubitLayout(((0,), (1,))),
+            (
+                Instruction(Gate.X, (), (0,), Locus("100%", 0)),
+                Instruction(Gate.CNOT, (0,), (1,), Locus('say "%d"', 7)),
+                Instruction(Gate.Z, (), (1,), Locus("n\u0153ud", 1)),
+                Instruction(Gate.X, (), (1,), Locus("100%", 2)),  # a template used again
+                Instruction(Gate.DIFFUSION, (2,), (0, 1), Locus("%s%%", 3), d=3),
+            ),
+        ),
+        Circuit(QubitLayout(()), ()),
+    ],
+    ids=["kinds-to-escape", "empty"],
+)
+def test_to_json_writes_json_dumps_of_hand_built_circuits(circ):
+    assert circ.to_json() == json.dumps(document_dict(circ), indent=2) + "\n"
+
+
+def test_to_json_builds_one_template_per_instruction_shape(monkeypatch):
+    g = star_graph(16)
+    circ = compile_step(g, coloring_polarity(g), [0])
+    built, template = [], compiler._template
+    monkeypatch.setattr(compiler, "_template", lambda *shape: built.append(shape) or template(*shape))
+    text = circ.to_json()
+    shapes = [(i.gate, len(i.controls), len(i.targets), i.locus.kind, i.d) for i in circ.instructions]
+    assert sorted(built) == sorted(set(shapes))
+    assert len(built) < len(shapes)
+    assert text == json.dumps(document_dict(circ), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("fault", [None, "invalid JSON", "instruction 0"])
+def test_circuit_from_json_pauses_the_collector_and_restores_it(monkeypatch, caller_enabled, fault):
+    g = star_graph(3)
+    text = {
+        None: compile_step(g, coloring_polarity(g), [0]).to_json(),
+        "invalid JSON": "{nope",
+        "instruction 0": tampered_doc(lambda doc: doc["instructions"][0].update(gate="toffoli")),
+    }[fault]
+    during, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda s: during.append(gc.isenabled()) or loads(s))
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if caller_enabled else gc.disable)()
+        if fault is None:
+            assert circuit_from_json(text).n_qubits > 0
+        else:
+            with pytest.raises(CircuitError, match=fault):
+                circuit_from_json(text)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert during == [False]
+    assert after is caller_enabled
 
 
 def test_circuit_from_json_rejects_garbage():

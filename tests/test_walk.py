@@ -550,7 +550,7 @@ def test_search_near_peak_finds_marked_edge():
 def test_search_validates_input():
     g = star_graph(3)
     p = coloring_polarity(g)
-    with pytest.raises(ValueError, match="marked"):
+    with pytest.raises(ValueError, match="^search needs at least one marked edge$"):
         search(g, p, OracleSpec(), 1, 0)
     with pytest.raises(ValueError, match="^search needs at least one marked edge$"):
         guaranteed_search(g, p, OracleSpec(), 1, 0)

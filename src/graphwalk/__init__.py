@@ -30,7 +30,6 @@ from .graph import (
 )
 from .walk import (
     CallCapExceededError,
-    CoinSpec,
     OracleSpec,
     SweepReport,
     WalkPlan,

@@ -111,7 +111,8 @@ class Instruction(_InstructionFields):
     targets as a slot value (target i is bit i), maps each value below d to
     (2/d) times the sum over those values minus itself, and leaves higher
     values alone.  Every gate is its own inverse.  Controls and targets are
-    kept as given; the document loader type-checks them.
+    kept as given; the document loader type-checks them.  The degree is
+    taken by `_index`'s rule, so a bool or a float is refused.
 
     An instruction is a named tuple.  Calling the class checks the qubits,
     arity and degree, and so does `_replace`; only `_make` does not, for
@@ -140,6 +141,8 @@ class Instruction(_InstructionFields):
             raise CircuitError(f"gate {gate.value} reuses a qubit: {qubits}")
         if min(qubits, default=0) < 0:
             raise CircuitError(f"negative qubit index in {qubits}")
+        if d is not None:
+            d = _index(d, "a diffusion degree")
         fault = _shape_fault(gate, len(controls), len(targets), d)
         if fault is not None:
             raise CircuitError(fault)

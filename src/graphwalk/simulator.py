@@ -498,8 +498,9 @@ def verify_circuit_equivalence(
 ) -> EquivalenceReport:
     """Compare a compiled step circuit against the walk model matrix.
 
-    Compiles the step for (g, p, marked) when no circuit is given.  The walk
-    side uses the standard pole-swap coin and sign oracle.
+    Compiles the step for (g, p, marked) when no circuit is given.  The model
+    is `step_matrix`, the walk's one step: the -X oracle on the marked edges,
+    the X coin, then every node's diffusion, the step `compile_step` emits.
 
     Raises:
         ValueError: If `tolerance` is NaN, negative or infinite, g has no

@@ -1,21 +1,19 @@
 """Discrete-time coined walk on the edges of a graph.
 
 The state holds two amplitudes per edge, one per pole.  A step applies the
-marking oracle, then the coin on every edge, then a scattering pass in which
-each node diffuses the amplitudes facing it with the degree-d Grover operator
-(2/d)J - I.  Searching runs the walk and samples the edge distribution.
+marking oracle -X to the marked edges, then the pole swap X (the coin) to
+every edge, then a scattering pass in which each node diffuses the
+amplitudes facing it with the degree-d Grover operator (2/d)J - I.
+Searching runs the walk and samples the edge distribution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph, PolarityMap, _count, _index, check_polarity, facing_amplitudes
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-MINUS_X = -PAULI_X
 
 
 class CallCapExceededError(RuntimeError):
@@ -30,50 +28,22 @@ class CallCapExceededError(RuntimeError):
         self.calls = calls
 
 
-def _check_unitary(matrix: np.ndarray, what: str) -> np.ndarray:
-    """Return a read-only complex copy of a 2x2 `matrix` after checking unitarity.
-
-    The copy keeps a caller's later writes from changing a checked matrix.
-    """
-    m = np.array(matrix, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"{what} must be 2x2, got shape {m.shape}")
-    if not np.allclose(m @ m.conj().T, np.eye(2), atol=1e-12):
-        raise ValueError(f"{what} is not unitary within 1e-12")
-    m.setflags(write=False)
-    return m
-
-
-@dataclass(frozen=True, eq=False)
-class CoinSpec:
-    """A 2x2 unitary applied to the (+, -) amplitude pair of every edge."""
-
-    matrix: np.ndarray = field(default_factory=lambda: PAULI_X)
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _check_unitary(self.matrix, "coin"))
-
-
 @dataclass(frozen=True, eq=False)
 class OracleSpec:
-    """Marked edges and the 2x2 unitary the step applies to each of them.
+    """The marked edges of a search.
 
-    The action runs before the coin and touches marked edges only.  The
-    default is minus the pole swap: composed with the X coin that follows it
-    leaves marked edges with a plain sign flip per step, the reflection the
+    A step applies -X, minus the pole swap, to each marked edge before the X
+    coin; the two compose to a plain sign flip per step, the reflection the
     search amplifies.
 
     Attributes:
         marked: Edge indices carrying the mark.
-        matrix: The 2x2 unitary applied to each marked edge's amplitude pair.
     """
 
     marked: frozenset[int] = frozenset()
-    matrix: np.ndarray = field(default_factory=lambda: MINUS_X)
 
     def __post_init__(self):
         object.__setattr__(self, "marked", frozenset(map(_index, self.marked)))
-        object.__setattr__(self, "matrix", _check_unitary(self.matrix, "oracle action"))
 
 
 @dataclass
@@ -119,26 +89,24 @@ def diagonal_state(g: Graph) -> WalkState:
 
 
 class WalkPlan:
-    """One step operator for a graph, polarity, oracle and coin, built once.
+    """One step operator for a graph, polarity and oracle, built once.
 
-    A step applies the oracle, then the coin, then every node's diffusion.
-    The plan folds the first two into one 2x2 action per edge: the coin on
-    unmarked edges and coin times oracle on marked ones.  It keeps the 2|E|
-    amplitudes in an order of its own, node by node: first the nodes of
-    degree >= 2 in the graph's CSR order, each node's facing amplitudes in
-    ascending neighbor order, then the amplitudes facing degree-1 nodes.  A
-    step is one gather into that order, which applies the 2x2 actions, then
-    the diffusions: one segment sum over the nodes of degree >= 2, and
-    2x - x for each degree-1 node, the same bits as its one-element sum.
-    `evolve` and `sweep` run the plan's one walk loop, which starts from the
-    uniform superposition and steps in the plan's buffer, so their steps
-    scatter nothing; `step` works on a flat state, permuted into the plan's
-    order and back around each step.  The same stages run on one state or
-    on (2E, B) columns side by side: `matrix()` is the step run on the
-    identity's columns.  The 2x2 actions are not matrix products: each
-    amplitude gathers its edge's two poles, weighted by its row of the
-    edge's action; with the default specs (the X coin, the -X oracle) they
-    reduce to gathering each pole's partner and negating the marked edges.
+    A step applies the oracle -X to the marked edges, then the X coin to
+    every edge, then every node's diffusion.  The first two fold into one
+    action per edge: the pole swap on unmarked edges, -I on marked ones.
+    The plan keeps the 2|E| amplitudes in an order of its own, node by
+    node: first the nodes of degree >= 2 in the graph's CSR order, each
+    node's facing amplitudes in ascending neighbor order, then the
+    amplitudes facing degree-1 nodes.  A step is one gather into that
+    order, which reads each pole's partner (on a marked edge, the pole
+    itself) and negates the marked edges, then the diffusions: one segment
+    sum over the nodes of degree >= 2, and 2x - x for each degree-1 node,
+    the same bits as its one-element sum.  `evolve` and `sweep` run the
+    plan's one walk loop, which starts from the uniform superposition and
+    steps in the plan's buffer, so their steps scatter nothing; `step`
+    works on a flat state, permuted into the plan's order and back around
+    each step.  The same stages run on one state or on (2E, B) columns
+    side by side: `matrix()` is the step run on the identity's columns.
 
     The plan remembers the cumulative edge distribution of its last
     evolution, so repeated draws at one step count evolve once, and the
@@ -148,7 +116,7 @@ class WalkPlan:
     replaced by a contiguous copy), so threads must not share a plan.
 
     Attributes:
-        g, p, oracle, coin: What the plan was built for, as passed.
+        g, p, oracle: What the plan was built for, as passed.
         n_edges: Edge count of `g`.
 
     Examples:
@@ -165,19 +133,14 @@ class WalkPlan:
         array([0.761, 0.119, 0.119])
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        p: PolarityMap,
-        oracle: OracleSpec | None = None,
-        coin: CoinSpec | None = None,
-    ):
+    def __init__(self, g: Graph, p: PolarityMap, oracle: OracleSpec | None = None):
         check_polarity(g, p)
         n_edges = g.n_edges
-        marked = np.array(sorted(oracle.marked) if oracle is not None else [], dtype=np.intp)
-        if marked.size and (marked[0] < 0 or marked[-1] >= n_edges):
+        # The range is checked on the Python ints, which may not fit an intp.
+        marked = sorted(oracle.marked) if oracle is not None else []
+        if marked and (marked[0] < 0 or marked[-1] >= n_edges):
             raise ValueError(f"marked edge index out of range for {n_edges} edges")
-        self.g, self.p, self.oracle, self.coin = g, p, oracle, coin
+        self.g, self.p, self.oracle = g, p, oracle
         self.n_edges = n_edges
 
         # Plan position i holds flat amplitude _dst[i] (2k + c is edge k's
@@ -202,40 +165,21 @@ class WalkPlan:
         self._y = np.empty(2 * n_edges, dtype=complex)
         self._sums = np.empty(len(degrees), dtype=complex)
 
-        coin_m = (coin if coin is not None else CoinSpec()).matrix
-        marked_m = coin_m @ oracle.matrix if oracle is not None else coin_m
         is_marked = np.zeros(n_edges, dtype=bool)
-        is_marked[marked] = True
+        is_marked[np.array(marked, dtype=np.intp)] = True
         on_marked = is_marked[self._dst >> 1]
-        self._rows = None
-        if np.array_equal(coin_m, PAULI_X) and (
-            oracle is None or np.array_equal(oracle.matrix, MINUS_X)
-        ):
-            # The X coin swaps poles: gather each amplitude's partner 2k + 1 - c,
-            # read at its plan position.  On marked edges coin times oracle is
-            # -I: gather in place, negated.
-            self._reads = (self._at[np.where(on_marked, self._dst, self._dst ^ 1)],)
-            self._flip = np.flatnonzero(on_marked)
-        else:
-            # Position i, pole c of edge k, is row c of the edge's folded
-            # action applied to the edge's poles 2k and 2k + 1, read at their
-            # plan positions.
-            pole = self._dst & 1
-            rows = np.where(on_marked[:, None], marked_m[pole], coin_m[pole])
-            self._reads = (self._at[self._dst - pole], self._at[self._dst - pole + 1])
-            self._rows = (rows[:, 0].copy(), rows[:, 1].copy())
+        # The X coin swaps poles: gather each amplitude's partner 2k + 1 - c,
+        # read at its plan position.  On marked edges X times -X is -I: gather
+        # in place, negated.
+        self._reads = self._at[np.where(on_marked, self._dst, self._dst ^ 1)]
+        self._flip = np.flatnonzero(on_marked)
         self._cdf: tuple[int, np.ndarray] | None = None
         self._bounds: tuple[np.ndarray, np.ndarray, np.ndarray, float] | None = None
 
     def _gather(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Oracle and coin on (2E,) or (2E, B) plan-ordered amplitudes z."""
-        x = np.take(z, self._reads[0], axis=0, out=out, mode="clip")
-        if self._rows is None:
-            x[self._flip] *= -1
-            return x
-        w0, w1 = self._rows if z.ndim == 1 else (w[:, None] for w in self._rows)
-        x *= w0
-        x += w1 * np.take(z, self._reads[1], axis=0, mode="clip")
+        x = np.take(z, self._reads, axis=0, out=out, mode="clip")
+        x[self._flip] *= -1
         return x
 
     def _diffuse(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -286,7 +230,7 @@ class WalkPlan:
         """
         steps = _count(steps, "step count")
         if self._cdf is None or self._cdf[0] != steps:
-            state = evolve(self.g, self.p, self.oracle, steps, self.coin, plan=self)
+            state = evolve(self.g, self.p, self.oracle, steps, plan=self)
             cdf = np.cumsum(edge_probabilities(state))
             cdf.setflags(write=False)
             self._cdf = (steps, cdf)
@@ -342,30 +286,22 @@ def _check_marked(oracle: OracleSpec) -> None:
         raise ValueError("search needs at least one marked edge")
 
 
-def _plan_for(g, p, oracle, coin, plan: WalkPlan | None) -> WalkPlan:
+def _plan_for(g, p, oracle, plan: WalkPlan | None) -> WalkPlan:
     """Build a plan, or check that a given one belongs to these arguments."""
     if plan is None:
-        return WalkPlan(g, p, oracle, coin)
-    if not (plan.g is g and plan.p is p and plan.oracle is oracle and plan.coin is coin):
-        raise ValueError(
-            "plan was built for a different graph, polarity, oracle or coin"
-        )
+        return WalkPlan(g, p, oracle)
+    if not (plan.g is g and plan.p is p and plan.oracle is oracle):
+        raise ValueError("plan was built for a different graph, polarity or oracle")
     return plan
 
 
-def step(
-    state: WalkState,
-    g: Graph,
-    p: PolarityMap,
-    coin: CoinSpec | None = None,
-    oracle: OracleSpec | None = None,
-) -> WalkState:
+def step(state: WalkState, g: Graph, p: PolarityMap, oracle: OracleSpec | None = None) -> WalkState:
     """Advance one step: oracle, then coin, then scattering.  In place.
 
     Each call builds a `WalkPlan` first; to take many steps, build the plan
     once and call `WalkPlan.step`.
     """
-    return WalkPlan(g, p, oracle, coin).step(state)
+    return WalkPlan(g, p, oracle).step(state)
 
 
 def edge_probabilities(state: WalkState) -> np.ndarray:
@@ -397,15 +333,14 @@ def evolve(
     p: PolarityMap,
     oracle: OracleSpec | None,
     steps: int,
-    coin: CoinSpec | None = None,
     *,
     plan: WalkPlan | None = None,
 ) -> WalkState:
     """Run `steps` steps from the uniform superposition and return the state.
 
-    `plan`, when given, must have been built for these g, p, oracle and coin.
+    `plan`, when given, must have been built for these g, p and oracle.
     """
-    plan = _plan_for(g, p, oracle, coin, plan)
+    plan = _plan_for(g, p, oracle, plan)
     steps = _count(steps, "step count")
     for z in plan._walk(steps):
         pass
@@ -418,13 +353,12 @@ def search(
     oracle: OracleSpec,
     steps: int,
     seed=None,
-    coin: CoinSpec | None = None,
     *,
     plan: WalkPlan | None = None,
 ) -> int:
     """Run the walk for `steps` steps and measure one edge.
 
-    With a `plan` built for these g, p, oracle and coin, searches at the
+    With a `plan` built for these g, p and oracle, searches at the
     plan's last step count reuse its distribution instead of evolving again.
     Without one, each call builds a plan and evolves from the start.
 
@@ -432,7 +366,7 @@ def search(
         The sampled edge index (not necessarily a marked one).
     """
     _check_marked(oracle)
-    plan = _plan_for(g, p, oracle, coin, plan)
+    plan = _plan_for(g, p, oracle, plan)
     return _draw(plan.cdf(steps), np.random.default_rng(seed))
 
 
@@ -442,7 +376,6 @@ def guaranteed_search(
     oracle: OracleSpec,
     steps: int,
     seed=None,
-    coin: CoinSpec | None = None,
     max_calls: int = 1_000_000,
     *,
     plan: WalkPlan | None = None,
@@ -477,7 +410,7 @@ def guaranteed_search(
     """
     _check_marked(oracle)
     max_calls = _count(max_calls, "call cap", 1)
-    plan = _plan_for(g, p, oracle, coin, plan)
+    plan = _plan_for(g, p, oracle, plan)
     cdf = plan.cdf(steps)
     marked, bounds, mass = plan._marked_bounds(cdf)
     rng = np.random.default_rng(seed)  # a Generator comes back as it is
@@ -551,7 +484,6 @@ def sweep(
     p: PolarityMap,
     oracle: OracleSpec,
     t_max: int,
-    coin: CoinSpec | None = None,
     predicted_t: float | None = None,
 ) -> SweepReport:
     """Record the marked-edge probability at every t in 0..t_max.
@@ -559,7 +491,7 @@ def sweep(
     The walk starts in the uniform superposition; ties for the maximum go to
     the smallest t.
     """
-    plan = WalkPlan(g, p, oracle, coin)
+    plan = WalkPlan(g, p, oracle)
     t_max = _count(t_max, "t_max")
     marked = tuple(sorted(oracle.marked))
     # The plan positions of each marked edge's (+, -) poles.
@@ -586,15 +518,10 @@ def sweep(
     )
 
 
-def step_matrix(
-    g: Graph,
-    p: PolarityMap,
-    coin: CoinSpec | None = None,
-    oracle: OracleSpec | None = None,
-) -> np.ndarray:
+def step_matrix(g: Graph, p: PolarityMap, oracle: OracleSpec | None = None) -> np.ndarray:
     """Dense matrix of one step on the 2|E| amplitudes.
 
     Basis order: amplitude (edge k, pole c) sits at index 2k + c.  Useful for
     spectra and for checking compiled circuits against the model.
     """
-    return WalkPlan(g, p, oracle, coin).matrix()
+    return WalkPlan(g, p, oracle).matrix()

@@ -2,10 +2,10 @@
 random-state builders, the gate-by-gate reference simulator, and the
 circuit document as a plain dict.
 
-The walk reference is the step stage by stage as plain matrices: the oracle
-and coin as 2x2 matrix products on each edge's amplitude pair, and the
-Grover diffusion as its own dense (2/d)J - I, independent of the package's
-`WalkPlan` kernels.  The dense gate builders reconstruct each gate's full
+The walk reference is the step stage by stage, independent of the package's
+`WalkPlan` kernels: the oracle as the negated pole swap on each marked
+edge, the coin as the pole swap on every edge, and the Grover diffusion as
+its own dense (2/d)J - I.  The dense gate builders reconstruct each gate's full
 2^n matrix from first principles (basis-by-basis bit arithmetic),
 independent of the sparse simulator's dictionary transforms, so the two can
 be compared.  A diffusion is built as that dense (2/d)J - I padded with the
@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from graphwalk import (
-    Circuit, CoinSpec, Gate, Graph, GraphError, Instruction, OracleSpec, SimulationError,
+    Circuit, Gate, Graph, GraphError, Instruction, OracleSpec, SimulationError,
     SparseState, WalkState,
 )
 from graphwalk.simulator import CIRCUIT_NORM_TOL, GATE_NORM_TOL, PRUNE_EPS
@@ -36,20 +36,19 @@ def grover_matrix(d: int) -> np.ndarray:
 
 
 def reference_oracle(state: WalkState, oracle: OracleSpec) -> WalkState:
-    """Apply the oracle action to every marked edge as a 2x2 matrix product,
-    in place, and return the state."""
+    """Apply -X, the negated pole swap, to every marked edge in place, and
+    return the state."""
     if oracle.marked:
         idx = np.fromiter(oracle.marked, dtype=int)
         if idx.min() < 0 or idx.max() >= state.n_edges:
             raise ValueError(f"marked edge index out of range for {state.n_edges} edges")
-        state.psi[idx] = state.psi[idx] @ oracle.matrix.T
+        state.psi[idx] = -state.psi[idx, ::-1]
     return state
 
 
-def reference_coin(state: WalkState, coin: CoinSpec) -> WalkState:
-    """Apply the coin to every edge's amplitude pair as a 2x2 matrix product,
-    in place, and return the state."""
-    state.psi = state.psi @ coin.matrix.T
+def reference_coin(state: WalkState) -> WalkState:
+    """Apply X, the pole swap, to every edge in place, and return the state."""
+    state.psi = state.psi[:, ::-1].copy()
     return state
 
 

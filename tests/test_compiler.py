@@ -1039,6 +1039,16 @@ def test_instruction_validation():
         assert Instruction(Gate.DIFFUSION, (0,), targets, locus, d).d == d
 
 
+@pytest.mark.parametrize("d", [2.5, 2.0, True], ids=["fraction", "whole-float", "bool"])
+def test_instruction_refuses_a_degree_that_is_not_an_integer(d):
+    # By `_index`'s rule, as for node and edge ids: `to_json` would write
+    # 2.5 as 2, and `run` would fail on it.
+    locus = Locus("node", 0)
+    with pytest.raises(TypeError):
+        Instruction(Gate.DIFFUSION, (4,), (2, 3), locus, d=d)
+    assert type(Instruction(Gate.DIFFUSION, (4,), (2, 3), locus, d=np.int64(3)).d) is int
+
+
 def test_replace_checks_like_the_constructor():
     ins = Instruction(Gate.X, (), (0,), Locus("edge", 0))
     assert ins._replace(targets=(1,)) == Instruction(Gate.X, (), (1,), Locus("edge", 0))

@@ -647,9 +647,11 @@ def test_report_names_worst_column():
     "marked, error, message",
     [([7], ValueError, "^marked edge index out of range for 3 edges$"),
      ([-1], ValueError, "^marked edge index out of range for 3 edges$"),
+     ([2**70], ValueError, "^marked edge index out of range for 3 edges$"),
+     ([-2**70], ValueError, "^marked edge index out of range for 3 edges$"),
      ([True], TypeError, "bool"),
      ([0.0], TypeError, "float")],
-    ids=["past-the-end", "negative", "bool", "float"],
+    ids=["past-the-end", "negative", "past-int64", "below-int64", "bool", "float"],
 )
 def test_verify_checks_marks_by_the_walk_rule_before_compiling(monkeypatch, marked, error, message):
     # With or without a circuit, a bad mark gets one error, raised before

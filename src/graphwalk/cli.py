@@ -22,6 +22,7 @@ from .compiler import CircuitError, circuit_from_json, compile_step, locality_au
 from .graph import (
     Graph,
     GraphError,
+    PolarityMap,
     StarifiedGraph,
     _count,
     greedy_coloring,
@@ -106,9 +107,14 @@ def _dump_json(obj: dict, out: str | None) -> None:
 def _load_marked_graph(args):
     """Read the graph and resolve marks.
 
+    No walk output depends on the polarity, so the walk commands take the
+    edge list's own (+ pole at each edge's lower endpoint) and ignore the
+    colors; `compile` and `verify` orient poles by them (`_color_polarity`).
+
     Returns:
-        (graph, polarity, marked, star, node): the walk graph (starified in
-        node mode), its coloring-derived polarity, the marked edge set, the
+        (graph, colors, marked, star, node): the walk graph (starified in
+        node mode), the supplied colors (already checked proper; None when
+        there are none, and always in node mode), the marked edge set, the
         starified wrapper or None, and the marked node or None.
     """
     text = _read(args.graph, "graph")
@@ -123,16 +129,19 @@ def _load_marked_graph(args):
         g = star.graph
         marked = frozenset({star.virtual_edge_of(node)})  # refuses a node outside g
         if colors is not None:
-            log.info("supplied colors ignored: node mode recolors the extended graph")
+            log.info("supplied colors ignored: they do not cover node mode's extended graph")
             colors = None
         log.info("node mode: marked virtual edge %d of node %d", next(iter(marked)), node)
     elif getattr(args, "mark_edge", None) is not None:
         u, v = args.mark_edge
         marked = frozenset({g.edge_index(u, v)})
-    if colors is None:
-        colors = greedy_coloring(g)
-    p = polarity_from_coloring(g, colors)
-    return g, p, marked, star, node
+    return g, colors, marked, star, node
+
+
+def _color_polarity(g: Graph, colors) -> PolarityMap:
+    """The polarity whose poles `compile` and `verify` name: + at the higher
+    of the supplied colors, or of a greedy coloring when there are none."""
+    return polarity_from_coloring(g, greedy_coloring(g) if colors is None else colors)
 
 
 def _edge_payload(g: Graph, star: StarifiedGraph | None, k: int) -> dict:
@@ -158,12 +167,13 @@ def _trial(g, p, oracle, plan, star, seq, args) -> dict:
 
 
 def cmd_search(args) -> int:
-    g, p, marked, star, node = _load_marked_graph(args)
     _count(args.steps, "--steps")
     _count(args.trials, "--trials", 1)
     _count(args.seed, "--seed")
     if args.guaranteed:
         _count(args.max_calls, "--max-calls", 1)
+    g, _, marked, star, node = _load_marked_graph(args)
+    p = PolarityMap(g.edges[:, 0])
     result = {
         "command": "search",
         "graph": {"nodes": g.n, "edges": g.n_edges},
@@ -195,9 +205,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    g, p, marked, star, node = _load_marked_graph(args)
     _count(args.t_max, "--t-max")
-    report = run_sweep(g, p, OracleSpec(marked=marked), args.t_max)
+    g, _, marked, star, node = _load_marked_graph(args)
+    report = run_sweep(g, PolarityMap(g.edges[:, 0]), OracleSpec(marked=marked), args.t_max)
     log.info("sweep peak: t*=%d p*=%.6f", report.t_star, report.p_star)
     if args.out is not None and args.out.endswith(".json"):
         doc = report.to_json_dict()
@@ -241,8 +251,9 @@ def _enumeration_seed(args) -> int | None:
 
 
 def cmd_compile(args) -> int:
-    g, p, marked, star, node = _load_marked_graph(args)
-    circuit = compile_step(g, p, marked, enumeration_seed=_enumeration_seed(args))
+    seed = _enumeration_seed(args)
+    g, colors, marked, star, node = _load_marked_graph(args)
+    circuit = compile_step(g, _color_polarity(g, colors), marked, enumeration_seed=seed)
     audit = locality_audit(circuit)
     if not audit.ok:
         raise CircuitError("; ".join(audit.violations))
@@ -262,11 +273,12 @@ def cmd_compile(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g, p, marked, star, node = _load_marked_graph(args)
+    seed = _enumeration_seed(args)
+    g, colors, marked, star, node = _load_marked_graph(args)
     circuit = None if args.circuit is None else circuit_from_json(_read(args.circuit, "circuit"))
     report = verify_circuit_equivalence(
-        g, p, marked, circuit=circuit, tolerance=args.tolerance,
-        enumeration_seed=_enumeration_seed(args),
+        g, _color_polarity(g, colors), marked, circuit=circuit, tolerance=args.tolerance,
+        enumeration_seed=seed,
     )
     _dump_json(report.to_json_dict(), args.out)
     if not report.ok:

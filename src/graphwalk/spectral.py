@@ -19,8 +19,6 @@ from .graph import (
     _count,
     _index,
     complete_graph,
-    greedy_coloring,
-    polarity_from_coloring,
     star_graph,
     starify,
 )
@@ -192,12 +190,14 @@ def complete_graph_report(n: int, t_max: int) -> walk.SweepReport:
     """Node search on the complete graph, via its starified extension.
 
     Marks the virtual edge of node 0 and sweeps the walk, attaching the
-    analytic peak-time estimate pi * n / 4.
+    analytic peak-time estimate pi * n / 4.  The sweep does not depend on
+    the polarity, so the + pole sits at each edge's lower endpoint and no
+    coloring is computed.
     """
     if n < 3:
         raise ValueError(f"complete-graph analysis needs n >= 3, got {n}")
     star = starify(complete_graph(n))
     g = star.graph
-    p = polarity_from_coloring(g, greedy_coloring(g))
+    p = PolarityMap(g.edges[:, 0])
     oracle = walk.OracleSpec(marked=frozenset({star.virtual_edge_of(0)}))
     return walk.sweep(g, p, oracle, t_max, predicted_t=math.pi * n / 4)

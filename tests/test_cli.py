@@ -15,7 +15,9 @@ import pytest
 
 from graphwalk import (
     OracleSpec,
+    PolarityMap,
     SimulationError,
+    compile_step,
     complete_graph,
     greedy_coloring,
     guaranteed_search,
@@ -23,9 +25,12 @@ from graphwalk import (
     random_connected_graph,
     search,
     star_graph,
+    starify,
+    sweep,
     to_edge_list,
+    verify_circuit_equivalence,
 )
-from graphwalk import cli, simulator
+from graphwalk import cli, simulator, spectral
 from graphwalk.cli import main
 from graphwalk.compiler import AuditReport
 
@@ -548,6 +553,26 @@ def test_bad_count_names_its_flag(path3, capsys, argv, message):
     assert out.err == f"graphwalk: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--t-max", "-1"], "--t-max must be nonnegative, got -1"),
+        (["search", "--mark-edge", "0", "1", "--steps", "1", "--trials", "0"],
+         "--trials must be positive, got 0"),
+        (["compile", "--enumeration-seed", "-1"], "--enumeration-seed must be nonnegative, got -1"),
+        (["verify", "--enumeration-seed", "-1"], "--enumeration-seed must be nonnegative, got -1"),
+    ],
+    ids=["sweep", "search", "compile", "verify"],
+)
+def test_bad_count_is_reported_before_the_graph_is_read(tmp_path, capsys, argv, message):
+    missing = tmp_path / "missing.txt"
+    code = main([argv[0], "--graph", str(missing), *argv[1:]])
+    assert code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"graphwalk: {message}\n"
+
+
 def test_max_calls_is_read_only_with_guaranteed(path3, capsys):
     argv = ["search", "--graph", path3, "--mark-edge", "0", "1", "--steps", "1"]
     assert main([*argv, "--max-calls", "0"]) == 0
@@ -598,6 +623,134 @@ def test_improper_colors_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "color" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--mark-edge", "0", "1", "--t-max", "1"],
+        ["search", "--mark-edge", "0", "1", "--steps", "1"],
+    ],
+    ids=["sweep", "search"],
+)
+def test_supplied_colors_are_checked_but_leave_walk_output_alone(tmp_path, capsys, argv):
+    doc = {"nodes": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 2]]}  # greedy: 0, 1, 2, 0
+    outs = []
+    for name, extra in [("plain", {}), ("colored", {"colors": [2, 0, 1, 0]}),
+                        ("improper", {"colors": [0, 1, 1, 0]})]:
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps({**doc, **extra}))
+        code = main([argv[0], "--graph", str(f), "--format", "json", *argv[1:]])
+        outs.append((code, *capsys.readouterr()))
+    assert outs[0][:2] == outs[1][:2] and outs[0][0] == 0
+    assert outs[2] == (2, "", "graphwalk: graph error: improper coloring: edge 1 joins "
+                              "nodes 1 and 2 sharing color 1\n")
+
+
+def _colored(g):
+    return polarity_from_coloring(g, greedy_coloring(g))
+
+
+def _search_doc(g, star, node, marked, steps, seed, trials, guaranteed) -> str:
+    """`search`'s document, built from library calls under the coloring polarity."""
+    p, oracle = _colored(g), OracleSpec(marked=frozenset(marked))
+    doc = {"command": "search", "graph": {"nodes": g.n, "edges": g.n_edges},
+           "marked_edges": sorted(marked), "marked_node": node, "steps": steps,
+           "seed": seed, "guaranteed": guaranteed, "trials": trials}
+    outcomes = []
+    for seq in np.random.SeedSequence(seed).spawn(trials):
+        if guaranteed:
+            edge, calls = guaranteed_search(g, p, oracle, steps, seq)
+        else:
+            edge = search(g, p, oracle, steps, seq)
+        out = {"edge_index": edge, "edge": g.edges[edge].tolist(), "node": None}
+        if star is not None and star.is_virtual_edge(edge):
+            out["node"] = edge - star.real_edge_count
+        if guaranteed:
+            out["calls"] = calls
+        out["is_marked"] = edge in marked
+        outcomes.append(out)
+    if trials == 1:
+        doc.update(outcomes[0])
+    else:
+        doc["results"] = [{**out, "trial": i} for i, out in enumerate(outcomes)]
+        doc["marked_frequency"] = sum(out["is_marked"] for out in outcomes) / trials
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_walk_commands_do_not_color(tmp_path, capsys, monkeypatch):
+    # No walk output depends on the polarity, so every walk command prints
+    # what the library prints under the coloring polarity, without coloring.
+    g = random_connected_graph(30, 60, seed=2)
+    star = starify(g)
+    for h in (g, star.graph):
+        assert _colored(h) != PolarityMap(h.edges[:, 0])
+    f = tmp_path / "graph.txt"
+    f.write_text(to_edge_list(g))
+    u, v = g.edges[5].tolist()
+    edge, virtual = {5}, {star.virtual_edge_of(4)}
+    edge_sweep = sweep(g, _colored(g), OracleSpec(marked=frozenset(edge)), 9)
+    node_sweep = sweep(star.graph, _colored(star.graph), OracleSpec(marked=frozenset(virtual)), 9)
+    k6 = starify(complete_graph(6))
+    k6_oracle = OracleSpec(marked=frozenset({k6.virtual_edge_of(0)}))
+    report6 = sweep(k6.graph, _colored(k6.graph), k6_oracle, math.ceil(math.pi * 6 / 2),
+                    predicted_t=math.pi * 6 / 4)
+    doc6 = report6.to_json_dict()
+    doc6["peak_relative_error"] = abs(report6.t_star - report6.predicted_t) / report6.predicted_t
+    json_out = tmp_path / "sweep.json"
+    mark = ["--graph", str(f), "--mark-edge", str(u), str(v)]
+    cases = [
+        (["sweep", *mark, "--t-max", "9"], edge_sweep.to_csv()),
+        (["sweep", *mark, "--t-max", "9", "--out", str(json_out)],
+         json.dumps({**edge_sweep.to_json_dict(), "marked_node": None}, indent=2) + "\n"),
+        (["search", *mark, "--steps", "3", "--seed", "4"],
+         _search_doc(g, None, None, edge, 3, 4, 1, False)),
+        (["search", *mark, "--steps", "3", "--seed", "4", "--trials", "5"],
+         _search_doc(g, None, None, edge, 3, 4, 5, False)),
+        (["search", *mark, "--steps", "3", "--seed", "4", "--trials", "5", "--guaranteed"],
+         _search_doc(g, None, None, edge, 3, 4, 5, True)),
+        (["sweep", "--graph", str(f), "--mark-node", "4", "--t-max", "9"], node_sweep.to_csv()),
+        (["search", "--graph", str(f), "--mark-node", "4", "--steps", "2", "--seed", "1",
+          "--trials", "5", "--guaranteed"],
+         _search_doc(star.graph, star, 4, virtual, 2, 1, 5, True)),
+        (["analyze-complete", "6"], json.dumps(doc6, indent=2) + "\n"),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("a walk command colored the graph")
+
+    for module in (cli, spectral):
+        for name in ("greedy_coloring", "polarity_from_coloring"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for argv, want in cases:
+        assert main(argv) == 0
+        got = capsys.readouterr().out
+        if "--out" in argv:
+            got = json_out.read_text()
+        assert got == want, argv
+
+
+@pytest.mark.parametrize("command", ["compile", "verify"])
+def test_circuit_commands_color_once(tmp_path, capsys, monkeypatch, command):
+    g = random_connected_graph(8, 12, seed=5)
+    f = tmp_path / "graph.txt"
+    f.write_text(to_edge_list(g))
+    u, v = g.edges[3].tolist()
+    p = _colored(g)
+    if command == "compile":
+        want = compile_step(g, p, [3]).to_json()
+    else:
+        want = json.dumps(verify_circuit_equivalence(g, p, [3]).to_json_dict(), indent=2) + "\n"
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return greedy_coloring(h)
+
+    monkeypatch.setattr(cli, "greedy_coloring", counted)
+    assert main([command, "--graph", str(f), "--mark-edge", str(u), str(v)]) == 0
+    assert capsys.readouterr().out == want
+    assert len(calls) == 1
 
 
 def test_usage_error_returns_1(single_edge, capsys):

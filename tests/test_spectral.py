@@ -12,7 +12,10 @@ from graphwalk import (
     OracleSpec,
     PolarityMap,
     StarReducedState,
+    complete_graph,
     complete_graph_report,
+    greedy_coloring,
+    polarity_from_coloring,
     reduced_vs_full,
     star_graph,
     star_initial_state,
@@ -20,6 +23,7 @@ from graphwalk import (
     star_predicted_prob,
     star_reduced_step,
     star_spectrum,
+    starify,
     sweep,
 )
 
@@ -159,6 +163,21 @@ def test_complete_graph_report_peak():
     assert rep.predicted_t == pytest.approx(predicted)
     assert abs(rep.t_star - predicted) / predicted < 0.25
     assert rep.p_star > 0.8
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_complete_graph_report_equals_the_colored_sweep(n):
+    # The report takes the edge list's polarity; the sweep does not depend
+    # on it, so it matches the sweep under the coloring polarity bit for bit.
+    star = starify(complete_graph(n))
+    g = star.graph
+    p = polarity_from_coloring(g, greedy_coloring(g))
+    t_max = math.ceil(math.pi * n / 2)
+    want = sweep(g, p, OracleSpec(marked=frozenset({star.virtual_edge_of(0)})), t_max)
+    rep = complete_graph_report(n, t_max)
+    assert np.array(rep.probs).tobytes() == np.array(want.probs).tobytes()
+    assert rep.t_star == want.t_star
+    assert np.float64(rep.p_star).tobytes() == np.float64(want.p_star).tobytes()
 
 
 def test_complete_graph_report_rejects_tiny_n():

@@ -413,26 +413,35 @@ def measure_edge(state: SparseState, layout: QubitLayout, seed=None) -> int:
     return walk._draw(np.cumsum(probs), np.random.default_rng(seed))
 
 
-def _circuit_columns(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
-    """The circuit's matrix on the walk amplitudes and each column's leakage.
-
-    Column q starts as the group {q: 1} at edge qubit q; gates never touch
-    columns, so one evolution carries all 2|E| columns side by side.  A group
-    keyed by edge qubit q alone is row q; every other group has leaked.
-    """
+def _circuit_entries(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The circuit's (row, column, value) arrays on the walk amplitudes and
+    each column's leakage.  Column q starts as the group {q: 1} at edge
+    qubit q; gates never touch columns, so one evolution carries all 2|E|
+    columns side by side.  A group keyed by edge qubit q alone holds row q;
+    every other group has leaked."""
     m = 2 * circuit.layout.n_edges
     cols = _Columns({frozenset({q}): {q: 1.0 + 0j} for q in range(m)}, circuit.n_qubits)
     _evolve(cols, circuit)
-    mat = np.zeros((m, m), dtype=complex)
+    rows, columns, vals = [], [], []
     leak = np.zeros(m)
     for i, grp in cols.groups.items():
         k = cols.keys[i]
         q = min(k) if len(k) == 1 else m
         if q < m:
-            mat[q, list(grp)] = list(grp.values())
+            rows += [q] * len(grp)
+            columns += grp.keys()
+            vals += grp.values()
         else:
             for j, a in grp.items():
                 leak[j] += abs(a) ** 2
+    return np.array(rows, np.intp), np.array(columns, np.intp), np.array(vals, complex), leak
+
+
+def _circuit_columns(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    """The circuit's matrix on the walk amplitudes and each column's leakage."""
+    rows, cols, vals, leak = _circuit_entries(circuit)
+    mat = np.zeros((len(leak),) * 2, dtype=complex)
+    mat[rows, cols] = vals
     return mat, leak
 
 
@@ -496,11 +505,12 @@ def verify_circuit_equivalence(
     tolerance: float = 1e-10,
     enumeration_seed: int | None = None,
 ) -> EquivalenceReport:
-    """Compare a compiled step circuit against the walk model matrix.
+    """Compare a compiled step circuit against the walk's one step.
 
     Compiles the step for (g, p, marked) when no circuit is given.  The model
-    is `step_matrix`, the walk's one step: the -X oracle on the marked edges,
-    the X coin, then every node's diffusion, the step `compile_step` emits.
+    is the walk's one step: the -X oracle on the marked edges, the X coin,
+    then every node's diffusion, the step `compile_step` emits.  Both sides
+    stay sparse, compared over the union of their entries.
 
     Raises:
         ValueError: If `tolerance` is NaN, negative or infinite, g has no
@@ -516,17 +526,21 @@ def verify_circuit_equivalence(
     walk._start_amplitude(g.n_edges)  # raises on a graph with no edges
     if circuit is not None and circuit.layout.n_edges != g.n_edges:
         raise CircuitError(f"circuit has {circuit.layout.n_edges} edges, graph has {g.n_edges}")
-    # The model checks the marks by the walk's rule, before anything is compiled.
-    model = walk.step_matrix(g, p, oracle=walk.OracleSpec(marked=frozenset(marked)))
+    # The plan checks the marks by the walk's rule, before anything is compiled.
+    rows, cols, vals = walk.WalkPlan(g, p, walk.OracleSpec(marked=frozenset(marked)))._entries()
     if circuit is None:
         circuit = compile_step(g, p, marked, enumeration_seed=enumeration_seed)
-    actual, leakage = _circuit_columns(circuit)
-    # The difference overwrites the circuit's matrix and the model is freed
-    # before `gap`, so no third dense (2E)^2 complex array is made.
-    actual -= model
-    del model
-    gap = np.abs(actual)
-    worst = int(np.argmax(np.maximum(gap.max(axis=0), leakage)))
+    c_rows, c_cols, c_vals, leakage = _circuit_entries(circuit)
+    m = len(leakage)
+    # circuit - model by column * 2E + row: c or -m on one side, c - m on both.
+    keys = np.concatenate((c_cols * m + c_rows, cols * m + rows))
+    keys, at = np.unique(keys, return_inverse=True)
+    gap = np.zeros(len(keys), dtype=complex)
+    np.add.at(gap, at, np.concatenate((c_vals, -vals)))
+    gap = np.abs(gap)
+    column_gap = np.zeros(m)
+    np.maximum.at(column_gap, keys // m, gap)
+    worst = int(np.argmax(np.maximum(column_gap, leakage)))
     return EquivalenceReport(
         max_deviation=float(gap.max()),
         max_leakage=float(leakage.max(initial=0.0)),

@@ -105,8 +105,8 @@ class WalkPlan:
     plan's one walk loop, which starts from the uniform superposition and
     steps in the plan's buffer, so their steps scatter nothing; `step`
     works on a flat state, permuted into the plan's order and back around
-    each step.  The same stages run on one state or on (2E, B) columns
-    side by side: `matrix()` is the step run on the identity's columns.
+    each step.  `_entries()` reads the same step in closed form, bit for
+    bit, and `matrix()` fills those entries into a dense array.
 
     The plan remembers the cumulative edge distribution of its last
     evolution, so repeated draws at one step count evolve once, and the
@@ -176,28 +176,19 @@ class WalkPlan:
         self._cdf: tuple[int, np.ndarray] | None = None
         self._bounds: tuple[np.ndarray, np.ndarray, np.ndarray, float] | None = None
 
-    def _gather(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Oracle and coin on (2E,) or (2E, B) plan-ordered amplitudes z."""
-        x = np.take(z, self._reads, axis=0, out=out, mode="clip")
-        x[self._flip] *= -1
-        return x
-
-    def _diffuse(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Every node's diffusion of plan-ordered amplitudes x, written into out."""
-        h = self._hubs
-        sums = np.add.reduceat(x[:h], self._starts, axis=0, out=self._sums if x.ndim == 1 else None)
-        sums *= self._weights if x.ndim == 1 else self._weights[:, None]
-        np.take(sums, self._node, axis=0, out=out[:h], mode="clip")
-        out[:h] -= x[:h]
-        # A degree-1 node's segment sum would be its one amplitude, weighted
-        # by 2.0: 2x - x gives the same bits, signed zeros included.
-        np.multiply(x[h:], 2.0, out=out[h:])
-        out[h:] -= x[h:]
-        return out
-
     def _advance(self, z: np.ndarray) -> None:
         """One step on the plan-ordered amplitudes z, in place."""
-        self._diffuse(self._gather(z, self._x), z)
+        x = np.take(z, self._reads, out=self._x, mode="clip")
+        x[self._flip] *= -1
+        h = self._hubs
+        sums = np.add.reduceat(x[:h], self._starts, out=self._sums)
+        sums *= self._weights
+        np.take(sums, self._node, out=z[:h], mode="clip")
+        z[:h] -= x[:h]
+        # A degree-1 node's segment sum would be its one amplitude, weighted
+        # by 2.0: 2x - x gives the same bits, signed zeros included.
+        np.multiply(x[h:], 2.0, out=z[h:])
+        z[h:] -= x[h:]
 
     def _walk(self, t_max: int):
         """Yield the plan-ordered amplitudes at t = 0..t_max from the uniform start.
@@ -260,18 +251,28 @@ class WalkPlan:
             self._bounds = (cdf, marked, bounds, mass)
         return self._bounds[1:]
 
-    def matrix(self) -> np.ndarray:
-        """Dense matrix of one step on the 2|E| amplitudes.
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The step as (row, column, value) arrays, 2k + c for edge k's pole c.
+        The gather sends column j to the one plan position i that reads it,
+        signed s = -1 on a marked edge, else +1.  A node of degree d >= 2 makes
+        that w*s at its d positions and w*s - s at i (w = 2/d), bit for bit as
+        the kernel does; a degree-1 node keeps s."""
+        h, n = self._hubs, 2 * self.n_edges
+        s = np.ones(n)
+        s[self._flip] = -1.0
+        deg = np.diff(self._starts, append=h)[self._node]  # each hub position's degree
+        i = np.repeat(np.arange(h), deg)
+        r = self._starts[self._node[i]] + np.arange(len(i)) - np.repeat(np.cumsum(deg) - deg, deg)
+        vals = self._weights[self._node[i]] * s[i] - np.where(r == i, s[i], 0.0)
+        i, r = (np.concatenate((a, np.arange(h, n))) for a in (i, r))
+        return self._dst[r], self._dst[self._reads[i]], np.concatenate((vals, s[h:]))
 
-        The step run on the identity's columns: column 2k + c holds the
-        step's image of amplitude (edge k, pole c).
-        """
-        n = 2 * self.n_edges
-        eye = np.zeros((n, n), dtype=complex)
-        eye[np.arange(n), self._dst] = 1  # the identity in plan order
-        x = self._gather(eye)
-        x[self._dst] = self._diffuse(x, eye)
-        return x
+    def matrix(self) -> np.ndarray:
+        """Dense matrix of one step on the 2|E| amplitudes, filled from `_entries`."""
+        rows, cols, vals = self._entries()
+        out = np.zeros((2 * self.n_edges,) * 2, dtype=complex)
+        out[rows, cols] = vals
+        return out
 
 
 def _flat(state: WalkState) -> np.ndarray:
@@ -521,7 +522,17 @@ def sweep(
 def step_matrix(g: Graph, p: PolarityMap, oracle: OracleSpec | None = None) -> np.ndarray:
     """Dense matrix of one step on the 2|E| amplitudes.
 
-    Basis order: amplitude (edge k, pole c) sits at index 2k + c.  Useful for
-    spectra and for checking compiled circuits against the model.
+    Basis order: amplitude (edge k, pole c) sits at index 2k + c.  On a 3-leaf
+    star, + poles at the hub, rows 0, 2, 4 face the hub; edge 0 is marked:
+
+    >>> from graphwalk import star_graph
+    >>> m = step_matrix(star_graph(3), PolarityMap((0, 0, 0)), OracleSpec(frozenset({0})))
+    >>> print(m.real.round(3))
+    [[ 0.333  0.     0.     0.667  0.     0.667]
+     [ 0.    -1.     0.     0.     0.     0.   ]
+     [-0.667  0.     0.    -0.333  0.     0.667]
+     [ 0.     0.     1.     0.     0.     0.   ]
+     [-0.667  0.     0.     0.667  0.    -0.333]
+     [ 0.     0.     0.     0.     1.     0.   ]]
     """
     return WalkPlan(g, p, oracle).matrix()

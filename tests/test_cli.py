@@ -433,6 +433,34 @@ def test_verify_warning_names_worst_column(path3, tmp_path, capsys, caplog):
     assert worst != {"edge": 0, "pole": 0}
 
 
+# sha256 of `verify --out` on path 3 with a stray cnot (which leaks one
+# column) and a stray z appended, recorded with the dense comparison that
+# the sparse one replaced.
+_VERIFY_TAMPERED_SHA256 = "a8e0f75580109eb6ff3a59ff95de9bf4b9f2b9d91da1f76094f1c4d6b3fee547"
+
+
+def test_verify_tampered_output_bytes_are_pinned(path3, tmp_path):
+    circ_file, out = tmp_path / "circuit.json", tmp_path / "report.json"
+    assert main(
+        ["compile", "--graph", path3, "--mark-edge", "0", "1", "--out", str(circ_file)]
+    ) == 0
+    doc = json.loads(circ_file.read_text())
+    facing = doc["layout"]["facing"]
+    doc["instructions"] += [
+        {"gate": "cnot", "controls": [facing[1][0]], "targets": [facing[1][1]],
+         "locus": {"kind": "node", "id": 1}},
+        {"gate": "z", "controls": [], "targets": [facing[2][0]],
+         "locus": {"kind": "node", "id": 2}},
+    ]
+    circ_file.write_text(json.dumps(doc))
+    code = main(
+        ["verify", "--graph", path3, "--mark-edge", "0", "1",
+         "--circuit", str(circ_file), "--out", str(out)]
+    )
+    assert code == 4
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _VERIFY_TAMPERED_SHA256
+
+
 def test_verify_non_unitary_circuit_exits_1(path3, tmp_path, capsys):
     circ_file = tmp_path / "circuit.json"
     assert main(

@@ -25,6 +25,7 @@ from graphwalk import (
     compile_step,
     compile_transfer,
     complete_graph,
+    cycle_graph,
     diagonal_state,
     evolve,
     greedy_coloring,
@@ -663,7 +664,7 @@ def test_verify_checks_marks_by_the_walk_rule_before_compiling(monkeypatch, mark
         raise AssertionError("compiled or simulated a step for a bad mark")
 
     monkeypatch.setattr(simulator, "compile_step", unreachable)
-    monkeypatch.setattr(simulator, "_circuit_columns", unreachable)
+    monkeypatch.setattr(simulator, "_circuit_entries", unreachable)
     for given in (None, circuit):
         with pytest.raises(error, match=message) as info:
             verify_circuit_equivalence(g, p, marked, circuit=given)
@@ -676,11 +677,55 @@ def test_verify_rejects_circuit_for_another_edge_count(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("built a matrix for mismatched edge counts")
 
-    monkeypatch.setattr(simulator.walk, "step_matrix", unreachable)
-    monkeypatch.setattr(simulator, "_circuit_columns", unreachable)
+    monkeypatch.setattr(simulator.walk.WalkPlan, "_entries", unreachable)
+    monkeypatch.setattr(simulator, "_circuit_entries", unreachable)
     with pytest.raises(CircuitError) as info:
         verify_circuit_equivalence(star_graph(3), hub_polarity(3), [0], circuit=circuit)
     assert str(info.value) == "circuit has 4 edges, graph has 3"
+
+
+def report_cases():
+    """(name, (g, p, marked, circuit)): compiled steps, then a 7-leaf star's
+    step with one fault each."""
+
+    def compiled(g, marked, p=None):
+        p = coloring_polarity(g) if p is None else p
+        return g, p, marked, compile_step(g, p, marked)
+
+    starified = starify(random_connected_graph(8, extra_edges=6, seed=3)).graph
+    yield "path5", compiled(path_graph(5), [0])
+    yield "cycle9", compiled(cycle_graph(9), [2])  # degree 2: explicit zeros in the model
+    yield "star7", compiled(star_graph(7), [0])
+    yield "k12-two-marks", compiled(complete_graph(12), [0, 5])
+    yield "starified", compiled(starified, [starified.n_edges - 1])
+    g, p, marked, circ = compiled(star_graph(7), [0], hub_polarity(7))
+    ins, layout = circ.instructions, circ.layout
+    k = next(k for k, i in enumerate(ins) if i.gate is Gate.DIFFUSION)
+    altered = Instruction(Gate.DIFFUSION, ins[k].controls, ins[k].targets, ins[k].locus, 5)
+    stray = Instruction(Gate.X, (), (layout.facing[-1][0],), Locus("node", len(layout.facing) - 1))
+    yield "dropped-diffusion", (g, p, marked, Circuit(layout, ins[:k] + ins[k + 1 :]))
+    yield "altered-diffusion", (g, p, marked, Circuit(layout, ins[:k] + (altered,) + ins[k + 1 :]))
+    yield "leaking-x", (g, p, marked, Circuit(layout, ins + (stray,)))
+
+
+REPORT_CASES = list(report_cases())
+
+
+@pytest.mark.parametrize(
+    "g, p, marked, circ", [c[1] for c in REPORT_CASES], ids=[c[0] for c in REPORT_CASES]
+)
+def test_sparse_report_equals_dense_reference(g, p, marked, circ):
+    # The dense reference: the circuit's whole matrix less the model's, and
+    # the first column whose largest gap or leakage is the largest.
+    model = step_matrix(g, p, oracle=OracleSpec(marked=frozenset(marked)))
+    mat, max_leakage = step_circuit_matrix(circ)
+    _, leaks = reference_step_circuit_matrix(circ)
+    gap = np.abs(mat - model)
+    worst = int(np.argmax(np.maximum(gap.max(axis=0), leaks)))
+    report = verify_circuit_equivalence(g, p, marked, circuit=circ)
+    assert report.max_deviation.hex() == float(gap.max()).hex()
+    assert report.max_leakage.hex() == max_leakage.hex() == max(leaks).hex()
+    assert report.worst_column == divmod(worst, 2)
 
 
 def assert_same_amps(got: dict, want: dict) -> None:
@@ -871,3 +916,18 @@ def test_verify_peaks_below_two_and_a_half_dense_matrices():
         tracemalloc.stop()
     assert report.ok
     assert peak < 2.5 * (2 * g.n_edges) ** 2 * 16
+
+
+def test_verify_peaks_below_a_quarter_of_one_dense_matrix():
+    # E = 500: one dense (2E)^2 complex array is 15.3 MiB.  Both sides of
+    # the comparison stay sparse, O(sum of d^2) entries each.
+    g = random_regular_graph(250, 4, seed=1)
+    p = coloring_polarity(g)
+    tracemalloc.start()
+    try:
+        report = verify_circuit_equivalence(g, p, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 0.25 * (2 * g.n_edges) ** 2 * 16

@@ -426,7 +426,18 @@ def test_step_copies_a_psi_it_cannot_write(layout):
     assert state.psi.flags.c_contiguous and np.array_equal(state.psi, want.psi)
 
 
-@pytest.mark.parametrize("name,g,p,marked", PLAN_CASES[:2], ids=[c[0] for c in PLAN_CASES[:2]])
+# `matrix()` is filled from the closed form; the exact walk on each unit
+# state must give it bit for bit.  Paths and cycles have degree-2 nodes,
+# whose diagonal entries are explicit zeros, and a star's leaves have degree 1.
+UNIT_STATE_CASES = PLAN_CASES + [
+    (name, g, coloring_polarity(g), {0, g.n_edges // 2})
+    for name, g in [
+        ("path-5", path_graph(5)), ("cycle-9", cycle_graph(9)), ("star-7", star_graph(7))
+    ]
+]
+
+
+@pytest.mark.parametrize("name,g,p,marked", UNIT_STATE_CASES, ids=[c[0] for c in UNIT_STATE_CASES])
 def test_plan_matrix_is_the_step_on_each_unit_state(name, g, p, marked):
     oracle = OracleSpec(frozenset(marked))
     matrix = WalkPlan(g, p, oracle).matrix()

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .compiler import CircuitError, circuit_from_json, compile_step, locality_audit
+from .compiler import CircuitError, QubitLayout, circuit_from_json, compile_step, locality_audit
 from .graph import (
     Graph,
     GraphError,
@@ -109,7 +109,8 @@ def _load_marked_graph(args):
 
     No walk output depends on the polarity, so the walk commands take the
     edge list's own (+ pole at each edge's lower endpoint) and ignore the
-    colors; `compile` and `verify` orient poles by them (`_color_polarity`).
+    colors; `compile` orients poles by them (`_color_polarity`), and so does
+    `verify` when it compiles.
 
     Returns:
         (graph, colors, marked, star, node): the walk graph (starified in
@@ -139,9 +140,19 @@ def _load_marked_graph(args):
 
 
 def _color_polarity(g: Graph, colors) -> PolarityMap:
-    """The polarity whose poles `compile` and `verify` name: + at the higher
-    of the supplied colors, or of a greedy coloring when there are none."""
+    """The polarity whose poles `compile` names: + at the higher of the
+    supplied colors, or of a greedy coloring when there are none."""
     return polarity_from_coloring(g, greedy_coloring(g) if colors is None else colors)
+
+
+def _document_polarity(layout: QubitLayout) -> PolarityMap:
+    """The polarity a circuit document names: edge k's + pole is qubit 2k,
+    and it sits at the node whose `facing` row lists that qubit."""
+    owner = [0] * (2 * layout.n_edges)  # the layout faces every qubit once
+    for u, qubits in enumerate(layout.facing):
+        for q in qubits:
+            owner[q] = u
+    return PolarityMap(owner[0::2])
 
 
 def _edge_payload(g: Graph, star: StarifiedGraph | None, k: int) -> dict:
@@ -275,11 +286,13 @@ def cmd_compile(args) -> int:
 def cmd_verify(args) -> int:
     seed = _enumeration_seed(args)
     g, colors, marked, star, node = _load_marked_graph(args)
-    circuit = None if args.circuit is None else circuit_from_json(_read(args.circuit, "circuit"))
-    report = verify_circuit_equivalence(
-        g, _color_polarity(g, colors), marked, circuit=circuit, tolerance=args.tolerance,
-        enumeration_seed=seed,
-    )
+    if args.circuit is None:
+        p = _color_polarity(g, colors)
+        circuit = compile_step(g, p, marked, enumeration_seed=seed)
+    else:
+        circuit = circuit_from_json(_read(args.circuit, "circuit"))
+        p = _document_polarity(circuit.layout)
+    report = verify_circuit_equivalence(g, p, marked, circuit, tolerance=args.tolerance)
     _dump_json(report.to_json_dict(), args.out)
     if not report.ok:
         log.warning(
@@ -354,8 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a compiled step against the model")
     _add_graph_args(p, require_mark=False)
-    p.add_argument("--circuit", help="verify this circuit JSON instead of compiling")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--circuit", help="verify this circuit JSON instead of compiling")
+    source.add_argument(
         "--enumeration-seed", type=int, default=None,
         help="enumeration seed when compiling the circuit here",
     )
@@ -392,7 +406,7 @@ def main(argv=None) -> int:
     except SimulationError as exc:
         print(f"graphwalk: simulation error: {exc}", file=sys.stderr)
         return EXIT_EQUIVALENCE
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a count too large for a float
         print(f"graphwalk: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

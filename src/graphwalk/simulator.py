@@ -43,7 +43,7 @@ from operator import itemgetter, lt
 import numpy as np
 
 from . import walk
-from .compiler import Circuit, CircuitError, Gate, Instruction, QubitLayout, compile_step
+from .compiler import Circuit, CircuitError, Gate, Instruction, QubitLayout
 from .walk import WalkState
 
 PRUNE_EPS = 1e-15
@@ -498,38 +498,30 @@ class EquivalenceReport:
 
 
 def verify_circuit_equivalence(
-    g,
-    p,
-    marked,
-    circuit: Circuit | None = None,
-    tolerance: float = 1e-10,
-    enumeration_seed: int | None = None,
+    g, p, marked, circuit: Circuit, tolerance: float = 1e-10
 ) -> EquivalenceReport:
     """Compare a compiled step circuit against the walk's one step.
 
-    Compiles the step for (g, p, marked) when no circuit is given.  The model
-    is the walk's one step: the -X oracle on the marked edges, the X coin,
-    then every node's diffusion, the step `compile_step` emits.  Both sides
-    stay sparse, compared over the union of their entries.
+    The model is the walk's one step: the -X oracle on the marked edges, the
+    X coin, then every node's diffusion, the step `compile_step` emits.  Both
+    sides stay sparse, compared over the union of their entries.
 
     Raises:
         ValueError: If `tolerance` is NaN, negative or infinite, g has no
-            edges, or a marked edge lies outside g (checked before compiling).
+            edges, or a marked edge lies outside g (checked before the
+            circuit is simulated).
         TypeError: If a marked edge is a bool, a float or another non-integer.
-        CircuitError: If the given circuit's layout has another edge count
-            than g.
+        CircuitError: If the circuit's layout has another edge count than g.
     """
     if not tolerance >= 0:
         raise ValueError(f"tolerance must be nonnegative, got {tolerance!r}")
     if np.isinf(tolerance):
         raise ValueError(f"tolerance must be finite, got {tolerance!r}")
     walk._start_amplitude(g.n_edges)  # raises on a graph with no edges
-    if circuit is not None and circuit.layout.n_edges != g.n_edges:
+    if circuit.layout.n_edges != g.n_edges:
         raise CircuitError(f"circuit has {circuit.layout.n_edges} edges, graph has {g.n_edges}")
-    # The plan checks the marks by the walk's rule, before anything is compiled.
+    # The plan checks the marks by the walk's rule, before the circuit runs.
     rows, cols, vals = walk.WalkPlan(g, p, walk.OracleSpec(marked=frozenset(marked)))._entries()
-    if circuit is None:
-        circuit = compile_step(g, p, marked, enumeration_seed=enumeration_seed)
     c_rows, c_cols, c_vals, leakage = _circuit_entries(circuit)
     m = len(leakage)
     # circuit - model by column * 2E + row: c or -m on one side, c - m on both.

@@ -10,7 +10,7 @@ pi*N/4 peak-time law used here as the analytic reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,23 +72,19 @@ def star_reduced_step(s: StarReducedState) -> StarReducedState:
     """One walk step in the reduced star variables.
 
     Same oracle/coin/scattering step as the full walk, folded onto the
-    symmetric subspace: the hub mixes the m hub-facing amplitudes, each leaf
-    reflects its own trivially, and the marked edge carries the extra sign.
+    symmetric subspace: the hub mixes the m hub-facing amplitudes by
+    `star_matrix`, each leaf reflects its own trivially, and the marked
+    edge's leaf-facing amplitude carries the oracle's sign.
 
     Examples:
         >>> s1 = star_reduced_step(star_initial_state(2))
         >>> s1.alpha_plus, s1.alpha_minus, s1.psi_plus, s1.psi_minus
         (-0.5, 0.5, 0.5, -0.5)
     """
-    m = s.m
-    return StarReducedState(
-        alpha_plus=((m - 2) * s.alpha_minus - 2 * s.psi_plus) / m,
-        alpha_minus=s.alpha_plus,
-        psi_plus=(2 * (m - 1) * s.alpha_minus + (m - 2) * s.psi_plus) / m,
-        psi_minus=-s.psi_minus,
-        m=m,
-        t=s.t + 1,
-    )
+    alpha_plus, alpha_minus, psi_plus = (
+        star_matrix(s.m) @ (s.alpha_plus, s.alpha_minus, s.psi_plus)
+    ).tolist()
+    return StarReducedState(alpha_plus, alpha_minus, psi_plus, -s.psi_minus, m=s.m, t=s.t + 1)
 
 
 def star_matrix(m: int) -> np.ndarray:
@@ -151,16 +147,13 @@ def star_predicted_prob(m: int, t: float) -> float:
     return math.sin(star_spectrum(m).lam * t) ** 2
 
 
-def reduced_vs_full(
-    m: int, t_max: int, polarity: PolarityMap | None = None
-) -> float:
+def reduced_vs_full(m: int, t_max: int) -> float:
     """Largest amplitude gap between the reduced and full star walks.
 
     Runs both dynamics from the uniform superposition for t = 0..t_max with
     edge 0 marked, comparing all four reduced amplitudes against their full
-    counterparts at every step.  The reduction assumes the marked edge's +
-    pole sits at the hub; `polarity` overrides the default hub-facing
-    assignment to probe that sensitivity.
+    counterparts at every step.  The full walk takes the edge list's
+    polarity, which puts every + pole at the hub, as the reduction assumes.
 
     Returns:
         max over t of the max absolute amplitude difference.
@@ -168,7 +161,7 @@ def reduced_vs_full(
     _check_m(m)
     t_max = _count(t_max, "t_max")
     g = star_graph(m)
-    p = polarity if polarity is not None else PolarityMap((0,) * m)
+    p = PolarityMap(g.edges[:, 0])
     plan = walk.WalkPlan(g, p, walk.OracleSpec(marked=frozenset({0})))
     full = walk.diagonal_state(g)
     reduced = star_initial_state(m)
@@ -189,10 +182,10 @@ def reduced_vs_full(
 def complete_graph_report(n: int, t_max: int) -> walk.SweepReport:
     """Node search on the complete graph, via its starified extension.
 
-    Marks the virtual edge of node 0 and sweeps the walk, attaching the
-    analytic peak-time estimate pi * n / 4.  The sweep does not depend on
-    the polarity, so the + pole sits at each edge's lower endpoint and no
-    coloring is computed.
+    Marks the virtual edge of node 0 and sweeps the walk, then attaches the
+    analytic peak-time estimate pi * n / 4 to the report.  The sweep does
+    not depend on the polarity, so the + pole sits at each edge's lower
+    endpoint and no coloring is computed.
     """
     if n < 3:
         raise ValueError(f"complete-graph analysis needs n >= 3, got {n}")
@@ -200,4 +193,4 @@ def complete_graph_report(n: int, t_max: int) -> walk.SweepReport:
     g = star.graph
     p = PolarityMap(g.edges[:, 0])
     oracle = walk.OracleSpec(marked=frozenset({star.virtual_edge_of(0)}))
-    return walk.sweep(g, p, oracle, t_max, predicted_t=math.pi * n / 4)
+    return replace(walk.sweep(g, p, oracle, t_max), predicted_t=math.pi * n / 4)

@@ -480,17 +480,12 @@ class SweepReport:
         return out
 
 
-def sweep(
-    g: Graph,
-    p: PolarityMap,
-    oracle: OracleSpec,
-    t_max: int,
-    predicted_t: float | None = None,
-) -> SweepReport:
+def sweep(g: Graph, p: PolarityMap, oracle: OracleSpec, t_max: int) -> SweepReport:
     """Record the marked-edge probability at every t in 0..t_max.
 
     The walk starts in the uniform superposition; ties for the maximum go to
-    the smallest t.
+    the smallest t.  The report carries no peak-time prediction; a caller
+    that has one attaches it with `dataclasses.replace`.
     """
     plan = WalkPlan(g, p, oracle)
     t_max = _count(t_max, "t_max")
@@ -515,7 +510,6 @@ def sweep(
         n_edges=g.n_edges,
         marked=marked,
         t_max=t_max,
-        predicted_t=predicted_t,
     )
 
 

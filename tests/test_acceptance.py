@@ -157,7 +157,8 @@ def test_criterion_6_circuit_model_equivalence():
     }
     t0 = time.perf_counter()
     for name, (g, marked) in cases.items():
-        report = verify_circuit_equivalence(g, coloring_polarity(g), marked)
+        p = coloring_polarity(g)
+        report = verify_circuit_equivalence(g, p, marked, compile_step(g, p, marked))
         print(
             f"{name}: deviation {report.max_deviation:.2e}, "
             f"leakage {report.max_leakage:.2e}"

@@ -130,7 +130,7 @@ SIGNATURES = {
     "polarity_from_coloring": "(g, colors)",
     "project_to_walk_state": "(state, layout)",
     "random_connected_graph": "(n, extra_edges=0, seed=0)",
-    "reduced_vs_full": "(m, t_max, polarity=None)",
+    "reduced_vs_full": "(m, t_max)",
     "run": "(circuit, state=None)",
     "search": "(g, p, oracle, steps, seed=None, *, plan=None)",
     "star_graph": "(m)",
@@ -143,12 +143,10 @@ SIGNATURES = {
     "step": "(state, g, p, oracle=None)",
     "step_circuit_matrix": "(circuit)",
     "step_matrix": "(g, p, oracle=None)",
-    "sweep": "(g, p, oracle, t_max, predicted_t=None)",
+    "sweep": "(g, p, oracle, t_max)",
     "to_edge_list": "(g)",
     "to_json": "(g)",
-    "verify_circuit_equivalence": (
-        "(g, p, marked, circuit=None, tolerance=1e-10, enumeration_seed=None)"
-    ),
+    "verify_circuit_equivalence": "(g, p, marked, circuit, tolerance=1e-10)",
 }
 
 

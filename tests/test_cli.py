@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,14 @@ def test_analyze_star_rejects_tiny(capsys):
     assert capsys.readouterr().err == "graphwalk: star reduction needs at least 2 leaves, got m=1\n"
 
 
+@pytest.mark.parametrize("command", ["analyze-star", "analyze-complete"])
+def test_analysis_of_a_huge_count_returns_1(capsys, command):
+    assert main([command, "9" * 401]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "graphwalk: int too large to convert to float\n"
+
+
 def test_analyze_complete_8(capsys):
     assert main(["analyze-complete", "8"]) == 0
     doc = read_json(capsys)
@@ -521,6 +530,55 @@ def test_verify_circuit_for_another_edge_count_exits_1(tmp_path, capsys):
     assert captured.err == "graphwalk: circuit has 4 edges, graph has 3\n"
 
 
+def test_verify_circuit_takes_its_poles_from_the_document(tmp_path, capsys, monkeypatch):
+    # K4 compiled under colors that the edge list does not carry: the
+    # document names every pole, so it verifies on either file, uncolored.
+    g = complete_graph(4)
+    colored = tmp_path / "k4.json"
+    colored.write_text(json.dumps({"nodes": 4, "edges": g.edges.tolist(), "colors": [3, 2, 1, 0]}))
+    plain = tmp_path / "k4.txt"
+    plain.write_text(to_edge_list(g))
+    circ_file = tmp_path / "circuit.json"
+    mark = ["--mark-edge", "0", "1"]
+    assert main(["compile", "--graph", str(colored), "--format", "json", *mark,
+                 "--out", str(circ_file)]) == 0
+    calls = _counted_colorings(monkeypatch)
+    for graph in (["--graph", str(colored), "--format", "json"], ["--graph", str(plain)]):
+        assert main(["verify", *graph, *mark, "--circuit", str(circ_file)]) == 0
+        assert read_json(capsys)["ok"] is True
+    assert calls == []
+
+
+def test_verify_circuit_whose_pole_is_off_the_graph_exits_2(path3, tmp_path, capsys):
+    # Both poles of the path's edges sit at node 1, the higher color; the
+    # other graph's edge 0 is (0, 2).
+    circ_file = tmp_path / "circuit.json"
+    assert main(["compile", "--graph", path3, "--out", str(circ_file)]) == 0
+    other = tmp_path / "other.txt"
+    other.write_text("0 2\n1 2\n")
+    code = main(["verify", "--graph", str(other), "--circuit", str(circ_file)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "graphwalk: graph error: polarity of edge 0 points at node 1, not an endpoint of (0, 2)\n"
+    )
+
+
+def test_verify_refuses_a_circuit_with_an_enumeration_seed(path3, tmp_path, capsys):
+    circ_file = tmp_path / "circuit.json"
+    assert main(["compile", "--graph", path3, "--out", str(circ_file)]) == 0
+    code = main(["verify", "--graph", path3, "--circuit", str(circ_file),
+                 "--enumeration-seed", "3"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "graphwalk verify: error: argument --enumeration-seed: "
+        "not allowed with argument --circuit\n"
+    )
+
+
 @pytest.mark.parametrize(
     "tolerance, shown", [("nan", "nan"), ("-1", "-1.0"), ("inf", "inf")]
 )
@@ -679,6 +737,18 @@ def _colored(g):
     return polarity_from_coloring(g, greedy_coloring(g))
 
 
+def _counted_colorings(monkeypatch) -> list:
+    """The graphs the CLI colors from now on, in call order."""
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return greedy_coloring(h)
+
+    monkeypatch.setattr(cli, "greedy_coloring", counted)
+    return calls
+
+
 def _search_doc(g, star, node, marked, steps, seed, trials, guaranteed) -> str:
     """`search`'s document, built from library calls under the coloring polarity."""
     p, oracle = _colored(g), OracleSpec(marked=frozenset(marked))
@@ -721,8 +791,8 @@ def test_walk_commands_do_not_color(tmp_path, capsys, monkeypatch):
     node_sweep = sweep(star.graph, _colored(star.graph), OracleSpec(marked=frozenset(virtual)), 9)
     k6 = starify(complete_graph(6))
     k6_oracle = OracleSpec(marked=frozenset({k6.virtual_edge_of(0)}))
-    report6 = sweep(k6.graph, _colored(k6.graph), k6_oracle, math.ceil(math.pi * 6 / 2),
-                    predicted_t=math.pi * 6 / 4)
+    report6 = replace(sweep(k6.graph, _colored(k6.graph), k6_oracle, math.ceil(math.pi * 6 / 2)),
+                      predicted_t=math.pi * 6 / 4)
     doc6 = report6.to_json_dict()
     doc6["peak_relative_error"] = abs(report6.t_star - report6.predicted_t) / report6.predicted_t
     json_out = tmp_path / "sweep.json"
@@ -768,14 +838,9 @@ def test_circuit_commands_color_once(tmp_path, capsys, monkeypatch, command):
     if command == "compile":
         want = compile_step(g, p, [3]).to_json()
     else:
-        want = json.dumps(verify_circuit_equivalence(g, p, [3]).to_json_dict(), indent=2) + "\n"
-    calls = []
-
-    def counted(h):
-        calls.append(h)
-        return greedy_coloring(h)
-
-    monkeypatch.setattr(cli, "greedy_coloring", counted)
+        report = verify_circuit_equivalence(g, p, [3], compile_step(g, p, [3]))
+        want = json.dumps(report.to_json_dict(), indent=2) + "\n"
+    calls = _counted_colorings(monkeypatch)
     assert main([command, "--graph", str(f), "--mark-edge", str(u), str(v)]) == 0
     assert capsys.readouterr().out == want
     assert len(calls) == 1

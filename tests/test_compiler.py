@@ -196,7 +196,7 @@ def test_oracle_block_shape():
     [
         lambda g, p, marked: compile_oracle(build_layout(g, p), marked),
         compile_step,
-        verify_circuit_equivalence,
+        lambda g, p, marked: verify_circuit_equivalence(g, p, marked, compile_step(g, p, [0])),
     ],
     ids=["oracle", "step", "verify"],
 )
@@ -369,7 +369,7 @@ def test_scatter_low_degree_blocks():
         Gate.Z,
         Gate.SWAP,
     }
-    assert verify_circuit_equivalence(g, p, [0], tolerance=1e-10).ok
+    assert verify_circuit_equivalence(g, p, [0], compile_step(g, p, [0]), tolerance=1e-10).ok
 
 
 def test_invert_is_reversal():

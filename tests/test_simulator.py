@@ -438,7 +438,7 @@ def test_dense_sparse_roundtrip():
 )
 def test_verify_circuit_equivalence_passes(g):
     p = coloring_polarity(g)
-    report = verify_circuit_equivalence(g, p, [0])
+    report = verify_circuit_equivalence(g, p, [0], compile_step(g, p, [0]))
     assert report.ok
     assert report.max_deviation < 1e-12
     assert report.max_leakage < 1e-12
@@ -462,8 +462,9 @@ def test_verify_catches_tampered_circuit():
 )
 def test_verify_rejects_nan_or_negative_tolerance(tolerance):
     g = path_graph(3)
+    p = coloring_polarity(g)
     with pytest.raises(ValueError) as info:
-        verify_circuit_equivalence(g, coloring_polarity(g), [0], tolerance=tolerance)
+        verify_circuit_equivalence(g, p, [0], compile_step(g, p, [0]), tolerance=tolerance)
     rule = "finite" if tolerance == float("inf") else "nonnegative"
     assert str(info.value) == f"tolerance must be {rule}, got {tolerance!r}"
 
@@ -471,7 +472,7 @@ def test_verify_rejects_nan_or_negative_tolerance(tolerance):
 def test_edgeless_graph_has_no_walk():
     g = Graph(1, ())
     with pytest.raises(ValueError, match="^graph has no edges to walk on$"):
-        verify_circuit_equivalence(g, PolarityMap(()), [])
+        verify_circuit_equivalence(g, PolarityMap(()), [], compile_step(g, PolarityMap(()), []))
     layout = build_layout(g, PolarityMap(()))
     with pytest.raises(ValueError, match="^graph has no edges to walk on$"):
         init_walk_superposition(layout)
@@ -481,7 +482,8 @@ def test_edgeless_graph_has_no_walk():
 
 def test_equivalence_report_json():
     g = star_graph(2)
-    report = verify_circuit_equivalence(g, hub_polarity(2), [0])
+    p = hub_polarity(2)
+    report = verify_circuit_equivalence(g, p, [0], compile_step(g, p, [0]))
     doc = report.to_json_dict()
     assert list(doc) == [
         "ok", "max_deviation", "max_leakage", "tolerance", "qubits", "worst_column"
@@ -655,20 +657,17 @@ def test_report_names_worst_column():
     ids=["past-the-end", "negative", "past-int64", "below-int64", "bool", "float"],
 )
 def test_verify_checks_marks_by_the_walk_rule_before_compiling(monkeypatch, marked, error, message):
-    # With or without a circuit, a bad mark gets one error, raised before
-    # anything is compiled.
+    # A bad mark gets one error, raised before the circuit is simulated.
     g, p = star_graph(3), hub_polarity(3)
     circuit = compile_step(g, p, [0])
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("compiled or simulated a step for a bad mark")
+        raise AssertionError("simulated a step for a bad mark")
 
-    monkeypatch.setattr(simulator, "compile_step", unreachable)
     monkeypatch.setattr(simulator, "_circuit_entries", unreachable)
-    for given in (None, circuit):
-        with pytest.raises(error, match=message) as info:
-            verify_circuit_equivalence(g, p, marked, circuit=given)
-        assert type(info.value) is error
+    with pytest.raises(error, match=message) as info:
+        verify_circuit_equivalence(g, p, marked, circuit=circuit)
+    assert type(info.value) is error
 
 
 def test_verify_rejects_circuit_for_another_edge_count(monkeypatch):
@@ -898,19 +897,19 @@ def test_compiled_step_from_superposition_matches_reference_and_walk(g):
 
 def test_verify_250_node_regular_graph_exactly():
     g = random_regular_graph(250, 4, seed=1)
-    report = verify_circuit_equivalence(g, coloring_polarity(g), [0])
+    p = coloring_polarity(g)
+    report = verify_circuit_equivalence(g, p, [0], compile_step(g, p, [0]))
     assert (report.max_deviation, report.max_leakage) == (0.0, 0.0)
 
 
 def test_verify_peaks_below_two_and_a_half_dense_matrices():
-    # E = 500: one dense (2E)^2 complex array is 15.3 MiB.  The model, the
-    # circuit's matrix and the gap are all dense; verify keeps no third
-    # complex one alive.
+    # E = 500: one dense (2E)^2 complex array is 15.3 MiB.  Compiling the
+    # step and verifying it build no dense (2E)^2 array.
     g = random_regular_graph(250, 4, seed=1)
     p = coloring_polarity(g)
     tracemalloc.start()
     try:
-        report = verify_circuit_equivalence(g, p, [0])
+        report = verify_circuit_equivalence(g, p, [0], compile_step(g, p, [0]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -925,7 +924,7 @@ def test_verify_peaks_below_a_quarter_of_one_dense_matrix():
     p = coloring_polarity(g)
     tracemalloc.start()
     try:
-        report = verify_circuit_equivalence(g, p, [0])
+        report = verify_circuit_equivalence(g, p, [0], compile_step(g, p, [0]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -935,7 +936,7 @@ def test_sweep_report_csv():
 
 def test_sweep_report_csv_with_prediction():
     g = star_graph(2)
-    rep = sweep(g, hub_polarity(2), MARK0, 2, predicted_t=1.5)
+    rep = replace(sweep(g, hub_polarity(2), MARK0, 2), predicted_t=1.5)
     lines = rep.to_csv().splitlines()
     assert lines[0] == "t,p_marked,predicted_T"
     assert lines[1].endswith(",1.5")

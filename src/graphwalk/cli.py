@@ -30,7 +30,7 @@ from .graph import (
     polarity_from_coloring,
     starify,
 )
-from .spectral import complete_graph_report, star_spectrum
+from .spectral import _check_n, complete_graph_report, star_spectrum
 from .simulator import SimulationError, verify_circuit_equivalence
 from .walk import (
     CallCapExceededError,
@@ -246,10 +246,10 @@ def cmd_analyze_star(args) -> int:
 
 
 def cmd_analyze_complete(args) -> int:
-    t_max = args.t_max
+    n, t_max = _check_n(args.n), args.t_max  # n first: the default t_max takes n as a float
     if t_max is None:
-        t_max = math.ceil(math.pi * args.n / 2)
-    report = complete_graph_report(args.n, _count(t_max, "--t-max"))
+        t_max = math.ceil(math.pi * n / 2)
+    report = complete_graph_report(n, _count(t_max, "--t-max"))
     doc = report.to_json_dict()
     doc["peak_relative_error"] = abs(report.t_star - report.predicted_t) / report.predicted_t
     _dump_json(doc, args.out)

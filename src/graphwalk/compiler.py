@@ -134,6 +134,7 @@ class Instruction(_InstructionFields):
     __slots__ = ()
     # Always None, not a field: perfbench/tracer.py still counts payload entries.
     matrix = None
+    _make = classmethod(tuple.__new__)  # C-level: no length check, no Python frame
 
     def __new__(cls, gate: Gate, controls, targets, locus: Locus, d: int | None = None):
         qubits = controls + targets
@@ -311,18 +312,21 @@ def compile_transfer_k(layout: QubitLayout, node: int, k: int) -> tuple[Instruct
     d = layout.degree(node)
     if not 1 <= k <= d:
         raise CircuitError(f"node {node} has degree {d}, no slot {k}")
-    binary, flag = layout.node_registers[node]
-    eta = layout.facing[node][k - 1]
-    locus = Locus("node", node)
-    writes = tuple(q for i, q in enumerate(binary) if (k - 1) >> i & 1) + (flag,)
-    cnots = tuple(Instruction._make((Gate.CNOT, (eta,), (q,), locus, None)) for q in writes)
-    return cnots + (Instruction._make((Gate.MCX, writes, (eta,), locus, None)),)
+    return _slot(layout.facing[node][k - 1], k - 1, layout.node_registers[node], Locus("node", node))
+
+
+def _slot(eta: int, value: int, register: NodeRegister, locus: Locus) -> tuple[Instruction, ...]:
+    """Facing qubit eta's block, writing slot value `value` (k - 1) and the flag."""
+    writes = (*(q for i, q in enumerate(register.binary) if value >> i & 1), register.flag)
+    cnots = [Instruction._make((Gate.CNOT, (eta,), (q,), locus, None)) for q in writes]
+    return (*cnots, Instruction._make((Gate.MCX, writes, (eta,), locus, None)))
 
 
 def compile_transfer(layout: QubitLayout, node: int) -> tuple[Instruction, ...]:
-    """Relocate whichever facing qubit is excited into the node register."""
-    slots = range(1, layout.degree(node) + 1)
-    return tuple(ins for k in slots for ins in compile_transfer_k(layout, node, k))
+    """Relocate whichever facing qubit is excited into the node register: slots 1..d."""
+    layout.degree(node)  # checks the node
+    register, locus = repeat(layout.node_registers[node]), repeat(Locus("node", node))
+    return tuple(chain.from_iterable(map(_slot, layout.facing[node], count(), register, locus)))
 
 
 def compile_diffusion(layout: QubitLayout, node: int) -> tuple[Instruction, ...]:
@@ -419,14 +423,16 @@ class Circuit:
 
     def to_json(self) -> str:
         """The document, byte for byte `json.dumps(doc, indent=2) + "\\n"`, from
-        templates: an indented `json.dumps` runs the pure-Python encoder.  Each
-        instruction is one `%` on the template of its shape, built at its first use."""
-        templates: dict[tuple, str] = {}
-        rendered = []
-        for gate, controls, targets, (kind, ident), d in self.instructions:
+        templates: an indented `json.dumps` runs the pure-Python encoder.  Each distinct
+        record object is one `%` on the template of its shape, reused by identity."""
+        records = dict(zip(map(id, self.instructions), self.instructions))
+        templates, rendered = {}, []
+        for gate, controls, targets, (kind, ident), d in records.values():
             shape = (gate, len(controls), len(targets), kind, d)
             template = templates.get(shape) or templates.setdefault(shape, _template(*shape))
             rendered.append(template % (*controls, *targets, ident))
+        if len(rendered) < len(self.instructions):  # some object recurs
+            rendered = map(dict(zip(records, rendered)).__getitem__, map(id, self.instructions))
         facing = ",\n      ".join(map(_int_list, self.layout.facing))
         instructions = ",\n".join(rendered)
         return '{\n  "layout": {\n    "facing": %s\n  },\n  "instructions": %s\n}\n' % (
@@ -467,7 +473,7 @@ def compile_step(
     layout = build_layout(g, p, enumeration_seed=enumeration_seed)
     blocks = [compile_oracle(layout, marked), compile_coin(layout)]
     blocks += (compile_scatter(layout, u) for u in range(g.n))
-    return Circuit(layout, tuple(ins for block in blocks for ins in block))
+    return Circuit(layout, tuple(chain.from_iterable(blocks)))
 
 
 _JSON_NAMES = {list: "array", dict: "object", int: "integer", str: "string"}
@@ -619,11 +625,9 @@ def _load_item_by_item(items: list, layout: QubitLayout) -> Circuit:
             raise CircuitError(f"instruction {pos}: qubit index beyond {layout.n_qubits}")
     circuit = Circuit(layout, tuple(instructions))
     circuit.phases  # raises on loci out of compile_step's order
-    local = layout.local_qubits
-    loci = (ins.locus for ins in instructions)
-    stray = _nonlocal(local, loci, map(Instruction.qubits, instructions))
+    stray = locality_audit(circuit).violations
     if stray:
-        raise CircuitError(_stray(stray[0], instructions[stray[0]], local))
+        raise CircuitError(stray[0])
     return circuit
 
 
@@ -634,8 +638,11 @@ def _nonlocal(local: dict[Locus, frozenset[int]], loci, qubits) -> list[int]:
     return list(compress(count(), map(not_, map(frozenset.issuperset, owned, qubits))))
 
 
-def _stray(pos: int, ins: Instruction, local: dict[Locus, frozenset[int]]) -> str:
-    """Name the qubits an instruction touches outside its locus."""
+def _stray(pos: int, circuit: Circuit) -> str:
+    """Name the qubits an instruction touches outside its locus, or its unknown locus."""
+    ins, local = circuit.instructions[pos], circuit.layout.local_qubits
+    if ins.locus not in local:
+        return str(circuit._out_of_place(pos))
     stray = [q for q in ins.qubits() if q not in local[ins.locus]]
     kind, ident = ins.locus
     return f"instruction {pos}: {ins.gate.value} touches qubits {stray} outside its {kind} {ident}"
@@ -721,28 +728,21 @@ _NODE_AUDIT = (
 
 
 def locality_audit(circuit: Circuit) -> AuditReport:
-    """Check every instruction against its locus and tally controlled gates."""
-    layout = circuit.layout
+    """Check every instruction against its locus and tally controlled gates: each
+    distinct record object once, and every position of one that fails, in order."""
+    layout, instructions = circuit.layout, circuit.instructions
     local = layout.local_qubits
-    instructions = circuit.instructions
-    gates, controls, targets, loci, _ = zip(*instructions) if instructions else ((),) * 5
-    violations = tuple(
-        _stray(pos, instructions[pos], local)
-        if loci[pos] in local
-        else str(circuit._out_of_place(pos))  # names the unknown locus
-        for pos in _nonlocal(local, loci, map(add, controls, targets))
-    )
+    records = list(dict(zip(map(id, instructions), instructions)).values())
+    qubits = map(add, map(itemgetter(1), records), map(itemgetter(2), records))
+    stray = {id(records[i]) for i in _nonlocal(local, map(itemgetter(3), records), qubits)}
+    at = compress(count(), map(stray.__contains__, map(id, instructions))) if stray else ()
+    violations = tuple(map(_stray, at, repeat(circuit)))
     # Only the layout's nodes are read back from the tallies.
+    gates, loci = (list(map(itemgetter(i), instructions)) for i in (0, 3))
     controlled = Counter(compress(loci, map(contains, repeat((Gate.CNOT, Gate.MCX)), gates)))
     diffusions = Counter(compress(loci, map(is_, gates, repeat(Gate.DIFFUSION))))
-    nodes = tuple(
-        NodeAudit(
-            node=u,
-            degree=layout.degree(u),
-            cnot_mcx=controlled[Locus("node", u)],
-            diffusion=diffusions[Locus("node", u)],
-            bound=2 * layout.degree(u) * (len(reg.binary) + 1),
-        )
-        for u, reg in enumerate(layout.node_registers)
-    )
-    return AuditReport(nodes=nodes, violations=violations)
+    nodes = []
+    for u, (d, (binary, _)) in enumerate(zip(map(len, layout.facing), layout.node_registers)):
+        tally = controlled.get(("node", u), 0), diffusions.get(("node", u), 0)
+        nodes.append(NodeAudit(u, d, *tally, bound=2 * d * (len(binary) + 1)))
+    return AuditReport(nodes=tuple(nodes), violations=violations)

@@ -26,8 +26,21 @@ from . import walk
 
 
 def _check_m(m: int) -> None:
-    if _index(m, "a leaf count") < 2:
+    m = _index(m, "a leaf count")
+    if m < 2:
         raise ValueError(f"star reduction needs at least 2 leaves, got m={m}")
+    if m > 2**1022:  # the spectrum takes 2m - 1 as a float
+        raise ValueError(f"star reduction needs m <= 2**1022 leaves, got m >= 2**{m.bit_length() - 1}")
+
+
+def _check_n(n: int) -> int:
+    """n as a complete-graph node count: n(n + 1) walk amplitudes need int64 indices."""
+    n = _index(n, "a node count")
+    if n < 3:
+        raise ValueError(f"complete-graph analysis needs n >= 3, got {n}")
+    if n > 2**31:
+        raise ValueError(f"complete-graph analysis needs n <= 2**31, got n >= 2**{n.bit_length() - 1}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -187,9 +200,7 @@ def complete_graph_report(n: int, t_max: int) -> walk.SweepReport:
     not depend on the polarity, so the + pole sits at each edge's lower
     endpoint and no coloring is computed.
     """
-    if n < 3:
-        raise ValueError(f"complete-graph analysis needs n >= 3, got {n}")
-    star = starify(complete_graph(n))
+    star = starify(complete_graph(_check_n(n)))
     g = star.graph
     p = PolarityMap(g.edges[:, 0])
     oracle = walk.OracleSpec(marked=frozenset({star.virtual_edge_of(0)}))

@@ -282,12 +282,34 @@ def test_analyze_star_rejects_tiny(capsys):
     assert capsys.readouterr().err == "graphwalk: star reduction needs at least 2 leaves, got m=1\n"
 
 
-@pytest.mark.parametrize("command", ["analyze-star", "analyze-complete"])
-def test_analysis_of_a_huge_count_returns_1(capsys, command):
-    assert main([command, "9" * 401]) == 1
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze-star"], "star reduction needs m <= 2**1022 leaves, got m >= 2**1332"),
+        (["analyze-complete"], "complete-graph analysis needs n <= 2**31, got n >= 2**1332"),
+        (["analyze-complete", "--t-max", "3"],
+         "complete-graph analysis needs n <= 2**31, got n >= 2**1332"),
+    ],
+    ids=["analyze-star", "analyze-complete", "analyze-complete-t-max"],
+)
+def test_analysis_of_a_huge_count_returns_1(capsys, argv, message):
+    assert main([*argv, "9" * 401]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "graphwalk: int too large to convert to float\n"
+    assert captured.err == f"graphwalk: {message}\n"
+
+
+def test_analysis_takes_counts_up_to_its_bounds(capsys):
+    assert main(["analyze-star", str(2**1022)]) == 0
+    assert json.loads(capsys.readouterr().out)["leaves"] == 2**1022
+    assert main(["analyze-star", str(2**1022 + 1)]) == 1
+    assert capsys.readouterr().err == (
+        "graphwalk: star reduction needs m <= 2**1022 leaves, got m >= 2**1022\n"
+    )
+    assert main(["analyze-complete", str(2**31 + 1), "--t-max", "3"]) == 1
+    assert capsys.readouterr().err == (
+        "graphwalk: complete-graph analysis needs n <= 2**31, got n >= 2**31\n"
+    )
 
 
 def test_analyze_complete_8(capsys):

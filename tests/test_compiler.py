@@ -6,6 +6,8 @@ import copy
 import gc
 import hashlib
 import json
+import operator
+import re
 
 import numpy as np
 import pytest
@@ -383,6 +385,26 @@ def test_invert_is_reversal():
     assert invert_instructions(block) == block
 
 
+@pytest.mark.parametrize("seed", [None, 3])
+@pytest.mark.parametrize("d", [3, 4, 5, 8, 9, 256])
+def test_transfer_is_its_slots_in_order(d, seed):
+    layout = build_layout(star_graph(d), hub_polarity(d), enumeration_seed=seed)
+    slots = [compile_transfer_k(layout, 0, k) for k in range(1, d + 1)]
+    assert compile_transfer(layout, 0) == tuple(ins for slot in slots for ins in slot)
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+@pytest.mark.parametrize("d", [3, 4, 9])
+def test_scatter_inverse_half_is_the_forward_half_reversed_in_objects(d, seed):
+    layout = build_layout(star_graph(d), hub_polarity(d), enumeration_seed=seed)
+    block = compile_scatter(layout, 0)
+    half = len(block) // 2
+    assert block[half].gate is Gate.DIFFUSION
+    assert all(map(operator.is_, block[half + 1:], reversed(block[:half])))
+    # The forward half itself holds no object twice.
+    assert len(set(map(id, block[:half]))) == half
+
+
 def test_compile_step_phase_structure():
     g = path_graph(3)
     circ = compile_step(g, coloring_polarity(g), [0])
@@ -556,6 +578,43 @@ def test_to_json_writes_indented_json_dumps(g, marked, seed):
 )
 def test_to_json_writes_json_dumps_of_hand_built_circuits(circ):
     assert circ.to_json() == json.dumps(document_dict(circ), indent=2) + "\n"
+
+
+def _shared_record_circuit():
+    """A single edge whose oracle swap object is also its coin."""
+    swap = Instruction(Gate.SWAP, (), (0, 1), Locus("edge", 0))
+    return Circuit(QubitLayout(((0,), (1,))), (swap, swap))
+
+
+@pytest.mark.parametrize(
+    "circ",
+    [
+        compile_step(star_graph(256), hub_polarity(256), [0]),
+        _shared_record_circuit(),
+        Circuit(QubitLayout(()), ()),
+    ],
+    ids=["star-256", "one-record-twice", "empty"],
+)
+def test_to_json_is_the_same_for_shared_and_unshared_records(circ):
+    text = circ.to_json()
+    back = circuit_from_json(text)
+    # The loaded circuit shares no record object, with the original or within itself.
+    ids = set(map(id, back.instructions))
+    assert len(ids) == len(back.instructions)
+    assert not ids & set(map(id, circ.instructions))
+    assert back.to_json() == text
+    assert text == json.dumps(document_dict(circ), indent=2) + "\n"
+
+
+def test_to_json_renders_records_by_identity_not_equality():
+    # 1 == 1.0, so these records are equal, yet `%s` prints them apart: the
+    # writer's table must not hand one record's text to the other.
+    one = Instruction(Gate.X, (), (1,), Locus("edge", 0))
+    other = Instruction(Gate.X, (), (1.0,), Locus("edge", 0))
+    assert one == other
+    text = Circuit(QubitLayout(((0,), (1,))), (one, other, one)).to_json()
+    targets = re.findall(r'"targets": \[\n +(\S+)\n', text)
+    assert targets == ["1", "1.0", "1"]
 
 
 def test_to_json_builds_one_template_per_instruction_shape(monkeypatch):
@@ -1123,6 +1182,39 @@ def test_audit_flags_foreign_node_gate_and_unknown_edge():
     assert len(report.violations) == 2
     assert "outside its node 0" in report.violations[0]
     assert "unknown edge 99" in report.violations[1]
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [QubitLayout(()), path3_layout()],
+    ids=["no-nodes", "path-3"],
+)
+def test_audit_of_a_circuit_with_no_instructions(layout):
+    report = locality_audit(Circuit(layout, ()))
+    assert report.ok
+    assert report.violations == ()
+    assert [(n.node, n.degree, n.cnot_mcx, n.diffusion) for n in report.nodes] == [
+        (u, len(f), 0, 0) for u, f in enumerate(layout.facing)
+    ]
+
+
+def test_audit_reports_every_position_of_a_repeated_bad_record():
+    g = path_graph(3)
+    circ = compile_step(g, coloring_polarity(g), [0])
+    stray = Instruction(Gate.X, (), (2,), Locus("edge", 0))
+    ghost = Instruction(Gate.X, (), (0,), Locus("edge", 99))
+    n = len(circ.instructions)
+    shared = circ.instructions + (stray, ghost, stray, ghost)
+    # The same records as four distinct objects give the same report.
+    copies = circ.instructions + (stray, ghost, Instruction(*stray), Instruction(*ghost))
+    want = (
+        f"instruction {n}: x touches qubits [2] outside its edge 0",
+        f"instruction {n + 1}: unknown edge 99",
+        f"instruction {n + 2}: x touches qubits [2] outside its edge 0",
+        f"instruction {n + 3}: unknown edge 99",
+    )
+    assert locality_audit(Circuit(circ.layout, shared)).violations == want
+    assert locality_audit(Circuit(circ.layout, copies)).violations == want
 
 
 def controlled_gate_count(d):

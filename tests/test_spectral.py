@@ -176,3 +176,17 @@ def test_complete_graph_report_equals_the_colored_sweep(n):
 def test_complete_graph_report_rejects_tiny_n():
     with pytest.raises(ValueError, match="n >= 3"):
         complete_graph_report(2, 5)
+
+
+def test_complete_graph_report_rejects_n_beyond_int64_indices():
+    # Checked before the graph is built: numpy would refuse the size itself.
+    for n in (2**31 + 1, np.int64(2**40), 10**400):
+        with pytest.raises(ValueError, match=r"n <= 2\*\*31, got n >= 2\*\*"):
+            complete_graph_report(n, 3)
+
+
+@pytest.mark.parametrize("f", [star_initial_state, star_matrix, star_spectrum])
+def test_star_reduction_rejects_m_beyond_float_range(f):
+    f(2**1022)
+    with pytest.raises(ValueError, match=r"m <= 2\*\*1022 leaves, got m >= 2\*\*1022$"):
+        f(2**1022 + 1)

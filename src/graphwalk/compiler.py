@@ -29,8 +29,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, count, repeat
-from operator import add, contains, is_, itemgetter, not_
+from itertools import chain, compress, count, groupby, islice, repeat
+from operator import add, contains, is_, itemgetter, ne, not_
 from typing import NamedTuple
 
 import numpy as np
@@ -192,8 +192,41 @@ class QubitLayout:
     n_qubits: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        flat = list(chain.from_iterable(self.facing))
+        width = len(flat) + len(flat) % 2
+        # C-level passes over all cells; the per-cell loop of `_name_fault`
+        # runs only to name a qubit out of range or facing twice.
+        ints = set(map(type, flat)) <= {int}
+        if not (ints and 0 <= min(flat, default=0) and max(flat, default=0) < width):
+            self._name_fault(width)
+        qubits = np.array(flat, dtype=np.int64)
+        if np.bincount(qubits, minlength=width).max(initial=0) > 1:
+            self._name_fault(width)
+        owner = np.full(width, -1)
+        owner[qubits] = np.repeat(np.arange(len(self.facing)), list(map(len, self.facing)))
+        missing = np.flatnonzero(owner < 0)
+        if missing.size:
+            q = int(missing[0])
+            raise CircuitError(f"layout.facing: no node faces qubit {q} of edge {q // 2}")
+        clash = np.flatnonzero(owner[0::2] == owner[1::2])
+        if clash.size:
+            k = int(clash[0])
+            raise CircuitError(f"layout.facing: both poles of edge {k} face node {owner[2 * k]}")
+        registers = []
+        q = width
+        for d in map(len, self.facing):
+            r = (d - 1).bit_length() if d > 1 else 0
+            registers.append(NodeRegister(binary=tuple(range(q, q + r)), flag=q + r))
+            q += r + 1
+        edge_qubits = tuple(zip(range(0, width, 2), range(1, width, 2)))
+        object.__setattr__(self, "edge_qubits", edge_qubits)
+        object.__setattr__(self, "node_registers", tuple(registers))
+        object.__setattr__(self, "n_qubits", q)
+
+    def _name_fault(self, width: int) -> None:
+        """Raise for the first qubit outside [0, width), else for the first
+        that an earlier cell already claims, in (node, slot) order."""
         cells = [(u, s, q) for u, f in enumerate(self.facing) for s, q in enumerate(f)]
-        width = len(cells) + len(cells) % 2
         for u, s, q in cells:
             if not 0 <= q < width:
                 raise CircuitError(f"layout.facing[{u}][{s}]: qubit {q} outside [0, {width})")
@@ -202,22 +235,6 @@ class QubitLayout:
             if owner[q] is not None:
                 raise CircuitError(f"layout.facing[{u}][{s}]: qubit {q} already faces node {owner[q]}")
             owner[q] = u
-        if None in owner:
-            q = owner.index(None)
-            raise CircuitError(f"layout.facing: no node faces qubit {q} of edge {q // 2}")
-        for k, (plus, minus) in enumerate(zip(owner[0::2], owner[1::2])):
-            if plus == minus:
-                raise CircuitError(f"layout.facing: both poles of edge {k} face node {plus}")
-        registers = []
-        q = width
-        for d in map(len, self.facing):
-            r = (d - 1).bit_length() if d > 1 else 0
-            registers.append(NodeRegister(binary=tuple(range(q, q + r)), flag=q + r))
-            q += r + 1
-        edge_qubits = tuple((2 * k, 2 * k + 1) for k in range(width // 2))
-        object.__setattr__(self, "edge_qubits", edge_qubits)
-        object.__setattr__(self, "node_registers", tuple(registers))
-        object.__setattr__(self, "n_qubits", q)
 
     @property
     def n_edges(self) -> int:
@@ -389,27 +406,31 @@ class Circuit:
             CircuitError: Naming the first instruction whose locus is out of
                 that order, or is not an edge or node of the layout.
         """
-        loci = [ins.locus for ins in self.instructions]
-        n, n_edges = len(loci), self.layout.n_edges
-        run = next((pos for pos, locus in enumerate(loci) if locus.kind != "edge"), n)
+        loci = list(map(itemgetter(3), self.instructions))
+        n, n_edges, n_nodes = len(loci), self.layout.n_edges, self.layout.n_nodes
+        run = next(compress(count(), map(ne, map(itemgetter(0), loci), repeat("edge"))), n)
         coin = max(run - n_edges, 0)
+        ids = list(map(itemgetter(1), islice(loci, run)))
         for pos in range(coin):
-            if not 0 <= loci[pos].id < n_edges:
+            if not 0 <= ids[pos] < n_edges:
                 raise self._out_of_place(pos)
-        for k in range(n_edges):
+        if ids[coin:] != list(range(n_edges)):
+            k = next(compress(count(), map(ne, ids[coin:], count())), run - coin)
             if coin + k == n:
                 raise CircuitError(f"instructions end before the coin's edge {k}: {_ORDER}")
-            if loci[coin + k] != ("edge", k):
-                raise self._out_of_place(coin + k)
+            raise self._out_of_place(coin + k)
         phases = [Phase("oracle", None, 0, coin), Phase("coin", None, coin, run)]
-        pos = run
-        for u in range(self.layout.n_nodes):
-            start = pos
-            while pos < n and loci[pos] == ("node", u):
-                pos += 1
-            phases.append(Phase("scatter", u, start, pos))
-        if pos < n:
-            raise self._out_of_place(pos)
+        # One run of equal loci per scattering node, the nodes ascending; a
+        # node missing from the runs emits nothing.
+        pos, u = run, 0
+        for (kind, ident), records in groupby(islice(loci, run, None)):
+            if kind != "node" or not u <= ident < n_nodes:
+                raise self._out_of_place(pos)
+            phases += (Phase("scatter", v, pos, pos) for v in range(u, ident))
+            stop = pos + len(list(records))
+            phases.append(Phase("scatter", ident, pos, stop))
+            pos, u = stop, ident + 1
+        phases += (Phase("scatter", v, n, n) for v in range(u, n_nodes))
         return tuple(phases)
 
     def _out_of_place(self, pos: int) -> CircuitError:

@@ -431,9 +431,29 @@ def starify(g: Graph) -> StarifiedGraph:
         >>> s.graph.edges[s.virtual_edge_of(2)]
         array([2, 5])
     """
-    real = np.arange(g.n)
-    edges = np.concatenate([g.edges, np.stack([real, g.n + real], axis=1)])
-    return StarifiedGraph(Graph(2 * g.n, edges), g.n, g.n_edges)
+    n, n_edges = g.n, g.n_edges
+    real = np.arange(n)
+    # The result is simple and connected by construction, so its CSR comes
+    # from g's with no check and no sort: real node u's row gains twin n + u
+    # at its end (every real neighbor is below n), and the twins' rows, one
+    # entry each, follow the real rows' `size` entries.
+    size = 2 * n_edges + n
+    indptr = np.concatenate([g.indptr + np.arange(n + 1), size + 1 + real])
+    twin = indptr[1 : n + 1] - 1
+    kept = np.ones(size + n, dtype=bool)
+    kept[twin] = False
+    kept[size:] = False
+    neighbor = np.empty(size + n, dtype=g.neighbor.dtype)
+    neighbor[kept], neighbor[twin], neighbor[size:] = g.neighbor, n + real, real
+    edge = np.empty(size + n, dtype=g.edge.dtype)
+    edge[kept], edge[twin], edge[size:] = g.edge, n_edges + real, n_edges + real
+    edges = np.concatenate([g.edges, np.stack([real, n + real], axis=1)])
+    out = object.__new__(Graph)  # Graph() would check it all again
+    object.__setattr__(out, "n", 2 * n)
+    arrays = {"edges": edges, "indptr": indptr, "neighbor": neighbor, "edge": edge}
+    for name, value in arrays.items():
+        object.__setattr__(out, name, _read_only(value))
+    return StarifiedGraph(out, n, n_edges)
 
 
 def parse_graph(text: str, fmt: str = "edge-list") -> Graph:

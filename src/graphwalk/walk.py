@@ -100,13 +100,15 @@ class WalkPlan:
     amplitudes facing degree-1 nodes.  A step is one gather into that
     order, which reads each pole's partner (on a marked edge, the pole
     itself) and negates the marked edges, then the diffusions: one segment
-    sum over the nodes of degree >= 2, and 2x - x for each degree-1 node,
-    the same bits as its one-element sum.  `evolve` and `sweep` run the
-    plan's one walk loop, which starts from the uniform superposition and
-    steps in the plan's buffer, so their steps scatter nothing; `step`
-    works on a flat state, permuted into the plan's order and back around
-    each step.  `_entries()` reads the same step in closed form, bit for
-    bit, and `matrix()` fills those entries into a dense array.
+    sum over the nodes of degree >= 2, and one pass of x + 0.0 over the
+    degree-1 nodes, the bits of their one-element sums 2x - x.  The step
+    reads and writes the plan's buffers through slices made once, at
+    construction.  `evolve` and `sweep` run the plan's one walk loop,
+    which starts from the uniform superposition and steps in the plan's
+    buffer, so their steps scatter nothing; `step` works on a flat state,
+    permuted into the plan's order and back around each step.  `_entries()`
+    reads the same step in closed form, bit for bit, and `matrix()` fills
+    those entries into a dense array.
 
     The plan remembers the cumulative edge distribution of its last
     evolution, so repeated draws at one step count evolve once, and the
@@ -164,6 +166,9 @@ class WalkPlan:
         self._x = np.empty(2 * n_edges, dtype=complex)
         self._y = np.empty(2 * n_edges, dtype=complex)
         self._sums = np.empty(len(degrees), dtype=complex)
+        h = self._hubs
+        self._x_hub, self._x_leaf = self._x[:h], self._x[h:]
+        self._y_hub, self._y_leaf = self._y[:h], self._y[h:]
 
         is_marked = np.zeros(n_edges, dtype=bool)
         is_marked[np.array(marked, dtype=np.intp)] = True
@@ -176,19 +181,18 @@ class WalkPlan:
         self._cdf: tuple[int, np.ndarray] | None = None
         self._bounds: tuple[np.ndarray, np.ndarray, np.ndarray, float] | None = None
 
-    def _advance(self, z: np.ndarray) -> None:
-        """One step on the plan-ordered amplitudes z, in place."""
-        x = np.take(z, self._reads, out=self._x, mode="clip")
+    def _advance(self) -> None:
+        """One step on the plan-ordered amplitudes in `_y`, in place."""
+        x = self._y.take(self._reads, out=self._x, mode="clip")
         x[self._flip] *= -1
-        h = self._hubs
-        sums = np.add.reduceat(x[:h], self._starts, out=self._sums)
+        sums = np.add.reduceat(self._x_hub, self._starts, out=self._sums)
         sums *= self._weights
-        np.take(sums, self._node, out=z[:h], mode="clip")
-        z[:h] -= x[:h]
+        z_hub = sums.take(self._node, out=self._y_hub, mode="clip")
+        z_hub -= self._x_hub
         # A degree-1 node's segment sum would be its one amplitude, weighted
-        # by 2.0: 2x - x gives the same bits, signed zeros included.
-        np.multiply(x[h:], 2.0, out=z[h:])
-        z[h:] -= x[h:]
+        # by 2.0.  x + 0.0 gives the bits of 2x - x for every amplitude below
+        # 2**1000 in one pass: both turn -0.0 into +0.0, and neither rounds.
+        np.add(self._x_leaf, 0.0, out=self._y_leaf)
 
     def _walk(self, t_max: int):
         """Yield the plan-ordered amplitudes at t = 0..t_max from the uniform start.
@@ -199,7 +203,7 @@ class WalkPlan:
         z.fill(_start_amplitude(self.n_edges))
         yield z
         for _ in range(t_max):
-            self._advance(z)
+            self._advance()
             yield z
 
     def step(self, state: WalkState) -> WalkState:
@@ -207,9 +211,9 @@ class WalkPlan:
         if state.n_edges != self.n_edges:
             raise ValueError(f"state has {state.n_edges} edges, graph has {self.n_edges}")
         flat = _flat(state)
-        np.take(flat, self._dst, out=self._y, mode="clip")
-        self._advance(self._y)
-        np.take(self._y, self._at, out=flat, mode="clip")
+        flat.take(self._dst, out=self._y, mode="clip")
+        self._advance()
+        self._y.take(self._at, out=flat, mode="clip")
         state.t += 1
         return state
 

@@ -115,6 +115,49 @@ def test_layout_checks_facing_when_built_directly():
         QubitLayout(((-1,), (2**63,)))
 
 
+def _reference_facing_fault(facing):
+    """The layout's `facing` check as per-cell loops: the first fault's message, or None."""
+    cells = [(u, s, q) for u, f in enumerate(facing) for s, q in enumerate(f)]
+    width = len(cells) + len(cells) % 2
+    for u, s, q in cells:
+        if not 0 <= q < width:
+            return f"layout.facing[{u}][{s}]: qubit {q} outside [0, {width})"
+    owner = [None] * width
+    for u, s, q in cells:
+        if owner[q] is not None:
+            return f"layout.facing[{u}][{s}]: qubit {q} already faces node {owner[q]}"
+        owner[q] = u
+    if None in owner:
+        q = owner.index(None)
+        return f"layout.facing: no node faces qubit {q} of edge {q // 2}"
+    for k, (plus, minus) in enumerate(zip(owner[0::2], owner[1::2])):
+        if plus == minus:
+            return f"layout.facing: both poles of edge {k} face node {plus}"
+    return None
+
+
+def test_layout_check_matches_a_per_cell_loop():
+    # Shuffled qubits 0..w-1 with some replaced or dropped, cut into nodes.
+    rng = np.random.default_rng(7)
+    for _ in range(3000):
+        w = int(rng.integers(0, 10))
+        cells = rng.permutation(w).tolist()
+        for _ in range(rng.integers(0, 3)):
+            if cells and rng.random() < 0.5:
+                cells[rng.integers(len(cells))] = int(rng.integers(-2, w + 3))
+            elif cells:
+                del cells[rng.integers(len(cells))]
+        cuts = sorted(rng.integers(0, len(cells) + 1, size=rng.integers(0, 5)).tolist())
+        facing = tuple(tuple(cells[a:b]) for a, b in zip([0, *cuts], [*cuts, len(cells)]))
+        want = _reference_facing_fault(facing)
+        if want is None:
+            assert QubitLayout(facing).facing == facing
+        else:
+            with pytest.raises(CircuitError) as info:
+                QubitLayout(facing)
+            assert str(info.value) == want
+
+
 @pytest.mark.parametrize(
     "block",
     [
@@ -1053,6 +1096,66 @@ def test_circuit_from_json_checks_phase_kinds_nodes_and_tiling(mutate, message):
     with pytest.raises(CircuitError) as info:
         circuit_from_json(json.dumps(doc))
     assert str(info.value) == message
+
+
+def _reference_phases(circuit):
+    """`Circuit.phases` as a per-record loop: the phases, or the error message."""
+    loci = [ins.locus for ins in circuit.instructions]
+    n, n_edges = len(loci), circuit.layout.n_edges
+    run = next((pos for pos, locus in enumerate(loci) if locus.kind != "edge"), n)
+    coin = max(run - n_edges, 0)
+    for pos in range(coin):
+        if not 0 <= loci[pos].id < n_edges:
+            return str(circuit._out_of_place(pos))
+    for k in range(n_edges):
+        if coin + k == n:
+            return f"instructions end before the coin's edge {k}: {_ORDER}"
+        if loci[coin + k] != ("edge", k):
+            return str(circuit._out_of_place(coin + k))
+    phases = [Phase("oracle", None, 0, coin), Phase("coin", None, coin, run)]
+    pos = run
+    for u in range(circuit.layout.n_nodes):
+        start = pos
+        while pos < n and loci[pos] == ("node", u):
+            pos += 1
+        phases.append(Phase("scatter", u, start, pos))
+    return str(circuit._out_of_place(pos)) if pos < n else tuple(phases)
+
+
+@pytest.mark.parametrize(
+    "g", [star_graph(3), path_graph(3), complete_graph(4), random_connected_graph(8, 5, seed=2)]
+)
+def test_phases_match_a_per_record_loop(g):
+    # Random relabelled, swapped, repeated, dropped and truncated records,
+    # from loci built afresh (equal, not identical, to their neighbours').
+    circ = compile_step(g, coloring_polarity(g), [0])
+    rng = np.random.default_rng(g.n_edges)
+    for _ in range(300):
+        ins = list(circ.instructions)
+        for _ in range(rng.integers(0, 4)):
+            if not ins:
+                break
+            p, q, op = rng.integers(len(ins)), rng.integers(len(ins)), rng.random()
+            if op < 0.3:
+                kind = ("edge", "node", "node", "nonsense")[rng.integers(4)]
+                ident = int(rng.integers(-1, max(g.n, g.n_edges) + 2))
+                ins[p] = ins[p]._replace(locus=Locus(kind, ident))
+            elif op < 0.5:
+                ins[p], ins[q] = ins[q], ins[p]
+            elif op < 0.7:
+                del ins[p]
+            elif op < 0.85:
+                ins.insert(p, ins[q])
+            else:
+                del ins[p:]
+        tampered = Circuit(circ.layout, tuple(ins))
+        want = _reference_phases(tampered)
+        if isinstance(want, tuple):
+            assert tampered.phases == want
+        else:
+            with pytest.raises(CircuitError) as info:
+                tampered.phases
+            assert str(info.value) == want
 
 
 def test_circuit_from_json_rejects_a_gate_outside_its_locus():

@@ -593,6 +593,34 @@ def test_starify_degrees_and_flags():
         assert not s.is_virtual_edge(k)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(1, []),
+        star_graph(1),
+        star_graph(6),
+        Graph(7, [(u, 6) for u in range(6)]),  # a star written hub-last
+        path_graph(5),
+        cycle_graph(6),
+        complete_graph(5),
+        *(random_connected_graph(4 + 9 * s, extra_edges=5 * s, seed=s) for s in range(5)),
+    ],
+)
+def test_starify_equals_the_checked_graph(g):
+    # starify derives its CSR from g's instead of building Graph(2n, edges),
+    # which checks the edges and sorts again; every array must come out equal.
+    real = np.arange(g.n)
+    want = Graph(2 * g.n, np.concatenate([g.edges, np.stack([real, g.n + real], axis=1)]))
+    got = starify(g).graph
+    assert got.n == want.n and type(got.n) is type(want.n)
+    for name in ("edges", "indptr", "neighbor", "edge"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+        assert not a.flags.writeable, name
+    assert got == want
+
+
 def test_is_virtual_edge_refuses_edges_outside_the_extended_graph():
     s = starify(complete_graph(3))  # 6 nodes, 6 edges
     assert [s.is_virtual_edge(k) for k in range(6)] == [False] * 3 + [True] * 3

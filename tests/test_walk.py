@@ -40,6 +40,7 @@ from graphwalk import (
     sweep,
 )
 from graphwalk import walk as walk_module
+from graphwalk.graph import facing_amplitudes
 from helpers import grover_matrix, random_walk_state, reference_coin, reference_oracle
 
 MARK0 = OracleSpec(marked=frozenset({0}))
@@ -853,10 +854,10 @@ def test_sweep_unmarked_constant_zero_column():
 
 
 def test_sweep_rejects_norm_drift(monkeypatch):
-    def leaky_advance(self, z):
-        z *= 1.001
+    def leaky_advance(self):
+        self._y *= 1.001
 
-    # sweep steps its plan-ordered state through WalkPlan._advance.
+    # sweep steps its plan-ordered state, the buffer _y, through WalkPlan._advance.
     monkeypatch.setattr(WalkPlan, "_advance", leaky_advance)
     g = star_graph(4)
     with pytest.raises(ValueError, match="^state norm drifted: total probability 1.002"):
@@ -903,6 +904,45 @@ def test_walk_bytes_are_pinned():
         draws = [search(g, p, oracle, 9, s, plan=plan) for s in range(5)]
         digest.update(np.array(draws).tobytes())
     assert digest.hexdigest() == _WALK_BYTES_SHA256
+
+
+# Zeros of both signs, subnormals and ordinary values, for both parts.
+_LEAF_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 2.2e-310, -1.5e-308, 0.3, -0.7)
+
+
+@pytest.mark.parametrize(
+    "g, p",
+    [
+        (star_graph(1), hub_polarity(1)),  # no node of degree >= 2
+        (star_graph(8), hub_polarity(8)),  # leaves face the - poles
+        (star_graph(8), coloring_polarity(star_graph(8))),  # leaves face the + poles
+        (starify(complete_graph(4)).graph, coloring_polarity(starify(complete_graph(4)).graph)),
+    ],
+    ids=["single-edge", "star-hub-plus", "star-leaf-plus", "starified-k4"],
+)
+def test_leaf_pass_gives_the_bits_of_2x_minus_x(g, p):
+    # The amplitude facing a degree-1 node after a step is its one-element
+    # diffusion of the gathered x (the partner pole, or the pole itself
+    # negated on a marked edge): 2x - x, which turns -0.0 into +0.0.
+    marked = frozenset(range(0, g.n_edges, 2))
+    plan = WalkPlan(g, p, OracleSpec(marked))
+    degrees = np.diff(g.indptr)
+    j = facing_amplitudes(g, p)[np.repeat(degrees == 1, degrees)]
+    on = np.isin(j >> 1, list(marked))
+    # The amplitudes the leaf pass reads, each edge class through the values.
+    rank = np.empty(len(j), dtype=np.intp)
+    rank[on], rank[~on] = np.arange(on.sum()), np.arange((~on).sum())
+    values = np.array(_LEAF_VALUES)
+    flat = np.full(2 * g.n_edges, 0.25 - 0.5j)
+    flat[np.where(on, j, j ^ 1)] = values[rank % 8] + 1j * values[(3 * rank + rank // 8) % 8]
+    state = WalkState(flat.reshape(-1, 2).copy())
+    x = np.where(on, flat[j] * -1, flat[j ^ 1])
+    want = (x * 2.0 - x).view(np.uint64)
+    # A plain copy of x would keep a -0.0, on marked and unmarked edges alike.
+    changed = (x.view(np.uint64) != want).reshape(-1, 2).any(axis=1)
+    assert all(changed[part].any() for part in (on, ~on) if part.any())
+    got = plan.step(state).psi.reshape(-1)[j].view(np.uint64)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_sweep_star64_first_peak():

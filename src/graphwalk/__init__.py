@@ -65,13 +65,9 @@ from .compiler import (
     build_layout,
     circuit_from_json,
     compile_coin,
-    compile_diffusion,
     compile_oracle,
     compile_scatter,
     compile_step,
-    compile_transfer,
-    compile_transfer_k,
-    invert_instructions,
     locality_audit,
 )
 from .simulator import (

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .compiler import CircuitError, QubitLayout, circuit_from_json, compile_step, locality_audit
+from .compiler import CircuitError, circuit_from_json, compile_step, locality_audit
 from .graph import (
     Graph,
     GraphError,
@@ -143,16 +143,6 @@ def _color_polarity(g: Graph, colors) -> PolarityMap:
     """The polarity whose poles `compile` names: + at the higher of the
     supplied colors, or of a greedy coloring when there are none."""
     return polarity_from_coloring(g, greedy_coloring(g) if colors is None else colors)
-
-
-def _document_polarity(layout: QubitLayout) -> PolarityMap:
-    """The polarity a circuit document names: edge k's + pole is qubit 2k,
-    and it sits at the node whose `facing` row lists that qubit."""
-    owner = [0] * (2 * layout.n_edges)  # the layout faces every qubit once
-    for u, qubits in enumerate(layout.facing):
-        for q in qubits:
-            owner[q] = u
-    return PolarityMap(owner[0::2])
 
 
 def _edge_payload(g: Graph, star: StarifiedGraph | None, k: int) -> dict:
@@ -291,7 +281,7 @@ def cmd_verify(args) -> int:
         circuit = compile_step(g, p, marked, enumeration_seed=seed)
     else:
         circuit = circuit_from_json(_read(args.circuit, "circuit"))
-        p = _document_polarity(circuit.layout)
+        p = circuit.layout.polarity()
     report = verify_circuit_equivalence(g, p, marked, circuit, tolerance=args.tolerance)
     _dump_json(report.to_json_dict(), args.out)
     if not report.ok:

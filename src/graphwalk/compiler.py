@@ -3,15 +3,16 @@
 Each edge owns a qubit pair (one per pole) holding the walk amplitudes as a
 one-hot excitation.  Each node owns a small register: ceil(log2 d) binary
 qubits plus a flag.  A step compiles to a sign oracle and a pole swap on the
-edge pairs, then per node a transfer block of CNOTs and multi-controlled
-NOTs that relocates whichever facing qubit is excited into the register as
-a slot number (no X gates: the slot order stands in for controls on zero
-bits), one flag-controlled `diffusion` gate on the register, and the
-inverse transfer.  Nodes of degree at most 2 skip the register: their
-diffusion (2/d)J - I is the identity at degree 1, which compiles to
-nothing, and the pole swap at degree 2, which compiles to one swap of the
-two facing qubits.  Every instruction touches only qubits owned by its
-locus, so nodes act on their own neighborhoods.
+edge pairs, then per node one scatter block (`compile_scatter`): a transfer
+of CNOTs and multi-controlled NOTs that relocates whichever facing qubit is
+excited into the register as a slot number (no X gates: the slot order
+stands in for controls on zero bits, see `_slot`), one flag-controlled
+`diffusion` gate on the register, and the transfer reversed.  Nodes of
+degree at most 2 skip the register: their diffusion (2/d)J - I is the
+identity at degree 1, which compiles to nothing, and the pole swap at
+degree 2, which compiles to one swap of the two facing qubits.  Every
+instruction touches only qubits owned by its locus, so nodes act on their
+own neighborhoods.
 
 Gates carry structure, not dense matrices: a `diffusion` gate names its
 degree d, and every gate is its own inverse.  A circuit document holds the
@@ -190,6 +191,7 @@ class QubitLayout:
     edge_qubits: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
     node_registers: tuple[NodeRegister, ...] = field(init=False, compare=False, repr=False)
     n_qubits: int = field(init=False, compare=False, repr=False)
+    _owner: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         flat = list(chain.from_iterable(self.facing))
@@ -222,6 +224,7 @@ class QubitLayout:
         object.__setattr__(self, "edge_qubits", edge_qubits)
         object.__setattr__(self, "node_registers", tuple(registers))
         object.__setattr__(self, "n_qubits", q)
+        object.__setattr__(self, "_owner", owner)
 
     def _name_fault(self, width: int) -> None:
         """Raise for the first qubit outside [0, width), else for the first
@@ -235,6 +238,11 @@ class QubitLayout:
             if owner[q] is not None:
                 raise CircuitError(f"layout.facing[{u}][{s}]: qubit {q} already faces node {owner[q]}")
             owner[q] = u
+
+    def polarity(self) -> PolarityMap:
+        """The polarity the layout names: edge k's + pole is qubit 2k, at the
+        node that faces it."""
+        return PolarityMap(self._owner[0::2])
 
     @property
     def n_edges(self) -> int:
@@ -306,80 +314,57 @@ def compile_coin(layout: QubitLayout) -> tuple[Instruction, ...]:
     )
 
 
-def compile_transfer_k(layout: QubitLayout, node: int, k: int) -> tuple[Instruction, ...]:
-    """Relocate the node's k-th facing excitation into its register.
+def _slot(eta: int, value: int, register: NodeRegister, locus: Locus) -> tuple[Instruction, ...]:
+    """Relocate an excitation on facing qubit eta into the register as slot `value`.
 
-    Sends |1 on facing qubit k, empty register> to |0, slot value k-1, flag
-    set> and leaves the all-zero register state alone: controlled writes of
-    the one-bits of k-1 and the flag, then a multi-controlled NOT on those
-    one-bits and the flag erases the facing qubit.  k is 1-based.
+    Sends |1 on eta, empty register> to |0, slot value `value`, flag set>
+    and leaves the all-zero register state alone: CNOTs from eta to the
+    one-bits of `value` and the flag, then a multi-controlled NOT on those
+    one-bits and the flag erases eta.
 
-    The zero bits of k-1 need no controls, because the slot order already
-    rules out every other register value that could fire the NOT:
+    The zero bits of `value` need no controls, because the slot order
+    already rules out every other register value that could fire the NOT:
 
-    - The forward transfer runs slots 1..d.  When slot k's NOT runs, the
-      register holds k-1 or a value j-1 < k-1 written by an earlier slot.
-    - The inverse runs slots d..1.  Values k and above have already gone
-      back to their facing qubits, so the register holds a value <= k-1.
-    - A value v <= k-1 whose set bits include every set bit of k-1 is k-1.
+    - The forward transfer runs slots 0..d-1.  When slot v's NOT runs, the
+      register holds v or a value w < v written by an earlier slot.
+    - The inverse runs slots d-1..0.  Values above v have already gone back
+      to their facing qubits, so the register holds a value <= v.
+    - A value w <= v whose set bits include every set bit of v is v.
 
     So the block is exact on the single-excitation sector in slot order,
     which is all the walk model and `verify` use.
     """
-    d = layout.degree(node)
-    if not 1 <= k <= d:
-        raise CircuitError(f"node {node} has degree {d}, no slot {k}")
-    return _slot(layout.facing[node][k - 1], k - 1, layout.node_registers[node], Locus("node", node))
-
-
-def _slot(eta: int, value: int, register: NodeRegister, locus: Locus) -> tuple[Instruction, ...]:
-    """Facing qubit eta's block, writing slot value `value` (k - 1) and the flag."""
     writes = (*(q for i, q in enumerate(register.binary) if value >> i & 1), register.flag)
     cnots = [Instruction._make((Gate.CNOT, (eta,), (q,), locus, None)) for q in writes]
     return (*cnots, Instruction._make((Gate.MCX, writes, (eta,), locus, None)))
-
-
-def compile_transfer(layout: QubitLayout, node: int) -> tuple[Instruction, ...]:
-    """Relocate whichever facing qubit is excited into the node register: slots 1..d."""
-    layout.degree(node)  # checks the node
-    register, locus = repeat(layout.node_registers[node]), repeat(Locus("node", node))
-    return tuple(chain.from_iterable(map(_slot, layout.facing[node], count(), register, locus)))
-
-
-def compile_diffusion(layout: QubitLayout, node: int) -> tuple[Instruction, ...]:
-    """Flag-controlled Grover diffusion on the node's slot value.
-
-    The slot register only ever holds values below the degree d; the gate
-    applies (2/d)J - I to those and the identity to the unreachable rest.
-    Degree-1 nodes diffuse trivially and emit nothing.
-    """
-    d = layout.degree(node)
-    if d < 2:
-        return ()
-    binary, flag = layout.node_registers[node]
-    return (Instruction._make((Gate.DIFFUSION, (flag,), binary, Locus("node", node), d)),)
-
-
-def invert_instructions(instrs) -> tuple[Instruction, ...]:
-    """Exact inverse: every gate is its own inverse, so the reversed order."""
-    return tuple(reversed(tuple(instrs)))
 
 
 def compile_scatter(layout: QubitLayout, node: int) -> tuple[Instruction, ...]:
     """The node's scattering block: (2/d)J - I on its facing qubits.
 
     Degree 1 scatters trivially and emits nothing; degree 2 is one swap of
-    the two facing qubits.  From degree 3 up the block transfers the
-    excitation into the register, diffuses it, and transfers it back.
+    the two facing qubits.  From degree 3 up the block transfers whichever
+    facing qubit is excited into the register, slot by slot in the node's
+    enumeration order (`_slot`), applies one flag-controlled `diffusion`
+    gate, which maps the d slot values by (2/d)J - I and leaves the
+    unreachable values above them alone, and runs the transfer backwards.
+    Every gate is its own inverse, so the backward half is the forward half
+    reversed, holding the same record objects.
+
+    Raises:
+        CircuitError: If the node is outside the layout.
     """
     d = layout.degree(node)
     if d < 2:
         return ()
+    locus = Locus("node", node)
     if d == 2:
-        swap = (Gate.SWAP, (), layout.facing[node], Locus("node", node), None)
-        return (Instruction._make(swap),)
-    tr = compile_transfer(layout, node)
-    return tr + compile_diffusion(layout, node) + invert_instructions(tr)
+        return (Instruction._make((Gate.SWAP, (), layout.facing[node], locus, None)),)
+    register = layout.node_registers[node]
+    slots = map(_slot, layout.facing[node], count(), repeat(register), repeat(locus))
+    transfer = tuple(chain.from_iterable(slots))
+    diffusion = Instruction._make((Gate.DIFFUSION, (register.flag,), register.binary, locus, d))
+    return (*transfer, diffusion, *reversed(transfer))
 
 
 @dataclass(frozen=True)

@@ -37,12 +37,9 @@ PUBLIC_API = [
     "check_proper",
     "circuit_from_json",
     "compile_coin",
-    "compile_diffusion",
     "compile_oracle",
     "compile_scatter",
     "compile_step",
-    "compile_transfer",
-    "compile_transfer_k",
     "complete_graph",
     "complete_graph_report",
     "cycle_graph",
@@ -52,7 +49,6 @@ PUBLIC_API = [
     "greedy_coloring",
     "guaranteed_search",
     "init_walk_superposition",
-    "invert_instructions",
     "locality_audit",
     "measure_edge",
     "parse_graph",
@@ -106,12 +102,9 @@ SIGNATURES = {
     "check_proper": "(g, colors)",
     "circuit_from_json": "(text)",
     "compile_coin": "(layout)",
-    "compile_diffusion": "(layout, node)",
     "compile_oracle": "(layout, marked)",
     "compile_scatter": "(layout, node)",
     "compile_step": "(g, p, marked, enumeration_seed=None)",
-    "compile_transfer": "(layout, node)",
-    "compile_transfer_k": "(layout, node, k)",
     "complete_graph": "(n)",
     "complete_graph_report": "(n, t_max)",
     "cycle_graph": "(n)",
@@ -121,7 +114,6 @@ SIGNATURES = {
     "greedy_coloring": "(g)",
     "guaranteed_search": "(g, p, oracle, steps, seed=None, max_calls=1000000, *, plan=None)",
     "init_walk_superposition": "(layout)",
-    "invert_instructions": "(instrs)",
     "locality_audit": "(circuit)",
     "measure_edge": "(state, layout, seed=None)",
     "parse_graph": "(text, fmt='edge-list')",

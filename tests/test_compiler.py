@@ -16,6 +16,7 @@ from graphwalk import (
     Circuit,
     CircuitError,
     Gate,
+    Graph,
     Instruction,
     Locus,
     PolarityMap,
@@ -24,16 +25,12 @@ from graphwalk import (
     build_layout,
     circuit_from_json,
     compile_coin,
-    compile_diffusion,
     compile_oracle,
     compile_scatter,
     compile_step,
-    compile_transfer,
-    compile_transfer_k,
     complete_graph,
     cycle_graph,
     greedy_coloring,
-    invert_instructions,
     locality_audit,
     path_graph,
     polarity_from_coloring,
@@ -46,7 +43,7 @@ from graphwalk import (
 from graphwalk import compiler
 from graphwalk.compiler import Phase
 from graphwalk.simulator import apply_instruction
-from helpers import diffusion_matrix, document_dict, grover_matrix
+from helpers import document_dict, grover_matrix, random_regular_graph
 
 
 def coloring_polarity(g):
@@ -66,6 +63,14 @@ def run_instructions(instrs, state):
     for ins in instrs:
         state = apply_instruction(state, ins)
     return state
+
+
+def halves(layout, u):
+    """The scatter block of node u, of degree 3 or more, as its forward
+    transfer, its diffusion and its inverse transfer."""
+    block = compile_scatter(layout, u)
+    half = len(block) // 2
+    return block[:half], block[half], block[half + 1 :]
 
 
 def register_key(flag, binary, v):
@@ -160,14 +165,8 @@ def test_layout_check_matches_a_per_cell_loop():
 
 @pytest.mark.parametrize(
     "block",
-    [
-        lambda layout, u: layout.degree(u),
-        lambda layout, u: compile_transfer_k(layout, u, 1),
-        compile_transfer,
-        compile_diffusion,
-        compile_scatter,
-    ],
-    ids=["degree", "compile_transfer_k", "compile_transfer", "compile_diffusion", "compile_scatter"],
+    [lambda layout, u: layout.degree(u), compile_scatter],
+    ids=["degree", "compile_scatter"],
 )
 def test_layout_refuses_nodes_outside_it(block):
     layout = build_layout(star_graph(3), hub_polarity(3))
@@ -177,6 +176,19 @@ def test_layout_refuses_nodes_outside_it(block):
     with pytest.raises(TypeError, match="bool"):
         block(layout, True)
     assert layout.degree(np.int64(0)) == 3
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+@pytest.mark.parametrize(
+    "g",
+    [star_graph(6), random_connected_graph(12, extra_edges=9, seed=2), starify(complete_graph(5)).graph],
+    ids=["star-6", "random-12", "starified-K5"],
+)
+def test_layout_names_its_polarity(g, seed):
+    for p in (coloring_polarity(g), PolarityMap(g.edges[:, 1])):
+        circ = compile_step(g, p, [0], enumeration_seed=seed)
+        assert circ.layout.polarity() == p
+        assert circuit_from_json(circ.to_json()).layout.polarity() == p
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -279,25 +291,15 @@ def test_coin_block():
     assert [i.locus for i in instrs] == [Locus("edge", 0), Locus("edge", 1)]
 
 
-def test_transfer_k_degree_1_sequence():
-    layout = path3_layout()
-    instrs = compile_transfer_k(layout, 0, 1)
-    # No slot bits: just the flag write and the flag-controlled erase.
-    assert [i.gate for i in instrs] == [Gate.CNOT, Gate.MCX]
-    eta = layout.facing[0][0]
-    flag = layout.node_registers[0].flag
-    assert instrs[0] == Instruction(Gate.CNOT, (eta,), (flag,), Locus("node", 0))
-    assert instrs[1] == Instruction(Gate.MCX, (flag,), (eta,), Locus("node", 0))
-
-
 def test_transfer_k_degree_4_slot_3_sequence():
     g = star_graph(4)
     layout = build_layout(g, hub_polarity(4))
-    instrs = compile_transfer_k(layout, 0, 3)
+    transfer, _, _ = halves(layout, 0)
     eta = 4  # + pole of edge 2, the third incident edge
     locus = Locus("node", 0)
-    # Slot value 2 sets only bit 1 (qubit 9); its zero bit 8 is no control.
-    assert instrs == (
+    # Slots 1 and 2 take 2 and 3 instructions.  Slot value 2 sets only bit 1
+    # (qubit 9); its zero bit 8 is no control.
+    assert transfer[5:8] == (
         Instruction(Gate.CNOT, (eta,), (9,), locus),
         Instruction(Gate.CNOT, (eta,), (10,), locus),
         Instruction(Gate.MCX, (9, 10), (eta,), locus),
@@ -310,19 +312,11 @@ def test_step_gate_kinds():
     assert kinds == {Gate.Z, Gate.SWAP, Gate.CNOT, Gate.MCX, Gate.DIFFUSION}
 
 
-def test_transfer_k_rejects_bad_slot():
-    layout = path3_layout()
-    with pytest.raises(CircuitError, match="no slot"):
-        compile_transfer_k(layout, 0, 2)
-    with pytest.raises(CircuitError, match="no slot"):
-        compile_transfer_k(layout, 1, 0)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 16])
+@pytest.mark.parametrize("d", [3, 4, 7, 16])
 def test_transfer_defining_action(d):
     g = star_graph(d)
     layout = build_layout(g, hub_polarity(d))
-    instrs = compile_transfer(layout, 0)
+    instrs, _, _ = halves(layout, 0)
     binary, flag = layout.node_registers[0]
     n = layout.n_qubits
     probe = SparseState({(): 1.0 + 0j}, n)
@@ -334,12 +328,12 @@ def test_transfer_defining_action(d):
         assert out.amps == {expected: 1.0 + 0j}
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [3, 4])
 def test_transfer_then_inverse_fixes_every_local_state(d):
     g = star_graph(d)
     layout = build_layout(g, hub_polarity(d))
-    instrs = compile_transfer(layout, 0)
-    roundtrip = instrs + invert_instructions(instrs)
+    transfer, _, inverse = halves(layout, 0)
+    roundtrip = transfer + inverse
     binary, flag = layout.node_registers[0]
     local = list(layout.facing[0]) + list(binary) + [flag]
     n = layout.n_qubits
@@ -355,7 +349,7 @@ def test_inverse_transfer_returns_every_slot_value(d, seed):
     # The inverse runs slots d..1.  Slot k's MCX would also fire on a value
     # above k-1 that holds k-1's bits, but such values have left by then.
     layout = build_layout(star_graph(d), hub_polarity(d), enumeration_seed=seed)
-    inverse = invert_instructions(compile_transfer(layout, 0))
+    _, _, inverse = halves(layout, 0)
     binary, flag = layout.node_registers[0]
     n = layout.n_qubits
     for v in range(d):
@@ -364,33 +358,14 @@ def test_inverse_transfer_returns_every_slot_value(d, seed):
         assert out.amps == {(layout.facing[0][v],): 1.0 + 0j}
 
 
-def test_diffusion_degree_2_is_pole_swap_matrix():
-    layout = path3_layout()
-    (ins,) = compile_diffusion(layout, 1)
-    assert ins == Instruction(
-        Gate.DIFFUSION,
-        (layout.node_registers[1].flag,),
-        layout.node_registers[1].binary,
-        Locus("node", 1),
-        2,
-    )
-    np.testing.assert_array_equal(diffusion_matrix(ins), [[0, 1], [1, 0]])
-
-
-def test_diffusion_degree_1_empty():
-    layout = path3_layout()
-    assert compile_diffusion(layout, 0) == ()
-    assert compile_diffusion(layout, 2) == ()
-
-
 def test_diffusion_degree_3_pads_identity():
     g = star_graph(3)
     layout = build_layout(g, hub_polarity(3))
-    (ins,) = compile_diffusion(layout, 0)
-    assert ins.d == 3
+    _, ins, _ = halves(layout, 0)
+    binary, flag = layout.node_registers[0]
+    assert ins == Instruction(Gate.DIFFUSION, (flag,), binary, Locus("node", 0), 3)
     expected = np.eye(4)
     expected[:3, :3] = grover_matrix(3)
-    binary, flag = layout.node_registers[0]
     n = layout.n_qubits
     for v in range(4):
         out = apply_instruction(SparseState({register_key(flag, binary, v): 1.0 + 0j}, n), ins)
@@ -417,35 +392,33 @@ def test_scatter_low_degree_blocks():
     assert verify_circuit_equivalence(g, p, [0], compile_step(g, p, [0]), tolerance=1e-10).ok
 
 
-def test_invert_is_reversal():
-    # Every gate is its own inverse, the diffusion included.
-    g = star_graph(3)
-    layout = build_layout(g, hub_polarity(3))
-    transfer = compile_transfer(layout, 0)
-    assert invert_instructions(transfer) == tuple(reversed(transfer))
-    assert invert_instructions(invert_instructions(transfer)) == transfer
-    block = compile_scatter(layout, 0)
-    assert invert_instructions(block) == block
-
-
 @pytest.mark.parametrize("seed", [None, 3])
 @pytest.mark.parametrize("d", [3, 4, 5, 8, 9, 256])
 def test_transfer_is_its_slots_in_order(d, seed):
+    # Slot v, for the node's v-th facing qubit eta: a CNOT from eta to each
+    # one-bit of v and to the flag, then an MCX on those qubits that erases eta.
     layout = build_layout(star_graph(d), hub_polarity(d), enumeration_seed=seed)
-    slots = [compile_transfer_k(layout, 0, k) for k in range(1, d + 1)]
-    assert compile_transfer(layout, 0) == tuple(ins for slot in slots for ins in slot)
+    binary, flag = layout.node_registers[0]
+    locus = Locus("node", 0)
+    slots = []
+    for v, eta in enumerate(layout.facing[0]):
+        writes = tuple(q for i, q in enumerate(binary) if v >> i & 1) + (flag,)
+        slots += [Instruction(Gate.CNOT, (eta,), (q,), locus) for q in writes]
+        slots.append(Instruction(Gate.MCX, writes, (eta,), locus))
+    transfer, _, _ = halves(layout, 0)
+    assert transfer == tuple(slots)
 
 
 @pytest.mark.parametrize("seed", [None, 3])
 @pytest.mark.parametrize("d", [3, 4, 9])
 def test_scatter_inverse_half_is_the_forward_half_reversed_in_objects(d, seed):
     layout = build_layout(star_graph(d), hub_polarity(d), enumeration_seed=seed)
-    block = compile_scatter(layout, 0)
-    half = len(block) // 2
-    assert block[half].gate is Gate.DIFFUSION
-    assert all(map(operator.is_, block[half + 1:], reversed(block[:half])))
+    transfer, diffusion, inverse = halves(layout, 0)
+    assert diffusion.gate is Gate.DIFFUSION
+    assert len(inverse) == len(transfer)
+    assert all(map(operator.is_, inverse, reversed(transfer)))
     # The forward half itself holds no object twice.
-    assert len(set(map(id, block[:half]))) == half
+    assert len(set(map(id, transfer))) == len(transfer)
 
 
 def test_compile_step_phase_structure():
@@ -571,6 +544,29 @@ def test_circuit_json_schema():
         "locus": {"kind": "node", "id": 0}, "d": 3,
     }
 
+
+
+_PINNED_CASES = [
+    (star_graph(256), [0]),
+    (Graph(8, [(k, 7) for k in range(7)]), [0]),  # the hub after its leaves
+    (path_graph(5), [0]),
+    (cycle_graph(6), [0]),
+    (starify(complete_graph(7)).graph, [0]),
+    (random_connected_graph(60, 120, seed=4), [0, 7]),
+    (random_regular_graph(20, 4, seed=1), [0]),
+]
+_PINNED_SHA256 = "0e5aa16b9b5b34fe7b381cffba879b1e998becf8c0788daab8d017f8f70c0b51"
+
+
+def test_compiled_documents_are_pinned():
+    # The circuit and audit documents of every case, under both enumerations.
+    digest = hashlib.sha256()
+    for g, marked in _PINNED_CASES:
+        for seed in (None, 3):
+            circ = compile_step(g, coloring_polarity(g), marked, enumeration_seed=seed)
+            digest.update(circ.to_json().encode())
+            digest.update(locality_audit(circ).to_json().encode())
+    assert digest.hexdigest() == _PINNED_SHA256
 
 _NODE_MODE = starify(random_connected_graph(8, extra_edges=5, seed=3)).graph
 

@@ -23,7 +23,7 @@ from graphwalk import (
     SubspaceLeakageError,
     build_layout,
     compile_step,
-    compile_transfer,
+    compile_scatter,
     complete_graph,
     cycle_graph,
     diagonal_state,
@@ -32,7 +32,6 @@ from graphwalk import (
     init_walk_superposition,
     measure_edge,
     QubitLayout,
-    invert_instructions,
     path_graph,
     polarity_from_coloring,
     project_to_walk_state,
@@ -254,7 +253,7 @@ def test_project_init_state_gives_diagonal():
 def test_project_detects_register_leakage():
     g = star_graph(3)
     layout = build_layout(g, hub_polarity(3))
-    halfway = Circuit(layout, compile_transfer(layout, 0))
+    halfway = Circuit(layout, compile_scatter(layout, 0)[:8])  # the forward transfer
     stuck = run(halfway, init_walk_superposition(layout))
     with pytest.raises(SubspaceLeakageError) as info:
         project_to_walk_state(stuck, layout)
@@ -533,12 +532,9 @@ def test_batched_matrix_matches_reference_with_foreign_diffusion():
     layout = build_layout(g, hub_polarity(3))
     binary, flag = layout.node_registers[0]
     hub = Locus("node", 0)
-    transfer = compile_transfer(layout, 0)
-    instrs = (
-        transfer
-        + (Instruction(Gate.DIFFUSION, (flag,), binary, hub, 4),)
-        + invert_instructions(transfer)
-    )
+    block = compile_scatter(layout, 0)
+    assert block[8].gate is Gate.DIFFUSION
+    instrs = block[:8] + (Instruction(Gate.DIFFUSION, (flag,), binary, hub, 4),) + block[9:]
     circ = Circuit(layout, instrs)
     mat, leakage = step_circuit_matrix(circ)
     ref, ref_leaks = reference_step_circuit_matrix(circ)
@@ -619,7 +615,7 @@ def test_circuit_drift_caught_per_column():
 def test_halfway_circuit_reports_one_column_leakage():
     g = star_graph(3)
     layout = build_layout(g, hub_polarity(3))
-    halfway = Circuit(layout, compile_transfer(layout, 0))
+    halfway = Circuit(layout, compile_scatter(layout, 0)[:8])  # the forward transfer
     mat, leakage = step_circuit_matrix(halfway)
     _, ref_leaks = reference_step_circuit_matrix(halfway)
     assert sorted(ref_leaks) == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]

@@ -75,12 +75,9 @@ from .simulator import (
     SimulationError,
     SparseState,
     SubspaceLeakageError,
-    apply_instruction,
     init_walk_superposition,
-    measure_edge,
     project_to_walk_state,
     run,
-    step_circuit_matrix,
     verify_circuit_equivalence,
 )
 

@@ -295,7 +295,7 @@ def build_layout(
 def compile_oracle(layout: QubitLayout, marked) -> tuple[Instruction, ...]:
     """Sign-flip-and-swap on each marked edge's qubit pair (the -X action)."""
     out: list[Instruction] = []
-    for k in sorted(map(_index, set(marked))):
+    for k in sorted(set(map(_index, marked))):
         if not 0 <= k < layout.n_edges:
             raise CircuitError(f"marked edge {k} out of range")
         plus, minus = layout.edge_qubits[k]

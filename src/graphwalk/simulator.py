@@ -11,9 +11,9 @@ amplitudes it can change:
 - While it runs, a basis state is the frozenset of the qubits it excites,
   however wide the register, and the state is a set of {column: amplitude}
   groups, one per basis state, each under a stable id.  `run` holds one
-  column; `step_circuit_matrix` evolves all 2|E| unit columns side by side,
-  with every norm check held per column.  Gates never touch columns, so a
-  gate moves whole groups by rewriting their keys.
+  column; `verify_circuit_equivalence` evolves all 2|E| unit columns side
+  by side, with every norm check held per column.  Gates never touch
+  columns, so a gate moves whole groups by rewriting their keys.
 - Every gate but x is the identity on a basis state with none of its
   trigger qubits set: the target of z, either target of swap, the controls
   of cnot, mcx and diffusion.  An index from each qubit to the ids whose
@@ -83,9 +83,6 @@ class SparseState:
     amps: dict[tuple[int, ...], complex]
     n_qubits: int
 
-    def norm_sq(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amps.values()))
-
 
 def _keys_ok(keys, n: int) -> bool:
     """Whether every key is a tuple of ints (no bools) rising strictly from 0
@@ -104,7 +101,8 @@ def _keys_ok(keys, n: int) -> bool:
 
 def _checked_amps(state: SparseState) -> dict[tuple[int, ...], complex]:
     """`state.amps`, once `_keys_ok` holds and every amplitude is finite;
-    else the first failing key is named."""
+    else the first failing key is named.  `run` (through `_Columns.of`) and
+    `project_to_walk_state` (through `_project`) read a state only here."""
     amps, n = state.amps, state.n_qubits
     if not _keys_ok(amps, n):
         k = next(k for k in amps if not _keys_ok((k,), n))
@@ -300,20 +298,6 @@ class _Columns:
         _check_drift(before, after, GATE_NORM_TOL, f"gate {ins.gate.value}")
 
 
-def apply_instruction(state: SparseState, ins: Instruction) -> SparseState:
-    """Apply one gate, returning a new pruned state.
-
-    Raises:
-        SimulationError: If a key is not an ascending tuple of the register's
-            qubits or holds a NaN or infinite amplitude, a gate's qubit lies
-            outside the register, a monomial gate maps two amplitudes onto
-            one key, or a diffusion drifts the squared norm by more than 1e-13.
-    """
-    cols = _Columns.of(state)
-    cols.apply(ins)
-    return cols.state()
-
-
 def _evolve(cols: _Columns, circuit: Circuit) -> None:
     """Apply every instruction to cols in place, with `run`'s checks."""
     before = cols.norms()
@@ -399,20 +383,6 @@ def project_to_walk_state(state: SparseState, layout: QubitLayout) -> WalkState:
     return WalkState(psi)
 
 
-def measure_edge(state: SparseState, layout: QubitLayout, seed=None) -> int:
-    """Sample one edge from a circuit state's edge distribution.
-
-    Raises:
-        SimulationError: As `project_to_walk_state` does, or if the edge
-            qubits hold no weight.
-    """
-    walk_state = project_to_walk_state(state, layout)
-    probs = np.abs(walk_state.psi[:, 0]) ** 2 + np.abs(walk_state.psi[:, 1]) ** 2
-    if probs.sum() <= 0.0:
-        raise SimulationError("no probability weight on the edge qubits")
-    return walk._draw(np.cumsum(probs), np.random.default_rng(seed))
-
-
 def _circuit_entries(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The circuit's (row, column, value) arrays on the walk amplitudes and
     each column's leakage.  Column q starts as the group {q: 1} at edge
@@ -435,30 +405,6 @@ def _circuit_entries(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarr
             for j, a in grp.items():
                 leak[j] += abs(a) ** 2
     return np.array(rows, np.intp), np.array(columns, np.intp), np.array(vals, complex), leak
-
-
-def _circuit_columns(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
-    """The circuit's matrix on the walk amplitudes and each column's leakage."""
-    rows, cols, vals, leak = _circuit_entries(circuit)
-    mat = np.zeros((len(leak),) * 2, dtype=complex)
-    mat[rows, cols] = vals
-    return mat, leak
-
-
-def step_circuit_matrix(circuit: Circuit) -> tuple[np.ndarray, float]:
-    """Dense action of the circuit on the 2|E| walk amplitudes.
-
-    Evolves every single-excitation basis state of an edge qubit as its own
-    column in one pass and projects each column; basis order matches
-    walk.step_matrix (edge k's poles at rows 2k and 2k+1).  Every norm check
-    of `run` holds column by column.
-
-    Returns:
-        (matrix, max_leakage): the matrix and the worst per-column weight
-        that left the walk subspace.
-    """
-    mat, leak = _circuit_columns(circuit)
-    return mat, float(leak.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -521,7 +467,7 @@ def verify_circuit_equivalence(
     if circuit.layout.n_edges != g.n_edges:
         raise CircuitError(f"circuit has {circuit.layout.n_edges} edges, graph has {g.n_edges}")
     # The plan checks the marks by the walk's rule, before the circuit runs.
-    rows, cols, vals = walk.WalkPlan(g, p, walk.OracleSpec(marked=frozenset(marked)))._entries()
+    rows, cols, vals = walk.WalkPlan(g, p, walk.OracleSpec(marked=marked))._entries()
     c_rows, c_cols, c_vals, leakage = _circuit_entries(circuit)
     m = len(leakage)
     # circuit - model by column * 2E + row: c or -m on one side, c - m on both.

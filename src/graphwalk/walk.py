@@ -68,12 +68,6 @@ class WalkState:
     def n_edges(self) -> int:
         return self.psi.shape[0]
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.psi))
-
-    def copy(self) -> "WalkState":
-        return WalkState(self.psi.copy(), self.t)
-
 
 def _start_amplitude(n_edges: int) -> float:
     """1/sqrt(2E), each (edge, pole) amplitude of the uniform start."""
@@ -300,6 +294,7 @@ def _plan_for(g, p, oracle, plan: WalkPlan | None) -> WalkPlan:
     return plan
 
 
+# perfbench's tests read `step` to check that the tracer restores it.
 def step(state: WalkState, g: Graph, p: PolarityMap, oracle: OracleSpec | None = None) -> WalkState:
     """Advance one step: oracle, then coin, then scattering.  In place.
 

@@ -1,6 +1,7 @@
 """Shared test utilities: the dense walk reference, dense gate oracles,
-random-state builders, the gate-by-gate reference simulator, and the
-circuit document as a plain dict.
+random-state builders, the gate-by-gate reference simulator, the package's
+own gate and circuit-matrix code in the shapes tests read, and the circuit
+document as a plain dict.
 
 The walk reference is the step stage by stage, independent of the package's
 `WalkPlan` kernels: the oracle as the negated pole swap on each marked
@@ -14,9 +15,11 @@ applies one gate at a time to the whole state and runs the circuit once per
 column, the plain form that the grouped simulator and the batched circuit
 matrix must reproduce.  It keys amplitudes by basis index, qubit q as bit
 n - 1 - q, and turns `SparseState` keys into indices and back only through
-`key_of` and `qubits_of`.  `document_dict` is the document's schema as a
-dict, the reference `Circuit.to_json` must write byte for byte through
-`json.dumps(..., indent=2)`.
+`key_of` and `qubits_of`.  `apply_gate` runs one gate through the code
+`run` executes, and `circuit_matrix` fills a dense matrix from the entries
+`verify_circuit_equivalence` reads.  `document_dict` is the document's
+schema as a dict, the reference `Circuit.to_json` must write byte for byte
+through `json.dumps(..., indent=2)`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from graphwalk import (
     Circuit, Gate, Graph, GraphError, Instruction, OracleSpec, SimulationError,
     SparseState, WalkState,
 )
-from graphwalk.simulator import CIRCUIT_NORM_TOL, GATE_NORM_TOL, PRUNE_EPS
+from graphwalk.simulator import (
+    CIRCUIT_NORM_TOL, GATE_NORM_TOL, PRUNE_EPS, _circuit_entries, _Columns,
+)
 
 
 def grover_matrix(d: int) -> np.ndarray:
@@ -278,6 +283,23 @@ def reference_step_circuit_matrix(circuit: Circuit) -> tuple[np.ndarray, list[fl
                 leaked += abs(a) ** 2
         leaks.append(leaked)
     return mat, leaks
+
+
+def apply_gate(state: SparseState, ins: Instruction) -> SparseState:
+    """One gate as `run` applies it: the state as one column, the gate in
+    place, and the column back as a new state."""
+    cols = _Columns.of(state)
+    cols.apply(ins)
+    return cols.state()
+
+
+def circuit_matrix(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    """The circuit's dense matrix on the 2|E| walk amplitudes and each
+    column's leaked weight, from the batched run `verify` makes."""
+    rows, cols, vals, leak = _circuit_entries(circuit)
+    mat = np.zeros((len(leak),) * 2, dtype=complex)
+    mat[rows, cols] = vals
+    return mat, leak
 
 
 def document_dict(circuit: Circuit) -> dict:

@@ -236,7 +236,7 @@ def test_criterion_9_norm_conservation():
     worst = 0.0
     for _ in range(1000):
         step(state, g, p, oracle=MARK0)
-        worst = max(worst, abs(state.norm() - 1.0))
+        worst = max(worst, abs(np.linalg.norm(state.psi) - 1.0))
     print(f"walk drift over 1000 steps on 200 edges: {worst:.3e}")
     assert worst < 1e-12
 
@@ -245,6 +245,6 @@ def test_criterion_9_norm_conservation():
     sim = init_walk_superposition(circ.layout)
     for _ in range(20):
         sim = run(circ, sim)
-    drift = abs(sim.norm_sq() - 1.0)
+    drift = abs(sum(abs(a) ** 2 for a in sim.amps.values()) - 1.0)
     print(f"circuit drift over 20 compiled steps on star-8: {drift:.3e}")
     assert drift < 1e-11

@@ -31,7 +31,6 @@ PUBLIC_API = [
     "SweepReport",
     "WalkPlan",
     "WalkState",
-    "apply_instruction",
     "build_layout",
     "check_polarity",
     "check_proper",
@@ -50,7 +49,6 @@ PUBLIC_API = [
     "guaranteed_search",
     "init_walk_superposition",
     "locality_audit",
-    "measure_edge",
     "parse_graph",
     "parse_graph_document",
     "path_graph",
@@ -68,7 +66,6 @@ PUBLIC_API = [
     "star_spectrum",
     "starify",
     "step",
-    "step_circuit_matrix",
     "step_matrix",
     "sweep",
     "to_edge_list",
@@ -96,7 +93,6 @@ SIGNATURES = {
     "SweepReport": "(probs, t_star, p_star, n_nodes, n_edges, marked, t_max, predicted_t=None)",
     "WalkPlan": "(g, p, oracle=None)",
     "WalkState": "(psi, t=0)",
-    "apply_instruction": "(state, ins)",
     "build_layout": "(g, p, enumeration_seed=None)",
     "check_polarity": "(g, p)",
     "check_proper": "(g, colors)",
@@ -115,7 +111,6 @@ SIGNATURES = {
     "guaranteed_search": "(g, p, oracle, steps, seed=None, max_calls=1000000, *, plan=None)",
     "init_walk_superposition": "(layout)",
     "locality_audit": "(circuit)",
-    "measure_edge": "(state, layout, seed=None)",
     "parse_graph": "(text, fmt='edge-list')",
     "parse_graph_document": "(text, fmt='edge-list')",
     "path_graph": "(n)",
@@ -133,7 +128,6 @@ SIGNATURES = {
     "star_spectrum": "(m)",
     "starify": "(g)",
     "step": "(state, g, p, oracle=None)",
-    "step_circuit_matrix": "(circuit)",
     "step_matrix": "(g, p, oracle=None)",
     "sweep": "(g, p, oracle, t_max)",
     "to_edge_list": "(g)",

@@ -37,13 +37,11 @@ from graphwalk import (
     random_connected_graph,
     star_graph,
     starify,
-    step_circuit_matrix,
     verify_circuit_equivalence,
 )
 from graphwalk import compiler
 from graphwalk.compiler import Phase
-from graphwalk.simulator import apply_instruction
-from helpers import document_dict, grover_matrix, random_regular_graph
+from helpers import apply_gate, circuit_matrix, document_dict, grover_matrix, random_regular_graph
 
 
 def coloring_polarity(g):
@@ -61,7 +59,7 @@ def path3_layout():
 
 def run_instructions(instrs, state):
     for ins in instrs:
-        state = apply_instruction(state, ins)
+        state = apply_gate(state, ins)
     return state
 
 
@@ -244,9 +242,9 @@ def test_oracle_block_shape():
 
 
 @pytest.mark.parametrize(
-    "mark",
-    [2.9, "1", np.float64(1.0), True, False],
-    ids=["float", "string", "numpy-float", "true", "false"],
+    "marked",
+    [[2.9], ["1"], [np.float64(1.0)], [True], [False], [1, True], [0, False]],
+    ids=["float", "string", "numpy-float", "true", "false", "int-then-true", "int-then-false"],
 )
 @pytest.mark.parametrize(
     "build",
@@ -257,10 +255,11 @@ def test_oracle_block_shape():
     ],
     ids=["oracle", "step", "verify"],
 )
-def test_marks_that_are_not_integers_are_rejected(build, mark):
+def test_marks_that_are_not_integers_are_rejected(build, marked):
+    # True == 1 and False == 0: a bool after its equal int is still refused.
     g = path_graph(4)
     with pytest.raises(TypeError):
-        build(g, coloring_polarity(g), [mark])
+        build(g, coloring_polarity(g), marked)
 
 
 def test_numpy_integer_marks_compile_as_ints():
@@ -368,7 +367,7 @@ def test_diffusion_degree_3_pads_identity():
     expected[:3, :3] = grover_matrix(3)
     n = layout.n_qubits
     for v in range(4):
-        out = apply_instruction(SparseState({register_key(flag, binary, v): 1.0 + 0j}, n), ins)
+        out = apply_gate(SparseState({register_key(flag, binary, v): 1.0 + 0j}, n), ins)
         column = np.zeros(4, dtype=complex)
         for k, a in out.amps.items():
             column[sum(1 << i for i, q in enumerate(binary) if q in k)] = a
@@ -501,8 +500,8 @@ def test_scatter_blocks_use_disjoint_qubits():
 def test_step_circuit_enumeration_invariant():
     g = star_graph(3)
     p = hub_polarity(3)
-    plain, _ = step_circuit_matrix(compile_step(g, p, [0]))
-    shuffled, _ = step_circuit_matrix(compile_step(g, p, [0], enumeration_seed=5))
+    plain, _ = circuit_matrix(compile_step(g, p, [0]))
+    shuffled, _ = circuit_matrix(compile_step(g, p, [0], enumeration_seed=5))
     np.testing.assert_allclose(plain, shuffled, atol=1e-12)
 
 

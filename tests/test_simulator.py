@@ -30,7 +30,6 @@ from graphwalk import (
     evolve,
     greedy_coloring,
     init_walk_superposition,
-    measure_edge,
     QubitLayout,
     path_graph,
     polarity_from_coloring,
@@ -40,14 +39,15 @@ from graphwalk import (
     star_graph,
     starify,
     step,
-    step_circuit_matrix,
     step_matrix,
     sweep,
     verify_circuit_equivalence,
 )
 from graphwalk import simulator
-from graphwalk.simulator import CIRCUIT_NORM_TOL, GATE_NORM_TOL, LEAKAGE_TOL, apply_instruction
+from graphwalk.simulator import CIRCUIT_NORM_TOL, GATE_NORM_TOL, LEAKAGE_TOL
 from helpers import (
+    apply_gate,
+    circuit_matrix,
     dense_instruction_matrix,
     dense_to_sparse,
     key_of,
@@ -87,38 +87,38 @@ def test_init_superposition_path3():
     state = init_walk_superposition(layout)
     assert len(state.amps) == 2 * g.n_edges
     assert all(a == pytest.approx(0.5) for a in state.amps.values())
-    assert state.norm_sq() == pytest.approx(1.0)
+    assert sum(abs(a) ** 2 for a in state.amps.values()) == pytest.approx(1.0)
 
 
 def test_x_gate_moves_leftmost_bit():
     state = SparseState({(): 1.0 + 0j}, 2)
-    out = apply_instruction(state, Instruction(Gate.X, (), (0,), EDGE0))
+    out = apply_gate(state, Instruction(Gate.X, (), (0,), EDGE0))
     assert out.amps == {(0,): 1.0 + 0j}
 
 
 def test_mcx_fires_only_when_all_controls_set():
     ins = Instruction(Gate.MCX, (0, 1), (2,), EDGE0)
-    armed = apply_instruction(SparseState({(0, 1): 1.0 + 0j}, 3), ins)
+    armed = apply_gate(SparseState({(0, 1): 1.0 + 0j}, 3), ins)
     assert armed.amps == {(0, 1, 2): 1.0 + 0j}
-    idle = apply_instruction(SparseState({(0,): 1.0 + 0j}, 3), ins)
+    idle = apply_gate(SparseState({(0,): 1.0 + 0j}, 3), ins)
     assert idle.amps == {(0,): 1.0 + 0j}
 
 
 def test_diffusion_armed_idle_and_above_d():
     # Flag qubit 0, slot value on qubits (2, 1) read LSB first, d = 3.
     ins = Instruction(Gate.DIFFUSION, (0,), (2, 1), EDGE0, 3)
-    armed = apply_instruction(SparseState({(0,): 1.0 + 0j}, 3), ins)
+    armed = apply_gate(SparseState({(0,): 1.0 + 0j}, 3), ins)
     third = 2.0 / 3
     assert armed.amps == {(0,): third - 1, (0, 2): third + 0j, (0, 1): third + 0j}
     idle = SparseState({(): 0.6 + 0j, (1, 2): 0.8 + 0j}, 3)
-    assert apply_instruction(idle, ins).amps == idle.amps
+    assert apply_gate(idle, ins).amps == idle.amps
     above = SparseState({(0, 1, 2): 1.0 + 0j}, 3)  # slot value 3 = d
-    assert apply_instruction(above, ins).amps == above.amps
+    assert apply_gate(above, ins).amps == above.amps
     # At d = 2 the gate swaps the slot values; amplitudes that differ in a
     # non-target qubit (qubit 1 here) are diffused in separate groups.
     swap = Instruction(Gate.DIFFUSION, (0,), (3,), EDGE0, 2)
     pair = SparseState({(0,): 0.6 + 0j, (0, 1, 3): 0.8j}, 4)
-    assert apply_instruction(pair, swap).amps == {(0, 3): 0.6 + 0j, (0, 1): 0.8j}
+    assert apply_gate(pair, swap).amps == {(0, 3): 0.6 + 0j, (0, 1): 0.8j}
 
 
 def test_diffusion_is_self_inverse():
@@ -129,7 +129,7 @@ def test_diffusion_is_self_inverse():
     rng = np.random.default_rng(4)
     for _ in range(3):
         state = random_sparse_state(n, rng, support=20)
-        twice = apply_instruction(apply_instruction(state, ins), ins)
+        twice = apply_gate(apply_gate(state, ins), ins)
         np.testing.assert_allclose(
             sparse_to_dense(twice), sparse_to_dense(state), rtol=0, atol=1e-15
         )
@@ -157,25 +157,19 @@ def test_sparse_gates_match_dense_construction(name, build):
     for _ in range(3):
         state = random_sparse_state(n, rng)
         expected = mat @ sparse_to_dense(state)
-        out = apply_instruction(state, ins)
+        out = apply_gate(state, ins)
         np.testing.assert_allclose(sparse_to_dense(out), expected, atol=1e-13)
-
-
-def test_apply_instruction_is_out_of_place():
-    state = SparseState({(1,): 1.0 + 0j}, 2)
-    apply_instruction(state, Instruction(Gate.X, (), (0,), EDGE0))
-    assert state.amps == {(1,): 1.0 + 0j}
 
 
 def test_diffusion_checks_column_drift(monkeypatch):
     ins = Instruction(Gate.DIFFUSION, (0,), (1, 2), EDGE0, 3)
     state = SparseState({(0,): 1.0 + 0j}, 3)
-    apply_instruction(state, ins)
+    apply_gate(state, ins)
     monkeypatch.setattr(simulator, "GATE_NORM_TOL", -1.0)
     with pytest.raises(SimulationError, match="gate diffusion changed the squared norm"):
-        apply_instruction(state, ins)
+        apply_gate(state, ins)
     # Amplitudes the gate leaves alone are not held to its check.
-    apply_instruction(SparseState({(): 1.0 + 0j}, 3), ins)
+    apply_gate(SparseState({(): 1.0 + 0j}, 3), ins)
 
 
 def test_run_checks_circuit_drift(monkeypatch):
@@ -192,7 +186,7 @@ def test_run_checks_circuit_drift(monkeypatch):
 def test_gate_beyond_register_rejected():
     state = SparseState({(): 1.0 + 0j}, 2)
     with pytest.raises(SimulationError, match="outside"):
-        apply_instruction(state, Instruction(Gate.X, (), (5,), EDGE0))
+        apply_gate(state, Instruction(Gate.X, (), (5,), EDGE0))
 
 
 def test_run_empty_circuit_is_identity():
@@ -239,7 +233,7 @@ def test_support_stays_linear_in_edges():
     state = init_walk_superposition(circ.layout)
     for _ in range(3):
         for ins in circ.instructions:
-            state = apply_instruction(state, ins)
+            state = apply_gate(state, ins)
             assert len(state.amps) <= cap
 
 
@@ -287,7 +281,7 @@ def test_project_reads_no_edge_amplitude_off_the_empty_key():
         project_to_walk_state(SparseState({(): 1.0 + 0j}, 2), layout)
 
 
-@pytest.mark.parametrize("read", [project_to_walk_state, measure_edge], ids=["project", "measure"])
+@pytest.mark.parametrize("read", [project_to_walk_state], ids=["project"])
 @pytest.mark.parametrize("width", [2, 9])
 def test_state_of_another_width_is_rejected(read, width):
     # Qubit width - 1: on 2 qubits, edge 0's - pole of path 3's 8-qubit
@@ -299,46 +293,6 @@ def test_state_of_another_width_is_rejected(read, width):
         read(SparseState({(width - 1,): 1.0 + 0j}, width), layout)
     assert not isinstance(info.value, SubspaceLeakageError)
     assert str(info.value) == f"state has {width} qubits, layout expects 8"
-
-
-def test_measure_edge_one_hot():
-    g = path_graph(3)
-    layout = build_layout(g, coloring_polarity(g))
-    state = SparseState({(layout.edge_qubits[1][0],): 1.0 + 0j}, layout.n_qubits)
-    assert measure_edge(state, layout, seed=0) == 1
-
-
-def test_measure_edge_uniform_from_init():
-    g = star_graph(5)
-    layout = build_layout(g, hub_polarity(5))
-    state = init_walk_superposition(layout)
-    rng = np.random.default_rng(11)
-    draws = np.bincount(
-        [measure_edge(state, layout, rng) for _ in range(5000)], minlength=5
-    )
-    np.testing.assert_allclose(draws / 5000, 0.2, atol=0.03)
-
-
-def test_measure_edge_frequency_after_peak_steps():
-    g = star_graph(4)
-    p = hub_polarity(4)
-    circ = compile_step(g, p, [0])
-    state = init_walk_superposition(circ.layout)
-    for _ in range(2):
-        state = run(circ, state)
-    rng = np.random.default_rng(3)
-    n = 10_000
-    hits = sum(measure_edge(state, circ.layout, rng) == 0 for _ in range(n))
-    p_star = 0.90625
-    sigma = np.sqrt(p_star * (1 - p_star) / n)
-    assert abs(hits / n - p_star) < 3 * sigma
-
-
-def test_measure_edge_rejects_empty_edge_weight():
-    g = path_graph(3)
-    layout = build_layout(g, coloring_polarity(g))
-    with pytest.raises(SimulationError, match="no probability"):
-        measure_edge(SparseState({}, layout.n_qubits), layout)
 
 
 def _run_path3(state, layout):
@@ -360,7 +314,7 @@ def _assert_key_rejected(read, key):
         assert str(info.value) == f"basis key {key!r} is not an ascending tuple of qubits below {n}"
 
 
-@pytest.mark.parametrize("read", [project_to_walk_state, measure_edge], ids=["project", "measure"])
+@pytest.mark.parametrize("read", [project_to_walk_state], ids=["project"])
 @pytest.mark.parametrize("column", [1, 5])
 def test_multi_column_state_is_not_read_as_leakage(read, column):
     # Column c written into the key of edge 1's + pole as qubit 8 + j for
@@ -377,11 +331,9 @@ def test_multi_column_state_is_not_read_as_leakage(read, column):
     "read",
     [
         _run_path3,
-        lambda state, layout: apply_instruction(state, Instruction(Gate.X, (), (0,), EDGE0)),
         project_to_walk_state,
-        measure_edge,
     ],
-    ids=["run", "apply_instruction", "project", "measure"],
+    ids=["run", "project"],
 )
 def test_key_that_is_not_ascending_register_qubits_is_rejected(read, key):
     _assert_key_rejected(read, key)
@@ -395,15 +347,13 @@ def test_key_that_is_not_ascending_register_qubits_is_rejected(read, key):
     "read",
     [
         _run_path3,
-        lambda state, layout: apply_instruction(state, Instruction(Gate.X, (), (0,), EDGE0)),
         project_to_walk_state,
-        measure_edge,
     ],
-    ids=["run", "apply_instruction", "project", "measure"],
+    ids=["run", "project"],
 )
 def test_amplitude_that_is_not_finite_is_rejected(read, bad):
-    # A NaN would be pruned or sampled from, an inf turned into -inf: the
-    # state is rejected on the way in, with the key named.
+    # A NaN would be pruned, an inf turned into -inf: the state is rejected
+    # on the way in, with the key named.
     g = path_graph(3)
     layout = build_layout(g, coloring_polarity(g))
     n = layout.n_qubits
@@ -517,7 +467,8 @@ def walk_circuit_cases():
 @pytest.mark.parametrize("g, marked, enum_seed", walk_circuit_cases())
 def test_batched_matrix_bitwise_equals_per_column_reference(g, marked, enum_seed):
     circ = compile_step(g, coloring_polarity(g), marked, enumeration_seed=enum_seed)
-    mat, leakage = step_circuit_matrix(circ)
+    mat, leaks = circuit_matrix(circ)
+    leakage = leaks.max()
     ref, ref_leaks = reference_step_circuit_matrix(circ)
     assert np.array_equal(mat, ref)
     assert leakage == max(ref_leaks)
@@ -536,7 +487,8 @@ def test_batched_matrix_matches_reference_with_foreign_diffusion():
     assert block[8].gate is Gate.DIFFUSION
     instrs = block[:8] + (Instruction(Gate.DIFFUSION, (flag,), binary, hub, 4),) + block[9:]
     circ = Circuit(layout, instrs)
-    mat, leakage = step_circuit_matrix(circ)
+    mat, leaks = circuit_matrix(circ)
+    leakage = leaks.max()
     ref, ref_leaks = reference_step_circuit_matrix(circ)
     np.testing.assert_allclose(mat, ref, rtol=0, atol=1e-12)
     assert leakage == pytest.approx(max(ref_leaks), abs=1e-12)
@@ -577,7 +529,7 @@ def test_run_matches_gate_by_gate_on_random_states():
         state = random_sparse_state(n, rng, support=20)
         gate_by_gate = state
         for ins in circ.instructions:
-            gate_by_gate = apply_instruction(gate_by_gate, ins)
+            gate_by_gate = apply_gate(gate_by_gate, ins)
         out = run(circ, state)
         np.testing.assert_allclose(
             sparse_to_dense(out), sparse_to_dense(gate_by_gate), rtol=0, atol=1e-13
@@ -616,7 +568,8 @@ def test_halfway_circuit_reports_one_column_leakage():
     g = star_graph(3)
     layout = build_layout(g, hub_polarity(3))
     halfway = Circuit(layout, compile_scatter(layout, 0)[:8])  # the forward transfer
-    mat, leakage = step_circuit_matrix(halfway)
+    mat, leaks = circuit_matrix(halfway)
+    leakage = leaks.max()
     _, ref_leaks = reference_step_circuit_matrix(halfway)
     assert sorted(ref_leaks) == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
     assert leakage == 1.0
@@ -713,7 +666,8 @@ def test_sparse_report_equals_dense_reference(g, p, marked, circ):
     # The dense reference: the circuit's whole matrix less the model's, and
     # the first column whose largest gap or leakage is the largest.
     model = step_matrix(g, p, oracle=OracleSpec(marked=frozenset(marked)))
-    mat, max_leakage = step_circuit_matrix(circ)
+    mat, circuit_leaks = circuit_matrix(circ)
+    max_leakage = circuit_leaks.max()
     _, leaks = reference_step_circuit_matrix(circ)
     gap = np.abs(mat - model)
     worst = int(np.argmax(np.maximum(gap.max(axis=0), leaks)))
@@ -797,8 +751,8 @@ def test_diffusion_sums_in_slot_order():
     ins = Instruction(Gate.DIFFUSION, (0,), (2, 1), EDGE0, 3)
     keys = [(0,), (0, 2), (0, 1)]  # slot values 0, 1, 2
     xs = [0.1 + 0j, 0.2 + 0j, 0.3 + 0j]
-    forward = apply_instruction(SparseState(dict(zip(keys, xs)), 3), ins)
-    backward = apply_instruction(
+    forward = apply_gate(SparseState(dict(zip(keys, xs)), 3), ins)
+    backward = apply_gate(
         SparseState(dict(zip(keys[::-1], xs[::-1])), 3), ins
     )
     assert_same_amps(backward.amps, forward.amps)
@@ -865,7 +819,7 @@ def test_circuit_columns_bytes_are_pinned():
         (random_regular_graph(250, 4, seed=1), _COLUMNS_REGULAR250_SHA256),
         (star_graph(239), _COLUMNS_STAR239_SHA256),
     ]:
-        mat, leak = simulator._circuit_columns(compile_step(g, coloring_polarity(g), [0]))
+        mat, leak = circuit_matrix(compile_step(g, coloring_polarity(g), [0]))
         digest = hashlib.sha256(mat.tobytes() + leak.tobytes()).hexdigest()
         assert digest == want
 

@@ -17,7 +17,6 @@ from graphwalk import (
     PolarityMap,
     WalkPlan,
     WalkState,
-    build_layout,
     complete_graph,
     cycle_graph,
     diagonal_state,
@@ -25,8 +24,6 @@ from graphwalk import (
     evolve,
     greedy_coloring,
     guaranteed_search,
-    init_walk_superposition,
-    measure_edge,
     path_graph,
     polarity_from_coloring,
     random_connected_graph,
@@ -268,7 +265,7 @@ def test_marked_probability_matches_reduced_model():
 def test_step_norm_preserved_long_run():
     g = random_connected_graph(20, extra_edges=25, seed=11)
     s = evolve(g, coloring_polarity(g), MARK0, 200)
-    assert abs(s.norm() - 1) < 1e-12
+    assert abs(np.linalg.norm(s.psi) - 1) < 1e-12
     assert s.t == 200
 
 
@@ -378,7 +375,7 @@ def test_default_step_equals_matrix_products_bitwise():
     coin_m = np.array([[0, 1], [1, 0]], dtype=complex)  # X
     marked_m = coin_m @ -coin_m  # the coin after the -X oracle
     fast = random_walk_state(g.n_edges, np.random.default_rng(8))
-    slow = fast.copy()
+    slow = WalkState(fast.psi.copy())
     for _ in range(20):
         plan.step(fast)
         y = slow.psi @ coin_m.T
@@ -397,7 +394,7 @@ def test_step_writes_state_in_place_and_shares_no_buffer():
     shared = WalkPlan(g, p, oracle)
     a = random_walk_state(g.n_edges, np.random.default_rng(0))
     b = random_walk_state(g.n_edges, np.random.default_rng(1))
-    a_alone, b_alone = a.copy(), b.copy()
+    a_alone, b_alone = WalkState(a.psi.copy()), WalkState(b.psi.copy())
     psi = a.psi
     for _ in range(5):
         shared.step(a)
@@ -810,20 +807,14 @@ def test_counts_take_numpy_integers():
 
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
-def test_search_and_measure_edge_take_one_draw(bit_generator):
+def test_search_takes_one_draw(bit_generator):
     g = star_graph(5)
     p = coloring_polarity(g)
-    layout = build_layout(g, p)
-    draws = [
-        lambda rng: search(g, p, MARK0, 2, rng),
-        lambda rng: measure_edge(init_walk_superposition(layout), layout, rng),
-    ]
-    for draw in draws:
-        rng = np.random.Generator(bit_generator(7))
-        ref = np.random.Generator(bit_generator(7))
-        draw(rng)
-        ref.random()
-        np.testing.assert_array_equal(rng.random(3), ref.random(3))
+    rng = np.random.Generator(bit_generator(7))
+    ref = np.random.Generator(bit_generator(7))
+    search(g, p, MARK0, 2, rng)
+    ref.random()
+    np.testing.assert_array_equal(rng.random(3), ref.random(3))
 
 
 def test_guaranteed_search_on_zero_marked_mass_stays_bounded():

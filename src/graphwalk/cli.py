@@ -124,7 +124,7 @@ def _load_marked_graph(args):
     star: StarifiedGraph | None = None
     node: int | None = None
     marked: frozenset[int] = frozenset()
-    if getattr(args, "mark_node", None) is not None:
+    if args.mark_node is not None:
         node = args.mark_node
         star = starify(g)
         g = star.graph
@@ -133,7 +133,7 @@ def _load_marked_graph(args):
             log.info("supplied colors ignored: they do not cover node mode's extended graph")
             colors = None
         log.info("node mode: marked virtual edge %d of node %d", next(iter(marked)), node)
-    elif getattr(args, "mark_edge", None) is not None:
+    elif args.mark_edge is not None:
         u, v = args.mark_edge
         marked = frozenset({g.edge_index(u, v)})
     return g, colors, marked, star, node

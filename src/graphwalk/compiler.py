@@ -30,8 +30,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, count, groupby, islice, repeat
-from operator import add, contains, is_, itemgetter, ne, not_
+from itertools import chain, compress, count, repeat
+from operator import add, contains, is_, itemgetter, not_
 from typing import NamedTuple
 
 import numpy as np
@@ -183,33 +183,36 @@ class QubitLayout:
 
     Raises:
         CircuitError: Naming `layout.facing[u][s]` or the edge at fault,
-            unless every qubit 0..2E-1 faces exactly one node and the two
-            poles of every edge face different nodes.
+            unless every cell is a non-bool integer, each qubit 0..2E-1
+            faces exactly one node and each edge's poles face different nodes.
     """
 
     facing: tuple[tuple[int, ...], ...]
-    edge_qubits: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
     node_registers: tuple[NodeRegister, ...] = field(init=False, compare=False, repr=False)
     n_qubits: int = field(init=False, compare=False, repr=False)
     _owner: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        flat = list(chain.from_iterable(self.facing))
-        width = len(flat) + len(flat) % 2
-        # C-level passes over all cells; the per-cell loop of `_name_fault`
-        # runs only to name a qubit out of range or facing twice.
-        ints = set(map(type, flat)) <= {int}
-        if not (ints and 0 <= min(flat, default=0) and max(flat, default=0) < width):
-            self._name_fault(width)
-        qubits = np.array(flat, dtype=np.int64)
-        if np.bincount(qubits, minlength=width).max(initial=0) > 1:
-            self._name_fault(width)
-        owner = np.full(width, -1)
-        owner[qubits] = np.repeat(np.arange(len(self.facing)), list(map(len, self.facing)))
-        missing = np.flatnonzero(owner < 0)
-        if missing.size:
-            q = int(missing[0])
+        width = sum(map(len, self.facing))
+        width += width % 2
+        for u, f in enumerate(self.facing):
+            for s, q in enumerate(f):
+                try:
+                    _index(q)
+                except TypeError:
+                    raise CircuitError(f"layout.facing[{u}][{s}]: qubit {q!r} is not an integer") from None
+                if not 0 <= q < width:
+                    raise CircuitError(f"layout.facing[{u}][{s}]: qubit {q} outside [0, {width})")
+        owner = [None] * width
+        for u, f in enumerate(self.facing):
+            for s, q in enumerate(f):
+                if owner[q] is not None:
+                    raise CircuitError(f"layout.facing[{u}][{s}]: qubit {q} already faces node {owner[q]}")
+                owner[q] = u
+        if None in owner:
+            q = owner.index(None)
             raise CircuitError(f"layout.facing: no node faces qubit {q} of edge {q // 2}")
+        owner = np.array(owner, dtype=np.int64)
         clash = np.flatnonzero(owner[0::2] == owner[1::2])
         if clash.size:
             k = int(clash[0])
@@ -220,24 +223,9 @@ class QubitLayout:
             r = (d - 1).bit_length() if d > 1 else 0
             registers.append(NodeRegister(binary=tuple(range(q, q + r)), flag=q + r))
             q += r + 1
-        edge_qubits = tuple(zip(range(0, width, 2), range(1, width, 2)))
-        object.__setattr__(self, "edge_qubits", edge_qubits)
         object.__setattr__(self, "node_registers", tuple(registers))
         object.__setattr__(self, "n_qubits", q)
         object.__setattr__(self, "_owner", owner)
-
-    def _name_fault(self, width: int) -> None:
-        """Raise for the first qubit outside [0, width), else for the first
-        that an earlier cell already claims, in (node, slot) order."""
-        cells = [(u, s, q) for u, f in enumerate(self.facing) for s, q in enumerate(f)]
-        for u, s, q in cells:
-            if not 0 <= q < width:
-                raise CircuitError(f"layout.facing[{u}][{s}]: qubit {q} outside [0, {width})")
-        owner = [None] * width
-        for u, s, q in cells:
-            if owner[q] is not None:
-                raise CircuitError(f"layout.facing[{u}][{s}]: qubit {q} already faces node {owner[q]}")
-            owner[q] = u
 
     def polarity(self) -> PolarityMap:
         """The polarity the layout names: edge k's + pole is qubit 2k, at the
@@ -246,7 +234,7 @@ class QubitLayout:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edge_qubits)
+        return len(self._owner) // 2
 
     @property
     def n_nodes(self) -> int:
@@ -262,7 +250,7 @@ class QubitLayout:
     def local_qubits(self) -> dict[Locus, frozenset[int]]:
         """The qubits each locus owns: an edge's own pair, or a node's
         register plus the facing qubits of its incident edges."""
-        table = {Locus("edge", k): frozenset(pair) for k, pair in enumerate(self.edge_qubits)}
+        table = {Locus("edge", k): frozenset((2 * k, 2 * k + 1)) for k in range(self.n_edges)}
         for u, (binary, flag) in enumerate(self.node_registers):
             table[Locus("node", u)] = frozenset((*binary, flag, *self.facing[u]))
         return table
@@ -298,7 +286,7 @@ def compile_oracle(layout: QubitLayout, marked) -> tuple[Instruction, ...]:
     for k in sorted(set(map(_index, marked))):
         if not 0 <= k < layout.n_edges:
             raise CircuitError(f"marked edge {k} out of range")
-        plus, minus = layout.edge_qubits[k]
+        plus, minus = 2 * k, 2 * k + 1
         locus = Locus("edge", k)
         out.append(Instruction._make((Gate.Z, (), (plus,), locus, None)))
         out.append(Instruction._make((Gate.Z, (), (minus,), locus, None)))
@@ -309,8 +297,8 @@ def compile_oracle(layout: QubitLayout, marked) -> tuple[Instruction, ...]:
 def compile_coin(layout: QubitLayout) -> tuple[Instruction, ...]:
     """Pole swap (the X coin) on every edge's qubit pair."""
     return tuple(
-        Instruction._make((Gate.SWAP, (), pair, Locus("edge", k), None))
-        for k, pair in enumerate(layout.edge_qubits)
+        Instruction._make((Gate.SWAP, (), (2 * k, 2 * k + 1), Locus("edge", k), None))
+        for k in range(layout.n_edges)
     )
 
 
@@ -393,29 +381,23 @@ class Circuit:
         """
         loci = list(map(itemgetter(3), self.instructions))
         n, n_edges, n_nodes = len(loci), self.layout.n_edges, self.layout.n_nodes
-        run = next(compress(count(), map(ne, map(itemgetter(0), loci), repeat("edge"))), n)
+        run = next((pos for pos, (kind, _) in enumerate(loci) if kind != "edge"), n)
         coin = max(run - n_edges, 0)
-        ids = list(map(itemgetter(1), islice(loci, run)))
-        for pos in range(coin):
-            if not 0 <= ids[pos] < n_edges:
+        for pos in range(coin + n_edges):
+            if pos == n:
+                raise CircuitError(f"instructions end before the coin's edge {pos - coin}: {_ORDER}")
+            ident = loci[pos][1]
+            if not (0 <= ident < n_edges if pos < coin else pos < run and ident == pos - coin):
                 raise self._out_of_place(pos)
-        if ids[coin:] != list(range(n_edges)):
-            k = next(compress(count(), map(ne, ids[coin:], count())), run - coin)
-            if coin + k == n:
-                raise CircuitError(f"instructions end before the coin's edge {k}: {_ORDER}")
-            raise self._out_of_place(coin + k)
         phases = [Phase("oracle", None, 0, coin), Phase("coin", None, coin, run)]
-        # One run of equal loci per scattering node, the nodes ascending; a
-        # node missing from the runs emits nothing.
-        pos, u = run, 0
-        for (kind, ident), records in groupby(islice(loci, run, None)):
-            if kind != "node" or not u <= ident < n_nodes:
-                raise self._out_of_place(pos)
-            phases += (Phase("scatter", v, pos, pos) for v in range(u, ident))
-            stop = pos + len(list(records))
-            phases.append(Phase("scatter", ident, pos, stop))
-            pos, u = stop, ident + 1
-        phases += (Phase("scatter", v, n, n) for v in range(u, n_nodes))
+        pos = run
+        for u in range(n_nodes):
+            start, locus = pos, ("node", u)
+            while pos < n and loci[pos] == locus:
+                pos += 1
+            phases.append(Phase("scatter", u, start, pos))
+        if pos < n:
+            raise self._out_of_place(pos)
         return tuple(phases)
 
     def _out_of_place(self, pos: int) -> CircuitError:

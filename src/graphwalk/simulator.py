@@ -456,9 +456,12 @@ def verify_circuit_equivalence(
         ValueError: If `tolerance` is NaN, negative or infinite, g has no
             edges, or a marked edge lies outside g (checked before the
             circuit is simulated).
-        TypeError: If a marked edge is a bool, a float or another non-integer.
+        TypeError: If `tolerance` is a bool, or a marked edge is a bool, a
+            float or another non-integer.
         CircuitError: If the circuit's layout has another edge count than g.
     """
+    if isinstance(tolerance, bool):
+        raise TypeError(f"tolerance must be a number, got {tolerance!r}")
     if not tolerance >= 0:
         raise ValueError(f"tolerance must be nonnegative, got {tolerance!r}")
     if np.isinf(tolerance):

@@ -264,17 +264,11 @@ def reference_step_circuit_matrix(circuit: Circuit) -> tuple[np.ndarray, list[fl
     layout = circuit.layout
     n = circuit.n_qubits
     dim = 2 * layout.n_edges
-    onehot = {
-        (q,): 2 * e + c
-        for e, pair in enumerate(layout.edge_qubits)
-        for c, q in enumerate(pair)
-    }
+    onehot = {(q,): q for q in range(dim)}
     mat = np.zeros((dim, dim), dtype=complex)
     leaks = []
     for j in range(dim):
-        e, c = divmod(j, 2)
-        key = (layout.edge_qubits[e][c],)
-        final = reference_run(circuit, SparseState({key: 1.0 + 0j}, n))
+        final = reference_run(circuit, SparseState({(j,): 1.0 + 0j}, n))
         leaked = 0.0
         for k, a in final.amps.items():
             if k in onehot:

@@ -80,7 +80,7 @@ def register_key(flag, binary, v):
 def test_layout_path3():
     layout = path3_layout()
     assert layout.n_qubits == 8
-    assert layout.edge_qubits == ((0, 1), (2, 3))
+    assert layout.n_edges == 2
     assert [reg.binary for reg in layout.node_registers] == [(), (5,), ()]
     assert [reg.flag for reg in layout.node_registers] == [4, 6, 7]
     # Greedy colors (0, 1, 0) put both + poles at node 1.
@@ -116,6 +116,12 @@ def test_layout_checks_facing_when_built_directly():
     # A negative entry beside one beyond int64: the first entry out of range is named.
     with pytest.raises(CircuitError, match=r"^layout\.facing\[0\]\[0\]: qubit -1 outside"):
         QubitLayout(((-1,), (2**63,)))
+    # A cell must be an integer, by `_index`'s rule: a numpy integer is one, a bool is not.
+    assert QubitLayout(((np.int64(1),), (0,))).polarity().plus_node.tolist() == [1]
+    for cell in (True, 1.0, "1"):
+        with pytest.raises(CircuitError) as info:
+            QubitLayout(((cell,), (0,)))
+        assert str(info.value) == f"layout.facing[0][0]: qubit {cell!r} is not an integer"
 
 
 def _reference_facing_fault(facing):
@@ -193,9 +199,7 @@ def test_layout_names_its_polarity(g, seed):
 def test_layout_partitions_qubits(seed):
     g = random_connected_graph(9, extra_edges=6, seed=seed)
     layout = build_layout(g, coloring_polarity(g))
-    seen: list[int] = []
-    for pair in layout.edge_qubits:
-        seen.extend(pair)
+    seen = list(range(2 * layout.n_edges))
     for reg in layout.node_registers:
         seen.extend(reg.binary)
         seen.append(reg.flag)
@@ -213,7 +217,7 @@ def test_each_pole_faces_exactly_one_node(seed):
         edges = [q // 2 for q in layout.facing[u]]
         assert edges == g.edge[g.indptr[u] : g.indptr[u + 1]].tolist()
         for q, k in zip(layout.facing[u], edges):
-            assert q == layout.edge_qubits[k][p.component_at(k, u)]
+            assert q == 2 * k + p.component_at(k, u)
 
 
 def test_enumeration_seed_permutes_slots():
@@ -939,7 +943,7 @@ def _with_parent_layout_keys(circ):
     doc["qubits"] = circ.n_qubits
     doc["phases"] = [ph._asdict() for ph in circ.phases]
     doc["layout"] = {
-        "edge_qubits": [list(pair) for pair in layout.edge_qubits],
+        "edge_qubits": [[2 * k, 2 * k + 1] for k in range(layout.n_edges)],
         "node_registers": [
             {"binary": list(reg.binary), "flag": reg.flag} for reg in layout.node_registers
         ],

@@ -418,6 +418,15 @@ def test_verify_rejects_nan_or_negative_tolerance(tolerance):
     assert str(info.value) == f"tolerance must be {rule}, got {tolerance!r}"
 
 
+@pytest.mark.parametrize("tolerance", [True, False])
+def test_verify_rejects_a_bool_tolerance(tolerance):
+    g = path_graph(3)
+    p = coloring_polarity(g)
+    with pytest.raises(TypeError) as info:
+        verify_circuit_equivalence(g, p, [0], compile_step(g, p, [0]), tolerance=tolerance)
+    assert str(info.value) == f"tolerance must be a number, got {tolerance!r}"
+
+
 def test_edgeless_graph_has_no_walk():
     g = Graph(1, ())
     with pytest.raises(ValueError, match="^graph has no edges to walk on$"):
@@ -581,7 +590,7 @@ def test_report_names_worst_column():
     p = coloring_polarity(g)
     circ = compile_step(g, p, [0])
     e, c = 2, 1
-    stray = Instruction(Gate.Z, (), (circ.layout.edge_qubits[e][c],), Locus("edge", e))
+    stray = Instruction(Gate.Z, (), (2 * e + c,), Locus("edge", e))
     report = verify_circuit_equivalence(
         g, p, [0], circuit=Circuit(circ.layout, circ.instructions + (stray,))
     )
@@ -850,21 +859,6 @@ def test_verify_250_node_regular_graph_exactly():
     p = coloring_polarity(g)
     report = verify_circuit_equivalence(g, p, [0], compile_step(g, p, [0]))
     assert (report.max_deviation, report.max_leakage) == (0.0, 0.0)
-
-
-def test_verify_peaks_below_two_and_a_half_dense_matrices():
-    # E = 500: one dense (2E)^2 complex array is 15.3 MiB.  Compiling the
-    # step and verifying it build no dense (2E)^2 array.
-    g = random_regular_graph(250, 4, seed=1)
-    p = coloring_polarity(g)
-    tracemalloc.start()
-    try:
-        report = verify_circuit_equivalence(g, p, [0], compile_step(g, p, [0]))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.ok
-    assert peak < 2.5 * (2 * g.n_edges) ** 2 * 16
 
 
 def test_verify_peaks_below_a_quarter_of_one_dense_matrix():

@@ -27,7 +27,9 @@ from __future__ import annotations
 import enum
 import gc
 import json
+import re
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, pairwise, repeat
@@ -489,26 +491,36 @@ def _ints(value, field: str) -> tuple[int, ...]:
 def circuit_from_json(text: str) -> Circuit:
     """Parse a circuit document, validating its structure.
 
-    The layout is rebuilt from `layout.facing`; other layout keys and the
-    top-level `qubits` and `phases`, which older documents carry, are
-    ignored.  The phases are worked out from the loci once, so a document
-    out of `compile_step`'s order does not load, nor one that is not local.
-    The instructions are checked in passes over the whole list; only when
-    one fails does a per-item loop run, to name the first fault.
+    A `str` in the exact layout `Circuit.to_json` writes is read by regexes
+    over the writer's templates (`_from_template`): each distinct instruction
+    text is parsed and checked once, and equal records share one object, as
+    the writer's do.  Any other text or bytes, and any document that misses
+    the template or fails a check, goes through `json.loads` and a per-item
+    loop, which names the first fault.  The layout is rebuilt from
+    `layout.facing`; other layout keys and the top-level `qubits` and
+    `phases`, which older documents carry, are ignored.  The phases are
+    worked out from the loci once, so a document out of `compile_step`'s
+    order does not load, nor one that is not local.
 
     Raises:
-        CircuitError: On schema violations (naming the field), a `facing`
-            that `QubitLayout` rejects, a gate that does not fit its arity
-            or degree, a qubit beyond the register, an instruction whose
-            locus is unknown or out of place (named as `Circuit.phases`
-            does), or one that is not local (as `locality_audit` does).
+        CircuitError: On invalid JSON, schema violations (naming the field),
+            a `facing` that `QubitLayout` rejects, a gate that does not fit
+            its arity or degree, a qubit beyond the register, an instruction
+            whose locus is unknown or out of place (named as
+            `Circuit.phases` does), or one that is not local (as
+            `locality_audit` does).
     """
     enabled = gc.isenabled()
-    gc.disable()  # json.loads's containers set off full collections; no record holds a cycle
+    gc.disable()  # the records hold no cycle; building them would set off full collections
     try:
+        if type(text) is str:
+            with suppress(ValueError):  # a CircuitError, or an int past int()'s digit limit
+                circuit = _from_template(text)
+                if circuit is not None:
+                    return circuit
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int past int()'s digit limit
             raise CircuitError(f"invalid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise CircuitError("circuit document must be a JSON object")
@@ -518,66 +530,80 @@ def circuit_from_json(text: str) -> Circuit:
         lay = _typed(doc["layout"], dict, "layout")
         rows = _typed(lay.get("facing"), list, "layout.facing")
         layout = QubitLayout(tuple(_ints(f, f"layout.facing[{u}]") for u, f in enumerate(rows)))
-        items = _typed(doc["instructions"], list, "instructions")
-        instructions = _instructions_at_once(items, layout)
-        if instructions is None:
-            return _load_item_by_item(items, layout)
-        circuit = Circuit(layout, instructions)
-        circuit.phases  # raises on loci out of compile_step's order
-        return circuit
+        return _load_item_by_item(_typed(doc["instructions"], list, "instructions"), layout)
     finally:
         if enabled:
             gc.enable()
 
 
-def _instructions_at_once(items: list, layout: QubitLayout) -> tuple[Instruction, ...] | None:
-    """The document's instructions, or None if any check fails.
+# `Circuit.to_json`'s layout: `_int_list`'s items, the frame, and one `_template` record.
+_INT = "(?:0|[1-9][0-9]*)"
+_ITEMS = r"(?:\n        %s(?:,\n        %s)*\n      )?" % (_INT, _INT)
+_DOCUMENT = re.compile(
+    r'\{\n  "layout": \{\n    "facing": \[((?:\n      \[%s\](?:,\n      \[%s\])*\n    )?)\]\n  \},\n'
+    r'  "instructions": \[(?:\n    \{\n(.*)\n    \}\n  )?\]\n\}\n' % (_ITEMS, _ITEMS),
+    re.DOTALL,
+)
+_ROW = re.compile(r"\[([^][]*)\]")
+_RECORD = re.compile(
+    r'      "gate": "([a-z]+)",\n      "controls": \[(%s)\],\n      "targets": \[(%s)\],\n'
+    r'      "locus": \{\n        "kind": "([a-z]+)",\n        "id": (%s)\n      \}(?:,\n      "d": (%s))?\0'
+    % (_ITEMS, _ITEMS, _INT, _INT)
+)
 
-    Each check of `_load_item_by_item` but the phases is one C-level pass
-    over the whole list; on None, that loop runs to name the first fault.
-    Locality covers the negative-qubit and range checks, since a locus owns
-    only qubits of the register.
+
+def _from_template(text: str) -> Circuit | None:
+    """The circuit of a document in `Circuit.to_json`'s exact layout, or None
+    if the text is laid out otherwise.
+
+    Each distinct instruction text is parsed once, in one `_RECORD` pass whose
+    matches must tile the texts, and its record checked once, as the loader
+    checks any: known gate, `_shape_fault`, no repeated qubit, and locality,
+    which covers the qubit range since a locus owns only register qubits.
+
+    Raises:
+        ValueError: A `CircuitError` from `QubitLayout` or `Circuit.phases`,
+            or an int past `int()`'s digit limit.
     """
-    if not set(map(type, items)) <= {dict}:
+    frame = _DOCUMENT.fullmatch(text)
+    if frame is None:
         return None
-    try:
-        names, controls, targets, locus_docs = (
-            list(map(itemgetter(key), items)) for key in ("gate", "controls", "targets", "locus")
-        )
-        if not set(map(type, locus_docs)) <= {dict}:
-            return None
-        kinds = list(map(itemgetter("kind"), locus_docs))
-        ids = list(map(itemgetter("id"), locus_docs))
-    except KeyError:
+    facing, body = frame.groups()
+    chunks = body.split("\n    },\n    {\n") if body is not None else []
+    distinct = dict.fromkeys(chunks)
+    # A NUL ends each text, and JSON holds none: empty gaps and one match per
+    # text mean that each match is one whole text.
+    parts = _RECORD.split("\0".join([*distinct, ""]))
+    if len(parts) != 7 * len(distinct) + 1 or any(parts[::7]):
         return None
-    ds = list(map(dict.get, items, repeat("d")))
-    if not (
-        set(map(type, names)) <= {str}
-        and set(names).issubset(_GATES)
-        and set(map(type, kinds)) <= {str}
-        and set(map(type, ids)) <= {int}
-        and set(map(type, chain(controls, targets))) <= {list}
-        and set(map(type, chain.from_iterable(chain(controls, targets)))) <= {int}
-        and set(map(type, ds)) <= {int, type(None)}
-        # A d that is present must not be null.
-        and ds.count(None) == len(items) - sum(map(dict.__contains__, items, repeat("d")))
-    ):
-        return None
-    gates = list(map(_GATES.__getitem__, names))
-    controls = list(map(tuple, controls))
-    targets = list(map(tuple, targets))
-    shapes = set(zip(names, map(len, controls), map(len, targets), ds))
-    if any(_shape_fault(_GATES[name], *shape) for name, *shape in shapes):
+    names, controls, targets, kinds, ids, ds = (parts[i::7] for i in range(1, 7))
+    lists = dict.fromkeys(chain(controls, targets))
+    lists = dict(zip(lists, _int_tuples(lists)))
+    controls, targets = list(map(lists.__getitem__, controls)), list(map(lists.__getitem__, targets))
+    ds = [None if d is None else int(d) for d in ds]
+    gates = list(map(_GATES.get, names))
+    shapes = set(zip(gates, map(len, controls), map(len, targets), ds))
+    if None in gates or any(_shape_fault(*shape) for shape in shapes):
         return None
     qubits = list(map(add, controls, targets))
     if list(map(len, map(set, qubits))) != list(map(len, qubits)):
         return None  # a repeated qubit
+    layout = QubitLayout(tuple(_int_tuples(_ROW.findall(facing))))
     # The layout's own loci, so that records share them; None for an unknown one.
     known = {locus: locus for locus in layout.local_qubits}
-    loci = list(map(known.get, zip(kinds, ids)))
+    loci = list(map(known.get, zip(kinds, map(int, ids))))
     if _nonlocal(layout.local_qubits, loci, qubits):
         return None
-    return tuple(map(Instruction._make, zip(gates, controls, targets, loci, ds)))
+    records = map(Instruction._make, zip(gates, controls, targets, loci, ds))
+    records = dict(zip(distinct, records))
+    circuit = Circuit(layout, tuple(map(records.__getitem__, chunks)))
+    circuit.phases  # raises on loci out of compile_step's order
+    return circuit
+
+
+def _int_tuples(texts) -> list[tuple[int, ...]]:
+    """The int tuple of each `_int_list` body (`int` skips the whitespace)."""
+    return [tuple(map(int, t.split(","))) if t else () for t in texts]
 
 
 def _load_item_by_item(items: list, layout: QubitLayout) -> Circuit:

@@ -605,6 +605,20 @@ def test_compiled_documents_are_pinned():
             digest.update(locality_audit(circ).to_json().encode())
     assert digest.hexdigest() == _PINNED_SHA256
 
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_pinned_documents_load_back_record_for_record(seed):
+    for g, marked in _PINNED_CASES:
+        circ = compile_step(g, coloring_polarity(g), marked, enumeration_seed=seed)
+        text = circ.to_json()
+        back = circuit_from_json(text)
+        assert back.layout == circ.layout
+        assert back.instructions == circ.instructions
+        # Equal records are one object, as the writer's inverse transfers are.
+        assert len(set(map(id, back.instructions))) == len(set(back.instructions))
+        assert back.to_json() == text
+
+
 _NODE_MODE = starify(random_connected_graph(8, extra_edges=5, seed=3)).graph
 
 
@@ -673,12 +687,13 @@ def _shared_record_circuit():
 )
 def test_to_json_is_the_same_for_shared_and_unshared_records(circ):
     text = circ.to_json()
-    back = circuit_from_json(text)
-    # The loaded circuit shares no record object, with the original or within itself.
-    ids = set(map(id, back.instructions))
-    assert len(ids) == len(back.instructions)
+    # The same records, one object per position, shared with nothing.
+    unshared = Circuit(circ.layout, tuple(Instruction._make(tuple(i)) for i in circ.instructions))
+    ids = set(map(id, unshared.instructions))
+    assert len(ids) == len(unshared.instructions)
     assert not ids & set(map(id, circ.instructions))
-    assert back.to_json() == text
+    assert unshared.to_json() == text
+    assert circuit_from_json(text).to_json() == text
     assert text == json.dumps(document_dict(circ), indent=2) + "\n"
 
 
@@ -714,8 +729,11 @@ def test_circuit_from_json_pauses_the_collector_and_restores_it(monkeypatch, cal
         "invalid JSON": "{nope",
         "instruction 0": tampered_doc(lambda doc: doc["instructions"][0].update(gate="toffoli")),
     }[fault]
-    during, loads = [], json.loads
+    # The template path builds a layout, the fallback parses with `json.loads`
+    # and then builds one: the collector is off at each call.
+    during, loads, layout = [], json.loads, compiler.QubitLayout
     monkeypatch.setattr(json, "loads", lambda s: during.append(gc.isenabled()) or loads(s))
+    monkeypatch.setattr(compiler, "QubitLayout", lambda f: during.append(gc.isenabled()) or layout(f))
     was_enabled = gc.isenabled()
     try:
         (gc.enable if caller_enabled else gc.disable)()
@@ -727,7 +745,7 @@ def test_circuit_from_json_pauses_the_collector_and_restores_it(monkeypatch, cal
         after = gc.isenabled()
     finally:
         (gc.enable if was_enabled else gc.disable)()
-    assert during == [False]
+    assert during == [False] * {None: 1, "invalid JSON": 1, "instruction 0": 2}[fault]
     assert after is caller_enabled
 
 
@@ -738,6 +756,48 @@ def test_circuit_from_json_rejects_garbage():
         circuit_from_json("[]")
     with pytest.raises(CircuitError, match="missing 'layout'"):
         circuit_from_json("{}")
+    # An int past `int()`'s digit limit, in a compact document and in a
+    # template one, is invalid JSON, not a bare ValueError.
+    huge = "9" * 5000
+    with pytest.raises(CircuitError, match="invalid JSON: Exceeds the limit"):
+        circuit_from_json('{"layout": {"facing": [[%s]]}, "instructions": []}' % huge)
+    text = compile_step(star_graph(3), hub_polarity(3), [0]).to_json()
+    with pytest.raises(CircuitError, match="invalid JSON: Exceeds the limit"):
+        circuit_from_json(text.replace('"id": 0', '"id": ' + huge, 1))
+
+
+def _one_edge_text():
+    """The template document of one edge: z, z and swap (the oracle), swap (the coin)."""
+    g = complete_graph(2)
+    return compile_step(g, coloring_polarity(g), [0]).to_json()
+
+
+def _star3_reversed_text():
+    circ = compile_step(star_graph(3), hub_polarity(3), [0])
+    return Circuit(circ.layout, circ.instructions[::-1]).to_json()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # Text in a record that its template does not have.
+        (_one_edge_text().replace('{\n      "gate"', '{\n      junk\n      "gate"', 1),
+         "invalid JSON: Expecting property name"),
+        # The two swaps as one record text, joined by a raw NUL.
+        ("\0".join(_one_edge_text().rsplit("\n    },\n    {\n", 1)),
+         "invalid JSON: Expecting ',' delimiter"),
+        # A gate name of the template's letters that names no gate.
+        (_one_edge_text().replace('"gate": "z"', '"gate": "toffoli"', 1),
+         "instruction 0: malformed ('toffoli' is not a valid Gate)"),
+        # Valid records out of `compile_step`'s order.
+        (_star3_reversed_text(), "instruction 0: locus node 0 out of place"),
+    ],
+    ids=["junk-in-a-record", "nul-joins-two-records", "unknown-gate", "out-of-order"],
+)
+def test_a_template_lookalike_fails_as_json_loads_reads_it(text, message):
+    with pytest.raises(CircuitError) as info:
+        circuit_from_json(text)
+    assert str(info.value).startswith(message)
 
 
 def tampered_doc(mutate):
@@ -1275,8 +1335,8 @@ def test_compiled_records_pass_the_checked_constructor(g, marked, seed):
     circ = compile_step(g, coloring_polarity(g), marked, enumeration_seed=seed)
     for ins in circ.instructions:
         assert Instruction(*ins) == ins
+    assert compiler._from_template(circ.to_json()) == circ
     items = json.loads(circ.to_json())["instructions"]
-    assert compiler._instructions_at_once(items, circ.layout) == circ.instructions
     assert compiler._load_item_by_item(items, circ.layout) == circ
 
 
@@ -1421,8 +1481,9 @@ def test_audit_to_json_is_the_indented_dump():
 _DROP = object()  # an edit that deletes the key, or the list item
 
 
-def _mutation_corpus(circ):
-    """The compiled document of `circ` under single edits, in a fixed order.
+def _mutation_corpus(circ, render):
+    """The compiled document of `circ` under single edits, in a fixed order,
+    each rendered by `render`.
 
     For each instruction and each field (gate, controls, targets, each
     control and target, the locus, its kind and id, and d where present):
@@ -1444,7 +1505,7 @@ def _mutation_corpus(circ):
             del node[path[-1]]
         else:
             node[path[-1]] = value
-        return json.dumps({**base, "instructions": instructions})
+        return render({**base, "instructions": instructions})
 
     for pos, ins in enumerate(base["instructions"]):
         paths = [("gate",), ("controls",), ("targets",), ("locus",), ("locus", "kind"),
@@ -1484,10 +1545,15 @@ def _verdict(text):
     ],
     ids=["path-3", "star-3", "K4"],
 )
-def test_loader_verdicts_on_a_mutation_corpus_are_pinned(g, marked, digest):
+@pytest.mark.parametrize(
+    "render",
+    [json.dumps, lambda doc: json.dumps(doc, indent=2) + "\n"],
+    ids=["compact", "indented"],  # the fallback's input, and the template path's
+)
+def test_loader_verdicts_on_a_mutation_corpus_are_pinned(g, marked, digest, render):
     # Every single edit of every instruction field either loads or names the
     # same first fault as it did when the loader checked item by item.
     circ = compile_step(g, coloring_polarity(g), marked)
-    verdicts = [_verdict(text) for text in _mutation_corpus(circ)]
+    verdicts = [_verdict(text) for text in _mutation_corpus(circ, render)]
     assert 0 < sum(v.startswith("ok ") for v in verdicts) < len(verdicts) // 10
     assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == digest

@@ -285,10 +285,12 @@ def cmd_verify(args) -> int:
     report = verify_circuit_equivalence(g, p, marked, circuit, tolerance=args.tolerance)
     _dump_json(report.to_json_dict(), args.out)
     if not report.ok:
+        edge, pole = report.worst_column
+        node = WalkPlan(g, p, OracleSpec(marked=marked)).scattering_node(2 * edge + pole)
         log.warning(
             "circuit deviates from the model: deviation %.3e, leakage %.3e, "
-            "worst at edge %d pole %d",
-            report.max_deviation, report.max_leakage, *report.worst_column,
+            "worst at edge %d pole %d, entering node %d's scatter",
+            report.max_deviation, report.max_leakage, edge, pole, node,
         )
         return EXIT_EQUIVALENCE
     return EXIT_OK

@@ -29,7 +29,7 @@ import gc
 import json
 import re
 from collections import Counter
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, pairwise, repeat
@@ -510,9 +510,7 @@ def circuit_from_json(text: str) -> Circuit:
             `Circuit.phases` does), or one that is not local (as
             `locality_audit` does).
     """
-    enabled = gc.isenabled()
-    gc.disable()  # the records hold no cycle; building them would set off full collections
-    try:
+    with _collector_paused():
         if type(text) is str:
             with suppress(ValueError):  # a CircuitError, or an int past int()'s digit limit
                 circuit = _from_template(text)
@@ -531,21 +529,33 @@ def circuit_from_json(text: str) -> Circuit:
         rows = _typed(lay.get("facing"), list, "layout.facing")
         layout = QubitLayout(tuple(_ints(f, f"layout.facing[{u}]") for u, f in enumerate(rows)))
         return _load_item_by_item(_typed(doc["instructions"], list, "instructions"), layout)
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, then restore its state.  Records
+    and simulator groups hold no cycle, and building many of them would set
+    off full collections."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
     finally:
         if enabled:
             gc.enable()
 
 
-# `Circuit.to_json`'s layout: `_int_list`'s items, the frame, and one `_template` record.
+# `Circuit.to_json`'s layout: `_int_list`'s items, the frame, and one `_template`
+# record.  The `re` functions compile each pattern on first use and cache it,
+# so a process that loads no document does not pay for them.
 _INT = "(?:0|[1-9][0-9]*)"
 _ITEMS = r"(?:\n        %s(?:,\n        %s)*\n      )?" % (_INT, _INT)
-_DOCUMENT = re.compile(
-    r'\{\n  "layout": \{\n    "facing": \[((?:\n      \[%s\](?:,\n      \[%s\])*\n    )?)\]\n  \},\n'
-    r'  "instructions": \[(?:\n    \{\n(.*)\n    \}\n  )?\]\n\}\n' % (_ITEMS, _ITEMS),
-    re.DOTALL,
+_DOCUMENT = (
+    r'(?s)\{\n  "layout": \{\n    "facing": \[((?:\n      \[%s\](?:,\n      \[%s\])*\n    )?)\]\n  \},\n'
+    r'  "instructions": \[(?:\n    \{\n(.*)\n    \}\n  )?\]\n\}\n' % (_ITEMS, _ITEMS)
 )
-_ROW = re.compile(r"\[([^][]*)\]")
-_RECORD = re.compile(
+_ROW = r"\[([^][]*)\]"
+_RECORD = (
     r'      "gate": "([a-z]+)",\n      "controls": \[(%s)\],\n      "targets": \[(%s)\],\n'
     r'      "locus": \{\n        "kind": "([a-z]+)",\n        "id": (%s)\n      \}(?:,\n      "d": (%s))?\0'
     % (_ITEMS, _ITEMS, _INT, _INT)
@@ -565,7 +575,7 @@ def _from_template(text: str) -> Circuit | None:
         ValueError: A `CircuitError` from `QubitLayout` or `Circuit.phases`,
             or an int past `int()`'s digit limit.
     """
-    frame = _DOCUMENT.fullmatch(text)
+    frame = re.fullmatch(_DOCUMENT, text)
     if frame is None:
         return None
     facing, body = frame.groups()
@@ -573,7 +583,7 @@ def _from_template(text: str) -> Circuit | None:
     distinct = dict.fromkeys(chunks)
     # A NUL ends each text, and JSON holds none: empty gaps and one match per
     # text mean that each match is one whole text.
-    parts = _RECORD.split("\0".join([*distinct, ""]))
+    parts = re.split(_RECORD, "\0".join([*distinct, ""]))
     if len(parts) != 7 * len(distinct) + 1 or any(parts[::7]):
         return None
     names, controls, targets, kinds, ids, ds = (parts[i::7] for i in range(1, 7))
@@ -588,7 +598,7 @@ def _from_template(text: str) -> Circuit | None:
     qubits = list(map(add, controls, targets))
     if list(map(len, map(set, qubits))) != list(map(len, qubits)):
         return None  # a repeated qubit
-    layout = QubitLayout(tuple(_int_tuples(_ROW.findall(facing))))
+    layout = QubitLayout(tuple(_int_tuples(re.findall(_ROW, facing))))
     # The layout's own loci, so that records share them; None for an unknown one.
     known = {locus: locus for locus in layout.local_qubits}
     loci = list(map(known.get, zip(kinds, map(int, ids))))

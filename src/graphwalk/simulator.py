@@ -11,9 +11,13 @@ amplitudes it can change:
 - While it runs, a basis state is the frozenset of the qubits it excites,
   however wide the register, and the state is a set of {column: amplitude}
   groups, one per basis state, each under a stable id.  `run` holds one
-  column; `verify_circuit_equivalence` evolves all 2|E| unit columns side
-  by side, with every norm check held per column.  Gates never touch
-  columns, so a gate moves whole groups by rewriting their keys.
+  column.  `verify_circuit_equivalence` runs the oracle and the coin on all
+  2|E| unit columns side by side, then each distinct shape of node block
+  once, on one local column per (slot, amplitude) that enters it, and
+  composes the two; a circuit without that structure evolves all 2|E|
+  columns through every gate instead.  Every norm check is held per
+  column.  Gates never touch columns, so a gate moves whole groups by
+  rewriting their keys.
 - Every gate but x is the identity on a basis state with none of its
   trigger qubits set: the target of z, either target of swap, the controls
   of cnot, mcx and diffusion.  An index from each qubit to the ids whose
@@ -37,13 +41,13 @@ from __future__ import annotations
 
 from cmath import isfinite
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain, count, groupby
 from operator import itemgetter, lt
 
 import numpy as np
 
 from . import walk
-from .compiler import Circuit, CircuitError, Gate, Instruction, QubitLayout
+from .compiler import Circuit, CircuitError, Gate, Instruction, QubitLayout, _collector_paused
 from .walk import WalkState
 
 PRUNE_EPS = 1e-15
@@ -298,10 +302,10 @@ class _Columns:
         _check_drift(before, after, GATE_NORM_TOL, f"gate {ins.gate.value}")
 
 
-def _evolve(cols: _Columns, circuit: Circuit) -> None:
-    """Apply every instruction to cols in place, with `run`'s checks."""
+def _evolve(cols: _Columns, instructions) -> None:
+    """Apply the instructions to cols in place, with `run`'s checks."""
     before = cols.norms()
-    for pos, ins in enumerate(circuit.instructions):
+    for pos, ins in enumerate(instructions):
         try:
             cols.apply(ins)
         except SimulationError as exc:
@@ -344,7 +348,7 @@ def run(circuit: Circuit, state: SparseState | None = None) -> SparseState:
             f"state has {n} qubits, circuit expects {circuit.n_qubits}"
         )
     cols = _Columns.of(state)
-    _evolve(cols, circuit)
+    _evolve(cols, circuit.instructions)
     return cols.state()
 
 
@@ -385,13 +389,22 @@ def project_to_walk_state(state: SparseState, layout: QubitLayout) -> WalkState:
 
 def _circuit_entries(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The circuit's (row, column, value) arrays on the walk amplitudes and
-    each column's leakage.  Column q starts as the group {q: 1} at edge
-    qubit q; gates never touch columns, so one evolution carries all 2|E|
-    columns side by side.  A group keyed by edge qubit q alone holds row q;
-    every other group has leaked."""
+    each column's leakage: by block shape (`_shape_entries`) where that
+    applies, else from all 2|E| columns at once (`_all_column_entries`).
+    The collector is paused: the groups hold no cycle."""
+    with _collector_paused():
+        entries = _shape_entries(circuit)
+        return _all_column_entries(circuit) if entries is None else entries
+
+
+def _all_column_entries(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`_circuit_entries` by one evolution of every column.  Column q starts
+    as the group {q: 1} at edge qubit q; gates never touch columns, so one
+    evolution carries all 2|E| columns side by side.  A group keyed by edge
+    qubit q alone holds row q; every other group has leaked."""
     m = 2 * circuit.layout.n_edges
-    cols = _Columns({frozenset({q}): {q: 1.0 + 0j} for q in range(m)}, circuit.n_qubits)
-    _evolve(cols, circuit)
+    cols = _unit_columns(m, circuit.n_qubits)
+    _evolve(cols, circuit.instructions)
     rows, columns, vals = [], [], []
     leak = np.zeros(m)
     for i, grp in cols.groups.items():
@@ -405,6 +418,173 @@ def _circuit_entries(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarr
             for j, a in grp.items():
                 leak[j] += abs(a) ** 2
     return np.array(rows, np.intp), np.array(columns, np.intp), np.array(vals, complex), leak
+
+
+def _unit_columns(m: int, n: int) -> _Columns:
+    """Columns 0..m-1, column q the unit amplitude at edge qubit q."""
+    return _Columns({frozenset({q}): {q: 1.0 + 0j} for q in range(m)}, n)
+
+
+def _shape_entries(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """`_circuit_entries` with each distinct scatter block simulated once, or
+    None if the circuit does not have the structure this needs.
+
+    The oracle and the coin run on the 2|E| unit columns (`_prefix_columns`),
+    and each column then enters the scatter of the node u that faces its
+    edge qubit.  Each node's scatter has a shape (`_scatter_shapes`); none
+    holds an x, so each block fixes, with no arithmetic, every column that
+    does not enter it.  Each shape runs once (`_run_shape`) on one local
+    column per (slot, incoming amplitude) pair, the amplitude bitwise the
+    one its columns bring.  Column j's entries are its local column's, on
+    u's facing qubits.
+
+    Columns never mix, so each entry has the bits the all-columns run gives
+    it.  Each column meets the same norm checks, but where a column is
+    spread over several groups, its squared norm may be summed in another
+    order, so a drift within rounding of a tolerance can pass here and
+    raise there, or the other way round.  Any failed condition or check
+    gives None, and the all-columns run then reports or raises as it
+    always has.
+    """
+    layout, m = circuit.layout, 2 * circuit.layout.n_edges
+    try:
+        phases = circuit.phases
+    except (ValueError, TypeError):  # a CircuitError, or a locus that is not a (kind, id) pair
+        return None
+    entering = _prefix_columns(circuit, phases[1].stop)
+    if entering is None:
+        return None
+    at, amp = entering
+    # Node u's table gives each of its qubits its index in u's block: facing
+    # slot s is s, then the register's binary qubits, then its flag.
+    starts = layout._starts
+    tables = [dict(zip(chain(f, range(a, b)), count()))
+              for f, a, b in zip(layout.facing, starts, starts[1:])]
+    shape = _scatter_shapes(circuit.instructions, phases[2:], layout.facing, tables)
+    if shape is None:
+        return None
+    degree = np.fromiter(map(len, layout.facing), np.intp, layout.n_nodes)
+    first = np.cumsum(degree) - degree  # each node's first slot in the facing order
+    facing = np.fromiter(chain.from_iterable(layout.facing), np.intp, m)
+    slot_of = np.empty(m, np.intp)
+    slot_of[facing] = np.arange(m) - np.repeat(first, degree)
+    u, slot = layout._owner[at], slot_of[at]
+    # One local column per distinct (shape, slot, amplitude bits), sorted, so
+    # that each shape's local columns are consecutive.
+    re, im = amp.view(np.int64).reshape(m, 2).T
+    wanted = list(zip(map(shape.__getitem__, u.tolist()), slot.tolist(), re.tolist(), im.tolist()))
+    distinct = sorted(dict.fromkeys(wanted))
+    column = np.fromiter(map(dict(zip(distinct, count())).__getitem__, wanted), np.intp, m)
+    one = np.empty(len(distinct), np.intp)
+    one[column] = np.arange(m)  # a column of each local column
+    parts = []
+    for _, wants in groupby(enumerate(distinct), key=lambda want: want[1][0]):
+        inputs = {c: (s, complex(amp[one[c]])) for c, (_, s, _, _) in wants}
+        v = int(u[one[next(iter(inputs))]])
+        _, _, start, stop = phases[2 + v]
+        records, table = circuit.instructions[start:stop], tables[v]
+        entries = _run_shape(records, table.__getitem__, inputs, int(degree[v]), len(table))
+        if entries is None:
+            return None
+        parts.append(entries)
+    # Each entry of local column c, once for each column j that takes c, on
+    # the facing qubits of j's node.
+    slots, local_col, vals = map(np.concatenate, zip(*parts))
+    takers = np.argsort(column, kind="stable")  # the columns, grouped by local column
+    per_col = np.bincount(column, minlength=len(distinct))
+    copies = per_col[local_col]
+    e = np.repeat(np.arange(len(local_col)), copies)
+    nth = np.arange(len(e)) - np.repeat(np.cumsum(copies) - copies, copies)
+    j = takers[(np.cumsum(per_col) - per_col)[local_col[e]] + nth]
+    return facing[first[u[j]] + slots[e]], j, vals[e], np.zeros(m)
+
+
+def _run_shape(
+    records: tuple[Instruction, ...], rename, inputs: dict[int, tuple[int, complex]], d: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Run one node's scatter records, each qubit renamed to its local index,
+    on n local qubits, from `inputs`: local column c starts as amplitude a
+    at slot s for inputs[c] = (s, a).  Each entry's (slot, local column,
+    value), or None if the run raises as `run` does or ends off the d
+    facing slots."""
+    records = [
+        Instruction._make((gate, tuple(map(rename, c)), tuple(map(rename, t)), locus, dd))
+        for gate, c, t, locus, dd in records
+    ]
+    block: dict[frozenset[int], dict[int, complex]] = {}
+    for c, (s, a) in inputs.items():
+        block.setdefault(frozenset({s}), {})[c] = a
+    cols = _Columns(block, n)
+    try:
+        _evolve(cols, records)
+    except SimulationError:
+        return None
+    keys = list(map(cols.keys.__getitem__, cols.groups))
+    if set(map(len, keys)) - {1}:
+        return None
+    slots = np.fromiter(chain.from_iterable(keys), np.intp, len(keys))
+    if slots.max(initial=0) >= d:
+        return None
+    groups = cols.groups.values()
+    sizes = np.fromiter(map(len, groups), np.intp, len(groups))
+    total = int(sizes.sum())
+    columns = np.fromiter(chain.from_iterable(groups), np.intp, total)
+    vals = np.fromiter(chain.from_iterable(map(dict.values, groups)), complex, total)
+    return np.repeat(slots, sizes), columns, vals
+
+
+def _prefix_columns(circuit: Circuit, prefix: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Run the oracle and the coin, the first `prefix` instructions, on the
+    2|E| unit columns: column j's edge qubit and amplitude, or None unless
+    every column ends alone in one group, of modulus 1, on an edge qubit.
+    A diffusion's norm check runs as in `run`; the circuit's follows, since
+    each column keeps its unit norm."""
+    m = 2 * circuit.layout.n_edges
+    cols = _unit_columns(m, circuit.n_qubits)
+    try:
+        for ins in circuit.instructions[:prefix]:
+            cols.apply(ins)
+    except SimulationError:
+        return None
+    groups = list(cols.groups.values())
+    keys = list(map(cols.keys.__getitem__, cols.groups))
+    if len(groups) != m or set(map(len, groups)) | set(map(len, keys)) != {1}:
+        return None
+    column = np.fromiter(chain.from_iterable(groups), np.intp, m)
+    order = np.argsort(column)
+    at = np.fromiter(chain.from_iterable(keys), np.intp, m)[order]
+    amp = np.fromiter(chain.from_iterable(map(dict.values, groups)), complex, m)[order]
+    if (column[order] != np.arange(m)).any() or at.max() >= m or (np.abs(amp) != 1.0).any():
+        return None
+    return at, amp
+
+
+def _scatter_shapes(
+    instructions: tuple[Instruction, ...],
+    scatters,
+    facing: tuple[tuple[int, ...], ...],
+    tables: list[dict[int, int]],
+) -> list[int] | None:
+    """Each node's shape id, numbered in order of first appearance.
+
+    Node u's shape is its degree and the records of its scatter phase,
+    `scatters[u]`, with the locus dropped and each qubit renamed through
+    u's table, `tables[u]`.  None if a record touches a qubit outside its
+    node's table, or any shape holds an x.
+    """
+    ids: dict[tuple, int] = {}
+    shape = []
+    for (_, _, start, stop), f, table in zip(scatters, facing, tables):
+        rename = table.__getitem__
+        try:
+            key = (len(f), *[(gate, tuple(map(rename, c)), tuple(map(rename, t)), d)
+                             for gate, c, t, _, d in instructions[start:stop]])
+        except (KeyError, TypeError):  # a foreign qubit, or one that is no dict key
+            return None
+        shape.append(ids.setdefault(key, len(ids)))
+    if any(gate is _X for key in ids for gate, *_ in key[1:]):
+        return None
+    return shape
 
 
 @dataclass(frozen=True)
@@ -451,6 +631,20 @@ def verify_circuit_equivalence(
     The model is the walk's one step: the -X oracle on the marked edges, the
     X coin, then every node's diffusion, the step `compile_step` emits.  Both
     sides stay sparse, compared over the union of their entries.
+
+    The circuit side runs the oracle and the coin on the 2|E| unit columns,
+    after which each column sits on one edge qubit and enters the scatter of
+    the node facing it.  A node of an anonymous network acts by its degree
+    and port order alone, so its block, renamed to local indices, is the
+    same for every node of one degree: each distinct block shape is
+    simulated once, on the amplitudes its columns bring, and its entries are
+    relabelled onto each of its nodes.  A circuit whose blocks touch foreign
+    qubits, hold an x gate or leak, or whose oracle and coin leave a column
+    off a single edge qubit, is evolved on all 2|E| columns instead.  Both
+    ways give the same entries, bit for bit, and run the same norm checks;
+    where a column is spread over several groups the two may sum its
+    squared norm in another order, so a drift within rounding of a check's
+    tolerance can pass on one way and raise on the other.
 
     Raises:
         ValueError: If `tolerance` is NaN, negative or infinite, g has no

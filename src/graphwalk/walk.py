@@ -265,6 +265,15 @@ class WalkPlan:
         i, r = (np.concatenate((a, np.arange(h, n))) for a in (i, r))
         return self._dst[r], self._dst[self._reads[i]], np.concatenate((vals, s[h:]))
 
+    def scattering_node(self, column: int) -> int:
+        """The node whose diffusion amplitude `column` (2k + c for edge k's
+        pole c) enters in a step: the node facing the plan position that
+        reads it."""
+        i = np.flatnonzero(self._reads == self._at[column])[0]
+        k, c = divmod(int(self._dst[i]), 2)
+        u, v = self.g.edges[k].tolist()
+        return u if self.p.component_at(k, u) == c else v
+
     def matrix(self) -> np.ndarray:
         """Dense matrix of one step on the 2|E| amplitudes, filled from `_entries`."""
         rows, cols, vals = self._entries()

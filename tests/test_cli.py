@@ -464,6 +464,28 @@ def test_verify_warning_names_worst_column(path3, tmp_path, capsys, caplog):
     assert worst != {"edge": 0, "pole": 0}
 
 
+@pytest.mark.parametrize("node", [0, 3])
+def test_verify_warning_names_the_node_whose_block_was_altered(node, tmp_path, capsys, caplog):
+    # K5: every node has degree 4.  A diffusion over 3 of its 4 slots alters
+    # node `node`'s block alone, so every deviating column enters its scatter.
+    graph, circ_file = tmp_path / "k5.txt", tmp_path / "circuit.json"
+    graph.write_text("".join(f"{u} {v}\n" for u in range(5) for v in range(u + 1, 5)))
+    args = ["--graph", str(graph), "--mark-edge", "0", "1"]
+    assert main(["compile", *args, "--out", str(circ_file)]) == 0
+    doc = json.loads(circ_file.read_text())
+    (diffusion,) = [ins for ins in doc["instructions"]
+                    if ins["gate"] == "diffusion" and ins["locus"]["id"] == node]
+    diffusion["d"] = 3
+    circ_file.write_text(json.dumps(doc))
+    with caplog.at_level("WARNING", logger="graphwalk"):
+        code = main(["verify", *args, "--circuit", str(circ_file)])
+    assert code == 4
+    worst = json.loads(capsys.readouterr().out)["worst_column"]
+    assert caplog.text.rstrip().endswith(
+        f"worst at edge {worst['edge']} pole {worst['pole']}, entering node {node}'s scatter"
+    )
+
+
 # sha256 of `verify --out` on path 3 with a stray cnot (which leaks one
 # column) and a stray z appended, recorded with the dense comparison that
 # the sparse one replaced.

@@ -9,6 +9,7 @@ import json
 import math
 import operator
 import re
+import textwrap
 
 import numpy as np
 import pytest
@@ -1483,7 +1484,8 @@ _DROP = object()  # an edit that deletes the key, or the list item
 
 def _mutation_corpus(circ, render):
     """The compiled document of `circ` under single edits, in a fixed order,
-    each rendered by `render`.
+    each rendered by `render(base)(pos, instruction)`: the base document with
+    instruction pos replaced.
 
     For each instruction and each field (gate, controls, targets, each
     control and target, the locus, its kind and id, and d where present):
@@ -1495,17 +1497,17 @@ def _mutation_corpus(circ, render):
     values = (True, 1.0, None, "x", -1, 0, circ.n_qubits, [], {}, _DROP)
     unknown = {"edge": circ.layout.n_edges, "node": circ.layout.n_nodes}
     base = document_dict(circ)
+    text = render(base)
 
     def edited(pos, path, value):
-        instructions = list(base["instructions"])
-        instructions[pos] = node = copy.deepcopy(instructions[pos])
+        ins = node = copy.deepcopy(base["instructions"][pos])
         for key in path[:-1]:
             node = node[key]
         if value is _DROP:
             del node[path[-1]]
         else:
             node[path[-1]] = value
-        return render({**base, "instructions": instructions})
+        return text(pos, ins)
 
     for pos, ins in enumerate(base["instructions"]):
         paths = [("gate",), ("controls",), ("targets",), ("locus",), ("locus", "kind"),
@@ -1522,6 +1524,38 @@ def _mutation_corpus(circ, render):
             yield edited(pos, ("d",), 2)
         yield edited(pos, ("locus", "kind"), "nowhere")
         yield edited(pos, ("locus", "id"), unknown[ins["locus"]["kind"]])
+
+
+def _compact(base):
+    """`json.dumps` of the base document with one instruction replaced."""
+
+    def text(pos, ins):
+        instructions = list(base["instructions"])
+        instructions[pos] = ins
+        return json.dumps({**base, "instructions": instructions})
+
+    return text
+
+
+def _indented(base):
+    """`json.dumps(doc, indent=2) + "\\n"` of the base document with one
+    instruction replaced.  The pure-Python indented encoder renders the base
+    once and then only the new instruction, whose lines sit 4 spaces deeper
+    in the document than on their own."""
+
+    def item(ins):
+        return textwrap.indent(json.dumps(ins, indent=2), "    ")
+
+    whole = json.dumps(base, indent=2) + "\n"
+    items = list(map(item, base["instructions"]))
+    tail = "\n  ]\n}\n"
+    head = whole[: len(whole) - len(tail) - len(",\n".join(items))]
+    assert head + ",\n".join(items) + tail == whole
+
+    def text(pos, ins):
+        return head + ",\n".join([*items[:pos], item(ins), *items[pos + 1 :]]) + tail
+
+    return text
 
 
 def _verdict(text):
@@ -1547,7 +1581,7 @@ def _verdict(text):
 )
 @pytest.mark.parametrize(
     "render",
-    [json.dumps, lambda doc: json.dumps(doc, indent=2) + "\n"],
+    [_compact, _indented],
     ids=["compact", "indented"],  # the fallback's input, and the template path's
 )
 def test_loader_verdicts_on_a_mutation_corpus_are_pinned(g, marked, digest, render):

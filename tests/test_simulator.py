@@ -686,6 +686,113 @@ def test_sparse_report_equals_dense_reference(g, p, marked, circ):
     assert report.worst_column == divmod(worst, 2)
 
 
+def entry_bits(entries) -> tuple[list, list]:
+    """(row, column, real hex, imaginary hex) of each entry in column-major
+    order, signed zeros included, and each column's leakage in hex."""
+    rows, cols, vals, leak = entries
+    order = np.lexsort((rows, cols))
+    cells = [(int(r), int(c), v.real.hex(), v.imag.hex())
+             for r, c, v in zip(rows[order], cols[order], vals[order])]
+    return cells, [x.hex() for x in leak.tolist()]
+
+
+def shape_path_cases():
+    """(name, circuit): compiled steps the block-shape path takes."""
+
+    def compiled(g, marked, enumeration_seed=None):
+        return compile_step(g, coloring_polarity(g), marked, enumeration_seed=enumeration_seed)
+
+    starified = starify(random_connected_graph(8, extra_edges=6, seed=3)).graph
+    regular = random_regular_graph(250, 4, seed=1)
+    yield "path5", compiled(path_graph(5), [0])
+    yield "cycle9", compiled(cycle_graph(9), [2])  # degree-2 swap blocks
+    yield "k12-two-marks", compiled(complete_graph(12), [0, 5])
+    yield "starified", compiled(starified, [starified.n_edges - 1])
+    yield "regular250", compiled(regular, [0])
+    yield "regular250-enum3", compiled(regular, [0], enumeration_seed=3)
+    yield "star7", compiled(star_graph(7), [0])
+
+
+SHAPE_PATH_CASES = list(shape_path_cases())
+
+
+@pytest.mark.parametrize("circ", [c for _, c in SHAPE_PATH_CASES], ids=[n for n, _ in SHAPE_PATH_CASES])
+def test_shape_path_gives_the_bits_of_the_all_columns_run(circ):
+    shaped = simulator._shape_entries(circ)
+    assert shaped is not None
+    assert entry_bits(shaped) == entry_bits(simulator._all_column_entries(circ))
+
+
+def shape_fallback_cases():
+    """(name, (g, p, marked, circuit)): a 7-leaf star's step, hub first, with
+    one fault each that the block-shape path must leave to the all-columns
+    run; then K5 with a block on another node's register, and two nodes of
+    different degree given blocks that rename alike."""
+    g, p = star_graph(7), hub_polarity(7)
+    circ = compile_step(g, p, [0])
+    ins, layout = circ.instructions, circ.layout
+    hub = Locus("node", 0)
+    flag = layout.register(0)[1]
+    end = circ.phases[2].stop  # the hub's scatter ends here
+    coin = circ.phases[1].start  # the coin's swap on edge 0
+
+    def star(k, records):
+        """The step with instruction k replaced by the records."""
+        return g, p, [0], Circuit(layout, ins[:k] + tuple(records) + ins[k + 1 :])
+
+    k = next(k for k, i in enumerate(ins) if i.gate is Gate.CNOT)
+    foreign = Instruction(Gate.CNOT, ins[k].controls, (layout.register(3)[1],), hub)
+    yield "foreign-qubit", star(k, [foreign])
+    # Negates every column: those that enter the hub's block, and those that
+    # only pass it, whose keys hold none of its qubits.
+    flip = [Instruction(gate, (), (flag,), hub) for gate in (Gate.X, Gate.Z, Gate.X)]
+    yield "x-on-register", star(end - 1, [ins[end - 1], *flip])
+    k = next(k for k, i in enumerate(ins) if i.gate is Gate.DIFFUSION)
+    yield "leaking-block", star(k, [ins[k]._replace(d=8)])
+    yield "prefix-on-two-qubits", star(coin, [Instruction(Gate.CNOT, (0,), (1,), Locus("edge", 0))])
+    yield "prefix-off-the-edge-qubits", star(coin, [Instruction(Gate.SWAP, (), (0, flag), Locus("edge", 0))])
+    # K5: node 1's diffusion moved onto node 2's register, whose local
+    # indices are the same as node 1's own.
+    g = complete_graph(5)
+    p = coloring_polarity(g)
+    circ = compile_step(g, p, [0])
+    ins = circ.instructions
+    k = next(k for k, i in enumerate(ins) if i.gate is Gate.DIFFUSION and i.locus.id == 1)
+    binary, flag = circ.layout.register(2)
+    moved = Instruction(Gate.DIFFUSION, (flag,), binary, Locus("node", 1), 4)
+    yield "foreign-register", (g, p, [0], Circuit(circ.layout, ins[:k] + (moved,) + ins[k + 1 :]))
+    # Node 0 (degree 3) swaps its slots 0 and 2, node 1 (degree 2) its slot 0
+    # and its binary bit: both blocks are swap(0, 2) in local indices.  The
+    # marked edge 0 brings -1 to slot 0 of both, so the two share a local
+    # column unless the degree tells their shapes apart.
+    g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 4)])
+    p = coloring_polarity(g)
+    layout = build_layout(g, p)
+    circ = compile_step(g, p, [0])
+    prefix = circ.instructions[: circ.phases[1].stop]
+    (f0, f1), bit = (layout.facing[0], layout.facing[1]), layout.register(1)[0][0]
+    blocks = (Instruction(Gate.SWAP, (), (f0[0], f0[2]), Locus("node", 0)),
+              Instruction(Gate.SWAP, (), (f1[0], bit), Locus("node", 1)))
+    yield "same-records-other-degree", (g, p, [0], Circuit(layout, prefix + blocks))
+
+
+SHAPE_FALLBACK_CASES = list(shape_fallback_cases())
+
+
+@pytest.mark.parametrize(
+    "g, p, marked, circ",
+    [c for _, c in SHAPE_FALLBACK_CASES],
+    ids=[n for n, _ in SHAPE_FALLBACK_CASES],
+)
+def test_circuits_off_the_shape_path_report_as_the_all_columns_run(g, p, marked, circ):
+    assert simulator._shape_entries(circ) is None
+    all_columns = simulator._all_column_entries(circ)
+    assert entry_bits(simulator._circuit_entries(circ)) == entry_bits(all_columns)
+    report = verify_circuit_equivalence(g, p, marked, circ)
+    assert not report.ok
+    assert report.max_leakage.hex() == all_columns[3].max().hex()
+
+
 def assert_same_amps(got: dict, want: dict) -> None:
     """Same keys and bitwise the same amplitudes."""
     assert got.keys() == want.keys()
@@ -745,7 +852,7 @@ def test_columns_sharing_low_keys_match_each_column_alone():
         for k, a in amps.items():
             joint.setdefault(frozenset(k), {})[col] = a
     out = simulator._Columns(joint, n)
-    simulator._evolve(out, circ)
+    simulator._evolve(out, circ.instructions)
     for col, amps in enumerate(columns):
         want = reference_run(circ, SparseState(amps, n))
         got = {tuple(sorted(out.keys[i])): grp[col] for i, grp in out.groups.items() if col in grp}

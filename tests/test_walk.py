@@ -443,6 +443,20 @@ def test_plan_matrix_is_the_step_on_each_unit_state(name, g, p, marked):
     assert np.array_equal(matrix, column_by_column_step_matrix(g, p, oracle=oracle))
 
 
+
+@pytest.mark.parametrize("name,g,p,marked", UNIT_STATE_CASES, ids=[c[0] for c in UNIT_STATE_CASES])
+def test_scattering_node_is_the_node_each_column_reaches(name, g, p, marked):
+    # A step sends column j onto the facing amplitudes of the one node whose
+    # diffusion it enters.
+    plan = WalkPlan(g, p, OracleSpec(frozenset(marked)))
+    facer = np.empty(2 * g.n_edges, np.intp)
+    facer[facing_amplitudes(g, p)] = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    matrix = plan.matrix()
+    for j in range(2 * g.n_edges):
+        (node,) = set(facer[np.flatnonzero(matrix[:, j])].tolist())
+        assert plan.scattering_node(j) == node
+
+
 def test_search_t0_samples_uniformly():
     g = star_graph(5)
     p = coloring_polarity(g)
